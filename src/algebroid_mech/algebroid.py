@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import Chart, fd_gradient, fd_jacobian
+from .calculus import Chart, fd_gradient, fd_jacobian, require_finite
 from .errors import ConstructionError
 
 # Relative singular-value threshold for numeric rank decisions.
@@ -289,7 +289,8 @@ def check_cocycle(
     seed: int = 42,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Max of |d phi (e_a, e_b)| over seeded samples and all frame pairs."""
+    """Max of |d phi (e_a, e_b)| over seeded samples and all frame pairs;
+    a non-finite value raises NumericFailure naming its point and pair."""
     pts = sample_box(box, samples, seed)
     basis = [A.basis_section(a) for a in range(A.rank)]
     worst = []
@@ -297,7 +298,8 @@ def check_cocycle(
         v = 0.0
         for a in range(A.rank):
             for b in range(a + 1, A.rank):
-                v = max(v, abs(d_oneform_eval(A, phi, basis[a], basis[b], q)))
+                val = abs(d_oneform_eval(A, phi, basis[a], basis[b], q))
+                v = max(v, require_finite(val, f"d phi(e_{a}, e_{b})", q))
         worst.append((q, v))
     worst.sort(key=lambda t: -t[1])
     max_violation = worst[0][1] if worst else 0.0

@@ -116,25 +116,34 @@ def fd_gradient(f, q, h=None) -> np.ndarray:
     return grad
 
 
-def fd_jacobian(fn, q, h=None) -> np.ndarray:
-    """Jacobian (k, m) of a vector-valued function by central differences."""
+def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
+    """Jacobian (k, m) of a vector-valued function by central differences.
+
+    ``fn`` is called on each of the 2m stencil points q + h_i e_i, then
+    q - h_i e_i; with ``stacked=True`` it gets them all as one (2m, m)
+    array and returns the 2m values stacked.  Both give the same bits.
+    """
     q = np.asarray(q, dtype=float)
     if h is None:
         steps = fd_step(q)
     else:
         steps = np.broadcast_to(np.asarray(h, dtype=float), q.shape).copy()
-    cols = []
-    for i in range(q.shape[0]):
-        qp = q.copy()
-        qm = q.copy()
-        qp[i] += steps[i]
-        qm[i] -= steps[i]
-        fp = np.asarray(fn(qp), dtype=float)
-        fm = np.asarray(fn(qm), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise NumericFailure(f"function evaluation non-finite near q={q!r}")
-        cols.append((fp - fm) / (2.0 * steps[i]))
-    return np.column_stack(cols)
+    m = q.shape[0]
+    idx = np.arange(m)
+    stencil = np.tile(q, (2 * m, 1))
+    stencil[idx, idx] += steps
+    stencil[m + idx, idx] -= steps
+    vals = np.asarray(fn(stencil) if stacked else [fn(x) for x in stencil], dtype=float).reshape(2 * m, -1)
+    if not np.all(np.isfinite(vals)):
+        raise NumericFailure(f"function evaluation non-finite near q={q!r}")
+    return ((vals[:m] - vals[m:]) / (2.0 * steps)[:, None]).T
+
+
+def require_finite(value, what: str, q):
+    """``value`` if all of it is finite, else NumericFailure naming ``what`` and q."""
+    if not np.all(np.isfinite(value)):
+        raise NumericFailure(f"{what} non-finite at q={list(map(float, q))}")
+    return value
 
 
 def check_gradient(f: ScalarField, points: Sequence[np.ndarray], tol: float = 1e-6) -> float:

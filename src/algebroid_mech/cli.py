@@ -12,6 +12,7 @@ with the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -342,10 +343,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_vector_values(argv):
+    """``--box -1:1,...`` -> ``--box=-1:1,...``: argparse takes a separated
+    value that starts with '-' and is not a plain number for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--box", "--q0", "--x0", "--point") and re.match(r"-[0-9.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:

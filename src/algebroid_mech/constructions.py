@@ -11,9 +11,12 @@ Three constructions are provided:
   X0, a constrained subbundle U and a bundle metric produce an adapted
   rank |U|+1 system with kinetic-plus-potential Hamiltonian.
 
-Structure functions of the restricted/affine algebroids are evaluated
-lazily per point (bracket then project) with a small cache keyed by
-quantized coordinates.
+The restricted and affine algebroids share one kernel (bracket, then
+project onto a frame).  Per point, the anchor needs only the frame; the
+structure functions, computed on first request, add its derivative from
+one stacked finite-difference stencil.  Values are memoized per point,
+keyed by the exact coordinates, so a repeat visit reuses them and a
+neighbouring point never does.
 """
 
 from __future__ import annotations
@@ -24,36 +27,11 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .algebroid import CheckReport, ESection, SkewAlgebroid, sample_box, v_restriction
-from .calculus import ScalarField, as_scalar_field, fd_gradient, fd_jacobian
+from .calculus import ScalarField, as_scalar_field, fd_gradient, fd_jacobian, require_finite
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, poisson_bracket_eval
 
-_CACHE_QUANTUM = 1e-9
-_CACHE_LIMIT = 200_000
-
-
-class _PointCache:
-    """Per-point memoization keyed by coordinates quantized to 1e-9.
-
-    Only cached *values* are ever consumed downstream (never differentiated
-    through the cache), so the quantization does not pollute derivatives.
-    Concurrent readers are safe under the GIL; insertion is last-writer-wins.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.data = {}
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        key = tuple(np.round(q / _CACHE_QUANTUM).astype(np.int64).tolist())
-        hit = self.data.get(key)
-        if hit is None:
-            if len(self.data) > _CACHE_LIMIT:
-                self.data.clear()
-            hit = self.fn(q)
-            self.data[key] = hit
-        return hit
+_MEMO_POINTS = 1 << 14  # per algebroid, then emptied; a 1000-step lift visits ~8000
 
 
 @dataclass(frozen=True)
@@ -179,44 +157,64 @@ def projector_restriction(
     if worst > tol:
         raise ConstructionError(f"P restricted to D is not the identity: {worst:g} > {tol:g}")
 
-    def frame_matrix(q):
-        return np.stack([s(q) for s in D_basis])  # (r, n_E)
+    def frames(Q):
+        return np.array([[s(q) for s in D_basis] for q in Q])  # (K, r, n_E)
 
-    def compute(q):
-        B = frame_matrix(q)
-        dB = fd_jacobian(lambda qq: frame_matrix(qq).ravel(), q).reshape(r, E.rank, m)
-        CE = E.structure_at(q)
-        rhoE = E.anchor_at(q)
-        anchored = B @ rhoE.T  # (r, m): rows rho(D_i)
-        pairs = {}
-        for i in range(r):
-            for j in range(i + 1, r):
-                val = np.einsum("abg,a,b->g", CE, B[i], B[j])
-                val = val + dB[j] @ anchored[i] - dB[i] @ anchored[j]
-                pairs[(i, j)] = np.asarray(P(q, val), dtype=float)
-        return {"anchor": rhoE @ B.T, "pairs": pairs}
+    return _bracket_then_project(E, frames, lambda q, M: lambda val: P(q, val), rank=r, adapted=False)
 
-    cache = _PointCache(compute)
 
-    structure = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            structure[(i, j)] = (lambda ij: (lambda q: cache(q)["pairs"][ij]))((i, j))
-    return SkewAlgebroid(
-        chart=E.chart,
-        rank=r,
-        anchor=lambda q: cache(q)["anchor"],
-        structure=structure,
-        adapted=False,
-    )
+def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapted: bool) -> SkewAlgebroid:
+    """The algebroid of a frame {e_a} of E, bracketed in E and projected.
+
+    ``frames`` maps points (K, m) to frames (K, rank, n_E), row a holding
+    the E-components of e_a.  The anchor is rho_E(e_a).  The structure
+    functions are projection(q, M)([[e_a, e_b]]_E) for the frame M at q, a
+    length-``rank`` vector; the bracket's derivative terms use central
+    differences of the frame, all stencil points in one ``frames`` call.
+    """
+    memo = {}  # q bytes -> [frame, rho_E, anchor, pairs]
+
+    def entry(q):
+        q = np.asarray(q, dtype=float)
+        key = q.tobytes()
+        hit = memo.get(key)
+        if hit is None:
+            if len(memo) >= _MEMO_POINTS:
+                memo.clear()
+            M = frames(q[None])[0]
+            rhoE = E.anchor_at(q)
+            hit = memo[key] = [M, rhoE, rhoE @ M.T, None]
+        return hit
+
+    def pairs(q):
+        q = np.asarray(q, dtype=float)
+        hit = entry(q)
+        if hit[3] is None:
+            M, rhoE = hit[0], hit[1]
+            dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
+            CE = E.structure_at(q)
+            anchored = M @ rhoE.T  # (rank, m): rows rho_E(e_a)
+            project = projection(q, M)
+            out = {}
+            for i in range(rank):
+                for j in range(i + 1, rank):
+                    val = np.einsum("abg,a,b->g", CE, M[i], M[j])
+                    val = val + dM[j] @ anchored[i] - dM[i] @ anchored[j]
+                    out[(i, j)] = np.asarray(project(val), dtype=float)
+            hit[3] = out
+        return hit[3]
+
+    structure = {(i, j): (lambda q, ij=(i, j): pairs(q)[ij]) for i in range(rank) for j in range(i + 1, rank)}
+    return SkewAlgebroid(chart=E.chart, rank=rank, anchor=lambda q: entry(q)[2], structure=structure, adapted=adapted)
 
 
 def gram_schmidt_at(G: MetricField, basis: List[ESection], q) -> np.ndarray:
     """Coefficients T of a G-orthonormal frame at q: ebar_a = T[a, b] basis_b.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; T[a, b] = 0
-    for b > a.  Raises on pivots below 1e-10 (degenerate metric or
-    dependent basis).
+    Gram-Schmidt in closed form: T is the inverse Cholesky factor of the
+    Gram matrix, followed by one re-orthogonalization pass on the Gram
+    matrix of the result; T[a, b] = 0 for b > a.  Raises on pivots below
+    1e-10 (degenerate metric or dependent basis).
     """
     q = np.asarray(q, dtype=float)
     Gq = G.at(q)
@@ -225,13 +223,11 @@ def gram_schmidt_at(G: MetricField, basis: List[ESection], q) -> np.ndarray:
 
 
 def _gram_schmidt(Gq: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Triangular orthonormalization via Cholesky of the Gram matrix (the
-    # factor Gram-Schmidt would produce), plus one re-orthogonalization
-    # pass on the residual Gram matrix.
-    r = B.shape[0]
-    gram = B @ Gq @ B.T
+    # Works on one (r, n) basis or on a stack (K, r, n) with metrics
+    # (K, n, n).  The second pass removes the roundoff of the first.
+    gram = B @ Gq @ np.swapaxes(B, -1, -2)
     T = _chol_inverse(gram)
-    gram2 = T @ gram @ T.T
+    gram2 = T @ gram @ np.swapaxes(T, -1, -2)
     return _chol_inverse(gram2) @ T
 
 
@@ -240,10 +236,10 @@ def _chol_inverse(gram: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise ConstructionError("degenerate metric/basis: Gram matrix not positive-definite")
-    piv = float(np.min(np.diag(L)))
+    piv = float(np.min(np.diagonal(L, axis1=-2, axis2=-1)))
     if not np.isfinite(piv) or piv < 1e-10:
         raise ConstructionError(f"degenerate metric/basis: pivot {piv:g}")
-    return np.linalg.solve(L, np.eye(gram.shape[0]))
+    return np.linalg.solve(L, np.broadcast_to(np.eye(gram.shape[-1]), gram.shape))
 
 
 def affine_constraints(
@@ -267,59 +263,29 @@ def affine_constraints(
     if r < 1:
         raise ValueError("U_basis must be non-empty")
     m = E.chart.dim
-    nE = E.rank
     if validation_points is None:
         validation_points = sample_box([(-1.0, 1.0)] * m, samples=8, seed=0)
 
-    def frame(q):
+    def frames(Q):
         """Rows: X0 then the orthonormalized U frame, in E components."""
-        Gq = G.at(q)
-        B = np.stack([s(q) for s in U_basis])
-        T = _gram_schmidt(Gq, B)
-        return np.vstack([X0(q), T @ B])  # (r+1, nE)
+        Gq = np.array([G.at(q) for q in Q])
+        B = np.array([[s(q) for s in U_basis] for q in Q])
+        X = np.array([X0(q) for q in Q])
+        return np.concatenate([X[:, None, :], _gram_schmidt(Gq, B) @ B], axis=1)  # (K, r+1, nE)
+
+    def projection(q, M):
+        # G(ebar_a, .) for the orthonormal rows; the drift row has none
+        rows = M[1:] @ G.at(q)
+        return lambda val: np.concatenate([[0.0], rows @ val])
 
     # precondition: X0 is G-orthogonal to U
     worst = 0.0
-    for q in validation_points:
-        M = frame(q)
-        Gq = G.at(q)
-        dev = np.max(np.abs(M[1:] @ Gq @ M[0]))
-        worst = max(worst, float(dev))
+    for q, M in zip(validation_points, frames(np.asarray(validation_points, dtype=float))):
+        worst = max(worst, float(np.max(np.abs(projection(q, M)(M[0])))))
     if worst > 1e-9:
         raise ConstructionError(f"P(X0) != 0: G(X0, U) reaches {worst:g} at validation samples")
 
-    def compute(q):
-        M = frame(q)
-        Gq = G.at(q)
-        dM = fd_jacobian(lambda qq: frame(qq).ravel(), q).reshape(r + 1, nE, m)
-        CE = E.structure_at(q)
-        rhoE = E.anchor_at(q)
-        anchored = M @ rhoE.T  # (r+1, m)
-        ebar = M[1:]
-        proj = ebar @ Gq  # (r, nE): rows G(ebar_a, .)
-        pairs = {}
-        for i in range(r + 1):
-            for j in range(i + 1, r + 1):
-                val = np.einsum("abg,a,b->g", CE, M[i], M[j])
-                val = val + dM[j] @ anchored[i] - dM[i] @ anchored[j]
-                comp = np.zeros(r + 1)
-                comp[1:] = proj @ val
-                pairs[(i, j)] = comp
-        return {"anchor": rhoE @ M.T, "pairs": pairs}
-
-    cache = _PointCache(compute)
-
-    structure = {}
-    for i in range(r + 1):
-        for j in range(i + 1, r + 1):
-            structure[(i, j)] = (lambda ij: (lambda q: cache(q)["pairs"][ij]))((i, j))
-    A = SkewAlgebroid(
-        chart=E.chart,
-        rank=r + 1,
-        anchor=lambda q: cache(q)["anchor"],
-        structure=structure,
-        adapted=True,
-    )
+    A = _bracket_then_project(E, frames, projection, rank=r + 1, adapted=True)
     A.validate_adapted(validation_points)
 
     V = as_scalar_field(V_potential) if V_potential is not None else None
@@ -400,6 +366,8 @@ def morphism_check(
        coordinates and fiber coordinates;
     2. the cocycles correspond under the fiber map;
     3. the target hamiltonian function pulls back to the source one.
+
+    A non-finite value raises NumericFailure naming its sample point.
     """
     src = _coerce_endpoint(src)
     dst = _coerce_endpoint(dst)
@@ -429,14 +397,14 @@ def morphism_check(
                 Fi, Fj = probes[i], probes[j]
                 lhs = poisson_bracket_eval(A, lambda x: Fi(psi_full(x)), lambda x: Fj(psi_full(x)), xf)
                 rhs = poisson_bracket_eval(Abar, Fi, Fj, image)
-                v1 = max(v1, abs(lhs - rhs))
+                v1 = max(v1, require_finite(abs(lhs - rhs), f"bracket of probes {i}, {j}", q))
         worst1.append((q, v1))
         if src.cocycle is not None and dst.cocycle is not None:
             v2 = float(
                 np.max(np.abs(np.asarray(pair.fiber_map(q, src.cocycle(q)), dtype=float) - dst.cocycle(np.asarray(pair.base_map(q), dtype=float))))
             )
-            worst2.append((q, v2))
-        worst3.append((q, abs(dst.f_h(image) - src.f_h(xf))))
+            worst2.append((q, require_finite(v2, "cocycle correspondence", q)))
+        worst3.append((q, require_finite(abs(dst.f_h(image) - src.f_h(xf)), "hamiltonian pullback", q)))
 
     def report(name, worst, count):
         worst = sorted(worst, key=lambda t: -t[1])

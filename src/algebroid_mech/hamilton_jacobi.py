@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebroid import DualSection, ESection, d_oneform_eval, v_restriction
-from .calculus import Curve, fd_gradient, fd_jacobian, integrate_rk4
+from .calculus import Curve, fd_gradient, fd_jacobian, integrate_rk4, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _pdot_rhs, integrate_hamilton, projected_field
 from .util import parallel_map
@@ -217,9 +217,10 @@ def hj_grid_check(
     resolution=11,
     tol: float = 1e-9,
 ) -> HJReport:
-    """Evaluate the HJ residual over a grid and report the max norm."""
+    """Evaluate the HJ residual over a grid and report the max norm; a
+    non-finite residual raises NumericFailure naming its grid point."""
     box, resolution, pts = grid_points(box, resolution)
-    residuals = parallel_map(lambda q: hj_residual(sys, alpha, q), pts)
+    residuals = parallel_map(lambda q: require_finite(hj_residual(sys, alpha, q), "HJ residual", q), pts)
     grid = tuple(zip(pts, residuals))
     max_norm = max((float(np.max(np.abs(r))) for r in residuals), default=0.0)
     return HJReport(residual_grid=grid, max_norm=max_norm, tol=float(tol), box=box, resolution=resolution)
@@ -235,10 +236,12 @@ def verify_lift(
     tol: float = 1e-6,
 ) -> LiftReport:
     """Integrate the base curve under the projected field, lift it through
-    alpha, and compare with the hamiltonian flow started at alpha(q0)."""
+    alpha, and compare with the hamiltonian flow started at alpha(q0).  A
+    non-finite section value raises NumericFailure naming its base point."""
     q0 = np.asarray(q0, dtype=float)
     base = integrate_rk4(lambda t, q: projected_field(sys, alpha, q), q0, t0, t1, dt)
-    lifted_pts = np.array([np.concatenate([qq, alpha(qq)]) for qq in base.points])
+    sections = [require_finite(alpha(qq), "lifted section", qq) for qq in base.points]
+    lifted_pts = np.array([np.concatenate([qq, a]) for qq, a in zip(base.points, sections)])
     lifted = Curve(times=base.times, points=lifted_pts)
     ham = integrate_hamilton(sys, lifted_pts[0], t0, t1, dt)
     dev = float(np.max(np.abs(lifted.points - ham.points)))

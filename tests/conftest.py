@@ -87,6 +87,17 @@ def lie_tangent(dim=2):
     return tangent_algebroid(chart)
 
 
+def nan_structure_at(A, bad):
+    """A copy of A whose structure functions are NaN at the point ``bad``
+    only, so finite differences around it stay finite."""
+
+    def wrap(fn):
+        return lambda q: np.full(A.rank, np.nan) if np.array_equal(q, bad) else fn(q)
+
+    structure = {ab: wrap(fn) for ab, fn in A.structure_pairs()}
+    return SkewAlgebroid(chart=A.chart, rank=A.rank, anchor=A.anchor_at, structure=structure, adapted=A.adapted)
+
+
 @pytest.fixture(scope="session")
 def adapted_algebroid():
     return random_adapted_algebroid()

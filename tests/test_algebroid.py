@@ -8,6 +8,7 @@ from algebroid_mech import (
     ConstructionError,
     DualSection,
     ESection,
+    NumericFailure,
     ScalarField,
     SkewAlgebroid,
     anchor_apply,
@@ -25,6 +26,7 @@ from conftest import (
     N_SAMPLES,
     SEED,
     lie_tangent,
+    nan_structure_at,
     seeded_points,
     smooth_field,
     smooth_section,
@@ -232,6 +234,14 @@ class TestCocycle:
         assert set(d) == {"name", "max_violation", "tol", "samples", "seed", "pass", "witnesses"}
         assert d["pass"] == (d["max_violation"] <= d["tol"])
         assert len(d["witnesses"]) <= 5
+
+    def test_nan_at_a_later_sample_raises(self, cylinder):
+        # Python's max() keeps a NaN only when it comes first; put it last
+        box = [(-1, 1), (-1, 1)]
+        A = nan_structure_at(cylinder.system.algebroid, sample_box(box, 16, 7)[-1])
+        phi = DualSection(components=lambda q: np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(NumericFailure, match="non-finite at q="):
+            check_cocycle(A, phi, box=box, samples=16, seed=7)
 
     def test_empty_box_rejected(self, cylinder):
         A = cylinder.system.algebroid

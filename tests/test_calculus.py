@@ -70,9 +70,26 @@ class TestFdGradient:
 
 
 def test_fd_jacobian_matches_hand_value():
-    J = fd_jacobian(lambda q: np.array([q[0] * q[1], math.sin(q[1])]), np.array([2.0, 0.5]))
+    def f(q):
+        return np.array([q[0] * q[1], math.sin(q[1])])
+
+    q = np.array([2.0, 0.5])
+    J = fd_jacobian(f, q)
     expect = np.array([[0.5, 2.0], [0.0, math.cos(0.5)]])
     assert np.max(np.abs(J - expect)) < 1e-9
+    # the stacked convention sees the whole (2m, m) stencil at once and
+    # must give the same bits as the pointwise one
+    stacked = fd_jacobian(lambda Q: np.stack([f(x) for x in Q]), q, stacked=True)
+    assert stacked.shape == J.shape and np.array_equal(stacked, J)
+
+    def g(y):
+        return np.array([y[0] * y[1] ** 2, math.exp(0.1 * y[2]), y[1] / (2.0 + y[0] ** 2)])
+
+    for x in seeded_points(3, n=16, lo=-5.0, hi=5.0):
+        for h in (None, 1e-5):
+            pointwise = fd_jacobian(g, x, h=h)
+            stacked = fd_jacobian(lambda Q: np.stack([g(y) for y in Q]), x, h=h, stacked=True)
+            assert np.array_equal(stacked, pointwise)
 
 
 class TestCurve:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from algebroid_mech import DualSection, cli
 from algebroid_mech.cli import main
 from algebroid_mech.gallery import GALLERY_IDS, instantiate
 
@@ -108,6 +110,40 @@ class TestHJCheck:
         )
         assert code == 0
         assert json.loads(out.read_text())["report"]["grid"]["points"] == 12
+
+    def test_nan_residual_exits_numeric(self, monkeypatch, capsys):
+        # a NaN at the last grid point used to be dropped and the check passed
+        gs = instantiate("time_dependent_free")
+        alpha = gs.reference_sections["reference"]
+
+        def jac(q):
+            return np.full((1, 2), np.nan) if q[0] == 3.5 and q[1] == 2.0 else alpha.jac(q)
+
+        broken = dataclasses.replace(
+            gs, reference_sections={"reference": DualSection(alpha.components, "V*", jac)}
+        )
+        monkeypatch.setattr(cli, "instantiate", lambda *args, **kw: broken)
+        assert run_cli(["hj-check", "time_dependent_free", "--resolution", "3"]) == 3
+        assert "non-finite at q=[3.5, 2.0]" in capsys.readouterr().err
+
+
+class TestVectorArguments:
+    @pytest.mark.parametrize(
+        "argv,option,value",
+        [
+            (["hj-check", "vertical_disk", "--resolution", "2"], "--box", "-0.5:0.5,-0.5:0.5,-1:1,-1:1"),
+            (["simulate", "vertical_disk", "--t1", "0.01"], "--q0", "-0.1,0.2,-0.3,0.4"),
+            (["simulate", "vertical_disk", "--t1", "0.01"], "--x0", "-0.1,0.2,-0.3,0.4,1,-.5"),
+            (["flag-rank", "vertical_disk", "--depth", "2"], "--point", "-0.1,0.2,-0.3,0.4"),
+        ],
+    )
+    def test_separated_negative_vector_matches_attached(self, tmp_path, argv, option, value):
+        outs = []
+        for name, form in (("sep", [option, value]), ("eq", [f"{option}={value}"])):
+            out = tmp_path / name
+            assert run_cli(argv + form + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestLiftVerify:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from algebroid_mech import (
     MetricField,
     MorphismEndpoint,
     MorphismPair,
+    NumericFailure,
     ScalarField,
     affine_constraints,
     bracket,
@@ -18,13 +20,16 @@ from algebroid_mech import (
     d_oneform_eval,
     force_extension,
     gram_schmidt_at,
+    instantiate,
     morphism_check,
     projector_restriction,
     tangent_algebroid,
 )
-from algebroid_mech.calculus import Chart
+from algebroid_mech import constructions
+from algebroid_mech.algebroid import sample_box
+from algebroid_mech.calculus import Chart, fd_jacobian
 
-from conftest import lie_tangent, seeded_points, smooth_field
+from conftest import lie_tangent, nan_structure_at, seeded_points, smooth_field
 
 
 class TestForceExtension:
@@ -198,6 +203,84 @@ class TestAffineConstraints:
         assert worst < 1e-6
 
 
+class TestKernel:
+    @pytest.mark.parametrize(
+        "system,omega",
+        [("vertical_disk", "constant"), ("rolling_ball", "constant"), ("rolling_ball", "linear")],
+    )
+    def test_values_do_not_depend_on_earlier_points(self, system, omega):
+        # a point 4e-10 away, read first, must not lend its values to q
+        def read(A, q):
+            return A.anchor_at(q), A.structure_at(q)
+
+        visited = instantiate(system, omega=omega).system.algebroid
+        q = np.array([0.3, -0.2, 0.7, 0.4][: visited.chart.dim])
+        read(visited, q + 4e-10)
+        anchor, C = read(visited, q)
+        fresh_anchor, fresh_C = read(instantiate(system, omega=omega).system.algebroid, q)
+        assert np.array_equal(anchor, fresh_anchor)
+        assert np.array_equal(C, fresh_C)
+
+    def test_memo_reuses_exact_points_and_stays_bounded(self, monkeypatch):
+        # the drift section is evaluated once per memoized point; the one
+        # validation point leaves a single entry in the memo
+        monkeypatch.setattr(constructions, "_MEMO_POINTS", 3)
+        E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
+        calls = []
+        X0 = ESection(components=lambda q: calls.append(q) or np.array([1.0, 0.0]))
+        U = [ESection(components=lambda q: np.array([0.0, 1.0]))]
+        G = MetricField.constant(np.eye(2))
+        A = affine_constraints(E, G, U, X0, validation_points=[np.array([0.5, -0.5])]).algebroid
+        p, q, r = (np.array([0.1 * k, 0.2]) for k in range(3))
+        calls.clear()
+        for x in (p, q, p):
+            A.anchor_at(x)
+        assert len(calls) == 2  # p's second visit is served by the memo
+        for x in (r, p):  # r finds the memo full and empties it, so p is new
+            A.anchor_at(x)
+        assert len(calls) == 4
+
+    def test_affine_frames_that_vary_with_q(self):
+        # metric, U basis and drift all depend on q; compare with the frame
+        # built one point at a time and differentiated pointwise
+        E = tangent_algebroid(Chart(dim=3, coord_names=("a", "b", "c")))
+
+        def metric(q):
+            return np.array(
+                [
+                    [1.0 + 0.2 * q[0] ** 2, 0.0, 0.0],
+                    [0.0, 2.0 + 0.5 * math.sin(q[1]), 0.1 * q[0]],
+                    [0.0, 0.1 * q[0], 1.5 + 0.3 * math.cos(q[2])],
+                ]
+            )
+
+        G = MetricField(matrix=metric)
+        U = [
+            ESection(components=lambda q: np.array([0.0, 1.0, 0.3 * q[0]])),
+            ESection(components=lambda q: np.array([0.0, 0.2 * math.sin(q[2]), 1.0 + 0.1 * q[1] ** 2])),
+        ]
+        X0 = ESection(components=lambda q: np.array([1.0 / math.sqrt(metric(q)[0, 0]), 0.0, 0.0]))
+        A = affine_constraints(E, G, U, X0).algebroid
+
+        def frame(q):
+            B = np.stack([s(q) for s in U])
+            return np.vstack([X0(q), gram_schmidt_at(G, U, q) @ B])
+
+        worst = 0.0
+        for q in seeded_points(3, n=8, seed=31):
+            M = frame(q)
+            dM = fd_jacobian(lambda x: frame(x).ravel(), q).reshape(3, 3, 3)
+            assert np.max(np.abs(A.anchor_at(q) - M.T)) < 1e-12  # rho_E is the identity
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    val = dM[j] @ M[i] - dM[i] @ M[j]  # tangent bracket of frame fields
+                    expect = np.concatenate([[0.0], M[1:] @ metric(q) @ val])
+                    got = A.structure_pair_at(i, j, q)
+                    assert np.max(np.abs(got - expect)) < 1e-12
+                    worst = max(worst, float(np.max(np.abs(expect))))
+        assert worst > 0.1  # the frames do not commute
+
+
 class TestGramSchmidt:
     def test_orthonormal_basis_gives_identity(self):
         G = MetricField.constant(np.eye(3))
@@ -280,6 +363,18 @@ class TestMorphismCheck:
             b = p[0] + sys_.h_value(q, p[1:])
             expect = max(expect, abs(a - b))
         assert abs(ham.max_violation - expect) < 1e-12
+
+    def test_nan_at_a_later_sample_raises(self, cylinder):
+        # Python's max() keeps a NaN only when it comes first; put it last
+        box = [(-1, 1), (-1, 1)]
+        sys_ = cylinder.system
+        src = dataclasses.replace(
+            MorphismEndpoint.from_system(sys_),
+            algebroid=nan_structure_at(sys_.algebroid, sample_box(box, 8, 5)[-1]),
+        )
+        pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)
+        with pytest.raises(NumericFailure, match="non-finite at q="):
+            morphism_check(src, sys_, pair, box=box, samples=8, seed=5)
 
     def test_requires_known_types(self, cylinder):
         pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)

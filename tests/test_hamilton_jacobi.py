@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from algebroid_mech import (
+    Chart,
     DomainError,
     DualSection,
     ESection,
     MetricField,
+    NumericFailure,
     ScalarField,
     autoparallel_residual,
     christoffel_at,
@@ -15,6 +17,7 @@ from algebroid_mech import (
     hj_residual,
     hj_residual_dual,
     integrate_rk4,
+    tangent_algebroid,
     verify_lift,
     zeta_eval,
 )
@@ -196,6 +199,19 @@ class TestVerifyLift:
         )
         assert rep.passed and rep.max_deviation < 1e-8
 
+    def test_non_finite_lift_raises(self):
+        # H does not depend on p, so the base flow t' = 1 stays finite while
+        # the section is NaN from t = 1.5 on; the Hamilton flow is finite too
+        A = tangent_algebroid(Chart(dim=2, coord_names=("t", "x")), adapted=True)
+        sys_ = HamiltonianSystem(
+            algebroid=A, H=ScalarField(eval=lambda x: 0.0, grad=lambda x: np.zeros(3))
+        )
+        alpha = DualSection(
+            components=lambda q: np.array([0.0 if q[0] < 1.5 else np.nan]), space="V*"
+        )
+        with pytest.raises(NumericFailure, match=r"lifted section non-finite at q=\[1\.5"):
+            verify_lift(sys_, alpha, np.array([1.0, 0.0]), 0.0, 1.0, 0.1)
+
     def test_report_grids_align(self, disk):
         rep = verify_lift(
             disk.system,
@@ -308,6 +324,19 @@ class TestGrid:
             grid_points([(-1, 1)], 1)
         with pytest.raises(ValueError):
             grid_points([(-1, 1), (-1, 1)], [3])
+
+    def test_nan_residual_at_a_later_point_raises(self, time_dependent):
+        # Python's max() keeps a NaN only when it comes first; put it last
+        alpha = time_dependent.reference_sections["reference"]
+        box, _, pts = grid_points(time_dependent.default_box, 3)
+        last = pts[-1]
+
+        def jac(q):
+            return np.full((1, 2), np.nan) if np.array_equal(q, last) else alpha.jac(q)
+
+        broken = DualSection(components=alpha.components, space="V*", jacobian=jac)
+        with pytest.raises(NumericFailure, match=r"HJ residual non-finite at q=\[3\.5, 2\.0\]"):
+            hj_grid_check(time_dependent.system, broken, box, 3)
 
     def test_report_json(self, time_dependent):
         alpha = time_dependent.reference_sections["reference"]
