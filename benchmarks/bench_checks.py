@@ -1,0 +1,154 @@
+"""Time the sampled checks, ``cocycle-check`` and ``morphism-check``, of one
+or more source trees and write wall times and reported violations to JSON.
+
+The commands are the benchmark's ``point_checks`` sizes: every gallery
+system's adapted-frame cocycle and the ball's kernel section at 16 samples,
+and the four morphism checks at 8.  Each run is a fresh interpreter, so
+the constructed algebroids start with empty memos.  A tree's time for a
+command is the best of k runs, and the trees alternate run by run so that
+drift in the machine's speed falls on all of them alike.
+
+    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_4.json
+
+``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
+includes interpreter start-up and the package import.  Each command's
+``max_violation`` values and the SHA-256 of its report are recorded, so a
+speed-up that changes results shows up.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+GALLERY = ("cylinder_friction", "riemannian_flat", "rolling_ball", "three_body_drag",
+           "time_dependent_free", "vertical_disk")
+CHECK_SAMPLES = "16"
+MORPHISM_SAMPLES = "8"
+
+CHILD = """
+import json, sys, time
+from algebroid_mech.cli import main
+t = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "run_s": time.perf_counter() - t}))
+"""
+
+
+def commands(seed: int) -> list:
+    s = str(seed)
+    cmds = [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
+    cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
+                 "--samples", CHECK_SAMPLES, "--seed", s])
+    for g in ("cylinder_friction", "rolling_ball", "vertical_disk"):
+        cmds.append(["morphism-check", g, "--morphism", "identity", "--samples", MORPHISM_SAMPLES, "--seed", s])
+    cmds.append(["morphism-check", "cylinder_friction", "--morphism", "momentum-scale",
+                 "--samples", MORPHISM_SAMPLES, "--seed", s])
+    return cmds
+
+
+def run_once(src: Path, argv: list, out: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - t
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} crashed in {src}: {proc.stderr.strip()}")
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    data = out.read_bytes()
+    payload = json.loads(data)
+    reports = payload["reports"].values() if "reports" in payload else [payload["report"]]
+    return {
+        "exit": child["exit"],
+        "run_s": child["run_s"],
+        "wall_s": wall,
+        "max_violation": {r["name"]: r["max_violation"] for r in reports},
+        "report_sha256": hashlib.sha256(data).hexdigest(),
+    }
+
+
+def src_lines(src: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((src / "algebroid_mech").glob("*.py")))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
+                    help="a label and the src directory holding algebroid_mech (repeatable)")
+    ap.add_argument("--k", type=int, default=5, help="runs per command and tree; the best is kept")
+    ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    if args.k < 1:
+        ap.error("--k must be >= 1")
+    trees = {}
+    for spec in args.tree:
+        label, sep, src = spec.partition("=")
+        if not sep or not label:
+            ap.error(f"--tree needs LABEL=SRC, got {spec!r}")
+        trees[label] = Path(src).resolve()
+
+    cmds = commands(args.seed)
+    runs = {label: [[] for _ in cmds] for label in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        for rnd in range(args.k):
+            order = list(trees) if rnd % 2 == 0 else list(reversed(trees))
+            for c, argv in enumerate(cmds):
+                for label in order:
+                    runs[label][c].append(run_once(trees[label], argv, out))
+
+    entries = {}
+    for label, src in trees.items():
+        rows = []
+        for argv, rs in zip(cmds, runs[label]):
+            first = rs[0]
+            for r in rs[1:]:
+                if (r["exit"], r["max_violation"], r["report_sha256"]) != (
+                        first["exit"], first["max_violation"], first["report_sha256"]):
+                    raise RuntimeError(f"{label}: {' '.join(argv)} gave different results across runs")
+            rows.append({
+                "argv": argv,
+                "exit": first["exit"],
+                "run_s": min(r["run_s"] for r in rs),
+                "wall_s": min(r["wall_s"] for r in rs),
+                "max_violation": first["max_violation"],
+                "report_sha256": first["report_sha256"],
+            })
+        entries[label] = {
+            "src_lines": src_lines(src),
+            "total_run_s": sum(r["run_s"] for r in rows),
+            "total_wall_s": sum(r["wall_s"] for r in rows),
+            "commands": rows,
+        }
+
+    result = {
+        "benchmark": "sampled checks, fresh process per run, best of k",
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "k": args.k,
+        "seed": args.seed,
+        "entries": entries,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    for label, e in entries.items():
+        print(f"{label}: run {e['total_run_s']:.3f} s, wall {e['total_wall_s']:.3f} s, src {e['src_lines']} lines")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -107,28 +107,40 @@ def poisson_bracket_eval(A: SkewAlgebroid, F, G, x) -> float:
 
         rho_a^i  d/dq^i ^ d/dp_a  -  (1/2) C_{ab}^c p_c  d/dp_a ^ d/dp_b,
 
-    which for adapted frames splits into the p_0 / reduced parts.
+    which for adapted frames splits into the p_0 / reduced parts.  This
+    takes the two gradients and hands them to ``_bracket_at``, which
+    ``morphism_check`` uses to share gradients and structure across pairs.
     """
-    if isinstance(x, PhasePoint):
-        xf = x.full_coords()
-    else:
-        xf = np.asarray(x, dtype=float)
+    xf = x.full_coords() if isinstance(x, PhasePoint) else np.asarray(x, dtype=float)
+    bracket = _bracket_at(A, xf)
+    return bracket(fd_gradient(as_scalar_field(F), xf), fd_gradient(as_scalar_field(G), xf))
+
+
+def _bracket_at(A: SkewAlgebroid, xf: np.ndarray):
+    """The bracket at the full dual point xf as a function of the gradients
+    (gF, gG): the anchor and the nonzero C_{ab}^c p_c are evaluated once
+    here and shared by every pair it is called on."""
     m = A.chart.dim
     if len(xf) != m + A.rank:
         raise ValueError("phase coordinates do not match the algebroid")
     q = xf[:m]
     p = xf[m:]
-    gF = fd_gradient(as_scalar_field(F), xf)
-    gG = fd_gradient(as_scalar_field(G), xf)
-    dFq, dFp = gF[:m], gF[m:]
-    dGq, dGp = gG[:m], gG[m:]
     rho = A.anchor_at(q)
-    val = float(dFq @ rho @ dGp - dGq @ rho @ dFp)
+    pcs = []
     for (a, b), fn in A.structure_pairs():
         pc = float(np.asarray(fn(q), dtype=float) @ p)
         if pc != 0.0:
+            pcs.append((a, b, pc))
+
+    def bracket(gF, gG) -> float:
+        dFq, dFp = gF[:m], gF[m:]
+        dGq, dGp = gG[:m], gG[m:]
+        val = float(dFq @ rho @ dGp - dGq @ rho @ dFp)
+        for a, b, pc in pcs:
             val -= pc * (dFp[a] * dGp[b] - dFp[b] * dGp[a])
-    return val
+        return val
+
+    return bracket
 
 
 def _pdot_rhs(sys: HamiltonianSystem, q, p, dHq=None, dHp=None) -> np.ndarray:

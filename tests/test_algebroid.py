@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from algebroid_mech import (
+    CheckReport,
     Chart,
     ConstructionError,
     DualSection,
@@ -18,9 +19,11 @@ from algebroid_mech import (
     d_function,
     d_oneform_eval,
     flag_rank,
+    instantiate,
     v_restriction,
 )
 from algebroid_mech.algebroid import sample_box
+from algebroid_mech.gallery import GALLERY_IDS
 
 from conftest import (
     N_SAMPLES,
@@ -248,6 +251,74 @@ class TestCocycle:
         phi = DualSection(components=lambda q: np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             check_cocycle(A, phi, box=[], samples=8, seed=7)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, cylinder, samples):
+        A = cylinder.system.algebroid
+        phi = DualSection(components=lambda q: np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            check_cocycle(A, phi, box=[(-1, 1), (-1, 1)], samples=samples, seed=7)
+
+
+def _pairwise_cocycle_report(A, phi, box, samples, seed, tol):
+    """check_cocycle as one d_oneform_eval per sample and frame pair."""
+    worst = []
+    for q in sample_box(box, samples, seed):
+        v = 0.0
+        for a in range(A.rank):
+            for b in range(a + 1, A.rank):
+                v = max(v, abs(d_oneform_eval(A, phi, A.basis_section(a), A.basis_section(b), q)))
+        worst.append((q, v))
+    worst.sort(key=lambda t: -t[1])
+    return CheckReport(
+        name="cocycle", max_violation=float(worst[0][1]), tol=tol, samples=samples, seed=seed,
+        witnesses=tuple(worst[:5]),
+    ).to_json_dict()
+
+
+class TestCocycleSharedDerivatives:
+    """check_cocycle shares the anchor and the gradients of phi across frame
+    pairs; its reports must equal the per-pair computation bit for bit."""
+
+    @pytest.mark.parametrize("phi_kind", ["frame", "smooth"])
+    @pytest.mark.parametrize("system_id", sorted(GALLERY_IDS))
+    def test_equals_pairwise_d_oneform(self, system_id, phi_kind):
+        gs = instantiate(system_id)
+        A = gs.system.algebroid
+        if phi_kind == "frame":
+            e0 = np.zeros(A.rank)
+            e0[0] = 1.0
+            phi = DualSection(components=lambda q: e0)
+        else:
+            phi = DualSection(components=smooth_section(A.rank, A.chart.dim, seed=5).components)
+        got = check_cocycle(A, phi, gs.default_box, samples=16, seed=11, tol=1e-9).to_json_dict()
+        assert got == _pairwise_cocycle_report(A, phi, gs.default_box, 16, 11, 1e-9)
+        if phi_kind == "smooth":
+            assert got["max_violation"] > 1e-3
+
+    @pytest.mark.parametrize("omega", ["constant", "linear"])
+    def test_ball_section_on_kernel_equals_pairwise(self, omega):
+        # the README's `cocycle-check rolling_ball --on v --section reference`
+        gs = instantiate("rolling_ball", omega=omega)
+        U = v_restriction(gs.system.algebroid)
+        named = gs.section("reference")
+        phi = DualSection(components=named.components, space="E*", jacobian=named.jacobian)
+        got = check_cocycle(U, phi, gs.default_box, samples=8, seed=3, tol=1e-9).to_json_dict()
+        assert got == _pairwise_cocycle_report(U, phi, gs.default_box, 8, 3, 1e-9)
+        assert got["max_violation"] > 0.1
+
+    def test_phi_evaluations_per_sample(self, cylinder):
+        # 2m evaluations for each of the n gradients of phi(e_b), plus phi(q)
+        A = cylinder.system.algebroid
+        m, n = A.chart.dim, A.rank
+        calls = []
+
+        def comps(q):
+            calls.append(1)
+            return np.array([1.0, 0.0, 0.0])
+
+        check_cocycle(A, DualSection(components=comps), [(-1, 1), (-1, 1)], samples=5, seed=7)
+        assert len(calls) == 5 * (2 * m * n + 1)
 
 
 class TestFlagRank:

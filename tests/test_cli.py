@@ -216,6 +216,18 @@ class TestMorphismCheck:
         assert data["reports"]["hamiltonian_pullback"]["pass"] is False
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["cocycle-check", "cylinder_friction"],
+        ["morphism-check", "cylinder_friction", "--morphism", "momentum-scale"],
+    ])
+    def test_no_samples_is_usage_error(self, argv, samples, capsys):
+        # a sampled check with no samples would pass vacuously
+        assert run_cli(argv + ["--samples", samples]) == 2
+        assert "samples must be >= 1" in capsys.readouterr().err
+
+
 class TestDissipation:
     def test_csv_columns(self, tmp_path):
         out = tmp_path / "diss.csv"

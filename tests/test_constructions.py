@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from algebroid_mech import (
+    CheckReport,
     ConstructionError,
     ESection,
     Homomorphism,
@@ -22,6 +23,7 @@ from algebroid_mech import (
     gram_schmidt_at,
     instantiate,
     morphism_check,
+    poisson_bracket_eval,
     projector_restriction,
     tangent_algebroid,
 )
@@ -380,3 +382,89 @@ class TestMorphismCheck:
         pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)
         with pytest.raises(ValueError):
             morphism_check("nope", cylinder.system, pair, box=[(-1, 1), (-1, 1)])
+
+
+def _pairwise_morphism_reports(src, dst, pair, box, samples, seed, tol=1e-6):
+    """morphism_check with one poisson_bracket_eval per probe pair and side,
+    on probes composed with psi, and psi evaluated afresh everywhere."""
+    A, Abar = src.algebroid, dst.algebroid
+    qs = sample_box(box, samples, seed)
+    ps = -1.0 + 2.0 * np.random.default_rng(seed + 1).random((samples, A.rank))
+    n_probes = Abar.chart.dim + Abar.rank
+
+    def psi(x):
+        return pair.full(A, x)
+
+    worst = ([], [], [])
+    for q, p in zip(qs, ps):
+        xf = np.concatenate([q, p])
+        image = psi(xf)
+        v1 = 0.0
+        for i in range(n_probes):
+            for j in range(i + 1, n_probes):
+                lhs = poisson_bracket_eval(
+                    A, lambda x, i=i: float(psi(x)[i]), lambda x, j=j: float(psi(x)[j]), xf
+                )
+                rhs = poisson_bracket_eval(Abar, lambda x, i=i: float(x[i]), lambda x, j=j: float(x[j]), image)
+                v1 = max(v1, abs(lhs - rhs))
+        worst[0].append((q, v1))
+        gap = np.asarray(pair.fiber_map(q, src.cocycle(q))) - dst.cocycle(np.asarray(pair.base_map(q)))
+        worst[1].append((q, float(np.max(np.abs(gap)))))
+        worst[2].append((q, abs(dst.f_h(image) - src.f_h(xf))))
+    names = ("poisson_morphism", "cocycle_related", "hamiltonian_pullback")
+    out = []
+    for name, w in zip(names, worst):
+        w = sorted(w, key=lambda t: -t[1])
+        out.append(CheckReport(name=name, max_violation=float(w[0][1]), tol=tol, samples=samples,
+                               seed=seed, witnesses=tuple(w[:5])).to_json_dict())
+    return out
+
+
+class TestMorphismSharedDerivatives:
+    """morphism_check takes each derivative once per sample and shares it
+    across probe pairs; its reports must equal the per-pair computation
+    bit for bit."""
+
+    @pytest.mark.parametrize("system_id, morphism", [
+        ("cylinder_friction", "identity"),
+        ("rolling_ball", "identity"),
+        ("vertical_disk", "identity"),
+        ("rolling_ball", "mu-projection"),
+        ("cylinder_friction", "momentum-scale"),
+    ])
+    def test_equals_pairwise_poisson_bracket_eval(self, system_id, morphism):
+        gs = instantiate(system_id)
+        sys_ = gs.system
+        src = MorphismEndpoint.from_system(sys_)
+        dst = MorphismEndpoint.v_side(sys_) if morphism == "mu-projection" else src
+        fiber = {
+            "identity": lambda q, p: p,
+            "mu-projection": lambda q, p: p[1:],
+            "momentum-scale": lambda q, p: 2.0 * p,
+        }[morphism]
+        pair = MorphismPair(base_map=lambda q: q, fiber_map=fiber)
+        got = [r.to_json_dict() for r in morphism_check(src, dst, pair, gs.default_box, samples=4, seed=9)]
+        assert got == _pairwise_morphism_reports(src, dst, pair, gs.default_box, 4, 9)
+        if morphism == "momentum-scale":
+            assert all(r["max_violation"] > 1e-3 for r in got)
+
+    def test_base_map_evaluations_per_sample(self, ball):
+        # one psi per stencil point of the source dual, plus the image
+        calls = []
+
+        def base_map(q):
+            calls.append(1)
+            return q
+
+        sys_ = ball.system
+        m, n = sys_.chart.dim, sys_.algebroid.rank
+        pair = MorphismPair(base_map=base_map, fiber_map=lambda q, p: p[1:])
+        src, dst = MorphismEndpoint.from_system(sys_), MorphismEndpoint.v_side(sys_)
+        morphism_check(src, dst, pair, ball.default_box, samples=3, seed=2)
+        assert len(calls) == 3 * (2 * (m + n) + 1)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, cylinder, samples):
+        pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            morphism_check(cylinder.system, cylinder.system, pair, [(-1, 1), (-1, 1)], samples=samples)
