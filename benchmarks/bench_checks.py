@@ -1,19 +1,23 @@
-"""Time the sampled checks, ``cocycle-check`` and ``morphism-check``, of one
-or more source trees and write wall times and reported violations to JSON.
+"""Time the README's CLI commands and the sampled checks of one or more
+source trees and write wall times, output hashes and reported violations
+to JSON.
 
-The commands are the benchmark's ``point_checks`` sizes: every gallery
-system's adapted-frame cocycle and the ball's kernel section at 16 samples,
-and the four morphism checks at 8.  Each run is a fresh interpreter, so
-the constructed algebroids start with empty memos.  A tree's time for a
+The commands are the nine in README.md's CLI section, then the sampled
+checks at the benchmark's ``point_checks`` sizes: every gallery system's
+adapted-frame cocycle and the ball's kernel section at 16 samples, and
+the four morphism checks at 8.  Each run is a fresh interpreter, so the
+constructed algebroids start with empty memos.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.
 
-    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_4.json
+    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_5.json
 
 ``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
-includes interpreter start-up and the package import.  Each command's
-``max_violation`` values and the SHA-256 of its report are recorded, so a
-speed-up that changes results shows up.
+includes interpreter start-up and the package import.  The SHA-256 of
+every output (JSON or CSV) is recorded, and so is each JSON report's
+``max_violation``, so a speed-up that changes results shows up;
+``outputs_equal`` says whether every command gave the same exit code and
+output bytes in every tree.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ GALLERY = ("cylinder_friction", "riemannian_flat", "rolling_ball", "three_body_d
            "time_dependent_free", "vertical_disk")
 CHECK_SAMPLES = "16"
 MORPHISM_SAMPLES = "8"
+README = (
+    ["gallery", "list"],
+    ["simulate", "vertical_disk", "--section", "reference", "--t1", "5", "--dt", "1e-3"],
+    ["hj-check", "rolling_ball", "--section", "reference", "--tol", "1e-9"],
+    ["lift-verify", "rolling_ball", "--t1", "10", "--dt", "1e-2"],
+    ["cocycle-check", "rolling_ball"],
+    ["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference"],
+    ["flag-rank", "vertical_disk", "--point", "0,0,0,0", "--depth", "4"],
+    ["morphism-check", "cylinder_friction", "--morphism", "momentum-scale"],
+    ["dissipation", "vertical_disk", "--t1", "5"],
+)
 
 CHILD = """
 import json, sys, time
@@ -47,7 +62,8 @@ print(json.dumps({"exit": code, "run_s": time.perf_counter() - t}))
 
 def commands(seed: int) -> list:
     s = str(seed)
-    cmds = [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
+    cmds = [list(argv) for argv in README]
+    cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])
     for g in ("cylinder_friction", "rolling_ball", "vertical_disk"):
@@ -67,15 +83,26 @@ def run_once(src: Path, argv: list, out: Path) -> dict:
         raise RuntimeError(f"{' '.join(argv)} crashed in {src}: {proc.stderr.strip()}")
     child = json.loads(proc.stdout.strip().splitlines()[-1])
     data = out.read_bytes()
-    payload = json.loads(data)
-    reports = payload["reports"].values() if "reports" in payload else [payload["report"]]
     return {
         "exit": child["exit"],
         "run_s": child["run_s"],
         "wall_s": wall,
-        "max_violation": {r["name"]: r["max_violation"] for r in reports},
-        "report_sha256": hashlib.sha256(data).hexdigest(),
+        "max_violation": max_violations(data),
+        "output_sha256": hashlib.sha256(data).hexdigest(),
     }
+
+
+def max_violations(data: bytes) -> dict:
+    """Report name -> max_violation for each JSON report in an output that
+    carries one; empty for CSV and for reports without a violation."""
+    try:
+        payload = json.loads(data)
+    except ValueError:
+        return {}
+    if not isinstance(payload, dict):
+        return {}
+    reports = list(payload.get("reports", {}).values()) + [payload.get("report", {})]
+    return {r["name"]: r["max_violation"] for r in reports if "max_violation" in r}
 
 
 def src_lines(src: Path) -> int:
@@ -102,7 +129,7 @@ def main(argv=None) -> int:
     cmds = commands(args.seed)
     runs = {label: [[] for _ in cmds] for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report.json"
+        out = Path(tmp) / "output"
         for rnd in range(args.k):
             order = list(trees) if rnd % 2 == 0 else list(reversed(trees))
             for c, argv in enumerate(cmds):
@@ -115,8 +142,8 @@ def main(argv=None) -> int:
         for argv, rs in zip(cmds, runs[label]):
             first = rs[0]
             for r in rs[1:]:
-                if (r["exit"], r["max_violation"], r["report_sha256"]) != (
-                        first["exit"], first["max_violation"], first["report_sha256"]):
+                if (r["exit"], r["max_violation"], r["output_sha256"]) != (
+                        first["exit"], first["max_violation"], first["output_sha256"]):
                     raise RuntimeError(f"{label}: {' '.join(argv)} gave different results across runs")
             rows.append({
                 "argv": argv,
@@ -124,7 +151,7 @@ def main(argv=None) -> int:
                 "run_s": min(r["run_s"] for r in rs),
                 "wall_s": min(r["wall_s"] for r in rs),
                 "max_violation": first["max_violation"],
-                "report_sha256": first["report_sha256"],
+                "output_sha256": first["output_sha256"],
             })
         entries[label] = {
             "src_lines": src_lines(src),
@@ -133,8 +160,9 @@ def main(argv=None) -> int:
             "commands": rows,
         }
 
+    outcomes = [[(r["exit"], r["output_sha256"]) for r in e["commands"]] for e in entries.values()]
     result = {
-        "benchmark": "sampled checks, fresh process per run, best of k",
+        "benchmark": "README commands and sampled checks, fresh process per run, best of k",
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -143,10 +171,12 @@ def main(argv=None) -> int:
         "k": args.k,
         "seed": args.seed,
         "entries": entries,
+        "outputs_equal": all(o == outcomes[0] for o in outcomes),
     }
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for label, e in entries.items():
         print(f"{label}: run {e['total_run_s']:.3f} s, wall {e['total_wall_s']:.3f} s, src {e['src_lines']} lines")
+    print(f"outputs equal across trees: {result['outputs_equal']}")
     return 0
 
 

@@ -1,9 +1,11 @@
 """Skew-symmetric algebroid data model and the operations on it.
 
 An algebroid here is basis-explicit: one chart, one global frame, an anchor
-matrix field rho(q) (columns are the anchored frame vectors) and structure
-functions C_{ab}^c(q) stored for a < b only, so antisymmetry holds by
-construction and is never validated.
+matrix field rho(q) (columns are the anchored frame vectors) and one
+callable returning the structure tensor C_{ab}^c(q) as a dense (n, n, n)
+array, antisymmetric in (a, b).  ``anchor_at`` and ``structure_at`` are
+the only read paths and check shapes; antisymmetry is the builder's
+promise and is tested, not checked per call.
 
 When ``adapted`` is set, frame index 0 is dual to the distinguished
 cocycle: the frame covector (1, 0, ..., 0) annihilates brackets, i.e.
@@ -14,6 +16,7 @@ validate that property at construction samples (``validate_adapted``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,7 +107,7 @@ class CheckReport:
 
 
 class SkewAlgebroid:
-    """Anchor + structure functions over one chart.
+    """Anchor + structure tensor over one chart.
 
     Parameters
     ----------
@@ -113,9 +116,9 @@ class SkewAlgebroid:
         Fiber rank n.
     anchor : callable q -> (m, n) array
         Columns are the anchored frame fields rho(e_a).
-    structure : dict {(a, b): callable q -> (n,) array} with a < b
-        Components of the frame brackets [[e_a, e_b]]; missing pairs are
-        zero.  Antisymmetry is definitional.
+    structure : callable q -> (n, n, n) array, or None
+        C[a, b, :] holds the components of the frame bracket [[e_a, e_b]];
+        it must be antisymmetric in (a, b).  None is the zero bracket.
     adapted : bool
         Frame index 0 is dual to the cocycle (C_{ab}^0 = 0).
     """
@@ -123,10 +126,8 @@ class SkewAlgebroid:
     def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False):
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        structure = dict(structure or {})
-        for (a, b) in structure:
-            if not (0 <= a < b < rank):
-                raise ValueError(f"structure pair {(a, b)} must satisfy 0 <= a < b < rank")
+        if structure is not None and not callable(structure):
+            raise TypeError("structure must be a callable q -> (n, n, n) array, or None")
         self.chart = chart
         self.rank = int(rank)
         self._anchor = anchor
@@ -134,34 +135,14 @@ class SkewAlgebroid:
         self.adapted = bool(adapted)
 
     def anchor_at(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        rho = np.asarray(self._anchor(q), dtype=float)
-        if rho.shape != (self.chart.dim, self.rank):
-            raise ValueError(
-                f"anchor must return shape {(self.chart.dim, self.rank)}, got {rho.shape}"
-            )
-        return rho
-
-    def structure_pairs(self):
-        """Sorted (a, b) -> component-function items (a < b only)."""
-        return sorted(self._structure.items())
-
-    def structure_pair_at(self, a: int, b: int, q) -> np.ndarray:
-        """C_{ab}^.(q) for a < b; zeros when the pair is absent."""
-        fn = self._structure.get((a, b))
-        if fn is None:
-            return np.zeros(self.rank)
-        return np.asarray(fn(np.asarray(q, dtype=float)), dtype=float)
+        return _shaped(self._anchor(np.asarray(q, dtype=float)), (self.chart.dim, self.rank), "anchor")
 
     def structure_at(self, q) -> np.ndarray:
-        """Dense (n, n, n) tensor C[a, b, :], antisymmetrized from pairs."""
-        C = np.zeros((self.rank, self.rank, self.rank))
-        q = np.asarray(q, dtype=float)
-        for (a, b), fn in self._structure.items():
-            v = np.asarray(fn(q), dtype=float)
-            C[a, b, :] = v
-            C[b, a, :] = -v
-        return C
+        """The (n, n, n) tensor C[a, b, :] = [[e_a, e_b]] at q."""
+        n = self.rank
+        if self._structure is None:
+            return np.zeros((n, n, n))
+        return _shaped(self._structure(np.asarray(q, dtype=float)), (n, n, n), "structure")
 
     def basis_section(self, a: int) -> ESection:
         e = np.zeros(self.rank)
@@ -172,14 +153,19 @@ class SkewAlgebroid:
         """Check C_{ab}^0 = 0 at the given sample points (adapted frames)."""
         worst = 0.0
         for q in points:
-            for (a, b), fn in self._structure.items():
-                v = abs(float(np.asarray(fn(np.asarray(q, dtype=float)))[0]))
-                worst = max(worst, v)
+            worst = max(worst, float(np.max(np.abs(self.structure_at(q)[:, :, 0]))))
         if worst > tol:
             raise ConstructionError(
                 f"frame not adapted to the cocycle: |C_ab^0| = {worst:g} > {tol:g}"
             )
         return worst
+
+
+def _shaped(value, shape, what: str) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{what} must return shape {shape}, got {value.shape}")
+    return value
 
 
 def tangent_algebroid(chart: Chart, adapted: bool = False) -> SkewAlgebroid:
@@ -189,9 +175,7 @@ def tangent_algebroid(chart: Chart, adapted: bool = False) -> SkewAlgebroid:
     to the cocycle (used for fibrations over time).
     """
     eye = np.eye(chart.dim)
-    return SkewAlgebroid(
-        chart=chart, rank=chart.dim, anchor=lambda q: eye, structure={}, adapted=adapted
-    )
+    return SkewAlgebroid(chart=chart, rank=chart.dim, anchor=lambda q: eye, adapted=adapted)
 
 
 def anchor_apply(A: SkewAlgebroid, sigma: ESection, q) -> np.ndarray:
@@ -217,11 +201,12 @@ def bracket(A: SkewAlgebroid, sigma: ESection, gamma: ESection) -> ESection:
         q = np.asarray(q, dtype=float)
         sv = sigma(q)
         gv = gamma(q)
+        C = A.structure_at(q)
         out = np.zeros(A.rank)
-        for (a, b), fn in A.structure_pairs():
+        for a, b in combinations(range(A.rank), 2):
             coeff = sv[a] * gv[b] - sv[b] * gv[a]
             if coeff != 0.0:
-                out = out + np.asarray(fn(q), dtype=float) * coeff
+                out = out + C[a, b] * coeff
         rho = A.anchor_at(q)
         vs = rho @ sv
         vg = rho @ gv
@@ -294,26 +279,28 @@ def check_cocycle(
     """Max of |d phi (e_a, e_b)| over seeded samples and all frame pairs;
     a non-finite value raises NumericFailure naming its point and pair.
 
-    Per sample, the anchor, the n vectors rho(e_a), the n gradients of
-    phi(e_b) and phi(q) are computed once and shared by every pair, which
-    is then formed as ``d_oneform_eval`` does: the bracket of two frame
-    sections is C_{ab}.  phi is evaluated 2mn + 1 times per sample."""
+    Per sample, the anchor, the n vectors rho(e_a), one Jacobian of phi
+    (row b is the gradient of phi(e_b)), phi(q) and C are computed once and
+    shared by every pair, which is then formed as ``d_oneform_eval`` does:
+    the bracket of two frame sections is C_{ab}.  phi is evaluated 2m + 1
+    times per sample."""
     pts = sample_box(box, samples, seed)
     frame = np.eye(A.rank)
     worst = []
     for q in pts:
         rho = A.anchor_at(q)
         vs = [rho @ e for e in frame]
-        grads = [fd_gradient(lambda qq, e=e: float(phi(qq) @ e), q) for e in frame]
+        # contiguous rows, laid out like fd_gradient's, so the dot products match it
+        grads = np.ascontiguousarray(fd_jacobian(phi, q))
         phi_q = phi(q)
+        C = A.structure_at(q)
         v = 0.0
-        for a in range(A.rank):
-            for b in range(a + 1, A.rank):
-                t1 = float(grads[b] @ vs[a])
-                t2 = float(grads[a] @ vs[b])
-                t3 = float(phi_q @ A.structure_pair_at(a, b, q))
-                val = abs((t1 - t2) - t3)
-                v = max(v, require_finite(val, f"d phi(e_{a}, e_{b})", q))
+        for a, b in combinations(range(A.rank), 2):
+            t1 = float(grads[b] @ vs[a])
+            t2 = float(grads[a] @ vs[b])
+            t3 = float(phi_q @ C[a, b])
+            val = abs((t1 - t2) - t3)
+            v = max(v, require_finite(val, f"d phi(e_{a}, e_{b})", q))
         worst.append((q, v))
     worst.sort(key=lambda t: -t[1])
     max_violation = worst[0][1] if worst else 0.0
@@ -388,14 +375,10 @@ def v_restriction(A: SkewAlgebroid) -> SkewAlgebroid:
     """
     if not A.adapted:
         raise ValueError("v_restriction requires an adapted algebroid")
-    n = A.rank
-
-    def anchor(q):
-        return A.anchor_at(q)[:, 1:]
-
-    structure = {}
-    for (a, b), fn in A.structure_pairs():
-        if a == 0:
-            continue
-        structure[(a - 1, b - 1)] = (lambda f: (lambda q: np.asarray(f(q), dtype=float)[1:]))(fn)
-    return SkewAlgebroid(chart=A.chart, rank=n - 1, anchor=anchor, structure=structure, adapted=False)
+    return SkewAlgebroid(
+        chart=A.chart,
+        rank=A.rank - 1,
+        anchor=lambda q: A.anchor_at(q)[:, 1:],
+        structure=lambda q: A.structure_at(q)[1:, 1:, 1:],
+        adapted=False,
+    )

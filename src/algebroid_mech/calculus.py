@@ -190,9 +190,12 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
     """Classical fixed-step RK4 from t0 to t1.
 
     Samples at t0, t0+dt, ...; the final step is shortened to land exactly
-    on t1.  Raises NumericFailure (with the last good time) if the state
-    goes non-finite.
+    on t1.  Raises ValueError for a non-finite t0, t1, dt or step count,
+    and NumericFailure (with the last good time) if the state goes
+    non-finite.
     """
+    if not np.all(np.isfinite([t0, t1, dt])):
+        raise ValueError("t0, t1 and dt must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t1 <= t0:
@@ -202,6 +205,8 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
         raise NumericFailure("initial state non-finite", last_good_time=None)
 
     span = t1 - t0
+    if not np.isfinite(float(span) / float(dt)):
+        raise ValueError("(t1 - t0) / dt must be finite")
     n_full = int(np.floor(span / dt + 1e-9))
     last_partial = span - n_full * dt
     if last_partial <= 1e-12 * dt:

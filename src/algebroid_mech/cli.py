@@ -12,6 +12,7 @@ with the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -30,6 +31,13 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+
+def _finite(text):
+    val = float(text)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
 
 
 def _parse_params(pairs):
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", default="reference")
     p.add_argument("--box", default=None, help="per-axis lo:hi, comma-separated")
     p.add_argument("--resolution", default="11", help="grid points per axis (int or comma list)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_hj_check)
 
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--t1", type=float, default=None)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite, default=1e-6)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_lift_verify)
 
@@ -317,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default=None)
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_cocycle_check)
 
@@ -336,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default=None)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite, default=1e-6)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_morphism_check)
 

@@ -11,17 +11,20 @@ Three constructions are provided:
   X0, a constrained subbundle U and a bundle metric produce an adapted
   rank |U|+1 system with kinetic-plus-potential Hamiltonian.
 
-The restricted and affine algebroids share one kernel (bracket, then
-project onto a frame).  Per point, the anchor needs only the frame; the
-structure functions, computed on first request, add its derivative from
-one stacked finite-difference stencil.  Values are memoized per point,
-keyed by the exact coordinates, so a repeat visit reuses them and a
-neighbouring point never does.
+Every builder assembles the dense structure tensor C (n, n, n) of its
+algebroid per point: the force extension pads the base tensor and writes
+the force rows, and the restricted and affine algebroids share one kernel
+(bracket, then project onto a frame).  Per point, the kernel's anchor
+needs only the frame; its C, computed on first request, adds the frame's
+derivative from one stacked finite-difference stencil.  Values are
+memoized per point, keyed by the exact coordinates, so a repeat visit
+reuses them and a neighbouring point never does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -109,22 +112,14 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
         out[:, 1:] = base.anchor_at(q)
         return out
 
-    structure = {}
-    for (a, b), fn in base.structure_pairs():
-        def padded(q, _fn=fn):
-            v = np.zeros(n)
-            v[1:] = np.asarray(_fn(q), dtype=float)
-            return v
+    def structure(q):
+        C = np.zeros((n, n, n))
+        C[1:, 1:, 1:] = base.structure_at(q)
+        if F is not None:
+            C[0, 1:, 1:] = -F.at(q)
+            C[1:, 0] = -C[0, 1:]
+        return C
 
-        structure[(a + 1, b + 1)] = padded
-    if F is not None:
-        for a in range(r):
-            def force_pair(q, _a=a):
-                v = np.zeros(n)
-                v[1:] = -F.at(q)[_a, :]
-                return v
-
-            structure[(0, a + 1)] = force_pair
     return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True)
 
 
@@ -172,10 +167,9 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     length-``rank`` vector; the bracket's derivative terms use central
     differences of the frame, all stencil points in one ``frames`` call.
     """
-    memo = {}  # q bytes -> [frame, rho_E, anchor, pairs]
+    memo = {}  # q bytes -> [frame, rho_E, anchor, C]
 
-    def entry(q):
-        q = np.asarray(q, dtype=float)
+    def entry(q):  # q arrives as a float array from anchor_at / structure_at
         key = q.tobytes()
         hit = memo.get(key)
         if hit is None:
@@ -186,8 +180,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             hit = memo[key] = [M, rhoE, rhoE @ M.T, None]
         return hit
 
-    def pairs(q):
-        q = np.asarray(q, dtype=float)
+    def structure(q):
         hit = entry(q)
         if hit[3] is None:
             M, rhoE = hit[0], hit[1]
@@ -195,16 +188,16 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             CE = E.structure_at(q)
             anchored = M @ rhoE.T  # (rank, m): rows rho_E(e_a)
             project = projection(q, M)
-            out = {}
-            for i in range(rank):
-                for j in range(i + 1, rank):
-                    val = np.einsum("abg,a,b->g", CE, M[i], M[j])
-                    val = val + dM[j] @ anchored[i] - dM[i] @ anchored[j]
-                    out[(i, j)] = np.asarray(project(val), dtype=float)
-            hit[3] = out
+            C = np.zeros((rank, rank, rank))
+            for i, j in combinations(range(rank), 2):
+                val = np.einsum("abg,a,b->g", CE, M[i], M[j])
+                val = val + dM[j] @ anchored[i] - dM[i] @ anchored[j]
+                C[i, j] = project(val)
+                C[j, i] = -C[i, j]
+            C.flags.writeable = False  # shared by every later visit to q
+            hit[3] = C
         return hit[3]
 
-    structure = {(i, j): (lambda q, ij=(i, j): pairs(q)[ij]) for i in range(rank) for j in range(i + 1, rank)}
     return SkewAlgebroid(chart=E.chart, rank=rank, anchor=lambda q: entry(q)[2], structure=structure, adapted=adapted)
 
 
@@ -401,11 +394,10 @@ def morphism_check(
         grads = np.ascontiguousarray(fd_jacobian(psi_full, xf))
         grads_bar = [fd_gradient(F, image) for F in probes]
         v1 = 0.0
-        for i in range(len(probes)):
-            for j in range(i + 1, len(probes)):
-                lhs = lhs_at(grads[i], grads[j])
-                rhs = rhs_at(grads_bar[i], grads_bar[j])
-                v1 = max(v1, require_finite(abs(lhs - rhs), f"bracket of probes {i}, {j}", q))
+        for i, j in combinations(range(len(probes)), 2):
+            lhs = lhs_at(grads[i], grads[j])
+            rhs = rhs_at(grads_bar[i], grads_bar[j])
+            v1 = max(v1, require_finite(abs(lhs - rhs), f"bracket of probes {i}, {j}", q))
         worst1.append((q, v1))
         if src.cocycle is not None and dst.cocycle is not None:
             v2 = float(

@@ -208,29 +208,17 @@ def _build_rolling_ball(params, omega_mode="constant"):
         out[2, 2] = 1.0
         return out
 
-    def pair01(q):
-        v = np.zeros(6)
-        v[2] = -omega(q[0])
-        return v
+    def structure(q):
+        C = np.zeros((6, 6, 6))
+        C[0, 1, 2] = -omega(q[0])
+        C[0, 2, 1] = omega(q[0])
+        C[3, 4, 5] = 1.0
+        C[4, 5, 3] = 1.0
+        C[3, 5, 4] = -1.0  # [[e3, e5]] = -[[e5, e3]] = -e4
+        for a, b in ((0, 1), (0, 2), (3, 4), (4, 5), (3, 5)):
+            C[b, a] = -C[a, b]
+        return C
 
-    def pair02(q):
-        v = np.zeros(6)
-        v[1] = omega(q[0])
-        return v
-
-    e5 = np.zeros(6)
-    e5[5] = 1.0
-    e3 = np.zeros(6)
-    e3[3] = 1.0
-    e4neg = np.zeros(6)
-    e4neg[4] = -1.0
-    structure = {
-        (0, 1): pair01,
-        (0, 2): pair02,
-        (3, 4): lambda q: e5,
-        (4, 5): lambda q: e3,
-        (3, 5): lambda q: e4neg,  # [[e3, e5]] = -[[e5, e3]] = -e4
-    }
     E = SkewAlgebroid(chart=chart, rank=6, anchor=anchor, structure=structure, adapted=False)
     G = MetricField.constant(np.diag([1.0, m, m, m * k * k, m * k * k, m * k * k]))
     U_basis = [

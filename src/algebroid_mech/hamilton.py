@@ -10,6 +10,7 @@ phase space (q, p_1..p_{n-1}) carries the dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -126,9 +127,10 @@ def _bracket_at(A: SkewAlgebroid, xf: np.ndarray):
     q = xf[:m]
     p = xf[m:]
     rho = A.anchor_at(q)
+    C = A.structure_at(q)
     pcs = []
-    for (a, b), fn in A.structure_pairs():
-        pc = float(np.asarray(fn(q), dtype=float) @ p)
+    for a, b in combinations(range(A.rank), 2):
+        pc = float(C[a, b] @ p)
         if pc != 0.0:
             pcs.append((a, b, pc))
 
@@ -196,12 +198,10 @@ def dissipation_rate(sys: HamiltonianSystem, x) -> float:
     dHq, dHp = sys.h_partials(pt.q, pt.p)
     A = sys.algebroid
     rho = A.anchor_at(pt.q)
+    C = A.structure_at(pt.q)
     val = float(rho[:, 0] @ dHq)
-    for (a, b), fn in A.structure_pairs():
-        if a != 0:
-            continue
-        pc = float(np.asarray(fn(pt.q), dtype=float)[1:] @ pt.p)
-        val += pc * dHp[b - 1]
+    for b in range(1, A.rank):
+        val += float(C[0, b, 1:] @ pt.p) * dHp[b - 1]
     return val
 
 

@@ -74,11 +74,13 @@ def random_adapted_algebroid(dim=2, rank=3):
             ]
         )
 
-    structure = {
-        (0, 1): lambda q: np.array([0.0, 0.2 * math.cos(q[0]), -0.1]),
-        (0, 2): lambda q: np.array([0.0, 0.15, 0.1 * math.sin(q[1])]),
-        (1, 2): lambda q: np.array([0.0, 0.3 * q[0], 0.25 * math.cos(q[1])]),
-    }
+    def structure(q):
+        C = np.zeros((rank, rank, rank))
+        C[0, 1] = [0.0, 0.2 * math.cos(q[0]), -0.1]
+        C[0, 2] = [0.0, 0.15, 0.1 * math.sin(q[1])]
+        C[1, 2] = [0.0, 0.3 * q[0], 0.25 * math.cos(q[1])]
+        return C - C.transpose(1, 0, 2)
+
     return SkewAlgebroid(chart=chart, rank=rank, anchor=anchor, structure=structure, adapted=True)
 
 
@@ -88,13 +90,12 @@ def lie_tangent(dim=2):
 
 
 def nan_structure_at(A, bad):
-    """A copy of A whose structure functions are NaN at the point ``bad``
-    only, so finite differences around it stay finite."""
+    """A copy of A whose structure tensor is NaN at the point ``bad`` only,
+    so finite differences around it stay finite."""
 
-    def wrap(fn):
-        return lambda q: np.full(A.rank, np.nan) if np.array_equal(q, bad) else fn(q)
+    def structure(q):
+        return np.full((A.rank,) * 3, np.nan) if np.array_equal(q, bad) else A.structure_at(q)
 
-    structure = {ab: wrap(fn) for ab, fn in A.structure_pairs()}
     return SkewAlgebroid(chart=A.chart, rank=A.rank, anchor=A.anchor_at, structure=structure, adapted=A.adapted)
 
 

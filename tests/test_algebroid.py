@@ -66,9 +66,11 @@ class TestBracket:
     def test_constant_basis_sections_recover_structure(self, adapted_algebroid):
         A = adapted_algebroid
         for q in seeded_points(2, n=16, seed=3):
-            for (a, b), fn in A.structure_pairs():
-                got = bracket(A, A.basis_section(a), A.basis_section(b))(q)
-                assert np.allclose(got, fn(q), atol=1e-12)
+            C = A.structure_at(q)
+            for a in range(A.rank):
+                for b in range(A.rank):
+                    got = bracket(A, A.basis_section(a), A.basis_section(b))(q)
+                    assert np.allclose(got, C[a, b], atol=1e-12)
 
     def test_antisymmetry_exact(self, adapted_algebroid):
         s1 = smooth_section(3, 2, seed=11)
@@ -308,9 +310,9 @@ class TestCocycleSharedDerivatives:
         assert got["max_violation"] > 0.1
 
     def test_phi_evaluations_per_sample(self, cylinder):
-        # 2m evaluations for each of the n gradients of phi(e_b), plus phi(q)
+        # 2m evaluations for the one Jacobian of phi, plus phi(q)
         A = cylinder.system.algebroid
-        m, n = A.chart.dim, A.rank
+        m = A.chart.dim
         calls = []
 
         def comps(q):
@@ -318,7 +320,7 @@ class TestCocycleSharedDerivatives:
             return np.array([1.0, 0.0, 0.0])
 
         check_cocycle(A, DualSection(components=comps), [(-1, 1), (-1, 1)], samples=5, seed=7)
-        assert len(calls) == 5 * (2 * m * n + 1)
+        assert len(calls) == 5 * (2 * m + 1)
 
 
 class TestFlagRank:
@@ -329,7 +331,7 @@ class TestFlagRank:
     def test_line_field(self):
         chart = Chart(dim=2, coord_names=("a", "b"))
         A = SkewAlgebroid(
-            chart=chart, rank=1, anchor=lambda q: np.array([[1.0], [0.0]]), structure={}
+            chart=chart, rank=1, anchor=lambda q: np.array([[1.0], [0.0]])
         )
         assert flag_rank(A, np.array([0.1, 0.2]), 4) == [1, 1, 1, 1]
 
@@ -356,25 +358,41 @@ class TestAlgebroidModel:
             chart=chart,
             rank=2,
             anchor=lambda q: np.array([[1.0, 0.0]]),
-            structure={(0, 1): lambda q: np.array([0.5, 0.0])},
+            structure=lambda q: np.array([[[0.0, 0.0], [0.5, 0.0]], [[-0.5, 0.0], [0.0, 0.0]]]),
             adapted=True,
         )
         with pytest.raises(ConstructionError):
             A.validate_adapted([np.zeros(1)])
 
-    def test_structure_pairs_must_be_ordered(self):
+    def test_structure_wrong_shape_rejected(self):
         chart = Chart(dim=1, coord_names=("x",))
-        with pytest.raises(ValueError):
-            SkewAlgebroid(
-                chart=chart,
-                rank=2,
-                anchor=lambda q: np.zeros((1, 2)),
-                structure={(1, 0): lambda q: np.zeros(2)},
-            )
+        A = SkewAlgebroid(chart=chart, rank=2, anchor=lambda q: np.zeros((1, 2)), structure=lambda q: np.zeros(2))
+        with pytest.raises(ValueError, match=r"structure must return shape \(2, 2, 2\)"):
+            A.structure_at(np.zeros(1))
+
+    def test_structure_must_be_callable(self):
+        chart = Chart(dim=1, coord_names=("x",))
+        with pytest.raises(TypeError):
+            SkewAlgebroid(chart=chart, rank=2, anchor=lambda q: np.zeros((1, 2)), structure={})
 
     def test_structure_tensor_antisymmetric(self, adapted_algebroid):
         C = adapted_algebroid.structure_at(np.array([0.2, 0.6]))
         assert np.all(C + np.transpose(C, (1, 0, 2)) == 0.0)
+
+    @pytest.mark.parametrize(
+        "system_id,omega", [(g, "constant") for g in sorted(GALLERY_IDS)] + [("rolling_ball", "linear")]
+    )
+    def test_gallery_structure_antisymmetric(self, system_id, omega):
+        # no data layout makes C antisymmetric, so every builder is held to it
+        gs = instantiate(system_id, omega=omega)
+        A = gs.system.algebroid
+        algebroids = [A, v_restriction(A)] + [gs.extras[k] for k in ("constraint_algebroid", "ambient") if k in gs.extras]
+        for B in algebroids:
+            for q in sample_box(gs.default_box, 8, 17):
+                C = B.structure_at(q)
+                assert np.array_equal(C, -C.transpose(1, 0, 2))
+                if B.adapted:
+                    assert np.max(np.abs(C[:, :, 0])) <= 1e-9
 
     def test_v_restriction_requires_adapted(self):
         with pytest.raises(ValueError):
@@ -385,6 +403,4 @@ class TestAlgebroidModel:
         q = np.array([0.3, -0.2])
         assert V.rank == 2
         assert np.allclose(V.anchor_at(q), adapted_algebroid.anchor_at(q)[:, 1:])
-        assert np.allclose(
-            V.structure_pair_at(0, 1, q), adapted_algebroid.structure_pair_at(1, 2, q)[1:]
-        )
+        assert np.array_equal(V.structure_at(q), adapted_algebroid.structure_at(q)[1:, 1:, 1:])

@@ -153,3 +153,9 @@ class TestRK4:
             integrate_rk4(lambda t, x: x, np.array([1.0]), 0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             integrate_rk4(lambda t, x: x, np.array([1.0]), 1.0, 0.0, 0.1)
+        # an infinite t1 or step count used to raise OverflowError, and an
+        # infinite dt gave a NaN step
+        for times in [(0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1), (0.0, 1.0, math.inf), (0.0, 1.0, math.nan),
+                      (0.0, 1e300, 1e-10)]:
+            with pytest.raises(ValueError, match="must be finite"):
+                integrate_rk4(lambda t, x: x, np.array([1.0]), *times)

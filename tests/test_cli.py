@@ -228,6 +228,25 @@ class TestSampleCount:
         assert "samples must be >= 1" in capsys.readouterr().err
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "cylinder_friction", "--t1", "inf"], "t0, t1 and dt must be finite"),
+        (["simulate", "cylinder_friction", "--t1", "1e300", "--dt", "1e-10"], "(t1 - t0) / dt must be finite"),
+        (["dissipation", "cylinder_friction", "--t1", "1", "--dt", "inf"], "t0, t1 and dt must be finite"),
+        (["lift-verify", "time_dependent_free", "--t1", "inf"], "t0, t1 and dt must be finite"),
+        (["hj-check", "cylinder_friction", "--tol", "nan"], "expected a finite number"),
+        (["cocycle-check", "cylinder_friction", "--tol", "inf"], "expected a finite number"),
+        (["morphism-check", "cylinder_friction", "--tol", "nan"], "expected a finite number"),
+    ])
+    def test_usage_error_and_no_report(self, argv, message, tmp_path, capsys):
+        # an infinite time used to crash with OverflowError (exit 1), and an
+        # infinite tolerance passed every check in a report that is not JSON
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDissipation:
     def test_csv_columns(self, tmp_path):
         out = tmp_path / "diss.csv"

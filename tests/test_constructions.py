@@ -70,7 +70,7 @@ class TestProjectorRestriction:
         D = projector_restriction(A, basis, lambda q, v: np.asarray(v, dtype=float))
         q = np.array([0.4, -0.1])
         assert np.allclose(D.anchor_at(q), A.anchor_at(q))
-        assert np.max(np.abs(D.structure_pair_at(0, 1, q))) < 1e-12
+        assert np.max(np.abs(D.structure_at(q))) < 1e-12
 
     def test_disk_structure_functions(self, disk):
         p = disk.params
@@ -88,7 +88,7 @@ class TestProjectorRestriction:
                 ]
             )
             assert np.max(np.abs(rho - expect)) < 1e-12
-            assert np.max(np.abs(D.structure_pair_at(0, 1, q))) < 1e-9
+            assert np.max(np.abs(D.structure_at(q))) < 1e-9
 
     def test_restricted_bracket_loses_jacobi(self, disk):
         # (d^D)^2 acting on a coordinate function detects the projection:
@@ -140,11 +140,13 @@ class TestAffineConstraints:
         assert np.allclose(rho[:, 0], [1.0, 0.4, 0.7], atol=1e-12)
         assert np.allclose(rho[:, 1], [0.0, 0.0, -1 / math.sqrt(2)], atol=1e-12)
         assert np.allclose(rho[:, 2], [0.0, 1 / math.sqrt(2), 0.0], atol=1e-12)
-        assert np.allclose(A.structure_pair_at(1, 2, q), [0, 0, 0, c], atol=1e-10)
-        assert np.allclose(A.structure_pair_at(2, 3, q), [0, c, 0, 0], atol=1e-10)
-        assert np.allclose(A.structure_pair_at(1, 3, q), [0, 0, -c, 0], atol=1e-10)
-        assert np.allclose(A.structure_pair_at(0, 1, q), [0, 0, -w, 0], atol=1e-10)
-        assert np.allclose(A.structure_pair_at(0, 2, q), [0, w, 0, 0], atol=1e-10)
+        C = A.structure_at(q)
+        assert np.allclose(C[1, 2], [0, 0, 0, c], atol=1e-10)
+        assert np.allclose(C[2, 3], [0, c, 0, 0], atol=1e-10)
+        assert np.allclose(C[1, 3], [0, 0, -c, 0], atol=1e-10)
+        assert np.allclose(C[0, 1], [0, 0, -w, 0], atol=1e-10)
+        assert np.allclose(C[0, 2], [0, w, 0, 0], atol=1e-10)
+        assert np.allclose(C[0, 3], 0.0, atol=1e-10)
 
     def test_zero_drift_reduces_to_linear_constraints(self, ball):
         E = ball.extras["ambient"]
@@ -270,6 +272,7 @@ class TestKernel:
 
         worst = 0.0
         for q in seeded_points(3, n=8, seed=31):
+            C = A.structure_at(q)
             M = frame(q)
             dM = fd_jacobian(lambda x: frame(x).ravel(), q).reshape(3, 3, 3)
             assert np.max(np.abs(A.anchor_at(q) - M.T)) < 1e-12  # rho_E is the identity
@@ -277,7 +280,7 @@ class TestKernel:
                 for j in range(i + 1, 3):
                     val = dM[j] @ M[i] - dM[i] @ M[j]  # tangent bracket of frame fields
                     expect = np.concatenate([[0.0], M[1:] @ metric(q) @ val])
-                    got = A.structure_pair_at(i, j, q)
+                    got = C[i, j]
                     assert np.max(np.abs(got - expect)) < 1e-12
                     worst = max(worst, float(np.max(np.abs(expect))))
         assert worst > 0.1  # the frames do not commute

@@ -54,11 +54,13 @@ class TestPoissonBracket:
         m = A.chart.dim
         for x in phase_samples(A, n=16, seed=3):
             q, p = x[:m], x[m:]
-            for (a, b), fn in A.structure_pairs():
-                got = poisson_bracket_eval(
-                    A, lambda y: float(y[m + a]), lambda y: float(y[m + b]), x
-                )
-                assert abs(got - (-float(fn(q) @ p))) < 1e-9
+            C = A.structure_at(q)
+            for a in range(A.rank):
+                for b in range(a + 1, A.rank):
+                    got = poisson_bracket_eval(
+                        A, lambda y: float(y[m + a]), lambda y: float(y[m + b]), x
+                    )
+                    assert abs(got - (-float(C[a, b] @ p))) < 1e-9
 
     def test_three_body_extension_bivector_term(self, three_body):
         # {p0, px} = k*px for drag F = k Id
