@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import Chart, fd_gradient, fd_jacobian, require_finite
+from .calculus import Chart, fd_gradient, fd_jacobian, max_abs
 from .errors import ConstructionError
 
 # Relative singular-value threshold for numeric rank decisions.
@@ -88,6 +88,13 @@ class CheckReport:
     seed: int
     witnesses: tuple = ()
 
+    @classmethod
+    def from_samples(cls, name: str, worst, tol: float, seed: int) -> "CheckReport":
+        """The report of per-sample ``(q, worst value)`` pairs; the five worst are the witnesses."""
+        worst = sorted(worst, key=lambda t: -t[1])
+        return cls(name=name, max_violation=float(worst[0][1]) if worst else 0.0, tol=float(tol),
+                   samples=len(worst), seed=seed, witnesses=tuple(worst[:5]))
+
     @property
     def passed(self) -> bool:
         return self.max_violation <= self.tol
@@ -150,10 +157,8 @@ class SkewAlgebroid:
         return constant_section(e)
 
     def validate_adapted(self, points, tol: float = 1e-9):
-        """Check C_{ab}^0 = 0 at the given sample points (adapted frames)."""
-        worst = 0.0
-        for q in points:
-            worst = max(worst, float(np.max(np.abs(self.structure_at(q)[:, :, 0]))))
+        """Check C_{ab}^0 = 0 at the sample points; a non-finite value raises NumericFailure."""
+        worst = max((max_abs(self.structure_at(q)[:, :, 0], "C[{}, {}, 0]", q) for q in points), default=0.0)
         if worst > tol:
             raise ConstructionError(
                 f"frame not adapted to the cocycle: |C_ab^0| = {worst:g} > {tol:g}"
@@ -182,11 +187,6 @@ def anchor_apply(A: SkewAlgebroid, sigma: ESection, q) -> np.ndarray:
     """rho(sigma) at q: the tangent vector rho(q) @ sigma(q)."""
     q = np.asarray(q, dtype=float)
     return A.anchor_at(q) @ sigma(q)
-
-
-def _directional(A: SkewAlgebroid, f, vec: np.ndarray, q: np.ndarray) -> float:
-    """Derivative of the scalar function f along the tangent vector vec."""
-    return float(fd_gradient(f, q) @ vec)
 
 
 def bracket(A: SkewAlgebroid, sigma: ESection, gamma: ESection) -> ESection:
@@ -246,8 +246,8 @@ def d_oneform_eval(A: SkewAlgebroid, alpha: DualSection, sigma: ESection, gamma:
     def a_of_sigma(qq):
         return float(alpha(qq) @ sigma(qq))
 
-    t1 = _directional(A, a_of_gamma, vs, q)
-    t2 = _directional(A, a_of_sigma, vg, q)
+    t1 = float(fd_gradient(a_of_gamma, q) @ vs)
+    t2 = float(fd_gradient(a_of_sigma, q) @ vg)
     t3 = float(alpha(q) @ bracket(A, sigma, gamma)(q))
     return (t1 - t2) - t3
 
@@ -294,24 +294,14 @@ def check_cocycle(
         grads = np.ascontiguousarray(fd_jacobian(phi, q))
         phi_q = phi(q)
         C = A.structure_at(q)
-        v = 0.0
+        d_phi = np.zeros((A.rank, A.rank))
         for a, b in combinations(range(A.rank), 2):
             t1 = float(grads[b] @ vs[a])
             t2 = float(grads[a] @ vs[b])
             t3 = float(phi_q @ C[a, b])
-            val = abs((t1 - t2) - t3)
-            v = max(v, require_finite(val, f"d phi(e_{a}, e_{b})", q))
-        worst.append((q, v))
-    worst.sort(key=lambda t: -t[1])
-    max_violation = worst[0][1] if worst else 0.0
-    return CheckReport(
-        name="cocycle",
-        max_violation=float(max_violation),
-        tol=float(tol),
-        samples=samples,
-        seed=seed,
-        witnesses=tuple((q, v) for q, v in worst[:5]),
-    )
+            d_phi[a, b] = (t1 - t2) - t3
+        worst.append((q, max_abs(d_phi, "d phi(e_{}, e_{})", q)))
+    return CheckReport.from_samples("cocycle", worst, tol, seed)
 
 
 def _svd_rank(M: np.ndarray) -> int:

@@ -146,20 +146,27 @@ def require_finite(value, what: str, q):
     return value
 
 
+def max_abs(values, what: str, q) -> float:
+    """Largest |entry| of ``values`` at q (0.0 if empty); a non-finite entry raises NumericFailure
+    naming q and ``what`` formatted with the entry's index, e.g. ``"d phi(e_{}, e_{})"``."""
+    values = np.abs(np.asarray(values, dtype=float))
+    top = float(np.max(values, initial=0.0))
+    if not np.isfinite(top):
+        require_finite(top, what.format(*np.argwhere(~np.isfinite(values))[0]), q)
+    return top
+
+
 def check_gradient(f: ScalarField, points: Sequence[np.ndarray], tol: float = 1e-6) -> float:
     """Max deviation between the analytic gradient and finite differences.
 
     Returns the worst absolute deviation over the sample points; callers
-    assert against ``tol``.
+    assert against ``tol``.  A non-finite deviation raises NumericFailure.
     """
     if f.grad is None:
         raise ValueError("field has no analytic gradient to check")
     plain = ScalarField(eval=f.eval)
-    worst = 0.0
-    for q in points:
-        q = np.asarray(q, dtype=float)
-        dev = np.max(np.abs(fd_gradient(plain, q) - np.asarray(f.grad(q), dtype=float)))
-        worst = max(worst, float(dev))
+    worst = max((max_abs(fd_gradient(plain, q) - np.asarray(f.grad(q), dtype=float), "gradient deviation[{}]", q)
+                 for q in np.asarray(points, dtype=float)), default=0.0)
     if worst > tol:
         raise ValueError(f"analytic gradient disagrees with finite differences: {worst:g} > {tol:g}")
     return worst

@@ -57,14 +57,20 @@ def _parse_vector(text):
         raise ValueError(f"expected comma-separated decimals, got {text!r}")
 
 
-def _parse_box(text):
+def _box(gs, args):
+    if not args.box:
+        return gs.default_box
     box = []
-    for axis in text.split(","):
+    for axis in args.box.split(","):
         lo, sep, hi = axis.partition(":")
         if not sep:
             raise ValueError(f"box axis must be lo:hi, got {axis!r}")
         box.append((float(lo), float(hi)))
     return tuple(box)
+
+
+def _horizon(gs, args):
+    return (gs.horizon[0] if args.t0 is None else args.t0, gs.horizon[1] if args.t1 is None else args.t1)
 
 
 def _write(out_path, text):
@@ -121,10 +127,7 @@ def _cmd_gallery(args):
 def _cmd_simulate(args):
     gs = _load_system(args)
     sys_ = gs.system
-    x0 = _initial_state(gs, args)
-    t0 = args.t0 if args.t0 is not None else gs.horizon[0]
-    t1 = args.t1 if args.t1 is not None else gs.horizon[1]
-    curve = integrate_hamilton(sys_, x0, t0, t1, args.dt)
+    curve = integrate_hamilton(sys_, _initial_state(gs, args), *_horizon(gs, args), args.dt)
     header = trajectory_header(sys_.chart, sys_.n_momenta)
     if args.format == "csv":
         _write(args.out, trajectory_csv(curve, header))
@@ -137,10 +140,7 @@ def _cmd_simulate(args):
 def _cmd_dissipation(args):
     gs = _load_system(args)
     sys_ = gs.system
-    x0 = _initial_state(gs, args)
-    t0 = args.t0 if args.t0 is not None else gs.horizon[0]
-    t1 = args.t1 if args.t1 is not None else gs.horizon[1]
-    curve = integrate_hamilton(sys_, x0, t0, t1, args.dt)
+    curve = integrate_hamilton(sys_, _initial_state(gs, args), *_horizon(gs, args), args.dt)
     rows = []
     for t, state in zip(curve.times, curve.points):
         pt = sys_.phase_point(state)
@@ -152,9 +152,8 @@ def _cmd_dissipation(args):
 def _cmd_hj_check(args):
     gs = _load_system(args)
     section = gs.section(args.section)
-    box = _parse_box(args.box) if args.box else gs.default_box
     resolution = [int(v) for v in args.resolution.split(",")] if "," in args.resolution else int(args.resolution)
-    report = hj_grid_check(gs.system, section, box, resolution=resolution, tol=args.tol)
+    report = hj_grid_check(gs.system, section, _box(gs, args), resolution=resolution, tol=args.tol)
     payload = {"config": _resolved_config(args, system_params=gs.params), "report": report.to_json_dict()}
     _write(args.out, dump_json(payload))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -164,9 +163,7 @@ def _cmd_lift_verify(args):
     gs = _load_system(args)
     section = gs.section(args.section)
     q0 = _parse_vector(args.q0) if args.q0 else np.array(gs.default_q0)
-    t0 = args.t0 if args.t0 is not None else gs.horizon[0]
-    t1 = args.t1 if args.t1 is not None else gs.horizon[1]
-    report = verify_lift(gs.system, section, q0, t0, t1, args.dt, tol=args.tol)
+    report = verify_lift(gs.system, section, q0, *_horizon(gs, args), args.dt, tol=args.tol)
     payload = {"config": _resolved_config(args, system_params=gs.params), "report": report.to_json_dict()}
     _write(args.out, dump_json(payload))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -175,7 +172,6 @@ def _cmd_lift_verify(args):
 def _cmd_cocycle_check(args):
     gs = _load_system(args)
     sys_ = gs.system
-    box = _parse_box(args.box) if args.box else gs.default_box
     if args.on == "e":
         A = sys_.algebroid
         phi = np.zeros(A.rank)
@@ -189,7 +185,7 @@ def _cmd_cocycle_check(args):
         named = gs.section(args.section)
         section = DualSection(components=named.components, space="E*", jacobian=named.jacobian)
         name = f"section {args.section} on the kernel algebroid"
-    report = check_cocycle(A, section, box, samples=args.samples, seed=args.seed, tol=args.tol)
+    report = check_cocycle(A, section, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
     payload = {
         "config": _resolved_config(args, system_params=gs.params, checked=name),
         "report": report.to_json_dict(),
@@ -240,9 +236,8 @@ def _make_morphism(gs, args):
 
 def _cmd_morphism_check(args):
     gs = _load_system(args)
-    box = _parse_box(args.box) if args.box else gs.default_box
     src, dst, pair = _make_morphism(gs, args)
-    reports = morphism_check(src, dst, pair, box, samples=args.samples, seed=args.seed, tol=args.tol)
+    reports = morphism_check(src, dst, pair, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
     payload = {
         "config": _resolved_config(args, system_params=gs.params),
         "reports": {r.name: r.to_json_dict() for r in reports},
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_arg(p)
     p.add_argument("--morphism", choices=["identity", "mu-projection", "momentum-scale"],
                    default="identity")
-    p.add_argument("--factor", type=float, default=2.0)
+    p.add_argument("--factor", type=_finite, default=2.0)
     p.add_argument("--box", default=None)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--seed", type=int, default=42)

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .algebroid import CheckReport, ESection, SkewAlgebroid, sample_box, v_restriction
-from .calculus import ScalarField, as_scalar_field, fd_gradient, fd_jacobian, require_finite
+from .calculus import ScalarField, as_scalar_field, fd_gradient, fd_jacobian, max_abs
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bracket_at
 
@@ -143,12 +143,8 @@ def projector_restriction(
     m = E.chart.dim
     if validation_points is None:
         validation_points = sample_box([(-1.0, 1.0)] * m, samples=8, seed=0)
-    eye = np.eye(r)
-    worst = 0.0
-    for q in validation_points:
-        for i in range(r):
-            dev = np.max(np.abs(np.asarray(P(q, D_basis[i](q)), dtype=float) - eye[i]))
-            worst = max(worst, float(dev))
+    worst = max((max_abs(np.array([P(q, s(q)) for s in D_basis], dtype=float) - np.eye(r),
+                         "P(q, D_{}(q))[{}]", q) for q in validation_points), default=0.0)
     if worst > tol:
         raise ConstructionError(f"P restricted to D is not the identity: {worst:g} > {tol:g}")
 
@@ -272,9 +268,9 @@ def affine_constraints(
         return lambda val: np.concatenate([[0.0], rows @ val])
 
     # precondition: X0 is G-orthogonal to U
-    worst = 0.0
-    for q, M in zip(validation_points, frames(np.asarray(validation_points, dtype=float))):
-        worst = max(worst, float(np.max(np.abs(projection(q, M)(M[0])))))
+    points = np.asarray(validation_points, dtype=float)
+    worst = max((max_abs(projection(q, M)(M[0]), "P(X0)[{}]", q)
+                 for q, M in zip(points, frames(points))), default=0.0)
     if worst > 1e-9:
         raise ConstructionError(f"P(X0) != 0: G(X0, U) reaches {worst:g} at validation samples")
 
@@ -365,7 +361,7 @@ def morphism_check(
     bit for bit), one gradient per probe at the image, and the anchor and
     structure terms of each side (``hamilton._bracket_at``).  psi is
     evaluated 2(m + n) + 1 times per sample.  A non-finite value raises
-    NumericFailure naming its sample point.
+    NumericFailure naming its sample point and probe pair or component.
     """
     src = _coerce_endpoint(src)
     dst = _coerce_endpoint(dst)
@@ -393,32 +389,17 @@ def morphism_check(
         # contiguous rows, laid out like fd_gradient's, so the dot products match it
         grads = np.ascontiguousarray(fd_jacobian(psi_full, xf))
         grads_bar = [fd_gradient(F, image) for F in probes]
-        v1 = 0.0
+        gaps = np.zeros((len(probes), len(probes)))
         for i, j in combinations(range(len(probes)), 2):
-            lhs = lhs_at(grads[i], grads[j])
-            rhs = rhs_at(grads_bar[i], grads_bar[j])
-            v1 = max(v1, require_finite(abs(lhs - rhs), f"bracket of probes {i}, {j}", q))
-        worst1.append((q, v1))
+            gaps[i, j] = lhs_at(grads[i], grads[j]) - rhs_at(grads_bar[i], grads_bar[j])
+        worst1.append((q, max_abs(gaps, "bracket of probes {}, {}", q)))
         if src.cocycle is not None and dst.cocycle is not None:
-            v2 = float(
-                np.max(np.abs(np.asarray(pair.fiber_map(q, src.cocycle(q)), dtype=float) - dst.cocycle(image[:mbar])))
-            )
-            worst2.append((q, require_finite(v2, "cocycle correspondence", q)))
-        worst3.append((q, require_finite(abs(dst.f_h(image) - src.f_h(xf)), "hamiltonian pullback", q)))
-
-    def report(name, worst, count):
-        worst = sorted(worst, key=lambda t: -t[1])
-        return CheckReport(
-            name=name,
-            max_violation=float(worst[0][1]) if worst else 0.0,
-            tol=float(tol),
-            samples=count,
-            seed=seed,
-            witnesses=tuple(worst[:5]),
-        )
+            gap = np.asarray(pair.fiber_map(q, src.cocycle(q)), dtype=float) - dst.cocycle(image[:mbar])
+            worst2.append((q, max_abs(gap, "cocycle correspondence[{}]", q)))
+        worst3.append((q, max_abs(dst.f_h(image) - src.f_h(xf), "hamiltonian pullback", q)))
 
     return (
-        report("poisson_morphism", worst1, samples),
-        report("cocycle_related", worst2, len(worst2)),
-        report("hamiltonian_pullback", worst3, samples),
+        CheckReport.from_samples("poisson_morphism", worst1, tol, seed),
+        CheckReport.from_samples("cocycle_related", worst2, tol, seed),
+        CheckReport.from_samples("hamiltonian_pullback", worst3, tol, seed),
     )

@@ -88,6 +88,8 @@ def _merge(defaults: dict, params: Optional[dict]) -> dict:
         if key not in defaults:
             raise ValueError(f"unknown parameter {key!r}; known: {sorted(defaults)}")
         out[key] = type(defaults[key])(val) if not isinstance(defaults[key], str) else str(val)
+        if isinstance(out[key], float) and not math.isfinite(out[key]):
+            raise ValueError(f"parameter {key} must be finite, got {val!r}")
     return out
 
 

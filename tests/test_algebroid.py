@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,9 +244,11 @@ class TestCocycle:
     def test_nan_at_a_later_sample_raises(self, cylinder):
         # Python's max() keeps a NaN only when it comes first; put it last
         box = [(-1, 1), (-1, 1)]
-        A = nan_structure_at(cylinder.system.algebroid, sample_box(box, 16, 7)[-1])
+        bad = sample_box(box, 16, 7)[-1]
+        A = nan_structure_at(cylinder.system.algebroid, bad)
         phi = DualSection(components=lambda q: np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(NumericFailure, match="non-finite at q="):
+        # every pair is NaN there; the first one is named
+        with pytest.raises(NumericFailure, match=re.escape(f"d phi(e_0, e_1) non-finite at q={list(map(float, bad))}")):
             check_cocycle(A, phi, box=box, samples=16, seed=7)
 
     def test_empty_box_rejected(self, cylinder):
@@ -363,6 +366,13 @@ class TestAlgebroidModel:
         )
         with pytest.raises(ConstructionError):
             A.validate_adapted([np.zeros(1)])
+
+    def test_adapted_validation_nan_at_a_later_point_raises(self, adapted_algebroid):
+        # Python's max() keeps a NaN only when it comes first; put it last
+        pts = seeded_points(2, n=8)
+        A = nan_structure_at(adapted_algebroid, pts[-1])
+        with pytest.raises(NumericFailure, match=re.escape(f"C[0, 0, 0] non-finite at q={list(map(float, pts[-1]))}")):
+            A.validate_adapted(pts)
 
     def test_structure_wrong_shape_rejected(self):
         chart = Chart(dim=1, coord_names=("x",))

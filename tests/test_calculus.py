@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ class TestFdGradient:
     def test_check_gradient_accepts_consistent(self):
         good = ScalarField(eval=lambda q: float(q[0] ** 2), grad=lambda q: np.array([2.0 * q[0]]))
         assert check_gradient(good, seeded_points(1, n=8)) < 1e-8
+
+    def test_check_gradient_nan_at_a_later_point_raises(self):
+        # Python's max() keeps a NaN only when it comes first; put it last
+        pts = seeded_points(1, n=8)
+        f = ScalarField(eval=lambda q: float(q[0] ** 2),
+                        grad=lambda q: np.array([math.nan if q[0] == pts[-1][0] else 2.0 * q[0]]))
+        with pytest.raises(NumericFailure, match=re.escape(f"gradient deviation[0] non-finite at q={list(map(float, pts[-1]))}")):
+            check_gradient(f, pts)
 
 
 def test_fd_jacobian_matches_hand_value():

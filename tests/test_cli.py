@@ -237,10 +237,19 @@ class TestNonFiniteArguments:
         (["hj-check", "cylinder_friction", "--tol", "nan"], "expected a finite number"),
         (["cocycle-check", "cylinder_friction", "--tol", "inf"], "expected a finite number"),
         (["morphism-check", "cylinder_friction", "--tol", "nan"], "expected a finite number"),
+        (["hj-check", "vertical_disk", "--param", "m=nan"], "parameter m must be finite, got nan"),
+        (["simulate", "rolling_ball", "--param", "m=nan"], "parameter m must be finite, got nan"),
+        (["cocycle-check", "cylinder_friction", "--param", "K1=nan"], "parameter K1 must be finite, got nan"),
+        (["lift-verify", "vertical_disk", "--param", "K=-inf"], "parameter K must be finite, got -inf"),
+        (["morphism-check", "cylinder_friction", "--morphism", "momentum-scale", "--factor", "nan"],
+         "expected a finite number, got 'nan'"),
+        (["morphism-check", "cylinder_friction", "--morphism", "momentum-scale", "--factor", "inf"],
+         "expected a finite number, got 'inf'"),
     ])
     def test_usage_error_and_no_report(self, argv, message, tmp_path, capsys):
-        # an infinite time used to crash with OverflowError (exit 1), and an
-        # infinite tolerance passed every check in a report that is not JSON
+        # an infinite time used to crash with OverflowError (exit 1), an
+        # infinite tolerance passed every check in a report that is not JSON,
+        # and a NaN parameter or factor failed later with an unrelated message
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestProjectorRestriction:
         with pytest.raises(ConstructionError):
             projector_restriction(A, basis, lambda q, v: 0.5 * np.asarray(v, dtype=float))
 
+    def test_projector_nan_at_a_later_point_raises(self):
+        # Python's max() keeps a NaN only when it comes first; put it last
+        A = lie_tangent(2)
+        basis = [A.basis_section(0), A.basis_section(1)]
+        pts = seeded_points(2, n=8)
+
+        def P(q, v):
+            return np.full(2, np.nan) if np.array_equal(q, pts[-1]) else np.asarray(v, dtype=float)
+
+        with pytest.raises(NumericFailure, match=re.escape(f"P(q, D_0(q))[0] non-finite at q={list(map(float, pts[-1]))}")):
+            projector_restriction(A, basis, P, validation_points=pts)
+
 
 class TestAffineConstraints:
     def test_ball_displayed_structure(self, ball):
@@ -168,6 +181,16 @@ class TestAffineConstraints:
         X0 = constant_section([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])  # not orthogonal to U
         with pytest.raises(ConstructionError):
             affine_constraints(E, G, U_basis, X0)
+
+    def test_drift_nan_at_a_later_point_raises_at_the_precondition(self, ball):
+        # a NaN drift at the last validation point used to build an algebroid
+        E = ball.extras["ambient"]
+        G = ball.extras["metric"]
+        U_basis = [constant_section([0.0, 0.0, -1.0, 1.0, 0.0, 0.0])]
+        pts = seeded_points(3, n=8)
+        X0 = ESection(components=lambda q: np.full(6, np.nan) if np.array_equal(q, pts[-1]) else np.zeros(6))
+        with pytest.raises(NumericFailure, match=re.escape(f"P(X0)[1] non-finite at q={list(map(float, pts[-1]))}")):
+            affine_constraints(E, G, U_basis, X0, validation_points=pts)
 
     def test_adaptedness_holds_at_samples(self, ball):
         assert ball.system.algebroid.validate_adapted(seeded_points(3, n=8, seed=24)) < 1e-12
@@ -373,12 +396,11 @@ class TestMorphismCheck:
         # Python's max() keeps a NaN only when it comes first; put it last
         box = [(-1, 1), (-1, 1)]
         sys_ = cylinder.system
-        src = dataclasses.replace(
-            MorphismEndpoint.from_system(sys_),
-            algebroid=nan_structure_at(sys_.algebroid, sample_box(box, 8, 5)[-1]),
-        )
+        bad = sample_box(box, 8, 5)[-1]
+        src = dataclasses.replace(MorphismEndpoint.from_system(sys_), algebroid=nan_structure_at(sys_.algebroid, bad))
         pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)
-        with pytest.raises(NumericFailure, match="non-finite at q="):
+        # the first probe pair is named
+        with pytest.raises(NumericFailure, match=re.escape(f"bracket of probes 0, 1 non-finite at q={list(map(float, bad))}")):
             morphism_check(src, sys_, pair, box=box, samples=8, seed=5)
 
     def test_requires_known_types(self, cylinder):

@@ -34,6 +34,9 @@ class TestInstantiate:
             instantiate("vertical_disk", {"m": -1.0})
         with pytest.raises(ValueError):
             instantiate("vertical_disk", {"mass": 2.0})
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="parameter K must be finite"):
+                instantiate("vertical_disk", {"K": value})
 
     def test_omega_mode_validation(self):
         with pytest.raises(ValueError):
