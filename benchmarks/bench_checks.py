@@ -1,8 +1,9 @@
 """Time the README's CLI commands and the sampled checks of one or more
-source trees and write wall times, output hashes and reported violations
-to JSON.
+source trees and write wall times, output hashes and accuracy numbers to
+JSON.
 
-The commands are the nine in README.md's CLI section, then the sampled
+The commands are the nine in README.md's CLI section, then the disk's
+default ``hj-check`` and a 5 s ``lift-verify``, then the sampled
 checks at the benchmark's ``point_checks`` sizes: every gallery system's
 adapted-frame cocycle and the ball's kernel section at 16 samples, and
 the four morphism checks at 8.  Each run is a fresh interpreter, so the
@@ -10,14 +11,15 @@ constructed algebroids start with empty memos.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.
 
-    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_5.json
+    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_7.json
 
 ``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
 includes interpreter start-up and the package import.  The SHA-256 of
-every output (JSON or CSV) is recorded, and so is each JSON report's
-``max_violation``, so a speed-up that changes results shows up;
-``outputs_equal`` says whether every command gave the same exit code and
-output bytes in every tree.
+every output (JSON or CSV) is recorded, and so are the accuracy numbers of
+each JSON report (``max_violation`` per named report, the HJ residual's
+``max_norm`` and the lift's ``max_deviation``), so a speed-up that changes
+results shows up; ``outputs_equal`` says whether every command gave the
+same exit code and output bytes in every tree.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ README = (
     ["morphism-check", "cylinder_friction", "--morphism", "momentum-scale"],
     ["dissipation", "vertical_disk", "--t1", "5"],
 )
+ACCURACY = (
+    ["hj-check", "vertical_disk"],
+    ["lift-verify", "vertical_disk", "--t1", "5", "--dt", "1e-2"],
+)
 
 CHILD = """
 import json, sys, time
@@ -62,7 +68,7 @@ print(json.dumps({"exit": code, "run_s": time.perf_counter() - t}))
 
 def commands(seed: int) -> list:
     s = str(seed)
-    cmds = [list(argv) for argv in README]
+    cmds = [list(argv) for argv in README + ACCURACY]
     cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])
@@ -87,22 +93,28 @@ def run_once(src: Path, argv: list, out: Path) -> dict:
         "exit": child["exit"],
         "run_s": child["run_s"],
         "wall_s": wall,
-        "max_violation": max_violations(data),
+        **accuracy(data),
         "output_sha256": hashlib.sha256(data).hexdigest(),
     }
 
 
-def max_violations(data: bytes) -> dict:
-    """Report name -> max_violation for each JSON report in an output that
-    carries one; empty for CSV and for reports without a violation."""
+def accuracy(data: bytes) -> dict:
+    """``max_violation`` (report name -> value), ``max_norm`` and
+    ``max_deviation`` of the JSON reports in an output; empty or None for
+    CSV and for reports without them."""
     try:
         payload = json.loads(data)
     except ValueError:
-        return {}
+        payload = {}
     if not isinstance(payload, dict):
-        return {}
-    reports = list(payload.get("reports", {}).values()) + [payload.get("report", {})]
-    return {r["name"]: r["max_violation"] for r in reports if "max_violation" in r}
+        payload = {}
+    report = payload.get("report", {})
+    reports = list(payload.get("reports", {}).values()) + [report]
+    return {
+        "max_violation": {r["name"]: r["max_violation"] for r in reports if "max_violation" in r},
+        "max_norm": report.get("max_norm"),
+        "max_deviation": report.get("max_deviation"),
+    }
 
 
 def src_lines(src: Path) -> int:
@@ -141,17 +153,15 @@ def main(argv=None) -> int:
         rows = []
         for argv, rs in zip(cmds, runs[label]):
             first = rs[0]
+            stable = {key: first[key] for key in first if key not in ("run_s", "wall_s")}
             for r in rs[1:]:
-                if (r["exit"], r["max_violation"], r["output_sha256"]) != (
-                        first["exit"], first["max_violation"], first["output_sha256"]):
+                if {key: r[key] for key in stable} != stable:
                     raise RuntimeError(f"{label}: {' '.join(argv)} gave different results across runs")
             rows.append({
                 "argv": argv,
-                "exit": first["exit"],
+                **stable,
                 "run_s": min(r["run_s"] for r in rs),
                 "wall_s": min(r["wall_s"] for r in rs),
-                "max_violation": first["max_violation"],
-                "output_sha256": first["output_sha256"],
             })
         entries[label] = {
             "src_lines": src_lines(src),

@@ -33,9 +33,15 @@ FLAG_FD_SCALE = 1e-3
 
 @dataclass(frozen=True)
 class ESection:
-    """A section of the algebroid: frame components as a function of q."""
+    """A section of the algebroid: frame components as a function of q.
+
+    ``jacobian`` is optional and analytic, q -> (n, m), mirroring
+    DualSection.jacobian; ``projector_restriction`` differentiates its
+    frame with it when every basis section carries one.
+    """
 
     components: Callable[[np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, q) -> np.ndarray:
         return np.asarray(self.components(np.asarray(q, dtype=float)), dtype=float)
@@ -252,14 +258,23 @@ def d_oneform_eval(A: SkewAlgebroid, alpha: DualSection, sigma: ESection, gamma:
     return (t1 - t2) - t3
 
 
-def sample_box(box, samples: int, seed: int) -> np.ndarray:
-    """Seeded uniform samples in a coordinate box [(lo, hi), ...] -> (N, m)."""
+def box_bounds(box) -> list:
+    """A coordinate box [(lo, hi), ...] as floats; ValueError unless it is
+    non-empty and every axis has finite bounds with lo < hi."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     if not box:
-        raise ValueError("sampling box must be non-empty")
+        raise ValueError("box must be non-empty")
     for lo, hi in box:
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"box bounds must be finite, got {lo:g}:{hi:g}")
         if not hi > lo:
-            raise ValueError("box bounds must satisfy lo < hi")
+            raise ValueError(f"box bounds must satisfy lo < hi, got {lo:g}:{hi:g}")
+    return box
+
+
+def sample_box(box, samples: int, seed: int) -> np.ndarray:
+    """Seeded uniform samples in a coordinate box [(lo, hi), ...] -> (N, m)."""
+    box = box_bounds(box)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)

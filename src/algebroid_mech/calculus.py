@@ -93,10 +93,7 @@ def fd_gradient(f, q, h=None) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     if isinstance(f, ScalarField) and f.grad is not None:
-        g = np.asarray(f.grad(q), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise NumericFailure(f"analytic gradient non-finite at q={q!r}")
-        return g
+        return require_finite(np.asarray(f.grad(q), dtype=float), "analytic gradient", q)
     fn = f.eval if isinstance(f, ScalarField) else f
     if h is None:
         steps = fd_step(q)

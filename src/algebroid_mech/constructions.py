@@ -16,9 +16,11 @@ algebroid per point: the force extension pads the base tensor and writes
 the force rows, and the restricted and affine algebroids share one kernel
 (bracket, then project onto a frame).  Per point, the kernel's anchor
 needs only the frame; its C, computed on first request, adds the frame's
-derivative from one stacked finite-difference stencil.  Values are
-memoized per point, keyed by the exact coordinates, so a repeat visit
-reuses them and a neighbouring point never does.
+derivative: analytic when every basis section of a projector restriction
+carries a jacobian, else from one stacked finite-difference stencil (so
+always for the affine constraints, whose frame is orthonormalized per
+point).  Values are memoized per point, keyed by the exact coordinates,
+so a repeat visit reuses them and a neighbouring point never does.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .algebroid import CheckReport, ESection, SkewAlgebroid, sample_box, v_restriction
-from .calculus import ScalarField, as_scalar_field, fd_gradient, fd_jacobian, max_abs
+from .calculus import ScalarField, as_scalar_field, fd_gradient, fd_jacobian, max_abs, require_finite
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bracket_at
 
@@ -135,7 +137,9 @@ def projector_restriction(
     P maps (q, E-fiber vector) to coordinates in the D frame and must
     restrict to the identity on D; this is validated at sample points.
     The restricted bracket is project-after-bracket, the anchor is the
-    anchored inclusion.
+    anchored inclusion.  When every basis section carries a ``jacobian``,
+    the kernel differentiates the frame with them; they must agree with
+    central differences of the sections within 1e-6 at the same points.
     """
     r = len(D_basis)
     if r < 1:
@@ -143,25 +147,44 @@ def projector_restriction(
     m = E.chart.dim
     if validation_points is None:
         validation_points = sample_box([(-1.0, 1.0)] * m, samples=8, seed=0)
+    points = np.asarray(validation_points, dtype=float)
     worst = max((max_abs(np.array([P(q, s(q)) for s in D_basis], dtype=float) - np.eye(r),
-                         "P(q, D_{}(q))[{}]", q) for q in validation_points), default=0.0)
+                         "P(q, D_{}(q))[{}]", q) for q in points), default=0.0)
     if worst > tol:
         raise ConstructionError(f"P restricted to D is not the identity: {worst:g} > {tol:g}")
 
     def frames(Q):
         return np.array([[s(q) for s in D_basis] for q in Q])  # (K, r, n_E)
 
-    return _bracket_then_project(E, frames, lambda q, M: lambda val: P(q, val), rank=r, adapted=False)
+    frame_jacobian = None
+    if all(s.jacobian is not None for s in D_basis):
+        def frame_jacobian(q):  # (r, n_E, m)
+            return np.array([s.jacobian(q) for s in D_basis], dtype=float)
+
+        worst = 0.0
+        for q in points:
+            exact, stencil = frame_jacobian(q), fd_jacobian(frames, q, stacked=True).reshape(r, -1, m)
+            if exact.shape != stencil.shape:
+                raise ValueError(f"section jacobians must have shape {stencil.shape[1:]}, got {exact.shape[1:]}")
+            worst = max(worst, max_abs(exact - stencil, "jacobian of D_{}(q)[{}, {}]", q))
+        if worst > 1e-6:
+            raise ConstructionError(f"section jacobians disagree with finite differences: {worst:g} > 1e-06")
+
+    return _bracket_then_project(E, frames, lambda q, M: lambda val: P(q, val), rank=r, adapted=False,
+                                 frame_jacobian=frame_jacobian)
 
 
-def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapted: bool) -> SkewAlgebroid:
+def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapted: bool,
+                          frame_jacobian=None) -> SkewAlgebroid:
     """The algebroid of a frame {e_a} of E, bracketed in E and projected.
 
     ``frames`` maps points (K, m) to frames (K, rank, n_E), row a holding
     the E-components of e_a.  The anchor is rho_E(e_a).  The structure
     functions are projection(q, M)([[e_a, e_b]]_E) for the frame M at q, a
-    length-``rank`` vector; the bracket's derivative terms use central
-    differences of the frame, all stencil points in one ``frames`` call.
+    length-``rank`` vector.  The bracket's derivative terms take the frame
+    derivative (rank, n_E, m) from ``frame_jacobian(q)`` when given (a
+    non-finite value raises NumericFailure), else from central differences
+    of the frame, all stencil points in one ``frames`` call.
     """
     memo = {}  # q bytes -> [frame, rho_E, anchor, C]
 
@@ -180,7 +203,10 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         hit = entry(q)
         if hit[3] is None:
             M, rhoE = hit[0], hit[1]
-            dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
+            if frame_jacobian is None:
+                dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
+            else:
+                dM = require_finite(frame_jacobian(q), "frame jacobian", q)
             CE = E.structure_at(q)
             anchored = M @ rhoE.T  # (rank, m): rows rho_E(e_a)
             project = projection(q, M)

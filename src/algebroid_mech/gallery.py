@@ -114,7 +114,14 @@ def _build_vertical_disk(params):
     def X2(q):
         return np.array([0.0, 0.0, 0.0, 1.0 / sJ])
 
-    D_basis = [ESection(components=X1), ESection(components=X2)]
+    def dX1(q):
+        out = np.zeros((4, 4))
+        out[0, 3] = -R * math.sin(q[3]) / s
+        out[1, 3] = R * math.cos(q[3]) / s
+        return out
+
+    dX2 = np.zeros((4, 4))
+    D_basis = [ESection(components=X1, jacobian=dX1), ESection(components=X2, jacobian=lambda q: dX2)]
     G = np.diag([m, m, I, J])
 
     def P(q, v):
@@ -178,7 +185,8 @@ def _build_vertical_disk(params):
         default_box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
         default_q0=tuple(q0),
         horizon=(0.0, 5.0),
-        extras={"constraint_algebroid": D, "force": F, "metric": MetricField.constant(G)},
+        extras={"constraint_algebroid": D, "constraint_basis": D_basis, "projector": P, "force": F,
+                "metric": MetricField.constant(G)},
     )
 
 
@@ -372,6 +380,8 @@ def _build_cylinder(params):
 
         def s1pp(x):
             W = _w(x)
+            if W == -1.0:
+                raise DomainError(f"x={x:g} at the Lambert branch point x_max: S1'' is unbounded there")
             return -m * K1 * W / (1.0 + W)
 
         s1_domain = (-math.inf, x_max)

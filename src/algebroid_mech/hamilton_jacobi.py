@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebroid import DualSection, ESection, d_oneform_eval, v_restriction
+from .algebroid import DualSection, ESection, box_bounds, d_oneform_eval, v_restriction
 from .calculus import Curve, fd_gradient, fd_jacobian, integrate_rk4, max_abs, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _pdot_rhs, integrate_hamilton, projected_field
@@ -194,7 +194,7 @@ def hj_forced_residual(sys: HamiltonianSystem, F, alpha: DualSection, q) -> np.n
 
 def grid_points(box, resolution) -> tuple:
     """Inclusive cartesian grid over the box; resolution per axis."""
-    box = [(float(lo), float(hi)) for lo, hi in box]
+    box = box_bounds(box)
     if isinstance(resolution, int):
         resolution = [resolution] * len(box)
     resolution = [int(r) for r in resolution]

@@ -127,6 +127,39 @@ class TestHJCheck:
         assert "non-finite at q=[3.5, 2.0]" in capsys.readouterr().err
 
 
+    def test_cylinder_branch_point_is_a_domain_error(self, tmp_path, capsys):
+        # x_max = 0 is a grid point; S1'' = -m K1 W / (1 + W) divided by zero there (exit 1, no report)
+        out = tmp_path / "hj.json"
+        assert run_cli(["hj-check", "cylinder_friction", "--box=-0.5:0.5,-0.3:0.7", "--resolution", "3",
+                        "--out", str(out)]) == 3
+        assert "x=0 at the Lambert branch point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_disk_reference_at_the_exact_frame_floor(self, tmp_path):
+        # the disk's frame derivative is analytic; the stencil left 3.1e-11 on this 11^4 grid
+        out = tmp_path / "hj.json"
+        assert run_cli(["hj-check", "vertical_disk", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["grid"]["points"] == 11 ** 4
+        assert report["max_norm"] <= 1e-14
+
+
+class TestBoxBounds:
+    @pytest.mark.parametrize("argv,message", [
+        (["hj-check", "riemannian_flat", "--box=nan:1,0:1", "--resolution", "3"], "box bounds must be finite, got nan:1"),
+        (["hj-check", "riemannian_flat", "--box=1:0,0:1", "--resolution", "3"],
+         "box bounds must satisfy lo < hi, got 1:0"),
+        (["cocycle-check", "riemannian_flat", "--box=-inf:1,0:1"], "box bounds must be finite, got -inf:1"),
+    ])
+    def test_usage_error_and_no_report(self, argv, message, tmp_path, capsys):
+        # these were a numeric failure with an array repr, a reversed grid,
+        # and NaN samples (exit 3) after sample_box accepted an infinite bound
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVectorArguments:
     @pytest.mark.parametrize(
         "argv,option,value",

@@ -143,6 +143,138 @@ class TestProjectorRestriction:
             projector_restriction(A, basis, P, validation_points=pts)
 
 
+def _strip(basis):
+    return [dataclasses.replace(s, jacobian=None) for s in basis]
+
+
+def _disk_kernel(disk, basis):
+    TQ = tangent_algebroid(disk.system.chart)
+    return projector_restriction(TQ, basis, disk.extras["projector"])
+
+
+def _twisted_frame():
+    """X1 = (1, 0, sin y), X2 = (0, 1, 0) on R^3 with P(q, v) = (v0, v1 + v2 - sin(y) v0),
+    the identity on D; [[X1, X2]] = -cos(y) d/dz, so C[0, 1] = (0, -cos y)."""
+    E = tangent_algebroid(Chart(dim=3, coord_names=("x", "y", "z")))
+    X1 = ESection(components=lambda q: np.array([1.0, 0.0, math.sin(q[1])]),
+                  jacobian=lambda q: np.array([[0.0] * 3, [0.0] * 3, [0.0, math.cos(q[1]), 0.0]]))
+    X2 = ESection(components=lambda q: np.array([0.0, 1.0, 0.0]), jacobian=lambda q: np.zeros((3, 3)))
+
+    def P(q, v):
+        return np.array([v[0], v[1] + v[2] - math.sin(q[1]) * v[0]])
+
+    return E, [X1, X2], P
+
+
+def _stencil_kernel_C(E, basis, P, q):
+    """C at q as the stencil kernel forms it, written out pair by pair."""
+    def frames(Q):
+        return np.array([[s(x) for s in basis] for x in Q])
+
+    M = frames(q[None])[0]
+    dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
+    CE, anchored = E.structure_at(q), M @ E.anchor_at(q).T
+    C = np.zeros((len(basis),) * 3)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            val = np.einsum("abg,a,b->g", CE, M[i], M[j])
+            C[i, j] = P(q, val + dM[j] @ anchored[i] - dM[i] @ anchored[j])
+            C[j, i] = -C[i, j]
+    return C
+
+
+class TestExactFrameDerivative:
+    def test_disk_kernel_makes_no_fd_jacobian_call(self, monkeypatch):
+        gs = instantiate("vertical_disk")
+        stripped = _disk_kernel(gs, _strip(gs.extras["constraint_basis"]))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return fd_jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "fd_jacobian", counting)
+        pts = seeded_points(4, n=20, seed=61)
+        for q in pts:
+            gs.extras["constraint_algebroid"].structure_at(q)
+            gs.system.algebroid.structure_at(q + 0.5)
+        assert calls == []
+        for q in pts:  # the same points through the stencil fallback: one stencil per new point
+            stripped.structure_at(q)
+            stripped.structure_at(q)
+        assert len(calls) == len(pts)
+
+    def test_exact_path_agrees_with_stencil_on_the_disk(self, disk):
+        exact = disk.extras["constraint_algebroid"]
+        stencil = _disk_kernel(disk, _strip(disk.extras["constraint_basis"]))
+        gap, floor = 0.0, 0.0
+        for q in seeded_points(4, n=200, lo=-4.0, hi=4.0, seed=62):
+            C = exact.structure_at(q)
+            gap = max(gap, float(np.max(np.abs(C - stencil.structure_at(q)))))
+            floor = max(floor, float(np.max(np.abs(C))))
+            assert np.array_equal(exact.anchor_at(q), stencil.anchor_at(q))
+        assert gap <= 1e-9
+        assert floor <= 1e-15  # the disk's D bracket projects to exactly zero
+
+    def test_exact_path_agrees_with_stencil_on_a_twisted_frame(self):
+        E, basis, P = _twisted_frame()
+        exact = projector_restriction(E, basis, P)
+        stencil = projector_restriction(E, _strip(basis), P)
+        gap = 0.0
+        for q in seeded_points(3, n=200, lo=-4.0, hi=4.0, seed=63):
+            C = exact.structure_at(q)
+            assert np.max(np.abs(C[0, 1] - [0.0, -math.cos(q[1])])) <= 1e-15
+            gap = max(gap, float(np.max(np.abs(C - stencil.structure_at(q)))))
+        assert 0.0 < gap <= 1e-9
+
+    @pytest.mark.parametrize("case", ["disk", "twisted"])
+    def test_jacobian_less_basis_keeps_the_stencil_bits(self, case, disk):
+        if case == "disk":
+            E, basis, P = tangent_algebroid(disk.system.chart), disk.extras["constraint_basis"], disk.extras["projector"]
+        else:
+            E, basis, P = _twisted_frame()
+        A = projector_restriction(E, _strip(basis), P)
+        for q in seeded_points(E.chart.dim, n=32, lo=-4.0, hi=4.0, seed=64):
+            assert np.array_equal(A.structure_at(q), _stencil_kernel_C(E, _strip(basis), P, q))
+
+    def test_wrong_jacobian_rejected(self, disk):
+        X1, X2 = disk.extras["constraint_basis"]
+        flipped = dataclasses.replace(X1, jacobian=lambda q: -X1.jacobian(q))
+        with pytest.raises(ConstructionError, match="section jacobians disagree with finite differences"):
+            _disk_kernel(disk, [flipped, X2])
+
+    def test_jacobian_nan_at_a_later_validation_point_raises(self, disk):
+        X1, X2 = disk.extras["constraint_basis"]
+        pts = seeded_points(4, n=8, seed=65)
+
+        def jac(q):
+            return np.full((4, 4), np.nan) if np.array_equal(q, pts[-1]) else X2.jacobian(q)
+
+        TQ = tangent_algebroid(disk.system.chart)
+        expect = f"jacobian of D_1(q)[0, 0] non-finite at q={list(map(float, pts[-1]))}"
+        with pytest.raises(NumericFailure, match=re.escape(expect)):
+            projector_restriction(TQ, [X1, dataclasses.replace(X2, jacobian=jac)], disk.extras["projector"],
+                                  validation_points=pts)
+
+    def test_jacobian_wrong_shape_rejected(self, disk):
+        X1, X2 = disk.extras["constraint_basis"]
+        wrong = [dataclasses.replace(s, jacobian=lambda q: np.zeros((4, 1))) for s in (X1, X2)]
+        with pytest.raises(ValueError, match=re.escape("section jacobians must have shape (4, 4), got (4, 1)")):
+            _disk_kernel(disk, wrong)
+
+    def test_jacobian_nan_after_construction_raises_in_the_kernel(self, disk):
+        X1, X2 = disk.extras["constraint_basis"]
+        bad = np.array([0.1, 0.2, 0.3, 5.0])  # outside the validation box
+
+        def jac(q):
+            return np.full((4, 4), np.nan) if np.array_equal(q, bad) else X1.jacobian(q)
+
+        D = _disk_kernel(disk, [dataclasses.replace(X1, jacobian=jac), X2])
+        D.anchor_at(bad)  # the anchor needs no derivative
+        with pytest.raises(NumericFailure, match=re.escape(f"frame jacobian non-finite at q={list(map(float, bad))}")):
+            D.structure_at(bad)
+
+
 class TestAffineConstraints:
     def test_ball_displayed_structure(self, ball):
         A = ball.system.algebroid

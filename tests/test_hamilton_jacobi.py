@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from algebroid_mech import (
     verify_lift,
     zeta_eval,
 )
+from algebroid_mech.algebroid import sample_box
 from algebroid_mech.hamilton import HamiltonianSystem
 from algebroid_mech.hamilton_jacobi import grid_points
 
@@ -324,6 +327,20 @@ class TestGrid:
             grid_points([(-1, 1)], 1)
         with pytest.raises(ValueError):
             grid_points([(-1, 1), (-1, 1)], [3])
+
+    @pytest.mark.parametrize("box,message", [
+        ([(-1, 1), (float("nan"), 1)], "box bounds must be finite, got nan:1"),
+        ([(-1, float("inf"))], "box bounds must be finite, got -1:inf"),
+        ([(1, -1)], "box bounds must satisfy lo < hi, got 1:-1"),
+        ([(0.5, 0.5)], "box bounds must satisfy lo < hi, got 0.5:0.5"),
+        ([], "box must be non-empty"),
+    ])
+    def test_box_bounds_validated(self, box, message):
+        # grid_points and sample_box share one validator
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid_points(box, 3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_box(box, 4, 0)
 
     def test_nan_residual_at_a_later_point_raises(self, time_dependent):
         # Python's max() keeps a NaN only when it comes first; put it last
