@@ -3,7 +3,10 @@ source trees and write wall times, output hashes and accuracy numbers to
 JSON.
 
 The commands are the nine in README.md's CLI section, then the disk's
-default ``hj-check`` and a 5 s ``lift-verify``, then the sampled
+default ``hj-check`` and a 5 s ``lift-verify``, then ``simulate`` and
+``dissipation`` of the four systems built without a constraint kernel at
+their default horizons (three_body_drag from its ``dS`` section, as it has
+no reference section), then the sampled
 checks at the benchmark's ``point_checks`` sizes: every gallery system's
 adapted-frame cocycle and the ball's kernel section at 16 samples, and
 the four morphism checks at 8.  Each run is a fresh interpreter, so the
@@ -11,7 +14,7 @@ constructed algebroids start with empty memos.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.
 
-    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_7.json
+    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_8.json
 
 ``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
 includes interpreter start-up and the package import.  The SHA-256 of
@@ -56,6 +59,11 @@ ACCURACY = (
     ["hj-check", "vertical_disk"],
     ["lift-verify", "vertical_disk", "--t1", "5", "--dt", "1e-2"],
 )
+# the systems of the benchmark's ``trajectories`` workload
+TRAJECTORY_SECTIONS = {"time_dependent_free": "reference", "riemannian_flat": "reference",
+                       "cylinder_friction": "reference", "three_body_drag": "dS"}
+TRAJECTORIES = tuple([kind, g, "--section", section] for g, section in TRAJECTORY_SECTIONS.items()
+                     for kind in ("simulate", "dissipation"))
 
 CHILD = """
 import json, sys, time
@@ -68,7 +76,7 @@ print(json.dumps({"exit": code, "run_s": time.perf_counter() - t}))
 
 def commands(seed: int) -> list:
     s = str(seed)
-    cmds = [list(argv) for argv in README + ACCURACY]
+    cmds = [list(argv) for argv in README + ACCURACY + TRAJECTORIES]
     cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])

@@ -332,7 +332,8 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
     """Ranks of the bracket-generated flag of the anchor distribution at q.
 
     Depth 1 spans the anchor columns; each further depth adds numerically
-    evaluated Lie brackets of the generators with the previous level.
+    evaluated Lie brackets of the generators with the previous level.  A
+    non-finite field value raises NumericFailure naming the depth and q.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -358,6 +359,7 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
     all_fields = list(generators)
     for depth in range(1, max_depth + 1):
         M = np.column_stack([f(q) for f in all_fields]) if all_fields else np.zeros((m, 0))
+        max_abs(M, f"flag depth {depth} field matrix[{{}}, {{}}]", q)
         ranks.append(_svd_rank(M))
         if depth == max_depth or ranks[-1] >= m:
             # pad once full rank is reached; deeper levels cannot shrink

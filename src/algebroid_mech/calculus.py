@@ -19,6 +19,10 @@ from .errors import NumericFailure
 # against roundoff for double precision.
 FD_SCALE = 1e-6
 
+# The most steps one integrate_rk4 call may take; a longer run is a usage
+# error raised before the first right-hand-side evaluation.
+RK4_STEP_CAP = 1_000_000
+
 
 def fd_step(q: np.ndarray, scale: float = FD_SCALE) -> np.ndarray:
     q = np.asarray(q, dtype=float)
@@ -138,7 +142,7 @@ def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
 
 def require_finite(value, what: str, q):
     """``value`` if all of it is finite, else NumericFailure naming ``what`` and q."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericFailure(f"{what} non-finite at q={list(map(float, q))}")
     return value
 
@@ -194,9 +198,9 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
     """Classical fixed-step RK4 from t0 to t1.
 
     Samples at t0, t0+dt, ...; the final step is shortened to land exactly
-    on t1.  Raises ValueError for a non-finite t0, t1, dt or step count,
-    and NumericFailure (with the last good time) if the state goes
-    non-finite.
+    on t1.  Raises ValueError for a non-finite t0, t1, dt or step count or
+    for more than RK4_STEP_CAP steps, and NumericFailure (with the last
+    good time) if the state goes non-finite.
     """
     if not np.all(np.isfinite([t0, t1, dt])):
         raise ValueError("t0, t1 and dt must be finite")
@@ -205,7 +209,7 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     x = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericFailure("initial state non-finite", last_good_time=None)
 
     span = t1 - t0
@@ -217,6 +221,8 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
         last_partial = 0.0
 
     n_steps = n_full + (1 if last_partial else 0)
+    if n_steps > RK4_STEP_CAP:
+        raise ValueError(f"{n_steps} RK4 steps exceed the cap {RK4_STEP_CAP}")
     times = [t0]
     states = [x.copy()]
     t = t0
@@ -228,7 +234,7 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
         k4 = np.asarray(rhs(t + step, x + step * k3), dtype=float)
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t1 if k + 1 == n_steps else t0 + (k + 1) * dt
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericFailure(
                 f"state went non-finite at t={t:g}", last_good_time=times[-1]
             )

@@ -12,6 +12,7 @@ with the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -143,8 +144,7 @@ def _cmd_dissipation(args):
     curve = integrate_hamilton(sys_, _initial_state(gs, args), *_horizon(gs, args), args.dt)
     rows = []
     for t, state in zip(curve.times, curve.points):
-        pt = sys_.phase_point(state)
-        rows.append((t, sys_.h_value(pt.q, pt.p), dissipation_rate(sys_, pt)))
+        rows.append((t, sys_.H(state), dissipation_rate(sys_, state)))
     _write(args.out, table_csv(["t", "H", "rate"], rows))
     return EXIT_OK
 
@@ -253,7 +253,9 @@ def _add_system_arg(parser):
                         help="angular-velocity law for the rolling ball")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="algebroid-mech",
         description="Simulate and verify Hamiltonian dynamics on skew-symmetric algebroids.",

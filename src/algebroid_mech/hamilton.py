@@ -67,18 +67,15 @@ class HamiltonianSystem:
     def n_momenta(self) -> int:
         return self.algebroid.rank - 1
 
-    def split_state(self, x: np.ndarray):
-        m = self.chart.dim
-        x = np.asarray(x, dtype=float)
-        return x[:m], x[m:]
-
-    def phase_point(self, x) -> PhasePoint:
+    def reduced_state(self, x) -> np.ndarray:
+        """The reduced state (q, p) as one float vector; x is such a vector
+        or a PhasePoint.  A wrong length raises ValueError."""
         if isinstance(x, PhasePoint):
-            return x
-        q, p = self.split_state(x)
-        if len(p) != self.n_momenta:
+            x = x.reduced_coords()
+        x = np.asarray(x, dtype=float)
+        if len(x) != self.chart.dim + self.n_momenta:
             raise ValueError("state length does not match the system")
-        return PhasePoint(q=q, p=p)
+        return x
 
     def h_value(self, q, p) -> float:
         return self.H(np.concatenate([np.asarray(q, dtype=float), np.asarray(p, dtype=float)]))
@@ -145,15 +142,15 @@ def _bracket_at(A: SkewAlgebroid, xf: np.ndarray):
     return bracket
 
 
-def _pdot_rhs(sys: HamiltonianSystem, q, p, dHq=None, dHp=None) -> np.ndarray:
+def _pdot_rhs(sys: HamiltonianSystem, q, p, dHq, dHp, rho) -> np.ndarray:
     """Right-hand side of the momentum equations at (q, p):
 
         dp_b/dt = -rho_b^i dH/dq^i + (C_{0b}^c + C_{ab}^c dH/dp_a) p_c
+
+    The caller supplies dH/dq, dH/dp and the anchor rho at q, so a state
+    reads each of them once; only C is read here.
     """
     A = sys.algebroid
-    if dHq is None or dHp is None:
-        dHq, dHp = sys.h_partials(q, p)
-    rho = A.anchor_at(q)
     C = A.structure_at(q)
     n = A.rank
     # weights w_alpha against the full frame: w_0 = 1, w_a = dH/dp_a
@@ -165,25 +162,33 @@ def _pdot_rhs(sys: HamiltonianSystem, q, p, dHq=None, dHp=None) -> np.ndarray:
     return -(rho[:, 1:].T @ dHq) + coeff @ p
 
 
+def _state_partials(sys: HamiltonianSystem, x):
+    """q, p, dH/dq and dH/dp at the reduced state x (views of x and of one
+    gradient of H taken at x itself)."""
+    x = sys.reduced_state(x)
+    m = sys.chart.dim
+    g = fd_gradient(sys.H, x)
+    return x[:m], x[m:], g[:m], g[m:]
+
+
 def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
     """Rates (dq/dt, dp/dt) of the Hamilton equations at the state x.
 
+    x is the reduced state (q, p) or a PhasePoint.  One call takes one
+    gradient of H, reads the anchor once and C once (in ``_pdot_rhs``).
     Explicit time enters only through chart coordinates, so t is unused
     here; it is kept for integrator compatibility.
     """
-    pt = sys.phase_point(x)
-    dHq, dHp = sys.h_partials(pt.q, pt.p)
-    rho = sys.algebroid.anchor_at(pt.q)
+    q, p, dHq, dHp = _state_partials(sys, x)
+    rho = sys.algebroid.anchor_at(q)
     qdot = rho[:, 0] + rho[:, 1:] @ dHp
-    pdot = _pdot_rhs(sys, pt.q, pt.p, dHq, dHp)
+    pdot = _pdot_rhs(sys, q, p, dHq, dHp, rho)
     return np.concatenate([qdot, pdot])
 
 
 def integrate_hamilton(sys: HamiltonianSystem, x0, t0: float, t1: float, dt: float) -> Curve:
     """Integrate the Hamilton equations with RK4; states are (q, p) rows."""
-    pt = sys.phase_point(x0) if not isinstance(x0, PhasePoint) else x0
-    state0 = pt.reduced_coords()
-    return integrate_rk4(lambda t, x: hamilton_rhs(sys, t, x), state0, t0, t1, dt)
+    return integrate_rk4(lambda t, x: hamilton_rhs(sys, t, x), sys.reduced_state(x0), t0, t1, dt)
 
 
 def dissipation_rate(sys: HamiltonianSystem, x) -> float:
@@ -194,14 +199,13 @@ def dissipation_rate(sys: HamiltonianSystem, x) -> float:
     Vanishes when the cocycle direction is anchored to zero and does not
     bracket into the kernel (conservative case).
     """
-    pt = sys.phase_point(x)
-    dHq, dHp = sys.h_partials(pt.q, pt.p)
+    q, p, dHq, dHp = _state_partials(sys, x)
     A = sys.algebroid
-    rho = A.anchor_at(pt.q)
-    C = A.structure_at(pt.q)
+    rho = A.anchor_at(q)
+    C = A.structure_at(q)
     val = float(rho[:, 0] @ dHq)
     for b in range(1, A.rank):
-        val += float(C[0, b, 1:] @ pt.p) * dHp[b - 1]
+        val += float(C[0, b, 1:] @ p) * dHp[b - 1]
     return val
 
 

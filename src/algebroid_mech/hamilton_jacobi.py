@@ -119,7 +119,8 @@ def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     p = alpha(q)
     R = projected_field(sys, alpha, q)
     J = alpha.jac(q)  # (n-1, m)
-    return J @ R - _pdot_rhs(sys, q, p)
+    dHq, dHp = sys.h_partials(q, p)
+    return J @ R - _pdot_rhs(sys, q, p, dHq, dHp, sys.algebroid.anchor_at(q))
 
 
 def hj_residual_dual(sys: HamiltonianSystem, beta: DualSection, q) -> np.ndarray:

@@ -350,6 +350,13 @@ class TestFlagRank:
         with pytest.raises(ValueError):
             flag_rank(disk.extras["constraint_algebroid"], np.zeros(4), 0)
 
+    def test_non_finite_level_names_depth_and_point(self):
+        # the SVD used to fail with numpy's "SVD did not converge" (a ValueError)
+        chart = Chart(dim=2, coord_names=("a", "b"))
+        A = SkewAlgebroid(chart=chart, rank=1, anchor=lambda q: np.array([[1.0], [q[0] * math.nan]]))
+        with pytest.raises(NumericFailure, match=re.escape("flag depth 1 field matrix[1, 0] non-finite at q=[0.1, 0.2]")):
+            flag_rank(A, np.array([0.1, 0.2]), 3)
+
 
 class TestAlgebroidModel:
     def test_adapted_validation_passes(self, adapted_algebroid):

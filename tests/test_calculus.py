@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from algebroid_mech import Chart, Curve, NumericFailure, ScalarField, fd_gradient, integrate_rk4
-from algebroid_mech.calculus import check_gradient, fd_jacobian
+from algebroid_mech import calculus
+from algebroid_mech.calculus import RK4_STEP_CAP, check_gradient, fd_jacobian
 
 from conftest import seeded_points
 
@@ -168,3 +169,21 @@ class TestRK4:
                       (0.0, 1e300, 1e-10)]:
             with pytest.raises(ValueError, match="must be finite"):
                 integrate_rk4(lambda t, x: x, np.array([1.0]), *times)
+
+    def test_step_cap_raises_before_any_rhs_call(self):
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            return x
+
+        with pytest.raises(ValueError, match=f"^{10 * RK4_STEP_CAP} RK4 steps exceed the cap {RK4_STEP_CAP}$"):
+            integrate_rk4(rhs, np.array([1.0]), 0.0, 10.0, 1e-6)
+        assert calls == []
+
+    def test_step_cap_admits_exactly_the_cap(self, monkeypatch):
+        # a lowered cap, so the boundary is checked without a long run
+        monkeypatch.setattr(calculus, "RK4_STEP_CAP", 10)
+        assert len(integrate_rk4(lambda t, x: x, np.array([1.0]), 0.0, 1.0, 0.1)) == 11
+        with pytest.raises(ValueError, match="^11 RK4 steps exceed the cap 10$"):
+            integrate_rk4(lambda t, x: x, np.array([1.0]), 0.0, 1.05, 0.1)

@@ -228,6 +228,14 @@ class TestFlagRank:
     def test_wrong_point_dim(self):
         assert run_cli(["flag-rank", "vertical_disk", "--point", "0,0"]) == 2
 
+    def test_non_finite_point_is_numeric_failure(self, tmp_path, capsys):
+        # used to exit 2 with numpy's "SVD did not converge", naming no point
+        out = tmp_path / "flag.json"
+        assert run_cli(["flag-rank", "vertical_disk", "--point=nan,0,0,0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "flag depth 2" in err and "non-finite at q=[nan, 0.0, 0.0, 0.0]" in err
+        assert not out.exists()
+
 
 class TestMorphismCheck:
     def test_identity_passes(self, tmp_path):
@@ -287,6 +295,34 @@ class TestNonFiniteArguments:
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestStepCap:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "time_dependent_free", "--t1", "1e9", "--dt", "1e-3"],
+        ["dissipation", "cylinder_friction", "--t1", "1e9"],
+        ["lift-verify", "time_dependent_free", "--t1", "1e4", "--dt", "1e-3"],
+    ])
+    def test_over_the_cap_is_usage_error_and_no_report(self, argv, tmp_path, capsys):
+        # 10^12 steps used to be accepted and ran until killed, writing nothing
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert "RK4 steps exceed the cap 1000000" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParserCache:
+    def test_usage_error_then_valid_command(self, tmp_path):
+        argv = ["simulate", "cylinder_friction", "--t1", "0.1", "--dt", "1e-2", "--format", "json"]
+        cli.build_parser.cache_clear()
+        assert run_cli(["simulate", "cylinder_friction", "--dt", "abc"]) == 2
+        after = tmp_path / "after.json"
+        assert run_cli(argv + ["--out", str(after)]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        cli.build_parser.cache_clear()
+        fresh = tmp_path / "fresh.json"
+        assert run_cli(argv + ["--out", str(fresh)]) == 0
+        assert after.read_bytes() == fresh.read_bytes()
 
 
 class TestDissipation:

@@ -8,10 +8,13 @@ from algebroid_mech import (
     HamiltonianSystem,
     PhasePoint,
     ScalarField,
+    SkewAlgebroid,
     dissipation_rate,
     f_h_eval,
     force_extension,
+    hamilton,
     hamilton_rhs,
+    instantiate,
     integrate_hamilton,
     poisson_bracket_eval,
     projected_field,
@@ -123,6 +126,64 @@ class TestFh:
         sys_ = free_system(2)
         with pytest.raises(ValueError):
             f_h_eval(sys_, PhasePoint(q=np.zeros(2), p=np.zeros(2)))
+
+
+class TestRhsReads:
+    """One hamilton_rhs call reads dH, the anchor and C once per state."""
+
+    @staticmethod
+    def _count_reads(monkeypatch, sys_, x):
+        counts = {"anchor_at": 0, "structure_at": 0, "grad H": 0}
+        depth = {"anchor_at": 0, "structure_at": 0}
+        for name in depth:
+            original = getattr(SkewAlgebroid, name)
+
+            def counting(self, q, name=name, original=original):
+                # a force extension's read re-enters for its base; count the outermost
+                counts[name] += depth[name] == 0
+                depth[name] += 1
+                try:
+                    return original(self, q)
+                finally:
+                    depth[name] -= 1
+
+            monkeypatch.setattr(SkewAlgebroid, name, counting)
+        gradient = hamilton.fd_gradient
+
+        def counting_gradient(f, *args, **kwargs):
+            counts["grad H"] += f is sys_.H
+            return gradient(f, *args, **kwargs)
+
+        monkeypatch.setattr(hamilton, "fd_gradient", counting_gradient)
+        rate = hamilton_rhs(sys_, 0.0, x)
+        monkeypatch.undo()
+        return counts, rate
+
+    @pytest.mark.parametrize("system", ["cylinder_friction", "vertical_disk"])
+    def test_one_read_of_each_object(self, system, monkeypatch):
+        gs = instantiate(system)
+        sys_ = gs.system
+        q0 = np.array(gs.default_q0)
+        x = np.concatenate([q0, gs.reference_sections["reference"](q0)])
+        counts, rate = self._count_reads(monkeypatch, sys_, x)
+        assert counts == {"anchor_at": 1, "structure_at": 1, "grad H": 1}
+        assert np.array_equal(rate, hamilton_rhs(sys_, 0.0, x))
+
+    def test_wrong_length_state_raises(self, cylinder):
+        sys_ = cylinder.system
+        n = sys_.chart.dim + sys_.n_momenta
+        for bad in (np.zeros(n - 1), np.zeros(n + 1)):
+            with pytest.raises(ValueError, match="state length does not match the system"):
+                hamilton_rhs(sys_, 0.0, bad)
+
+    @pytest.mark.parametrize("system", ["cylinder_friction", "vertical_disk", "rolling_ball"])
+    def test_phase_point_gives_the_array_bits(self, system):
+        sys_ = instantiate(system).system
+        m = sys_.chart.dim
+        for x in seeded_points(m + sys_.n_momenta, n=8, seed=17):
+            want = hamilton_rhs(sys_, 0.0, x).tobytes()
+            assert hamilton_rhs(sys_, 0.0, PhasePoint(q=x[:m], p=x[m:])).tobytes() == want
+            assert hamilton_rhs(sys_, 0.0, PhasePoint(q=x[:m], p=x[m:], p0=0.5)).tobytes() == want
 
 
 class TestHamiltonRhs:
@@ -239,7 +300,7 @@ class TestIntegration:
         sys_ = cylinder.system
         dt = 1e-3
         c = integrate_hamilton(sys_, np.array([-0.8, 0.5, 0.3, -0.6]), 0.0, 0.2, dt)
-        H_t = np.array([sys_.h_value(*sys_.split_state(x)) for x in c.points])
+        H_t = np.array([sys_.H(x) for x in c.points])
         worst = 0.0
         for i in range(2, len(c) - 2, 5):
             dH = (H_t[i - 2] - 8 * H_t[i - 1] + 8 * H_t[i + 1] - H_t[i + 2]) / (12 * dt)
