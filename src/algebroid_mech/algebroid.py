@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import Chart, fd_gradient, fd_jacobian, max_abs
-from .errors import ConstructionError
+from .errors import ConstructionError, NumericFailure
 
 # Relative singular-value threshold for numeric rank decisions.
 RANK_RTOL = 1e-8
@@ -333,7 +333,7 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
 
     Depth 1 spans the anchor columns; each further depth adds numerically
     evaluated Lie brackets of the generators with the previous level.  A
-    non-finite field value raises NumericFailure naming the depth and q.
+    non-finite field value or point raises NumericFailure naming the depth and q.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -358,7 +358,10 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
     level = list(generators)
     all_fields = list(generators)
     for depth in range(1, max_depth + 1):
-        M = np.column_stack([f(q) for f in all_fields]) if all_fields else np.zeros((m, 0))
+        try:
+            M = np.column_stack([f(q) for f in all_fields]) if all_fields else np.zeros((m, 0))
+        except NumericFailure as exc:  # a Lie bracket's stencil, e.g. at a non-finite q
+            raise NumericFailure(f"flag depth {depth}: {exc}") from None
         max_abs(M, f"flag depth {depth} field matrix[{{}}, {{}}]", q)
         ranks.append(_svd_rank(M))
         if depth == max_depth or ranks[-1] >= m:

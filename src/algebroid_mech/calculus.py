@@ -93,12 +93,14 @@ def fd_gradient(f, q, h=None) -> np.ndarray:
 
     Uses the analytic gradient when the field carries one; otherwise
     central differences with step ``h`` (scalar or per-component), default
-    FD_SCALE * max(1, |q_i|).  Raises NumericFailure on non-finite values.
+    FD_SCALE * max(1, |q_i|).  Raises NumericFailure on a non-finite value,
+    or on a non-finite q when differencing.
     """
     q = np.asarray(q, dtype=float)
     if isinstance(f, ScalarField) and f.grad is not None:
         return require_finite(np.asarray(f.grad(q), dtype=float), "analytic gradient", q)
     fn = f.eval if isinstance(f, ScalarField) else f
+    require_finite(q, "finite-difference base point", q)
     if h is None:
         steps = fd_step(q)
     else:
@@ -112,7 +114,7 @@ def fd_gradient(f, q, h=None) -> np.ndarray:
         fp = float(fn(qp))
         fm = float(fn(qm))
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericFailure(f"field evaluation non-finite near q={q!r}")
+            raise NumericFailure(f"field evaluation non-finite near q={list(map(float, q))}")
         grad[i] = (fp - fm) / (2.0 * steps[i])
     return grad
 
@@ -123,8 +125,10 @@ def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
     ``fn`` is called on each of the 2m stencil points q + h_i e_i, then
     q - h_i e_i; with ``stacked=True`` it gets them all as one (2m, m)
     array and returns the 2m values stacked.  Both give the same bits.
+    Raises NumericFailure on a non-finite q or value.
     """
     q = np.asarray(q, dtype=float)
+    require_finite(q, "finite-difference base point", q)
     if h is None:
         steps = fd_step(q)
     else:
@@ -136,7 +140,7 @@ def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
     stencil[m + idx, idx] -= steps
     vals = np.asarray(fn(stencil) if stacked else [fn(x) for x in stencil], dtype=float).reshape(2 * m, -1)
     if not np.all(np.isfinite(vals)):
-        raise NumericFailure(f"function evaluation non-finite near q={q!r}")
+        raise NumericFailure(f"function evaluation non-finite near q={list(map(float, q))}")
     return ((vals[:m] - vals[m:]) / (2.0 * steps)[:, None]).T
 
 

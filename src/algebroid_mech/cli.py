@@ -67,6 +67,8 @@ def _box(gs, args):
         if not sep:
             raise ValueError(f"box axis must be lo:hi, got {axis!r}")
         box.append((float(lo), float(hi)))
+    if len(box) != gs.system.chart.dim:
+        raise ValueError(f"--box needs {gs.system.chart.dim} axes for {gs.id}")
     return tuple(box)
 
 

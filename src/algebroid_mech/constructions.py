@@ -18,9 +18,11 @@ the force rows, and the restricted and affine algebroids share one kernel
 needs only the frame; its C, computed on first request, adds the frame's
 derivative: analytic when every basis section of a projector restriction
 carries a jacobian, else from one stacked finite-difference stencil (so
-always for the affine constraints, whose frame is orthonormalized per
-point).  Values are memoized per point, keyed by the exact coordinates,
-so a repeat visit reuses them and a neighbouring point never does.
+always for the affine constraints).  Values are memoized per point, keyed
+by the exact coordinates, so a repeat visit reuses them and a neighbouring
+point never does.  The affine constraints run Gram-Schmidt only on a metric
+and basis whose bytes differ from the last uniform stack's, so a constant
+metric and basis (the rolling ball) are orthonormalized once.
 """
 
 from __future__ import annotations
@@ -273,6 +275,11 @@ def affine_constraints(
     subbundle, with frame {(1, X0), (0, ebar_a)} for a pointwise
     G-orthonormal frame ebar of U, and the Hamiltonian
     H = (1/2) sum p_a^2 + V in that frame.
+
+    The rows of ebar depend only on G(q) and the U basis at q.  When every
+    point of a stack has the exact bytes of one metric and one basis, and
+    those equal the last such stack's, the stack reuses its rows; otherwise
+    (a q-dependent metric or basis) the stack is orthonormalized per call.
     """
     r = len(U_basis)
     if r < 1:
@@ -281,12 +288,22 @@ def affine_constraints(
     if validation_points is None:
         validation_points = sample_box([(-1.0, 1.0)] * m, samples=8, seed=0)
 
+    cached = (None, None)  # (exact bytes of one metric and one basis, their orthonormal rows)
+
     def frames(Q):
         """Rows: X0 then the orthonormalized U frame, in E components."""
+        nonlocal cached
         Gq = np.array([G.at(q) for q in Q])
         B = np.array([[s(q) for s in U_basis] for q in Q])
         X = np.array([X0(q) for q in Q])
-        return np.concatenate([X[:, None, :], _gram_schmidt(Gq, B) @ B], axis=1)  # (K, r+1, nE)
+        cached_key, rows = cached  # one read: another thread replaces the whole pair
+        key = (Gq[0].tobytes(), B[0].tobytes())
+        uniform = Gq.tobytes() == key[0] * len(Q) and B.tobytes() == key[1] * len(Q)
+        if not (uniform and key == cached_key):
+            rows = _gram_schmidt(Gq, B) @ B
+            if uniform:
+                cached = (key, rows[0])
+        return np.concatenate([X[:, None, :], np.broadcast_to(rows, B.shape)], axis=1)  # (K, r+1, nE)
 
     def projection(q, M):
         # G(ebar_a, .) for the orthonormal rows; the drift row has none

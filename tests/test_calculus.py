@@ -61,6 +61,16 @@ class TestFdGradient:
         with pytest.raises(NumericFailure):
             fd_gradient(lambda q: float("inf"), np.array([0.0]))
 
+    @pytest.mark.parametrize("q,finite", [([math.nan, 0.0], 1), ([0.0, -math.inf], 0)], ids=["nan", "-inf"])
+    def test_non_finite_point_raises(self, q, finite):
+        # a function that ignores the bad coordinate used to give a NaN entry
+        with pytest.raises(NumericFailure, match=re.escape(f"finite-difference base point non-finite at q={q}")):
+            fd_gradient(lambda x: float(x[finite]), np.array(q))
+
+    def test_non_finite_value_names_q_as_a_list(self):
+        with pytest.raises(NumericFailure, match=re.escape("field evaluation non-finite near q=[0.5, 2.0]")):
+            fd_gradient(lambda x: math.inf, np.array([0.5, 2.0]))
+
     def test_check_gradient_flags_mismatch(self):
         bad = ScalarField(eval=lambda q: float(q[0] ** 2), grad=lambda q: np.array([1.0]))
         with pytest.raises(ValueError):
@@ -100,6 +110,19 @@ def test_fd_jacobian_matches_hand_value():
             pointwise = fd_jacobian(g, x, h=h)
             stacked = fd_jacobian(lambda Q: np.stack([g(y) for y in Q]), x, h=h, stacked=True)
             assert np.array_equal(stacked, pointwise)
+
+
+class TestFdJacobianNonFinite:
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_point_raises(self, stacked):
+        # column 0 used to come back NaN from a function that ignores x[0]
+        fn = (lambda Q: Q[:, 1:]) if stacked else (lambda x: x[1:])
+        with pytest.raises(NumericFailure, match=re.escape("finite-difference base point non-finite at q=[nan, 0.0]")):
+            fd_jacobian(fn, np.array([math.nan, 0.0]), stacked=stacked)
+
+    def test_non_finite_value_names_q_as_a_list(self):
+        with pytest.raises(NumericFailure, match=re.escape("function evaluation non-finite near q=[0.5, 2.0]")):
+            fd_jacobian(lambda x: np.array([math.inf]), np.array([0.5, 2.0]))
 
 
 class TestCurve:

@@ -160,6 +160,20 @@ class TestBoxBounds:
         assert not out.exists()
 
 
+class TestBoxAxes:
+    @pytest.mark.parametrize("command", [["hj-check", "--resolution", "3"], ["cocycle-check", "--samples", "2"],
+                                         ["morphism-check", "--samples", "2"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("system,box,dim", [("rolling_ball", "0:1,0:1", 3), ("riemannian_flat", "0:1,0:1,0:1", 2)],
+                             ids=["short", "long"])
+    def test_wrong_axis_count_is_usage_error(self, command, system, box, dim, tmp_path, capsys):
+        # a short box used to die with an IndexError (exit 1) and a long one
+        # with numpy's unpack or matmul message
+        out = tmp_path / "out"
+        assert run_cli([command[0], system, *command[1:], f"--box={box}", "--out", str(out)]) == 2
+        assert f"--box needs {dim} axes for {system}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVectorArguments:
     @pytest.mark.parametrize(
         "argv,option,value",
@@ -234,6 +248,16 @@ class TestFlagRank:
         assert run_cli(["flag-rank", "vertical_disk", "--point=nan,0,0,0", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "flag depth 2" in err and "non-finite at q=[nan, 0.0, 0.0, 0.0]" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_point_names_it_as_a_list(self, tmp_path, capsys):
+        # the Lie brackets' stencil used to subtract inf - inf with a numpy
+        # warning and name q=array([...])
+        out = tmp_path / "flag.json"
+        assert run_cli(["flag-rank", "vertical_disk", "--point=0,0,inf,0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "flag depth 2: finite-difference base point non-finite at q=[0.0, 0.0, inf, 0.0]" in err
         assert not out.exists()
 
 

@@ -28,9 +28,10 @@ from algebroid_mech import (
     projector_restriction,
     tangent_algebroid,
 )
-from algebroid_mech import constructions
+from algebroid_mech import cli, constructions, gallery
 from algebroid_mech.algebroid import sample_box
 from algebroid_mech.calculus import Chart, fd_jacobian
+from algebroid_mech.hamilton_jacobi import verify_lift
 
 from conftest import lie_tangent, nan_structure_at, seeded_points, smooth_field
 
@@ -362,6 +363,43 @@ class TestAffineConstraints:
         assert worst < 1e-6
 
 
+def affine_kernel(monkeypatch, build):
+    """Run ``build`` and return its result, the last affine_constraints
+    call's (G, U_basis, X0) and the ``frames`` callable of its kernel."""
+    args, seen = [], []
+    real_affine, real_kernel = gallery.affine_constraints, constructions._bracket_then_project
+
+    def spy_affine(E, G, U_basis, X0, **kw):
+        args.append((G, U_basis, X0))
+        return real_affine(E, G, U_basis, X0, **kw)
+
+    def spy_kernel(E, frames, *a, **kw):
+        seen.append(frames)
+        return real_kernel(E, frames, *a, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gallery, "affine_constraints", spy_affine)
+        patch.setattr(constructions, "_bracket_then_project", spy_kernel)
+        out = build()
+    return out, (args[-1] if args else None), seen[-1]
+
+
+def stacked_frames(G, U_basis, X0, Q):
+    """The affine frame of a stack, orthonormalized point by point in one call."""
+    Gq = np.array([G.at(q) for q in Q])
+    B = np.array([[s(q) for s in U_basis] for q in Q])
+    X = np.array([X0(q) for q in Q])
+    return np.concatenate([X[:, None, :], constructions._gram_schmidt(Gq, B) @ B], axis=1)
+
+
+def count_gram_schmidt(monkeypatch):
+    """Patch constructions._gram_schmidt to record the stack size of each call."""
+    calls = []
+    real = constructions._gram_schmidt
+    monkeypatch.setattr(constructions, "_gram_schmidt", lambda Gq, B: calls.append(len(B)) or real(Gq, B))
+    return calls
+
+
 class TestKernel:
     @pytest.mark.parametrize(
         "system,omega",
@@ -399,7 +437,7 @@ class TestKernel:
             A.anchor_at(x)
         assert len(calls) == 4
 
-    def test_affine_frames_that_vary_with_q(self):
+    def test_affine_frames_that_vary_with_q(self, monkeypatch):
         # metric, U basis and drift all depend on q; compare with the frame
         # built one point at a time and differentiated pointwise
         E = tangent_algebroid(Chart(dim=3, coord_names=("a", "b", "c")))
@@ -426,8 +464,13 @@ class TestKernel:
             return np.vstack([X0(q), gram_schmidt_at(G, U, q) @ B])
 
         worst = 0.0
+        calls = count_gram_schmidt(monkeypatch)
         for q in seeded_points(3, n=8, seed=31):
+            calls.clear()
             C = A.structure_at(q)
+            # a q-dependent metric and basis are orthonormalized at every new
+            # point: once for the point, once for its 6-point stencil
+            assert calls == [1, 6]
             M = frame(q)
             dM = fd_jacobian(lambda x: frame(x).ravel(), q).reshape(3, 3, 3)
             assert np.max(np.abs(A.anchor_at(q) - M.T)) < 1e-12  # rho_E is the identity
@@ -439,6 +482,63 @@ class TestKernel:
                     assert np.max(np.abs(got - expect)) < 1e-12
                     worst = max(worst, float(np.max(np.abs(expect))))
         assert worst > 0.1  # the frames do not commute
+
+    @pytest.mark.parametrize("omega", ["constant", "linear"])
+    def test_ball_frames_equal_the_stacked_path(self, monkeypatch, omega):
+        # the reused orthonormal rows give the bytes of the per-call path
+        _, (G, U, X0), frames = affine_kernel(monkeypatch, lambda: instantiate("rolling_ball", omega=omega))
+        rng = np.random.default_rng(71)
+        for k in range(400):
+            Q = rng.uniform(-4.0, 4.0, size=(7 if k % 2 else 1, 3))
+            got, expect = frames(Q), stacked_frames(G, U, X0, Q)
+            assert got.shape == expect.shape == (len(Q), 4, 6)
+            assert got.tobytes() == expect.tobytes()
+
+    def test_ball_lift_runs_no_gram_schmidt(self, monkeypatch):
+        gs = instantiate("rolling_ball")
+        calls = count_gram_schmidt(monkeypatch)
+        verify_lift(gs.system, gs.section("reference"), gs.default_q0, 0.0, 1.0, 1e-2)  # 100 steps
+        assert calls == []
+
+    def test_negative_zero_basis_misses_the_cache(self, monkeypatch):
+        # -0.0 == 0.0: only the bytes tell the two bases apart
+        E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
+        sign = [1.0]
+        U = [ESection(components=lambda q: np.array([sign[0] * 0.0, 2.0]))]
+        G, X0 = MetricField.constant(np.eye(2)), constant_section([1.0, 0.0])
+        _, _, frames = affine_kernel(monkeypatch, lambda: affine_constraints(E, G, U, X0))
+        calls = count_gram_schmidt(monkeypatch)
+        Q = np.zeros((3, 2))
+        assert frames(Q).tobytes() == stacked_frames(G, U, X0, Q).tobytes()
+        assert calls == [3]  # only the reference: construction cached the rows
+        sign[0] = -1.0
+        calls.clear()
+        got = frames(Q)
+        assert calls == [3]  # a miss, not the cached rows of the 0.0 basis
+        assert got.tobytes() == stacked_frames(G, U, X0, Q).tobytes()
+
+    def test_stack_led_by_the_cached_point_is_orthonormalized(self, monkeypatch):
+        # the cached rows belong to the first point only; the second point of
+        # the stack has its own metric
+        E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
+        G = MetricField(matrix=lambda q: np.diag([1.0, 1.0 + q[0] ** 2]))
+        U, X0 = [constant_section([0.0, 1.0])], constant_section([1.0, 0.0])
+        _, _, frames = affine_kernel(monkeypatch, lambda: affine_constraints(E, G, U, X0))
+        q = np.array([0.3, 0.0])
+        frames(q[None])
+        Q = np.stack([q, [1.7, 0.0]])
+        got = frames(Q)
+        assert got.tobytes() == stacked_frames(G, U, X0, Q).tobytes()
+        assert got[1, 1, 1] != got[0, 1, 1]
+
+    def test_ball_hj_check_same_bytes_with_two_threads(self, tmp_path, monkeypatch):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ALGEBROID_MECH_THREADS", threads)
+            out = tmp_path / f"hj{threads}.json"
+            assert cli.main(["hj-check", "rolling_ball", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestGramSchmidt:
