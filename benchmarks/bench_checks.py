@@ -14,7 +14,7 @@ constructed algebroids start with empty memos.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.
 
-    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_8.json
+    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_10.json
 
 ``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
 includes interpreter start-up and the package import.  The SHA-256 of
@@ -22,7 +22,8 @@ every output (JSON or CSV) is recorded, and so are the accuracy numbers of
 each JSON report (``max_violation`` per named report, the HJ residual's
 ``max_norm`` and the lift's ``max_deviation``), so a speed-up that changes
 results shows up; ``outputs_equal`` says whether every command gave the
-same exit code and output bytes in every tree.
+same exit code and output bytes in every tree, and ``outputs_differ``
+lists the commands that did not.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ def main(argv=None) -> int:
         }
 
     outcomes = [[(r["exit"], r["output_sha256"]) for r in e["commands"]] for e in entries.values()]
+    differ = [" ".join(argv) for c, argv in enumerate(cmds) if any(o[c] != outcomes[0][c] for o in outcomes)]
     result = {
         "benchmark": "README commands and sampled checks, fresh process per run, best of k",
         "machine": {
@@ -189,12 +191,15 @@ def main(argv=None) -> int:
         "k": args.k,
         "seed": args.seed,
         "entries": entries,
-        "outputs_equal": all(o == outcomes[0] for o in outcomes),
+        "outputs_equal": not differ,
+        "outputs_differ": differ,
     }
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for label, e in entries.items():
         print(f"{label}: run {e['total_run_s']:.3f} s, wall {e['total_wall_s']:.3f} s, src {e['src_lines']} lines")
     print(f"outputs equal across trees: {result['outputs_equal']}")
+    for argv in differ:
+        print(f"  differs: {argv}")
     return 0
 
 

@@ -332,48 +332,44 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
     """Ranks of the bracket-generated flag of the anchor distribution at q.
 
     Depth 1 spans the anchor columns; each further depth adds numerically
-    evaluated Lie brackets of the generators with the previous level.  A
-    non-finite field value or point raises NumericFailure naming the depth and q.
+    evaluated Lie brackets of the generators with the previous level, in
+    generator-major order, at most 256 fields in all.  A level is one
+    stacked field q -> (m, k), so the next level takes one Jacobian of the
+    generators and one of the level per point (steps FLAG_FD_SCALE), and
+    each level is evaluated at q once.  A non-finite field value or point
+    raises NumericFailure naming the depth and q.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     q = np.asarray(q, dtype=float)
-    m = A.chart.dim
+    m, n = A.chart.dim, A.rank
 
-    def column_field(a):
-        return lambda qq: A.anchor_at(qq)[:, a]
-
-    generators = [column_field(a) for a in range(A.rank)]
-
-    def lie(f, g):
+    def brackets(level, pairs):
         def field(qq):
-            qq = np.asarray(qq, dtype=float)
-            Jf = fd_jacobian(f, qq, h=FLAG_FD_SCALE * np.maximum(1.0, np.abs(qq)))
-            Jg = fd_jacobian(g, qq, h=FLAG_FD_SCALE * np.maximum(1.0, np.abs(qq)))
-            return Jg @ f(qq) - Jf @ g(qq)
+            h = FLAG_FD_SCALE * np.maximum(1.0, np.abs(qq))
+            JG = fd_jacobian(A.anchor_at, qq, h=h).reshape(m, -1, m)
+            JL = fd_jacobian(level, qq, h=h).reshape(m, -1, m)
+            G, L = A.anchor_at(qq), level(qq)
+            return np.column_stack([JL[:, j] @ G[:, a] - JG[:, a] @ L[:, j] for a, j in pairs])
 
         return field
 
-    ranks = []
-    level = list(generators)
-    all_fields = list(generators)
+    level, M, ranks = A.anchor_at, np.zeros((m, 0)), []
     for depth in range(1, max_depth + 1):
         try:
-            M = np.column_stack([f(q) for f in all_fields]) if all_fields else np.zeros((m, 0))
+            values = level(q)
         except NumericFailure as exc:  # a Lie bracket's stencil, e.g. at a non-finite q
             raise NumericFailure(f"flag depth {depth}: {exc}") from None
+        M = np.column_stack([M, values])
         max_abs(M, f"flag depth {depth} field matrix[{{}}, {{}}]", q)
         ranks.append(_svd_rank(M))
-        if depth == max_depth or ranks[-1] >= m:
-            # pad once full rank is reached; deeper levels cannot shrink
+        # cap combinatorial growth; enough for desk-scale examples
+        pairs = [(a, j) for a in range(n) for j in range(values.shape[1])][: max(0, 256 - M.shape[1])]
+        if depth == max_depth or ranks[-1] >= m or not pairs:
+            # pad once full rank is reached or no field is left; deeper levels cannot change it
             ranks.extend([ranks[-1]] * (max_depth - depth))
             break
-        new_level = [lie(f, g) for f in generators for g in level]
-        # cap combinatorial growth; enough for desk-scale examples
-        if len(all_fields) + len(new_level) > 256:
-            new_level = new_level[: max(0, 256 - len(all_fields))]
-        all_fields.extend(new_level)
-        level = new_level
+        level = brackets(level, pairs)
     return ranks
 
 

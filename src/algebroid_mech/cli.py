@@ -113,11 +113,16 @@ def _initial_state(gs, args):
                 f"--x0 needs {sys_.chart.dim + sys_.n_momenta} components for {gs.id}"
             )
         return x0
-    q0 = _parse_vector(args.q0) if getattr(args, "q0", None) else np.array(gs.default_q0)
-    if len(q0) != sys_.chart.dim:
-        raise ValueError(f"--q0 needs {sys_.chart.dim} components for {gs.id}")
+    q0 = _q0(gs, args)
     section = gs.section(getattr(args, "section", None) or "reference")
     return np.concatenate([q0, section(q0)])
+
+
+def _q0(gs, args):
+    q0 = _parse_vector(args.q0) if getattr(args, "q0", None) else np.array(gs.default_q0)
+    if len(q0) != gs.system.chart.dim:
+        raise ValueError(f"--q0 needs {gs.system.chart.dim} components for {gs.id}")
+    return q0
 
 
 def _cmd_gallery(args):
@@ -164,8 +169,7 @@ def _cmd_hj_check(args):
 def _cmd_lift_verify(args):
     gs = _load_system(args)
     section = gs.section(args.section)
-    q0 = _parse_vector(args.q0) if args.q0 else np.array(gs.default_q0)
-    report = verify_lift(gs.system, section, q0, *_horizon(gs, args), args.dt, tol=args.tol)
+    report = verify_lift(gs.system, section, _q0(gs, args), *_horizon(gs, args), args.dt, tol=args.tol)
     payload = {"config": _resolved_config(args, system_params=gs.params), "report": report.to_json_dict()}
     _write(args.out, dump_json(payload))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -106,40 +106,36 @@ def poisson_bracket_eval(A: SkewAlgebroid, F, G, x) -> float:
         rho_a^i  d/dq^i ^ d/dp_a  -  (1/2) C_{ab}^c p_c  d/dp_a ^ d/dp_b,
 
     which for adapted frames splits into the p_0 / reduced parts.  This
-    takes the two gradients and hands them to ``_bracket_at``, which
-    ``morphism_check`` uses to share gradients and structure across pairs.
+    reads the blocks of the matrix ``_bivector_at`` and sums over pairs
+    a < b, so the result is exactly antisymmetric and {F, F} is exactly 0.
     """
     xf = x.full_coords() if isinstance(x, PhasePoint) else np.asarray(x, dtype=float)
-    bracket = _bracket_at(A, xf)
-    return bracket(fd_gradient(as_scalar_field(F), xf), fd_gradient(as_scalar_field(G), xf))
+    m = A.chart.dim
+    L = _bivector_at(A, xf)
+    gF, gG = fd_gradient(as_scalar_field(F), xf), fd_gradient(as_scalar_field(G), xf)
+    dFq, dFp, dGq, dGp = gF[:m], gF[m:], gG[:m], gG[m:]
+    rho = np.ascontiguousarray(L[:m, m:])  # laid out like the anchor, so the products keep its bits
+    val = float(dFq @ rho @ dGp - dGq @ rho @ dFp)
+    for a, b in combinations(range(A.rank), 2):
+        if L[m + a, m + b] != 0.0:
+            val += L[m + a, m + b] * (dFp[a] * dGp[b] - dFp[b] * dGp[a])
+    return val
 
 
-def _bracket_at(A: SkewAlgebroid, xf: np.ndarray):
-    """The bracket at the full dual point xf as a function of the gradients
-    (gF, gG): the anchor and the nonzero C_{ab}^c p_c are evaluated once
-    here and shared by every pair it is called on."""
+def _bivector_at(A: SkewAlgebroid, xf: np.ndarray) -> np.ndarray:
+    """The Poisson matrix (m + n, m + n) of the bracket at the full dual
+    point xf, so {F, G} = grad F . L . grad G: the blocks are
+    [[0, rho], [-rho^T, -C_{ab}^c p_c]], from one read of the anchor and
+    one of C."""
     m = A.chart.dim
     if len(xf) != m + A.rank:
         raise ValueError("phase coordinates do not match the algebroid")
-    q = xf[:m]
-    p = xf[m:]
-    rho = A.anchor_at(q)
-    C = A.structure_at(q)
-    pcs = []
-    for a, b in combinations(range(A.rank), 2):
-        pc = float(C[a, b] @ p)
-        if pc != 0.0:
-            pcs.append((a, b, pc))
-
-    def bracket(gF, gG) -> float:
-        dFq, dFp = gF[:m], gF[m:]
-        dGq, dGp = gG[:m], gG[m:]
-        val = float(dFq @ rho @ dGp - dGq @ rho @ dFp)
-        for a, b, pc in pcs:
-            val -= pc * (dFp[a] * dGp[b] - dFp[b] * dGp[a])
-        return val
-
-    return bracket
+    rho = A.anchor_at(xf[:m])
+    L = np.zeros((len(xf), len(xf)))
+    L[:m, m:] = rho
+    L[m:, :m] = -rho.T
+    L[m:, m:] = -(A.structure_at(xf[:m]) @ xf[m:])
+    return L
 
 
 def _pdot_rhs(sys: HamiltonianSystem, q, p, dHq, dHp, rho) -> np.ndarray:

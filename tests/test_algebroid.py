@@ -23,7 +23,8 @@ from algebroid_mech import (
     instantiate,
     v_restriction,
 )
-from algebroid_mech.algebroid import sample_box
+from algebroid_mech.algebroid import FLAG_FD_SCALE, _svd_rank, sample_box
+from algebroid_mech.calculus import fd_jacobian
 from algebroid_mech.gallery import GALLERY_IDS
 
 from conftest import (
@@ -324,6 +325,69 @@ class TestCocycleSharedDerivatives:
 
         check_cocycle(A, DualSection(components=comps), [(-1, 1), (-1, 1)], samples=5, seed=7)
         assert len(calls) == 5 * (2 * m + 1)
+
+
+def _nested_flag_matrices(A, q, max_depth):
+    """The field matrices of flag_rank with one nested stencil per Lie
+    bracket field, re-evaluated at every depth."""
+    m = A.chart.dim
+    generators = [lambda qq, a=a: A.anchor_at(qq)[:, a] for a in range(A.rank)]
+
+    def lie(f, g):
+        def field(qq):
+            h = FLAG_FD_SCALE * np.maximum(1.0, np.abs(qq))
+            return fd_jacobian(g, qq, h=h) @ f(qq) - fd_jacobian(f, qq, h=h) @ g(qq)
+
+        return field
+
+    mats, level, all_fields = [], list(generators), list(generators)
+    for depth in range(1, max_depth + 1):
+        mats.append(np.column_stack([f(q) for f in all_fields]))
+        if depth == max_depth or _svd_rank(mats[-1]) >= m:
+            break
+        new_level = [lie(f, g) for f in generators for g in level]
+        new_level = new_level[: max(0, 256 - len(all_fields))]
+        all_fields.extend(new_level)
+        level = new_level
+    return mats
+
+
+def _never_generating(rank):
+    """Fields along the first axis of the plane: no depth reaches rank 2."""
+    chart = Chart(dim=2, coord_names=("a", "b"))
+    return SkewAlgebroid(chart=chart, rank=rank, anchor=lambda q: np.array(
+        [[math.sin((a + 1) * q[0]) + a * q[1] ** 2 for a in range(rank)], [0.0] * rank]))
+
+
+class TestFlagRankLevels:
+    """flag_rank brackets a whole level of fields with one stencil; its
+    field matrices must equal the nested per-field computation bit for bit."""
+
+    @pytest.mark.parametrize("case, depth", [("disk", 4), ("ball", 4), ("lie_tangent", 3), ("capped", 3)])
+    def test_field_matrices_equal_nested_reference(self, case, depth, disk, ball, monkeypatch):
+        A = {
+            "disk": disk.extras["constraint_algebroid"],
+            "ball": v_restriction(ball.system.algebroid),
+            "lie_tangent": lie_tangent(3),
+            "capped": _never_generating(7),  # 7 + 49 fields, then 200 of 343 under the cap
+        }[case]
+        seen = []
+        monkeypatch.setattr("algebroid_mech.algebroid._svd_rank", lambda M: seen.append(M.copy()) or _svd_rank(M))
+        for q in seeded_points(A.chart.dim, n=3, lo=-2.0, hi=2.0, seed=SEED + 7):
+            seen.clear()
+            flag_rank(A, q, depth)
+            want = _nested_flag_matrices(A, q, depth)
+            assert [M.shape for M in seen] == [M.shape for M in want]
+            assert all(M.tobytes() == W.tobytes() for M, W in zip(seen, want))
+        if case == "capped":
+            assert seen[-1].shape == (2, 256)
+
+    def test_disk_anchor_evaluations(self, disk):
+        # each level is evaluated at q once: 1 + 18 + 171 anchor reads to full rank at depth 3
+        D, calls = disk.extras["constraint_algebroid"], []
+        A = SkewAlgebroid(chart=D.chart, rank=D.rank, anchor=lambda q: calls.append(1) or D.anchor_at(q))
+        assert flag_rank(A, np.array([0.3, -0.2, 0.5, 0.1]), 4) == [2, 3, 4, 4]
+        assert len(calls) == 190
 
 
 class TestFlagRank:

@@ -321,6 +321,16 @@ class TestNonFiniteArguments:
         assert not out.exists()
 
 
+class TestLiftVerifyQ0:
+    @pytest.mark.parametrize("q0", ["--q0=0,1", "--q0=0,1,2,3"])
+    def test_wrong_length_is_usage_error_and_no_report(self, q0, tmp_path, capsys):
+        # a short q0 used to die with IndexError (exit 1), a long one with numpy's broadcast message
+        out = tmp_path / "out"
+        assert run_cli(["lift-verify", "rolling_ball", q0, "--t1", "0.1", "--out", str(out)]) == 2
+        assert "--q0 needs 3 components for rolling_ball" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStepCap:
     @pytest.mark.parametrize("argv", [
         ["simulate", "time_dependent_free", "--t1", "1e9", "--dt", "1e-3"],

@@ -30,7 +30,7 @@ from algebroid_mech import (
 )
 from algebroid_mech import cli, constructions, gallery
 from algebroid_mech.algebroid import sample_box
-from algebroid_mech.calculus import Chart, fd_jacobian
+from algebroid_mech.calculus import Chart, fd_gradient, fd_jacobian
 from algebroid_mech.hamilton_jacobi import verify_lift
 
 from conftest import lie_tangent, nan_structure_at, seeded_points, smooth_field
@@ -677,10 +677,16 @@ def _pairwise_morphism_reports(src, dst, pair, box, samples, seed, tol=1e-6):
     return out
 
 
+def _values_and_rest(report):
+    """A report's max_violation and witness values, and the rest of it with the witness points."""
+    values = [report["max_violation"]] + [w["value"] for w in report["witnesses"]]
+    return values, dict(report, max_violation=None, witnesses=[w["q"] for w in report["witnesses"]])
+
+
 class TestMorphismSharedDerivatives:
-    """morphism_check takes each derivative once per sample and shares it
-    across probe pairs; its reports must equal the per-pair computation
-    bit for bit."""
+    """morphism_check compares whole Poisson matrices per sample; its
+    reports must equal the per-pair computation bit for bit, except for
+    values that move with the summation order of the matrix products."""
 
     @pytest.mark.parametrize("system_id, morphism", [
         ("cylinder_friction", "identity"),
@@ -701,9 +707,41 @@ class TestMorphismSharedDerivatives:
         }[morphism]
         pair = MorphismPair(base_map=lambda q: q, fiber_map=fiber)
         got = [r.to_json_dict() for r in morphism_check(src, dst, pair, gs.default_box, samples=4, seed=9)]
-        assert got == _pairwise_morphism_reports(src, dst, pair, gs.default_box, 4, 9)
-        if morphism == "momentum-scale":
+        want = _pairwise_morphism_reports(src, dst, pair, gs.default_box, 4, 9)
+        if morphism != "momentum-scale":
+            assert got == want
+        else:
+            # the only case whose values move with the order of the matrix products
+            for g, w in zip(got, want):
+                (g_values, g_rest), (w_values, w_rest) = _values_and_rest(g), _values_and_rest(w)
+                assert g_rest == w_rest
+                assert g_values == pytest.approx(w_values, rel=1e-12)
             assert all(r["max_violation"] > 1e-3 for r in got)
+
+    @pytest.mark.parametrize("system_id, morphism", [
+        ("cylinder_friction", "identity"),
+        ("rolling_ball", "identity"),
+        ("vertical_disk", "identity"),
+        ("rolling_ball", "mu-projection"),
+    ])
+    def test_poisson_morphisms_compare_equal_bits(self, system_id, morphism):
+        # J and the probes' own gradients carry the same difference rounding
+        gs = instantiate(system_id)
+        src = MorphismEndpoint.from_system(gs.system)
+        dst = MorphismEndpoint.v_side(gs.system) if morphism == "mu-projection" else src
+        fiber = (lambda q, p: p[1:]) if morphism == "mu-projection" else (lambda q, p: p)
+        pair = MorphismPair(base_map=lambda q: q, fiber_map=fiber)
+        poisson = morphism_check(src, dst, pair, gs.default_box, samples=8, seed=3)[0]
+        assert poisson.max_violation == 0.0
+
+    def test_stacked_probe_gradients_equal_per_probe_rows(self):
+        # the image-side Jacobian of morphism_check against one fd_gradient per coordinate probe
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            x = rng.uniform(-3.0, 3.0, 7)
+            stacked = fd_jacobian(lambda X: X, x, stacked=True)
+            rows = np.array([fd_gradient(lambda y, i=i: float(y[i]), x) for i in range(7)])
+            assert stacked.tobytes() == rows.tobytes()
 
     def test_base_map_evaluations_per_sample(self, ball):
         # one psi per stencil point of the source dual, plus the image
