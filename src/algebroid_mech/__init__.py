@@ -14,6 +14,7 @@ from .algebroid import (
     constant_section,
     d_function,
     d_oneform_eval,
+    d_oneform_matrix,
     flag_rank,
     tangent_algebroid,
     v_restriction,

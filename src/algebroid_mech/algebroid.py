@@ -232,30 +232,36 @@ def d_function(A: SkewAlgebroid, f) -> DualSection:
     return DualSection(components=comps, space="E*")
 
 
+def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:
+    """The almost differential of a one-form beta at q as an (n, n) matrix
+    on frame pairs:
+
+        D[a, b] = d beta (e_a, e_b) = rho(e_a)(beta_b) - rho(e_b)(beta_a) - beta . C_ab,
+
+    from beta(q), the (n, m) jacobian ``jac`` of its components (row b is
+    the gradient of beta_b), one anchor read and one C read.  D is exactly
+    antisymmetric, as C is.  d beta is C-infinity-bilinear on a skew-symmetric
+    algebroid (the Leibniz rule alone makes it tensorial), so
+    d beta(sigma, gamma) = sigma . D . gamma and no section other than beta
+    is ever differentiated.
+    """
+    G = jac @ A.anchor_at(q)  # G[b, a] = rho(e_a)(beta_b)
+    return (G.T - G) - A.structure_at(q) @ beta_q
+
+
 def d_oneform_eval(A: SkewAlgebroid, alpha: DualSection, sigma: ESection, gamma: ESection, q) -> float:
     """Almost differential of a one-form, evaluated on a pair of sections:
 
-        d alpha (sigma, gamma) = rho(sigma)(alpha(gamma))
-                                 - rho(gamma)(alpha(sigma))
-                                 - alpha([[sigma, gamma]]).
+        d alpha (sigma, gamma) = sum_{a < b} D_ab (sigma^a gamma^b - sigma^b gamma^a)
 
-    Antisymmetric in (sigma, gamma) exactly, by the evaluation order used.
+    with D = ``d_oneform_matrix`` from ``alpha.jac``.  Exactly antisymmetric
+    in (sigma, gamma), and exactly 0.0 on equal arguments.
     """
     q = np.asarray(q, dtype=float)
-    rho = A.anchor_at(q)
-    vs = rho @ sigma(q)
-    vg = rho @ gamma(q)
-
-    def a_of_gamma(qq):
-        return float(alpha(qq) @ gamma(qq))
-
-    def a_of_sigma(qq):
-        return float(alpha(qq) @ sigma(qq))
-
-    t1 = float(fd_gradient(a_of_gamma, q) @ vs)
-    t2 = float(fd_gradient(a_of_sigma, q) @ vg)
-    t3 = float(alpha(q) @ bracket(A, sigma, gamma)(q))
-    return (t1 - t2) - t3
+    D = d_oneform_matrix(A, alpha(q), alpha.jac(q), q)
+    sv, gv = sigma(q), gamma(q)
+    a, b = np.triu_indices(A.rank, 1)
+    return float(D[a, b] @ (sv[a] * gv[b] - sv[b] * gv[a]))
 
 
 def box_bounds(box) -> list:
@@ -294,28 +300,13 @@ def check_cocycle(
     """Max of |d phi (e_a, e_b)| over seeded samples and all frame pairs;
     a non-finite value raises NumericFailure naming its point and pair.
 
-    Per sample, the anchor, the n vectors rho(e_a), one Jacobian of phi
-    (row b is the gradient of phi(e_b)), phi(q) and C are computed once and
-    shared by every pair, which is then formed as ``d_oneform_eval`` does:
-    the bracket of two frame sections is C_{ab}.  phi is evaluated 2m + 1
-    times per sample."""
+    Per sample, the pairs a < b are the upper triangle of one
+    ``d_oneform_matrix``, taken from phi(q) and a central-difference
+    Jacobian of phi even when phi carries an analytic one, so the reports
+    keep their bits.  phi is evaluated 2m + 1 times per sample."""
     pts = sample_box(box, samples, seed)
-    frame = np.eye(A.rank)
-    worst = []
-    for q in pts:
-        rho = A.anchor_at(q)
-        vs = [rho @ e for e in frame]
-        # contiguous rows, laid out like fd_gradient's, so the dot products match it
-        grads = np.ascontiguousarray(fd_jacobian(phi, q))
-        phi_q = phi(q)
-        C = A.structure_at(q)
-        d_phi = np.zeros((A.rank, A.rank))
-        for a, b in combinations(range(A.rank), 2):
-            t1 = float(grads[b] @ vs[a])
-            t2 = float(grads[a] @ vs[b])
-            t3 = float(phi_q @ C[a, b])
-            d_phi[a, b] = (t1 - t2) - t3
-        worst.append((q, max_abs(d_phi, "d phi(e_{}, e_{})", q)))
+    worst = [(q, max_abs(np.triu(d_oneform_matrix(A, phi(q), fd_jacobian(phi, q), q), 1), "d phi(e_{}, e_{})", q))
+             for q in pts]
     return CheckReport.from_samples("cocycle", worst, tol, seed)
 
 
@@ -335,26 +326,29 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
     evaluated Lie brackets of the generators with the previous level, in
     generator-major order, at most 256 fields in all.  A level is one
     stacked field q -> (m, k), so the next level takes one Jacobian of the
-    generators and one of the level per point (steps FLAG_FD_SCALE), and
-    each level is evaluated at q once.  A non-finite field value or point
-    raises NumericFailure naming the depth and q.
+    generators and one of the level per point (steps FLAG_FD_SCALE; one in
+    all when the level is the generators), and each level is evaluated at
+    q once.  A non-finite field value or point raises NumericFailure naming
+    the depth and q.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     q = np.asarray(q, dtype=float)
     m, n = A.chart.dim, A.rank
+    anchor = A.anchor_at
 
     def brackets(level, pairs):
         def field(qq):
             h = FLAG_FD_SCALE * np.maximum(1.0, np.abs(qq))
-            JG = fd_jacobian(A.anchor_at, qq, h=h).reshape(m, -1, m)
-            JL = fd_jacobian(level, qq, h=h).reshape(m, -1, m)
-            G, L = A.anchor_at(qq), level(qq)
+            JG = fd_jacobian(anchor, qq, h=h).reshape(m, -1, m)
+            G = anchor(qq)
+            # level 2 brackets the generators with themselves: one stencil serves both
+            JL, L = (JG, G) if level is anchor else (fd_jacobian(level, qq, h=h).reshape(m, -1, m), level(qq))
             return np.column_stack([JL[:, j] @ G[:, a] - JG[:, a] @ L[:, j] for a, j in pairs])
 
         return field
 
-    level, M, ranks = A.anchor_at, np.zeros((m, 0)), []
+    level, M, ranks = anchor, np.zeros((m, 0)), []
     for depth in range(1, max_depth + 1):
         try:
             values = level(q)

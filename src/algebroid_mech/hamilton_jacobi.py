@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebroid import DualSection, ESection, box_bounds, d_oneform_eval, v_restriction
-from .calculus import Curve, fd_gradient, fd_jacobian, integrate_rk4, max_abs, require_finite
+from .algebroid import DualSection, ESection, box_bounds, d_oneform_matrix, v_restriction
+from .calculus import Curve, fd_jacobian, integrate_rk4, max_abs, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _pdot_rhs, integrate_hamilton, projected_field
 from .util import parallel_map
@@ -103,10 +103,6 @@ def zeta_eval(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     return out
 
 
-def zeta_section(sys: HamiltonianSystem, alpha: DualSection) -> ESection:
-    return ESection(components=lambda q: zeta_eval(sys, alpha, q))
-
-
 def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     """Hamilton-Jacobi residual of a reduced-dual section at q.
 
@@ -128,32 +124,20 @@ def hj_residual_dual(sys: HamiltonianSystem, beta: DualSection, q) -> np.ndarray
 
         component a = d beta (zeta, e_a) + rho_a^i d(F o beta)/dq^i,
 
-    where (F o beta)(q) = beta_0(q) + H(q, beta_1..beta_{n-1}(q)).
+    where (F o beta)(q) = beta_0(q) + H(q, beta_1..beta_{n-1}(q)) and
+    zeta = (1, dH/dp).  d beta is the matrix ``d_oneform_matrix`` from
+    ``beta.jac``, contracted with zeta; the gradient of F o beta is
+    d beta_0 + dH/dq + (d beta_{1..})^T dH/dp, from one partial of H.
     """
     q = np.asarray(q, dtype=float)
     if beta.space != "E*":
         raise ValueError("hj_residual_dual expects a full-dual section")
     A = sys.algebroid
-    n = A.rank
-
-    def mu_beta(qq):
-        return beta(qq)[1:]
-
-    mu = DualSection(components=mu_beta, space="V*")
-    zeta = zeta_section(sys, mu)
-
-    def f_of_beta(qq):
-        b = beta(qq)
-        return float(b[0]) + sys.h_value(qq, b[1:])
-
-    grad_f = fd_gradient(f_of_beta, q)
-    rho = A.anchor_at(q)
-    out = np.empty(n - 1)
-    for a in range(1, n):
-        out[a - 1] = d_oneform_eval(A, beta, zeta, A.basis_section(a), q) + float(
-            rho[:, a] @ grad_f
-        )
-    return out
+    b, J = beta(q), beta.jac(q)
+    dHq, dHp = sys.h_partials(q, b[1:])
+    zeta = np.concatenate([[1.0], dHp])
+    out = zeta @ d_oneform_matrix(A, b, J, q) + A.anchor_at(q).T @ (J[0] + dHq + J[1:].T @ dHp)
+    return out[1:]
 
 
 def hj_forced_residual(sys: HamiltonianSystem, F, alpha: DualSection, q) -> np.ndarray:
@@ -161,36 +145,19 @@ def hj_forced_residual(sys: HamiltonianSystem, F, alpha: DualSection, q) -> np.n
     a force extension:
 
         component a = d alpha (zeta_H, e_a) + rho_a^i d(H o alpha)/dq^i
-                      + F_a^b alpha_b.
+                      + F_a^b alpha_b,
 
-    Algebraically identical to ``hj_residual`` on the extended system; kept
-    as an independent evaluation path.
+    with zeta_H = dH/dp, d alpha the matrix ``d_oneform_matrix`` from
+    ``alpha.jac`` and d(H o alpha) = dH/dq + (d alpha)^T dH/dp, from one
+    partial of H.  Algebraically identical to ``hj_residual`` on the
+    extended system; kept as an independent evaluation path.
     """
     q = np.asarray(q, dtype=float)
     base = v_restriction(sys.algebroid)
-
-    def zeta_base(qq):
-        _, dHp = sys.h_partials(qq, alpha(qq))
-        return dHp
-
-    zeta = ESection(components=zeta_base)
-
-    def h_of_alpha(qq):
-        return sys.h_value(qq, alpha(qq))
-
-    grad_h = fd_gradient(h_of_alpha, q)
-    rho = base.anchor_at(q)
-    av = alpha(q)
+    av, J = alpha(q), alpha.jac(q)
+    dHq, dHp = sys.h_partials(q, av)
     Fq = F.at(q) if hasattr(F, "at") else np.asarray(F(q), dtype=float)
-    beta_view = DualSection(components=alpha.components, space="E*", jacobian=alpha.jacobian)
-    out = np.empty(base.rank)
-    for a in range(base.rank):
-        out[a] = (
-            d_oneform_eval(base, beta_view, zeta, base.basis_section(a), q)
-            + float(rho[:, a] @ grad_h)
-            + float(Fq[a, :] @ av)
-        )
-    return out
+    return dHp @ d_oneform_matrix(base, av, J, q) + base.anchor_at(q).T @ (dHq + J.T @ dHp) + Fq @ av
 
 
 def grid_points(box, resolution) -> tuple:
@@ -265,7 +232,7 @@ def christoffel_at(G, q) -> np.ndarray:
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise DomainError(f"metric not positive-definite at q={q!r}")
+        raise DomainError(f"metric not positive-definite at q={list(map(float, q))}")
     dg = fd_jacobian(lambda qq: mat(qq).ravel(), q).reshape(m, m, m)  # dg[i, j, k] = d_k g_ij
     # Gamma^k_ij = (1/2) g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
     rhs = 0.5 * (

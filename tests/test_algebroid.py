@@ -19,12 +19,13 @@ from algebroid_mech import (
     constant_section,
     d_function,
     d_oneform_eval,
+    d_oneform_matrix,
     flag_rank,
     instantiate,
     v_restriction,
 )
 from algebroid_mech.algebroid import FLAG_FD_SCALE, _svd_rank, sample_box
-from algebroid_mech.calculus import fd_jacobian
+from algebroid_mech.calculus import fd_gradient, fd_jacobian
 from algebroid_mech.gallery import GALLERY_IDS
 
 from conftest import (
@@ -148,7 +149,45 @@ class TestDifferential:
         assert worst < 1e-7
 
 
+def _nested_d_oneform_eval(A, alpha, sigma, gamma, q):
+    """d alpha(sigma, gamma) by its defining formula, as the library
+    evaluated it before the matrix form: gradients of alpha(gamma) and
+    alpha(sigma) by central differences, and the bracket of the two
+    sections, which differences each of them again."""
+    q = np.asarray(q, dtype=float)
+    rho = A.anchor_at(q)
+    vs = rho @ sigma(q)
+    vg = rho @ gamma(q)
+    t1 = float(fd_gradient(lambda qq: float(alpha(qq) @ gamma(qq)), q) @ vs)
+    t2 = float(fd_gradient(lambda qq: float(alpha(qq) @ sigma(qq)), q) @ vg)
+    t3 = float(alpha(q) @ bracket(A, sigma, gamma)(q))
+    return (t1 - t2) - t3
+
+
 class TestOneForm:
+    def test_matches_nested_reference_on_smooth_sections(self, adapted_algebroid, ball):
+        # the reference differences alpha(sigma) and alpha(gamma), so its roundoff
+        # scales with |alpha| |sigma|; the gap is bounded relative to that scale
+        U = v_restriction(ball.system.algebroid)
+        for A, seed in ((adapted_algebroid, 56), (lie_tangent(2), 66), (U, 76)):
+            n, m = A.rank, A.chart.dim
+            alpha = DualSection(components=smooth_section(n, m, seed=seed).components)
+            s1, s2 = smooth_section(n, m, seed=seed + 1), smooth_section(n, m, seed=seed + 2)
+            worst = 0.0
+            for q in seeded_points(m, n=32, seed=seed):
+                gap = abs(d_oneform_eval(A, alpha, s1, s2, q) - _nested_d_oneform_eval(A, alpha, s1, s2, q))
+                scale = max(1.0, np.linalg.norm(alpha(q)) * max(np.linalg.norm(s1(q)), np.linalg.norm(s2(q))))
+                worst = max(worst, gap / scale)
+            assert worst < 1e-9
+
+    @pytest.mark.parametrize("system_id", sorted(GALLERY_IDS))
+    def test_matrix_antisymmetric_exact(self, system_id):
+        A = instantiate(system_id).system.algebroid
+        alpha = DualSection(components=smooth_section(A.rank, A.chart.dim, seed=57).components)
+        for q in seeded_points(A.chart.dim, n=8, seed=58):
+            D = d_oneform_matrix(A, alpha(q), alpha.jac(q), q)
+            assert D.shape == (A.rank, A.rank) and np.all(D == -D.T)
+
     def test_same_section_gives_zero(self, adapted_algebroid):
         alpha = DualSection(components=smooth_section(3, 2, seed=51).components)
         sec = smooth_section(3, 2, seed=52)
@@ -267,13 +306,13 @@ class TestCocycle:
 
 
 def _pairwise_cocycle_report(A, phi, box, samples, seed, tol):
-    """check_cocycle as one d_oneform_eval per sample and frame pair."""
+    """check_cocycle as one nested d phi evaluation per sample and frame pair."""
     worst = []
     for q in sample_box(box, samples, seed):
         v = 0.0
         for a in range(A.rank):
             for b in range(a + 1, A.rank):
-                v = max(v, abs(d_oneform_eval(A, phi, A.basis_section(a), A.basis_section(b), q)))
+                v = max(v, abs(_nested_d_oneform_eval(A, phi, A.basis_section(a), A.basis_section(b), q)))
         worst.append((q, v))
     worst.sort(key=lambda t: -t[1])
     return CheckReport(
@@ -283,8 +322,8 @@ def _pairwise_cocycle_report(A, phi, box, samples, seed, tol):
 
 
 class TestCocycleSharedDerivatives:
-    """check_cocycle shares the anchor and the gradients of phi across frame
-    pairs; its reports must equal the per-pair computation bit for bit."""
+    """check_cocycle folds one d_oneform_matrix per sample; its reports must
+    equal the nested per-pair computation bit for bit."""
 
     @pytest.mark.parametrize("phi_kind", ["frame", "smooth"])
     @pytest.mark.parametrize("system_id", sorted(GALLERY_IDS))
@@ -383,11 +422,12 @@ class TestFlagRankLevels:
             assert seen[-1].shape == (2, 256)
 
     def test_disk_anchor_evaluations(self, disk):
-        # each level is evaluated at q once: 1 + 18 + 171 anchor reads to full rank at depth 3
+        # each level is evaluated at q once, and level 2 differences the anchor once:
+        # 1 + 9 + 90 anchor reads to full rank at depth 3
         D, calls = disk.extras["constraint_algebroid"], []
         A = SkewAlgebroid(chart=D.chart, rank=D.rank, anchor=lambda q: calls.append(1) or D.anchor_at(q))
         assert flag_rank(A, np.array([0.3, -0.2, 0.5, 0.1]), 4) == [2, 3, 4, 4]
-        assert len(calls) == 190
+        assert len(calls) == 100
 
 
 class TestFlagRank:

@@ -85,28 +85,53 @@ class TestResidual:
             hj_residual(three_body.system, beta, np.array([1.0, 1.0]))
 
 
+def _ball_hamiltonian_section(ball, with_jacobian):
+    """beta = (-H o alpha, alpha) for the ball's reference alpha; its
+    jacobian, when carried, is (-(dH/dq + J_alpha^T dH/dp), J_alpha)."""
+    sys_ = ball.system
+    alpha = ball.reference_sections["reference"]
+
+    def beta_comps(q):
+        a = alpha(q)
+        return np.concatenate([[-sys_.h_value(q, a)], a])
+
+    def beta_jac(q):
+        a, J = alpha(q), alpha.jac(q)
+        dHq, dHp = sys_.h_partials(q, a)
+        return np.vstack([-(dHq + J.T @ dHp), J])
+
+    return DualSection(components=beta_comps, space="E*", jacobian=beta_jac if with_jacobian else None)
+
+
+def _box_points(gs, n, seed):
+    """n seeded points of the system's default box."""
+    lo = np.array([b[0] for b in gs.default_box])
+    hi = np.array([b[1] for b in gs.default_box])
+    return lo + (hi - lo) * (seeded_points(gs.system.chart.dim, n=n, seed=seed) + 1.0) / 2.0
+
+
 class TestResidualDual:
     def test_agrees_with_reduced_path_on_ball(self, ball):
-        # compose the reference with the hamiltonian section and compare
+        # compose the reference with the hamiltonian section and compare; with
+        # the analytic jacobian nothing is differenced, so the paths agree to roundoff
         sys_ = ball.system
         alpha = ball.reference_sections["reference"]
+        for with_jacobian, bound in ((True, 1e-14), (False, 1e-9)):
+            beta = _ball_hamiltonian_section(ball, with_jacobian)
+            worst = 0.0
+            for q in _box_points(ball, n=128, seed=14):
+                dual = hj_residual_dual(sys_, beta, q)
+                red = hj_residual(sys_, alpha, q)
+                worst = max(worst, float(np.max(np.abs(dual - red))))
+            assert worst < bound, with_jacobian
 
-        def beta_comps(q):
-            a = alpha(q)
-            return np.concatenate([[-sys_.h_value(q, a)], a])
-
-        beta = DualSection(components=beta_comps, space="E*")
-        box = ball.default_box
-        pts = seeded_points(3, n=128, seed=14)
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
-        worst = 0.0
-        for u in pts:
-            q = lo + (hi - lo) * (u + 1.0) / 2.0
-            dual = hj_residual_dual(sys_, beta, q)
-            red = hj_residual(sys_, alpha, q)
-            worst = max(worst, float(np.max(np.abs(dual - red))))
-        assert worst < 1e-7
+    def test_section_evaluations_per_point(self, ball):
+        # beta(q) once plus one 2m-point Jacobian stencil; zeta is never differenced
+        inner = _ball_hamiltonian_section(ball, with_jacobian=False)
+        calls = []
+        beta = DualSection(components=lambda q: calls.append(1) or inner(q), space="E*")
+        hj_residual_dual(ball.system, beta, np.array([0.7, 0.3, -0.2]))
+        assert len(calls) == 2 * ball.system.chart.dim + 1
 
     def test_constant_affine_value_cocycle(self):
         # beta = (c0, dS) with linear S: a cocycle with constant F o beta
@@ -164,19 +189,28 @@ class TestForcedResidual:
             )
             assert np.max(np.abs(got - expect)) < 1e-7
 
-    def test_agrees_with_extended_residual(self, cylinder, three_body):
+    def test_agrees_with_extended_residual(self, cylinder, three_body, disk):
+        # both paths read the sections' analytic jacobians, so they agree to roundoff
         for gs, section in (
             (cylinder, cylinder.reference_sections["reference"]),
             (three_body, three_body.probe_sections["dS"]),
+            (disk, disk.reference_sections["reference"]),
         ):
             F = gs.extras["force"]
-            lo = np.array([b[0] for b in gs.default_box])
-            hi = np.array([b[1] for b in gs.default_box])
-            for u in seeded_points(2, n=16, seed=19):
-                q = lo + (hi - lo) * (u + 1.0) / 2.0
+            for q in _box_points(gs, n=64, seed=19):
                 forced = hj_forced_residual(gs.system, F, section, q)
                 plain = hj_residual(gs.system, section, q)
-                assert np.max(np.abs(forced - plain)) < 1e-6, gs.id
+                assert np.max(np.abs(forced - plain)) < 1e-14, gs.id
+
+    def test_section_evaluations_per_point(self, cylinder):
+        # alpha(q) once; its jacobian is analytic and zeta_H is never differenced
+        inner = cylinder.reference_sections["reference"]
+        assert inner.jacobian is not None
+        calls = []
+        alpha = DualSection(components=lambda q: calls.append(1) or inner(q), space="V*", jacobian=inner.jacobian)
+        q = _box_points(cylinder, n=1, seed=20)[0]
+        hj_forced_residual(cylinder.system, cylinder.extras["force"], alpha, q)
+        assert len(calls) == 1
 
 
 class TestVerifyLift:
@@ -315,6 +349,12 @@ class TestAutoparallel:
         X = ESection(components=lambda q: np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             autoparallel_residual(G, X, np.zeros(2))
+
+    def test_degenerate_metric_names_point_as_list(self):
+        # polar-like metric diag(1, q0^2) degenerates at q0 = 0
+        G = MetricField(matrix=lambda q: np.diag([1.0, q[0] ** 2]))
+        with pytest.raises(DomainError, match=re.escape("metric not positive-definite at q=[0.0, 0.1]")):
+            christoffel_at(G, np.array([0.0, 0.1]))
 
 
 class TestGrid:
