@@ -79,10 +79,6 @@ def constant_section(values) -> ESection:
     return ESection(components=lambda q: v)
 
 
-def zero_section(rank: int) -> ESection:
-    return constant_section(np.zeros(rank))
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Structured pass/fail result of a sampled numerical check."""

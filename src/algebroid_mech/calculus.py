@@ -2,8 +2,9 @@
 
 Everything downstream (brackets, Hamilton equations, residuals) is built on
 the three primitives here: ``fd_gradient``, ``fd_jacobian`` and
-``integrate_rk4``.  All operations are pure; values are plain float64
-numpy arrays and are never mutated after construction.
+``integrate_rk4``.  One central-difference stencil serves both
+``fd_gradient`` and ``fd_jacobian``.  All operations are pure; values are
+plain float64 numpy arrays and are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ FD_SCALE = 1e-6
 # The most steps one integrate_rk4 call may take; a longer run is a usage
 # error raised before the first right-hand-side evaluation.
 RK4_STEP_CAP = 1_000_000
-
-
-def fd_step(q: np.ndarray, scale: float = FD_SCALE) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return scale * np.maximum(1.0, np.abs(q))
 
 
 @dataclass(frozen=True)
@@ -83,11 +79,6 @@ def as_scalar_field(f) -> ScalarField:
     return ScalarField(eval=f)
 
 
-def constant_field(c: float) -> ScalarField:
-    c = float(c)
-    return ScalarField(eval=lambda q: c, grad=lambda q: np.zeros(len(q)))
-
-
 def fd_gradient(f, q, h=None) -> np.ndarray:
     """Gradient of a scalar field at q.
 
@@ -100,23 +91,7 @@ def fd_gradient(f, q, h=None) -> np.ndarray:
     if isinstance(f, ScalarField) and f.grad is not None:
         return require_finite(np.asarray(f.grad(q), dtype=float), "analytic gradient", q)
     fn = f.eval if isinstance(f, ScalarField) else f
-    require_finite(q, "finite-difference base point", q)
-    if h is None:
-        steps = fd_step(q)
-    else:
-        steps = np.broadcast_to(np.asarray(h, dtype=float), q.shape).copy()
-    grad = np.empty(q.shape[0])
-    for i in range(q.shape[0]):
-        qp = q.copy()
-        qm = q.copy()
-        qp[i] += steps[i]
-        qm[i] -= steps[i]
-        fp = float(fn(qp))
-        fm = float(fn(qm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericFailure(f"field evaluation non-finite near q={list(map(float, q))}")
-        grad[i] = (fp - fm) / (2.0 * steps[i])
-    return grad
+    return _central_differences(lambda x: float(fn(x)), q, h, False, "field")[0]
 
 
 def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
@@ -127,12 +102,14 @@ def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
     array and returns the 2m values stacked.  Both give the same bits.
     Raises NumericFailure on a non-finite q or value.
     """
-    q = np.asarray(q, dtype=float)
+    return _central_differences(fn, np.asarray(q, dtype=float), h, stacked, "function")
+
+
+def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
+    """The one stencil behind ``fd_gradient`` and ``fd_jacobian``: (k, m) central
+    differences of ``fn`` at q, step ``h`` or FD_SCALE * max(1, |q_i|)."""
     require_finite(q, "finite-difference base point", q)
-    if h is None:
-        steps = fd_step(q)
-    else:
-        steps = np.broadcast_to(np.asarray(h, dtype=float), q.shape).copy()
+    steps = FD_SCALE * np.maximum(1.0, np.abs(q)) if h is None else np.broadcast_to(np.asarray(h, dtype=float), q.shape)
     m = q.shape[0]
     idx = np.arange(m)
     stencil = np.tile(q, (2 * m, 1))
@@ -140,7 +117,7 @@ def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
     stencil[m + idx, idx] -= steps
     vals = np.asarray(fn(stencil) if stacked else [fn(x) for x in stencil], dtype=float).reshape(2 * m, -1)
     if not np.all(np.isfinite(vals)):
-        raise NumericFailure(f"function evaluation non-finite near q={list(map(float, q))}")
+        raise NumericFailure(f"{what} evaluation non-finite near q={list(map(float, q))}")
     return ((vals[:m] - vals[m:]) / (2.0 * steps)[:, None]).T
 
 

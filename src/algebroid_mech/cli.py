@@ -256,7 +256,7 @@ def _add_system_arg(parser):
     parser.add_argument("system", choices=sorted(GALLERY_IDS), help="gallery system id")
     parser.add_argument("--param", action="append", metavar="NAME=VALUE", help="parameter override (repeatable)")
     parser.add_argument("--omega", choices=["constant", "linear"], default="constant",
-                        help="angular-velocity law for the rolling ball")
+                        help="angular-velocity law for the rolling ball; other systems take only 'constant'")
 
 
 @functools.cache

@@ -296,7 +296,7 @@ def affine_constraints(
         Gq = np.array([G.at(q) for q in Q])
         B = np.array([[s(q) for s in U_basis] for q in Q])
         X = np.array([X0(q) for q in Q])
-        cached_key, rows = cached  # one read: another thread replaces the whole pair
+        cached_key, rows = cached
         key = (Gq[0].tobytes(), B[0].tobytes())
         uniform = Gq.tobytes() == key[0] * len(Q) and B.tobytes() == key[1] * len(Q)
         if not (uniform and key == cached_key):

@@ -625,12 +625,15 @@ def instantiate(system_id: str, params: Optional[dict] = None, omega: str = "con
     """Build a gallery system by id with parameter overrides.
 
     ``omega`` selects the table's angular-velocity law for the rolling
-    ball ('constant' or 'linear'); other systems ignore it.
+    ball ('constant' or 'linear'); any other system accepts only
+    'constant' and raises ValueError otherwise.
     """
     if system_id not in _BUILDERS:
         raise ValueError(f"unknown system {system_id!r}; known: {sorted(_BUILDERS)}")
     if system_id == "rolling_ball":
         return _build_rolling_ball(params, omega_mode=omega)
+    if omega != "constant":
+        raise ValueError(f"omega {omega!r} applies only to rolling_ball; {system_id} takes 'constant'")
     return _BUILDERS[system_id](params)
 
 

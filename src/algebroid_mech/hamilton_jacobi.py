@@ -156,8 +156,7 @@ def hj_forced_residual(sys: HamiltonianSystem, F, alpha: DualSection, q) -> np.n
     base = v_restriction(sys.algebroid)
     av, J = alpha(q), alpha.jac(q)
     dHq, dHp = sys.h_partials(q, av)
-    Fq = F.at(q) if hasattr(F, "at") else np.asarray(F(q), dtype=float)
-    return dHp @ d_oneform_matrix(base, av, J, q) + base.anchor_at(q).T @ (dHq + J.T @ dHp) + Fq @ av
+    return dHp @ d_oneform_matrix(base, av, J, q) + base.anchor_at(q).T @ (dHq + J.T @ dHp) + F.at(q) @ av
 
 
 def grid_points(box, resolution) -> tuple:
@@ -226,14 +225,13 @@ def christoffel_at(G, q) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the Levi-Civita connection of a
     riemannian metric, by finite differences of the metric matrix."""
     q = np.asarray(q, dtype=float)
-    mat = G.at if hasattr(G, "at") else (lambda qq: np.asarray(G(qq), dtype=float))
-    g = mat(q)
+    g = G.at(q)
     m = g.shape[0]
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise DomainError(f"metric not positive-definite at q={list(map(float, q))}")
-    dg = fd_jacobian(lambda qq: mat(qq).ravel(), q).reshape(m, m, m)  # dg[i, j, k] = d_k g_ij
+    dg = fd_jacobian(lambda qq: G.at(qq).ravel(), q).reshape(m, m, m)  # dg[i, j, k] = d_k g_ij
     # Gamma^k_ij = (1/2) g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
     rhs = 0.5 * (
         np.einsum("lji->lij", dg) + np.einsum("lij->lij", dg) - np.einsum("ijl->lij", dg)

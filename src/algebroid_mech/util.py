@@ -1,34 +1,13 @@
-"""Small shared utilities: environment-capped parallel map."""
+"""Small shared utilities: the grid sweep's map."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "ALGEBROID_MECH_THREADS"
-
-
-def thread_count() -> int:
-    """Worker cap from the environment: unset/1 -> sequential, 0 -> auto."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
 
 def parallel_map(fn, items):
-    """Order-preserving map, threaded when the environment allows it.
+    """Sequential, order-preserving map: ``[fn(x) for x in items]``.
 
-    Results are identical to the sequential map; only wall time changes,
-    so reports stay deterministic.
+    Grid sweeps run sequentially, in grid order, on the calling thread.  The
+    name is kept only because the benchmark's tracer wraps this function and
+    counts one call per ``hj_grid_check``.
     """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -111,6 +111,14 @@ def test_fd_jacobian_matches_hand_value():
             stacked = fd_jacobian(lambda Q: np.stack([g(y) for y in Q]), x, h=h, stacked=True)
             assert np.array_equal(stacked, pointwise)
 
+    # fd_gradient's stencil is fd_jacobian's, so a scalar field gives the same bits
+    def s(y):
+        return y[0] * math.sin(y[1]) + math.exp(0.1 * y[2]) / (2.0 + y[0] ** 2)
+
+    for x in seeded_points(3, n=16, lo=-5.0, hi=5.0, seed=2):
+        for h in (None, 1e-5, np.array([1e-5, 3e-6, 2e-4])):
+            assert np.array_equal(fd_gradient(s, x, h=h), fd_jacobian(lambda y: [s(y)], x, h=h)[0])
+
 
 class TestFdJacobianNonFinite:
     @pytest.mark.parametrize("stacked", [False, True])

@@ -395,26 +395,12 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-class TestThreadCap:
-    def test_parallel_sweep_matches_sequential(self, tmp_path, monkeypatch):
-        ref = tmp_path / "seq.json"
-        assert run_cli(
-            ["hj-check", "vertical_disk", "--resolution", "3", "--out", str(ref)]
-        ) == 0
-        monkeypatch.setenv("ALGEBROID_MECH_THREADS", "4")
-        par = tmp_path / "par.json"
-        assert run_cli(
-            ["hj-check", "vertical_disk", "--resolution", "3", "--out", str(par)]
-        ) == 0
-        assert ref.read_bytes() == par.read_bytes()
-
-    def test_auto_mode(self, monkeypatch):
-        from algebroid_mech.util import thread_count
-
-        monkeypatch.setenv("ALGEBROID_MECH_THREADS", "0")
-        assert thread_count() >= 1
-        monkeypatch.setenv("ALGEBROID_MECH_THREADS", "junk")
-        assert thread_count() == 1
+class TestOmegaOffTheBall:
+    def test_linear_omega_is_a_usage_error_without_a_report(self, tmp_path):
+        out = tmp_path / "hj.json"
+        argv = ["hj-check", "vertical_disk", "--omega", "linear", "--resolution", "3", "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert not out.exists()
 
 
 class TestEntryPoint:

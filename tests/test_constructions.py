@@ -28,7 +28,7 @@ from algebroid_mech import (
     projector_restriction,
     tangent_algebroid,
 )
-from algebroid_mech import cli, constructions, gallery
+from algebroid_mech import constructions, gallery
 from algebroid_mech.algebroid import sample_box
 from algebroid_mech.calculus import Chart, fd_gradient, fd_jacobian
 from algebroid_mech.hamilton_jacobi import verify_lift
@@ -530,15 +530,6 @@ class TestKernel:
         got = frames(Q)
         assert got.tobytes() == stacked_frames(G, U, X0, Q).tobytes()
         assert got[1, 1, 1] != got[0, 1, 1]
-
-    def test_ball_hj_check_same_bytes_with_two_threads(self, tmp_path, monkeypatch):
-        outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ALGEBROID_MECH_THREADS", threads)
-            out = tmp_path / f"hj{threads}.json"
-            assert cli.main(["hj-check", "rolling_ball", "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestGramSchmidt:

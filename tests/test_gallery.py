@@ -41,6 +41,10 @@ class TestInstantiate:
     def test_omega_mode_validation(self):
         with pytest.raises(ValueError):
             instantiate("rolling_ball", omega="quadratic")
+        for system_id in GALLERY_IDS:
+            if system_id != "rolling_ball":
+                with pytest.raises(ValueError, match="applies only to rolling_ball"):
+                    instantiate(system_id, omega="linear")
 
     def test_unknown_section(self, disk):
         with pytest.raises(ValueError):

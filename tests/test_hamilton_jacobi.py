@@ -1,4 +1,5 @@
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -394,6 +395,19 @@ class TestGrid:
         broken = DualSection(components=alpha.components, space="V*", jacobian=jac)
         with pytest.raises(NumericFailure, match=r"HJ residual non-finite at q=\[3\.5, 2\.0\]"):
             hj_grid_check(time_dependent.system, broken, box, 3)
+
+    def test_sweep_runs_on_the_calling_thread_in_grid_order(self, time_dependent, monkeypatch):
+        # the retired thread setting no longer does anything
+        monkeypatch.setenv("ALGEBROID_MECH_THREADS", "4")
+        inner = time_dependent.reference_sections["reference"]
+        calls = []
+        alpha = DualSection(components=lambda q: calls.append((threading.get_ident(), tuple(q))) or inner(q),
+                            space="V*", jacobian=inner.jac)
+        box, _, pts = grid_points(time_dependent.default_box, 3)
+        hj_grid_check(time_dependent.system, alpha, box, 3)
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        visited = [q for i, (_, q) in enumerate(calls) if i == 0 or q != calls[i - 1][1]]
+        assert visited == [tuple(q) for q in pts]
 
     def test_report_json(self, time_dependent):
         alpha = time_dependent.reference_sections["reference"]
