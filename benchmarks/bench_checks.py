@@ -6,15 +6,16 @@ The commands are the nine in README.md's CLI section, then the disk's
 default ``hj-check`` and a 5 s ``lift-verify``, then ``simulate`` and
 ``dissipation`` of the four systems built without a constraint kernel at
 their default horizons (three_body_drag from its ``dS`` section, as it has
-no reference section), then the sampled
-checks at the benchmark's ``point_checks`` sizes: every gallery system's
-adapted-frame cocycle and the ball's kernel section at 16 samples, and
-the four morphism checks at 8.  Each run is a fresh interpreter, so the
+no reference section), then the checks at the benchmark's
+``point_checks`` sizes: the ball's and the disk's ``hj-check`` grids
+(4 and 3 points per axis), every gallery system's adapted-frame cocycle
+and the ball's kernel section at 16 samples, and the four morphism checks
+at 8.  Each run is a fresh interpreter, so the
 constructed algebroids start with empty memos.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.
 
-    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_10.json
+    python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_13.json
 
 ``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
 includes interpreter start-up and the package import.  The SHA-256 of
@@ -60,6 +61,11 @@ ACCURACY = (
     ["hj-check", "vertical_disk"],
     ["lift-verify", "vertical_disk", "--t1", "5", "--dt", "1e-2"],
 )
+# the grid sizes of the benchmark's ``point_checks`` workload on the two kernel systems
+POINT_CHECK_GRIDS = (
+    ["hj-check", "rolling_ball", "--resolution", "4"],
+    ["hj-check", "vertical_disk", "--resolution", "3"],
+)
 # the systems of the benchmark's ``trajectories`` workload
 TRAJECTORY_SECTIONS = {"time_dependent_free": "reference", "riemannian_flat": "reference",
                        "cylinder_friction": "reference", "three_body_drag": "dS"}
@@ -77,7 +83,7 @@ print(json.dumps({"exit": code, "run_s": time.perf_counter() - t}))
 
 def commands(seed: int) -> list:
     s = str(seed)
-    cmds = [list(argv) for argv in README + ACCURACY + TRAJECTORIES]
+    cmds = [list(argv) for argv in README + ACCURACY + TRAJECTORIES + POINT_CHECK_GRIDS]
     cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])

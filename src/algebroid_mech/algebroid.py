@@ -26,6 +26,10 @@ from .errors import ConstructionError, NumericFailure
 
 # Relative singular-value threshold for numeric rank decisions.
 RANK_RTOL = 1e-8
+# The most points of a grid or of a sample set that one check may visit.
+GRID_POINT_CAP = 100_000
+# The points a grid or sample sweep prefetches at once (see ``prefetched``).
+PREFETCH_CHUNK = 1024
 # Nested finite differencing in flag_rank amplifies roundoff by 1/h per
 # bracket level; 1e-3 keeps the noise floor under RANK_RTOL at depth 4.
 FLAG_FD_SCALE = 1e-3
@@ -130,9 +134,12 @@ class SkewAlgebroid:
         it must be antisymmetric in (a, b).  None is the zero bracket.
     adapted : bool
         Frame index 0 is dual to the cocycle (C_{ab}^0 = 0).
+    prefetch : callable Q -> None, or None
+        Fills the memo of an algebroid that keeps one for a stack of points
+        Q (K, m), so later reads at those points are hits; see ``prefetch``.
     """
 
-    def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False):
+    def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False, prefetch=None):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         if structure is not None and not callable(structure):
@@ -141,7 +148,16 @@ class SkewAlgebroid:
         self.rank = int(rank)
         self._anchor = anchor
         self._structure = structure
+        self._prefetch = prefetch
         self.adapted = bool(adapted)
+
+    def prefetch(self, Q) -> None:
+        """Build the memoized values of a stack of points Q (K, m) in one
+        pass, bit for bit those a pointwise read would build; a no-op on an
+        algebroid without a memo.  Reads are unchanged: they return the same
+        values and raise the same errors, prefetched or not."""
+        if self._prefetch is not None:
+            self._prefetch(np.asarray(Q, dtype=float).reshape(-1, self.chart.dim))
 
     def anchor_at(self, q) -> np.ndarray:
         return _shaped(self._anchor(np.asarray(q, dtype=float)), (self.chart.dim, self.rank), "anchor")
@@ -275,14 +291,26 @@ def box_bounds(box) -> list:
 
 
 def sample_box(box, samples: int, seed: int) -> np.ndarray:
-    """Seeded uniform samples in a coordinate box [(lo, hi), ...] -> (N, m)."""
+    """Seeded uniform samples in a coordinate box [(lo, hi), ...] -> (N, m);
+    ValueError unless 1 <= samples <= GRID_POINT_CAP."""
     box = box_bounds(box)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > GRID_POINT_CAP:
+        raise ValueError(f"{samples} samples exceed the cap {GRID_POINT_CAP}")
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     return lo + (hi - lo) * rng.random((samples, len(box)))
+
+
+def prefetched(A: SkewAlgebroid, points):
+    """The points in order, with ``A.prefetch`` run on each chunk of at most
+    PREFETCH_CHUNK of them before its first point is yielded."""
+    for start in range(0, len(points), PREFETCH_CHUNK):
+        chunk = points[start:start + PREFETCH_CHUNK]
+        A.prefetch(chunk)
+        yield from chunk
 
 
 def check_cocycle(
@@ -299,10 +327,11 @@ def check_cocycle(
     Per sample, the pairs a < b are the upper triangle of one
     ``d_oneform_matrix``, taken from phi(q) and a central-difference
     Jacobian of phi even when phi carries an analytic one, so the reports
-    keep their bits.  phi is evaluated 2m + 1 times per sample."""
+    keep their bits.  phi is evaluated 2m + 1 times per sample.  The
+    samples are ``prefetched`` in chunks."""
     pts = sample_box(box, samples, seed)
     worst = [(q, max_abs(np.triu(d_oneform_matrix(A, phi(q), fd_jacobian(phi, q), q), 1), "d phi(e_{}, e_{})", q))
-             for q in pts]
+             for q in prefetched(A, pts)]
     return CheckReport.from_samples("cocycle", worst, tol, seed)
 
 
@@ -377,4 +406,5 @@ def v_restriction(A: SkewAlgebroid) -> SkewAlgebroid:
         anchor=lambda q: A.anchor_at(q)[:, 1:],
         structure=lambda q: A.structure_at(q)[1:, 1:, 1:],
         adapted=False,
+        prefetch=A.prefetch,
     )

@@ -107,24 +107,28 @@ def fd_jacobian(fn, q, h=None, stacked=False) -> np.ndarray:
 
 def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
     """The one stencil behind ``fd_gradient`` and ``fd_jacobian``: (k, m) central
-    differences of ``fn`` at q, step ``h`` or FD_SCALE * max(1, |q_i|)."""
+    differences of ``fn`` at q, step ``h`` or FD_SCALE * max(1, |q_i|).
+
+    A stack of points q (K, m) gives (K, k, m), each point's bits as if
+    alone; with ``stacked`` fn gets all K * 2m stencil rows in one call."""
     require_finite(q, "finite-difference base point", q)
     steps = FD_SCALE * np.maximum(1.0, np.abs(q)) if h is None else np.broadcast_to(np.asarray(h, dtype=float), q.shape)
-    m = q.shape[0]
+    m = q.shape[-1]
     idx = np.arange(m)
-    stencil = np.tile(q, (2 * m, 1))
-    stencil[idx, idx] += steps
-    stencil[m + idx, idx] -= steps
-    vals = np.asarray(fn(stencil) if stacked else [fn(x) for x in stencil], dtype=float).reshape(2 * m, -1)
+    stencil = np.repeat(q[..., None, :], 2 * m, axis=-2)
+    stencil[..., idx, idx] += steps
+    stencil[..., m + idx, idx] -= steps
+    rows = stencil.reshape(-1, m)
+    vals = np.asarray(fn(rows) if stacked else [fn(x) for x in rows], dtype=float).reshape(q.shape[:-1] + (2 * m, -1))
     if not np.all(np.isfinite(vals)):
-        raise NumericFailure(f"{what} evaluation non-finite near q={list(map(float, q))}")
-    return ((vals[:m] - vals[m:]) / (2.0 * steps)[:, None]).T
+        raise NumericFailure(f"{what} evaluation non-finite near q={q.tolist()}")
+    return np.swapaxes((vals[..., :m, :] - vals[..., m:, :]) / (2.0 * steps)[..., None], -1, -2)
 
 
 def require_finite(value, what: str, q):
     """``value`` if all of it is finite, else NumericFailure naming ``what`` and q."""
     if not np.isfinite(value).all():
-        raise NumericFailure(f"{what} non-finite at q={list(map(float, q))}")
+        raise NumericFailure(f"{what} non-finite at q={np.asarray(q, dtype=float).tolist()}")
     return value
 
 

@@ -41,6 +41,16 @@ def _finite(text):
     return val
 
 
+def _seed(text):
+    try:
+        val = int(text)
+    except ValueError:
+        val = None
+    if val is None or val < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return val
+
+
 def _parse_params(pairs):
     out = {}
     for item in pairs or []:
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", default=None)
     p.add_argument("--box", default=None)
     p.add_argument("--samples", type=int, default=128)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--tol", type=_finite, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_cocycle_check)
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=_finite, default=2.0)
     p.add_argument("--box", default=None)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--tol", type=_finite, default=1e-6)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_morphism_check)

@@ -20,9 +20,12 @@ derivative: analytic when every basis section of a projector restriction
 carries a jacobian, else from one stacked finite-difference stencil (so
 always for the affine constraints).  Values are memoized per point, keyed
 by the exact coordinates, so a repeat visit reuses them and a neighbouring
-point never does.  The affine constraints run Gram-Schmidt only on a metric
-and basis whose bytes differ from the last uniform stack's, so a constant
-metric and basis (the rolling ball) are orthonormalized once.
+point never does.  A batch of points known in advance (a grid or a sample
+set) is built in one stacked pass by ``prefetch``, bit for bit as its
+points' reads would build them.  The affine constraints run Gram-Schmidt
+only on a metric and basis whose bytes differ from the last uniform
+stack's, so a constant metric and basis (the rolling ball) are
+orthonormalized once.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .algebroid import CheckReport, ESection, SkewAlgebroid, sample_box, v_restriction
-from .calculus import ScalarField, as_scalar_field, fd_gradient, fd_jacobian, max_abs, require_finite
+from .algebroid import CheckReport, ESection, SkewAlgebroid, prefetched, sample_box, v_restriction
+from .calculus import (ScalarField, _central_differences, as_scalar_field, fd_gradient, fd_jacobian, max_abs,
+                       require_finite)
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bivector_at
 
@@ -124,7 +128,8 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
             C[1:, 0] = -C[0, 1:]
         return C
 
-    return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True)
+    return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True,
+                         prefetch=base.prefetch)
 
 
 def projector_restriction(
@@ -187,8 +192,17 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     derivative (rank, n_E, m) from ``frame_jacobian(q)`` when given (a
     non-finite value raises NumericFailure), else from central differences
     of the frame, all stencil points in one ``frames`` call.
+
+    A read builds one point's values.  ``prefetch(Q)`` builds those of every
+    point of Q not yet holding a C in one stacked pass of the same
+    arithmetic, so their bits are the pointwise ones: one ``frames`` call for
+    the points, one for all their stencils, the pair brackets as one einsum
+    and stacked mat-vecs.  Only the projection runs per point and pair.  If
+    the pass raises, it memoizes nothing, and the pointwise read of the
+    failing point raises as it would have without it.
     """
     memo = {}  # q bytes -> [frame, rho_E, anchor, C]
+    I, J = np.triu_indices(rank, 1)  # the pairs i < j, in the pointwise loop's order
 
     def entry(q):  # q arrives as a float array from anchor_at / structure_at
         key = q.tobytes()
@@ -222,7 +236,50 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             hit[3] = C
         return hit[3]
 
-    return SkewAlgebroid(chart=E.chart, rank=rank, anchor=lambda q: entry(q)[2], structure=structure, adapted=adapted)
+    def build(Q):  # the pointwise values of every row of Q, stacked
+        M = frames(Q)  # (K, rank, n_E)
+        rhoE = np.array([E.anchor_at(q) for q in Q])
+        if frame_jacobian is None:
+            dM = _central_differences(frames, Q, None, True, "function").reshape(M.shape + Q.shape[-1:])
+        else:
+            dM = require_finite(np.array([frame_jacobian(q) for q in Q], dtype=float), "frame jacobian", Q)
+        CE = np.array([E.structure_at(q) for q in Q])
+        anchored = M @ np.swapaxes(rhoE, -1, -2)  # (K, rank, m)
+        val = np.einsum("kabg,kpa,kpb->kpg", CE, M[:, I], M[:, J])
+        val = val + (dM[:, J] @ anchored[:, I, :, None])[..., 0] - (dM[:, I] @ anchored[:, J, :, None])[..., 0]
+        C = np.zeros((len(Q), rank, rank, rank))
+        for k, (q, Mk) in enumerate(zip(Q, M)):
+            project = projection(q, Mk)
+            for p, (i, j) in enumerate(zip(I, J)):
+                C[k, i, j] = project(val[k, p])
+        C[:, J, I] = -C[:, I, J]
+        C.flags.writeable = False
+        return M, rhoE, rhoE @ np.swapaxes(M, -1, -2), C
+
+    def prefetch(Q):
+        todo = {}  # q bytes -> q, for the distinct points without a C
+        for q in Q:
+            key = q.tobytes()
+            hit = memo.get(key)
+            if hit is None or hit[3] is None:
+                todo.setdefault(key, q)
+        if not todo:
+            return
+        try:
+            built = build(np.array(list(todo.values())))
+        except Exception:  # whatever it is, the sweep's own read of the failing point raises it, in sweep order
+            return
+        if len(memo) + len(todo) > _MEMO_POINTS:
+            memo.clear()
+        for key, M, rhoE, anchor, C in zip(todo, *built):
+            hit = memo.get(key)
+            if hit is None:
+                memo[key] = [M, rhoE, anchor, C]
+            else:  # keep the memoized frame and anchor
+                hit[3] = C
+
+    return SkewAlgebroid(chart=E.chart, rank=rank, anchor=lambda q: entry(q)[2], structure=structure,
+                         adapted=adapted, prefetch=prefetch)
 
 
 def gram_schmidt_at(G: MetricField, basis: List[ESection], q) -> np.ndarray:
@@ -407,6 +464,9 @@ def morphism_check(
     compares equal bits.  Its strict upper triangle is folded.  psi is
     evaluated 2(m + n) + 1 times per sample.  A non-finite value raises
     NumericFailure naming its sample point and probe pair or component.
+    The source algebroid is ``prefetched`` at the samples in chunks, which
+    also serves the target when it shares the source's memo (the gallery's
+    morphisms over the identity base map).
     """
     src = _coerce_endpoint(src)
     dst = _coerce_endpoint(dst)
@@ -422,7 +482,7 @@ def morphism_check(
         return pair.full(A, xf)
 
     worst1, worst2, worst3 = [], [], []
-    for q, p in zip(qs, ps):
+    for q, p in zip(prefetched(A, qs), ps):
         xf = np.concatenate([q, p])
         image = psi_full(xf)
         J = fd_jacobian(psi_full, xf)

@@ -19,13 +19,11 @@ import itertools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebroid import DualSection, ESection, box_bounds, d_oneform_matrix, v_restriction
+from .algebroid import GRID_POINT_CAP, DualSection, ESection, box_bounds, d_oneform_matrix, prefetched, v_restriction
 from .calculus import Curve, fd_jacobian, integrate_rk4, max_abs, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _pdot_rhs, integrate_hamilton, projected_field
 from .util import parallel_map
-
-GRID_POINT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -184,10 +182,11 @@ def hj_grid_check(
     resolution=11,
     tol: float = 1e-9,
 ) -> HJReport:
-    """Evaluate the HJ residual over a grid and report the max norm; a
-    non-finite residual raises NumericFailure naming its grid point."""
+    """Evaluate the HJ residual over a grid, in grid order with the points
+    ``prefetched`` in chunks, and report the max norm; a non-finite
+    residual raises NumericFailure naming its grid point."""
     box, resolution, pts = grid_points(box, resolution)
-    residuals = parallel_map(lambda q: hj_residual(sys, alpha, q), pts)
+    residuals = parallel_map(lambda q: hj_residual(sys, alpha, q), prefetched(sys.algebroid, pts))
     grid = tuple(zip(pts, residuals))
     max_norm = max((max_abs(r, "HJ residual", q) for q, r in grid), default=0.0)
     return HJReport(residual_grid=grid, max_norm=max_norm, tol=float(tol), box=box, resolution=resolution)

@@ -281,16 +281,33 @@ class TestMorphismCheck:
         assert data["reports"]["hamiltonian_pullback"]["pass"] is False
 
 
+SAMPLED_CHECKS = [
+    ["cocycle-check", "cylinder_friction"],
+    ["morphism-check", "cylinder_friction", "--morphism", "momentum-scale"],
+]
+
+
 class TestSampleCount:
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    @pytest.mark.parametrize("argv", [
-        ["cocycle-check", "cylinder_friction"],
-        ["morphism-check", "cylinder_friction", "--morphism", "momentum-scale"],
-    ])
-    def test_no_samples_is_usage_error(self, argv, samples, capsys):
-        # a sampled check with no samples would pass vacuously
-        assert run_cli(argv + ["--samples", samples]) == 2
-        assert "samples must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("samples", ["0", "-3", "100001"])
+    @pytest.mark.parametrize("argv", SAMPLED_CHECKS)
+    def test_no_samples_is_usage_error(self, argv, samples, tmp_path, capsys):
+        # a sampled check with no samples would pass vacuously; more than the
+        # cap used to allocate them all first, and a MemoryError exited 1
+        message = {"100001": "100001 samples exceed the cap 100000"}.get(samples, "samples must be >= 1")
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--samples", samples, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("argv", SAMPLED_CHECKS)
+    def test_negative_seed_is_usage_error_naming_the_flag(self, argv, tmp_path, capsys):
+        # numpy's own message named no flag
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNonFiniteArguments:

@@ -8,20 +8,26 @@ import pytest
 from algebroid_mech import (
     CheckReport,
     ConstructionError,
+    DomainError,
+    DualSection,
     ESection,
+    HamiltonianSystem,
     Homomorphism,
     MetricField,
     MorphismEndpoint,
     MorphismPair,
     NumericFailure,
     ScalarField,
+    SkewAlgebroid,
     affine_constraints,
     bracket,
+    check_cocycle,
     constant_section,
     d_function,
     d_oneform_eval,
     force_extension,
     gram_schmidt_at,
+    hj_grid_check,
     instantiate,
     morphism_check,
     poisson_bracket_eval,
@@ -31,7 +37,7 @@ from algebroid_mech import (
 from algebroid_mech import constructions, gallery
 from algebroid_mech.algebroid import sample_box
 from algebroid_mech.calculus import Chart, fd_gradient, fd_jacobian
-from algebroid_mech.hamilton_jacobi import verify_lift
+from algebroid_mech.hamilton_jacobi import grid_points, verify_lift
 
 from conftest import lie_tangent, nan_structure_at, seeded_points, smooth_field
 
@@ -392,6 +398,28 @@ def stacked_frames(G, U_basis, X0, Q):
     return np.concatenate([X[:, None, :], constructions._gram_schmidt(Gq, B) @ B], axis=1)
 
 
+def twisted_affine():
+    """(E, G, U_basis, X0) of affine constraints on the tangent bundle of R^3
+    whose metric, U basis and drift all depend on q."""
+    E = tangent_algebroid(Chart(dim=3, coord_names=("a", "b", "c")))
+
+    def metric(q):
+        return np.array(
+            [
+                [1.0 + 0.2 * q[0] ** 2, 0.0, 0.0],
+                [0.0, 2.0 + 0.5 * math.sin(q[1]), 0.1 * q[0]],
+                [0.0, 0.1 * q[0], 1.5 + 0.3 * math.cos(q[2])],
+            ]
+        )
+
+    U = [
+        ESection(components=lambda q: np.array([0.0, 1.0, 0.3 * q[0]])),
+        ESection(components=lambda q: np.array([0.0, 0.2 * math.sin(q[2]), 1.0 + 0.1 * q[1] ** 2])),
+    ]
+    X0 = ESection(components=lambda q: np.array([1.0 / math.sqrt(metric(q)[0, 0]), 0.0, 0.0]))
+    return E, MetricField(matrix=metric), U, X0
+
+
 def count_gram_schmidt(monkeypatch):
     """Patch constructions._gram_schmidt to record the stack size of each call."""
     calls = []
@@ -440,23 +468,8 @@ class TestKernel:
     def test_affine_frames_that_vary_with_q(self, monkeypatch):
         # metric, U basis and drift all depend on q; compare with the frame
         # built one point at a time and differentiated pointwise
-        E = tangent_algebroid(Chart(dim=3, coord_names=("a", "b", "c")))
-
-        def metric(q):
-            return np.array(
-                [
-                    [1.0 + 0.2 * q[0] ** 2, 0.0, 0.0],
-                    [0.0, 2.0 + 0.5 * math.sin(q[1]), 0.1 * q[0]],
-                    [0.0, 0.1 * q[0], 1.5 + 0.3 * math.cos(q[2])],
-                ]
-            )
-
-        G = MetricField(matrix=metric)
-        U = [
-            ESection(components=lambda q: np.array([0.0, 1.0, 0.3 * q[0]])),
-            ESection(components=lambda q: np.array([0.0, 0.2 * math.sin(q[2]), 1.0 + 0.1 * q[1] ** 2])),
-        ]
-        X0 = ESection(components=lambda q: np.array([1.0 / math.sqrt(metric(q)[0, 0]), 0.0, 0.0]))
+        E, G, U, X0 = twisted_affine()
+        metric = G.at
         A = affine_constraints(E, G, U, X0).algebroid
 
         def frame(q):
@@ -530,6 +543,149 @@ class TestKernel:
         got = frames(Q)
         assert got.tobytes() == stacked_frames(G, U, X0, Q).tobytes()
         assert got[1, 1, 1] != got[0, 1, 1]
+
+
+def counted_frames(monkeypatch):
+    """Patch the kernel builder so that every kernel built afterwards logs
+    the stack size of each of its ``frames`` calls; returns the log."""
+    calls = []
+    real = constructions._bracket_then_project
+    monkeypatch.setattr(constructions, "_bracket_then_project",
+                        lambda E, frames, *a, **kw: real(E, lambda Q: calls.append(len(Q)) or frames(Q), *a, **kw))
+    return calls
+
+
+def kernel_reads(A, Q):
+    """The bytes of the anchor and C read at each row of Q."""
+    return [A.anchor_at(q).tobytes() + A.structure_at(q).tobytes() for q in Q]
+
+
+KERNEL_SYSTEMS = {  # name -> (a fresh kernel algebroid, a box of points)
+    # the disk's kernel sits under a force extension, so its prefetch is forwarded
+    "rolling_ball-constant": (lambda: instantiate("rolling_ball").system.algebroid,
+                              ((0.0, 2.0 * math.pi), (-2.0, 2.0), (-2.0, 2.0))),
+    "rolling_ball-linear": (lambda: instantiate("rolling_ball", omega="linear").system.algebroid,
+                            ((0.0, 2.0 * math.pi), (-2.0, 2.0), (-2.0, 2.0))),
+    "vertical_disk": (lambda: instantiate("vertical_disk").system.algebroid, ((-1.0, 1.0),) * 4),
+    # the gallery's frame derivatives leave one term per sum; here the
+    # Gram-Schmidt, the stencil and every mat-vec carry roundoff
+    "twisted_affine": (lambda: affine_constraints(*twisted_affine()).algebroid, ((-1.0, 1.0),) * 3),
+}
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("system", KERNEL_SYSTEMS)
+    def test_prefetched_values_are_the_pointwise_bits(self, system, seed, monkeypatch):
+        build, box = KERNEL_SYSTEMS[system]
+        Q = sample_box(box, 256, seed)
+        expect = dict(zip(map(bytes, Q), kernel_reads(build(), Q)))
+        rng = np.random.default_rng(seed)
+        orders = {
+            "sampled": Q,
+            "reversed": Q[::-1],
+            "shuffled": rng.permutation(Q),
+            "duplicates": np.concatenate([Q[:150], Q[50:], Q[::-3]]),
+        }
+        frames_calls = counted_frames(monkeypatch)
+        for name, stack in orders.items():
+            A = build()
+            A.prefetch(stack)
+            frames_calls.clear()
+            assert kernel_reads(A, Q) == [expect[bytes(q)] for q in Q], name
+            assert frames_calls == [], name  # every read was served by the memo
+        # points that already hold a memoized anchor but no C
+        A = build()
+        for q in Q[::3]:
+            A.anchor_at(q)
+        A.prefetch(Q)
+        frames_calls.clear()
+        assert kernel_reads(A, Q) == [expect[bytes(q)] for q in Q]
+        assert frames_calls == []
+
+    def test_frames_calls_of_a_cold_build_and_of_a_chunk(self, monkeypatch):
+        frames_calls = counted_frames(monkeypatch)
+        A = instantiate("rolling_ball").system.algebroid
+        Q = sample_box(instantiate("rolling_ball").default_box, 65, 3)
+        frames_calls.clear()
+        A.structure_at(Q[0])
+        assert frames_calls == [1, 6]  # the point, then its stencil
+        frames_calls.clear()
+        A.prefetch(Q[1:])
+        assert frames_calls == [64, 64 * 6]  # the chunk's points, then all their stencils
+        frames_calls.clear()
+        A.prefetch(Q)  # nothing left to build
+        kernel_reads(A, Q)
+        assert frames_calls == []
+
+    def test_no_memo_no_op(self):
+        A = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
+        A.prefetch(np.zeros((3, 2)))
+        assert np.array_equal(A.structure_at(np.zeros(2)), np.zeros((2, 2, 2)))
+
+    @staticmethod
+    def _failing_system(bad, nan_near):
+        """A force-extended projector restriction of the plane whose E raises
+        DomainError in its structure at the point ``bad`` and, with
+        ``nan_near``, whose first frame field is NaN within 1e-4 of (but not
+        at) the point ``nan_near``, i.e. at its stencil points only."""
+        chart = Chart(dim=2, coord_names=("a", "b"))
+        eye = np.eye(2)
+
+        def structure(q):
+            if np.array_equal(q, bad):
+                raise DomainError(f"no structure at q={q.tolist()}")
+            return np.zeros((2, 2, 2))
+
+        def X1(q):
+            near = nan_near is not None and 0.0 < np.max(np.abs(q - nan_near)) < 1e-4
+            return np.array([np.nan if near else 1.0, 0.1 * q[0]])
+
+        E = SkewAlgebroid(chart=chart, rank=2, anchor=lambda q: eye, structure=structure)
+        D = projector_restriction(E, [ESection(components=X1), constant_section([0.0, 1.0])],
+                                  lambda q, v: np.array([v[0], v[1] - 0.1 * q[0] * v[0]]))
+        H = ScalarField(eval=lambda x: 0.5 * float(x[2:] @ x[2:]), grad=lambda x: np.concatenate([[0.0, 0.0], x[2:]]))
+        return HamiltonianSystem(algebroid=force_extension(D, None), H=H)
+
+    @pytest.mark.parametrize("nan_near", [True, False])
+    @pytest.mark.parametrize("check", ["hj-check", "cocycle-check", "morphism-check"])
+    def test_errors_are_those_of_the_pointwise_sweep(self, check, nan_near, monkeypatch):
+        box = [(0.0, 1.0), (0.0, 1.0)]
+        if check == "hj-check":
+            points = grid_points(box, 4)[2]
+        else:
+            points = sample_box(box, 16, 7)
+        bad = points[3]  # E's structure raises here; the stencil of point 7 meets NaN frames
+
+        def run():
+            sys_ = self._failing_system(bad, points[7] if nan_near else None)
+            if check == "hj-check":
+                alpha = DualSection(components=lambda q: np.array([0.5, q[0]]), space="V*")
+                hj_grid_check(sys_, alpha, box, 4)
+            elif check == "cocycle-check":
+                check_cocycle(sys_.algebroid, DualSection(components=lambda q: np.eye(3)[0]), box, 16, 7)
+            else:
+                pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)
+                morphism_check(sys_, sys_, pair, box, samples=16, seed=7)
+
+        with pytest.raises(DomainError) as prefetched:
+            run()
+        with monkeypatch.context() as patch:  # the sweep without prefetch
+            patch.setattr(SkewAlgebroid, "prefetch", lambda self, Q: None)
+            with pytest.raises(DomainError) as pointwise:
+                run()
+        assert str(prefetched.value) == str(pointwise.value) == f"no structure at q={bad.tolist()}"
+
+    def test_a_failed_prefetch_memoizes_nothing(self, monkeypatch):
+        frames_calls = counted_frames(monkeypatch)
+        Q = sample_box([(0.0, 1.0), (0.0, 1.0)], 8, 5)
+        A = self._failing_system(Q[3], Q[6]).algebroid
+        frames_calls.clear()
+        A.prefetch(Q)
+        assert frames_calls == [8, 8 * 4]  # built up to the NaN stencil values, then dropped
+        frames_calls.clear()
+        A.structure_at(Q[0])
+        assert frames_calls == [1, 4]  # a cold pointwise build
 
 
 class TestGramSchmidt:

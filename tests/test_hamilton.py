@@ -159,9 +159,15 @@ class TestRhsReads:
         monkeypatch.undo()
         return counts, rate
 
-    @pytest.mark.parametrize("system", ["cylinder_friction", "vertical_disk"])
-    def test_one_read_of_each_object(self, system, monkeypatch):
-        gs = instantiate(system)
+    @pytest.mark.parametrize("system,omega", [
+        pytest.param("cylinder_friction", "constant", id="cylinder_friction"),
+        pytest.param("vertical_disk", "constant", id="vertical_disk"),
+        # the affine kernel's RK4 stage: a new point, built by the pointwise reads
+        pytest.param("rolling_ball", "constant", id="rolling_ball-constant"),
+        pytest.param("rolling_ball", "linear", id="rolling_ball-linear"),
+    ])
+    def test_one_read_of_each_object(self, system, omega, monkeypatch):
+        gs = instantiate(system, omega=omega)
         sys_ = gs.system
         q0 = np.array(gs.default_q0)
         x = np.concatenate([q0, gs.reference_sections["reference"](q0)])

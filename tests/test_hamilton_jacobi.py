@@ -24,6 +24,7 @@ from algebroid_mech import (
     verify_lift,
     zeta_eval,
 )
+from algebroid_mech import algebroid
 from algebroid_mech.algebroid import sample_box
 from algebroid_mech.hamilton import HamiltonianSystem
 from algebroid_mech.hamilton_jacobi import grid_points
@@ -408,6 +409,26 @@ class TestGrid:
         assert {ident for ident, _ in calls} == {threading.get_ident()}
         visited = [q for i, (_, q) in enumerate(calls) if i == 0 or q != calls[i - 1][1]]
         assert visited == [tuple(q) for q in pts]
+
+    def test_sweep_prefetches_each_chunk_before_its_points(self, disk, monkeypatch):
+        monkeypatch.setattr(algebroid, "PREFETCH_CHUNK", 5)
+        inner = disk.reference_sections["reference"]
+        events = []  # ("prefetch", points) or ("alpha", point), in call order
+        alpha = DualSection(components=lambda q: events.append(("alpha", tuple(q))) or inner(q), space="V*",
+                            jacobian=inner.jacobian)
+        real = algebroid.SkewAlgebroid.prefetch
+        monkeypatch.setattr(algebroid.SkewAlgebroid, "prefetch",
+                            lambda self, Q: events.append(("prefetch", [tuple(q) for q in Q])) or real(self, Q))
+        box, _, pts = grid_points(disk.default_box, 2)  # 16 points
+        report = hj_grid_check(disk.system, alpha, box, 2)
+        pts = [tuple(q) for q in pts]
+        chunks = [pts[i:i + 5] for i in range(0, 16, 5)]
+        assert [v for kind, v in events if kind == "prefetch"] == chunks
+        # alpha runs twice per point; each chunk is prefetched before its first point
+        assert [v for kind, v in events if kind == "alpha"] == [q for q in pts for _ in range(2)]
+        assert all(events.index(("prefetch", c)) < events.index(("alpha", c[0])) for c in chunks)
+        monkeypatch.undo()
+        assert report.to_json_dict() == hj_grid_check(disk.system, inner, box, 2).to_json_dict()
 
     def test_report_json(self, time_dependent):
         alpha = time_dependent.reference_sections["reference"]
