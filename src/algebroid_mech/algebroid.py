@@ -78,9 +78,23 @@ class DualSection:
         return fd_jacobian(self.components, q)
 
 
+class _Constant:
+    """q -> one read-only float array, built once; readers that recognize it skip the call."""
+
+    def __init__(self, value):
+        self.value = np.array(value, dtype=float)
+        self.value.flags.writeable = False
+
+    def __call__(self, q) -> np.ndarray:
+        return self.value
+
+
+def _constant(*fns) -> bool:
+    return all(type(fn) is _Constant for fn in fns)
+
+
 def constant_section(values) -> ESection:
-    v = np.array(values, dtype=float)
-    return ESection(components=lambda q: v)
+    return ESection(components=_Constant(values))
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,7 @@ class SkewAlgebroid:
     structure : callable q -> (n, n, n) array, or None
         C[a, b, :] holds the components of the frame bracket [[e_a, e_b]];
         it must be antisymmetric in (a, b).  None is the zero bracket.
+        A ``_Constant`` (as None is) is shape-checked here and read without a call.
     adapted : bool
         Frame index 0 is dual to the cocycle (C_{ab}^0 = 0).
     prefetch : callable Q -> None, or None
@@ -145,9 +160,12 @@ class SkewAlgebroid:
         if structure is not None and not callable(structure):
             raise TypeError("structure must be a callable q -> (n, n, n) array, or None")
         self.chart = chart
-        self.rank = int(rank)
+        self.rank = n = int(rank)
         self._anchor = anchor
-        self._structure = structure
+        self._structure = _Constant(np.zeros((n, n, n))) if structure is None else structure
+        for fn, shape, what in ((anchor, (chart.dim, n), "anchor"), (self._structure, (n, n, n), "structure")):
+            if _constant(fn):
+                _shaped(fn.value, shape, what)
         self._prefetch = prefetch
         self.adapted = bool(adapted)
 
@@ -160,19 +178,18 @@ class SkewAlgebroid:
             self._prefetch(np.asarray(Q, dtype=float).reshape(-1, self.chart.dim))
 
     def anchor_at(self, q) -> np.ndarray:
+        if type(self._anchor) is _Constant:
+            return self._anchor.value
         return _shaped(self._anchor(np.asarray(q, dtype=float)), (self.chart.dim, self.rank), "anchor")
 
     def structure_at(self, q) -> np.ndarray:
         """The (n, n, n) tensor C[a, b, :] = [[e_a, e_b]] at q."""
-        n = self.rank
-        if self._structure is None:
-            return np.zeros((n, n, n))
-        return _shaped(self._structure(np.asarray(q, dtype=float)), (n, n, n), "structure")
+        if type(self._structure) is _Constant:
+            return self._structure.value
+        return _shaped(self._structure(np.asarray(q, dtype=float)), (self.rank,) * 3, "structure")
 
     def basis_section(self, a: int) -> ESection:
-        e = np.zeros(self.rank)
-        e[a] = 1.0
-        return constant_section(e)
+        return constant_section(np.eye(self.rank)[a])
 
     def validate_adapted(self, points, tol: float = 1e-9):
         """Check C_{ab}^0 = 0 at the sample points; a non-finite value raises NumericFailure."""
@@ -197,8 +214,7 @@ def tangent_algebroid(chart: Chart, adapted: bool = False) -> SkewAlgebroid:
     With ``adapted=True`` the first coordinate direction is declared dual
     to the cocycle (used for fibrations over time).
     """
-    eye = np.eye(chart.dim)
-    return SkewAlgebroid(chart=chart, rank=chart.dim, anchor=lambda q: eye, adapted=adapted)
+    return SkewAlgebroid(chart=chart, rank=chart.dim, anchor=_Constant(np.eye(chart.dim)), adapted=adapted)
 
 
 def anchor_apply(A: SkewAlgebroid, sigma: ESection, q) -> np.ndarray:

@@ -53,11 +53,13 @@ def _seed(text):
 
 def _parse_params(pairs):
     out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ValueError(f"--param expects name=value, got {item!r}")
-        name, _, val = item.partition("=")
-        out[name.strip()] = float(val)
+    for name, sep, val in (item.partition("=") for item in pairs or []):
+        if not sep:
+            raise ValueError(f"--param expects name=value, got {name!r}")
+        try:
+            out[name.strip()] = float(val)
+        except ValueError:
+            raise ValueError(f"--param {name.strip()} expects a number, got {val!r}") from None
     return out
 
 
@@ -366,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _attach_vector_values(argv):
     """``--box -1:1,...`` -> ``--box=-1:1,...``: argparse takes a separated
-    value that starts with '-' and is not a plain number for an option."""
+    value that starts with '-' and is not a plain number (-inf) for an option."""
     out = []
     for tok in argv:
-        if out and out[-1] in ("--box", "--q0", "--x0", "--point") and re.match(r"-[0-9.]", tok):
+        if out and out[-1] in ("--box", "--q0", "--x0", "--point") and re.match(r"-([0-9.]|inf|nan)", tok, re.I):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -22,10 +22,10 @@ always for the affine constraints).  Values are memoized per point, keyed
 by the exact coordinates, so a repeat visit reuses them and a neighbouring
 point never does.  A batch of points known in advance (a grid or a sample
 set) is built in one stacked pass by ``prefetch``, bit for bit as its
-points' reads would build them.  The affine constraints run Gram-Schmidt
-only on a metric and basis whose bytes differ from the last uniform
-stack's, so a constant metric and basis (the rolling ball) are
-orthonormalized once.
+points' reads would build them.  Constant inputs are evaluated once, at
+construction: the force extension of a constant base by a constant force
+is constant, and affine constraints with a constant metric, U basis and
+drift (the rolling ball) orthonormalize their frame once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .algebroid import CheckReport, ESection, SkewAlgebroid, prefetched, sample_box, v_restriction
+from .algebroid import CheckReport, ESection, SkewAlgebroid, _Constant, _constant, prefetched, sample_box, v_restriction
 from .calculus import (ScalarField, _central_differences, as_scalar_field, fd_gradient, fd_jacobian, max_abs,
                        require_finite)
 from .errors import ConstructionError
@@ -56,8 +56,7 @@ class Homomorphism:
 
     @staticmethod
     def constant(matrix) -> "Homomorphism":
-        M = np.array(matrix, dtype=float)
-        return Homomorphism(coeff=lambda q: M)
+        return Homomorphism(coeff=_Constant(matrix))
 
     @staticmethod
     def scalar(k: float, rank: int) -> "Homomorphism":
@@ -79,8 +78,7 @@ class MetricField:
 
     @staticmethod
     def constant(matrix) -> "MetricField":
-        M = np.array(matrix, dtype=float)
-        return MetricField(matrix=lambda q: M)
+        return MetricField(matrix=_Constant(matrix))
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,8 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
 
     The new frame direction e_0 is anchored to zero and brackets as
     [[e_0, e_a]] = -F_a^b e_b; the base bracket is kept on indices >= 1.
-    The frame covector (1, 0, ..., 0) is a cocycle of the result.
+    The frame covector (1, 0, ..., 0) is a cocycle of the result, which is
+    constant, built here once, when the base is and F is constant or None.
     """
     r = base.rank
     if F is not None:
@@ -128,6 +127,8 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
             C[1:, 0] = -C[0, 1:]
         return C
 
+    if _constant(base._anchor, base._structure) and (F is None or _constant(F.coeff)):
+        anchor, structure = _Constant(anchor(np.zeros(m))), _Constant(structure(np.zeros(m)))
     return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True,
                          prefetch=base.prefetch)
 
@@ -333,10 +334,10 @@ def affine_constraints(
     G-orthonormal frame ebar of U, and the Hamiltonian
     H = (1/2) sum p_a^2 + V in that frame.
 
-    The rows of ebar depend only on G(q) and the U basis at q.  When every
-    point of a stack has the exact bytes of one metric and one basis, and
-    those equal the last such stack's, the stack reuses its rows; otherwise
-    (a q-dependent metric or basis) the stack is orthonormalized per call.
+    When G, every U section and X0 are constant (``MetricField.constant``,
+    ``constant_section``), the frame and its projection are built once,
+    here, and every stack reads that one read-only frame; otherwise each
+    stack is orthonormalized per call.
     """
     r = len(U_basis)
     if r < 1:
@@ -345,27 +346,23 @@ def affine_constraints(
     if validation_points is None:
         validation_points = sample_box([(-1.0, 1.0)] * m, samples=8, seed=0)
 
-    cached = (None, None)  # (exact bytes of one metric and one basis, their orthonormal rows)
-
     def frames(Q):
         """Rows: X0 then the orthonormalized U frame, in E components."""
-        nonlocal cached
         Gq = np.array([G.at(q) for q in Q])
         B = np.array([[s(q) for s in U_basis] for q in Q])
         X = np.array([X0(q) for q in Q])
-        cached_key, rows = cached
-        key = (Gq[0].tobytes(), B[0].tobytes())
-        uniform = Gq.tobytes() == key[0] * len(Q) and B.tobytes() == key[1] * len(Q)
-        if not (uniform and key == cached_key):
-            rows = _gram_schmidt(Gq, B) @ B
-            if uniform:
-                cached = (key, rows[0])
-        return np.concatenate([X[:, None, :], np.broadcast_to(rows, B.shape)], axis=1)  # (K, r+1, nE)
+        return np.concatenate([X[:, None, :], _gram_schmidt(Gq, B) @ B], axis=1)  # (K, r+1, nE)
 
     def projection(q, M):
         # G(ebar_a, .) for the orthonormal rows; the drift row has none
         rows = M[1:] @ G.at(q)
         return lambda val: np.concatenate([[0.0], rows @ val])
+
+    if _constant(G.matrix, X0.components, *(s.components for s in U_basis)):
+        frame = frames(np.zeros((1, m)))[0]
+        frames = lambda Q: np.broadcast_to(frame, (len(Q),) + frame.shape)  # read-only views
+        project = projection(np.zeros(m), frame)
+        projection = lambda q, M: project
 
     # precondition: X0 is G-orthogonal to U
     points = np.asarray(validation_points, dtype=float)

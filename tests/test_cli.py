@@ -192,6 +192,40 @@ class TestVectorArguments:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "argv,option,value,code,message",
+        [
+            (["simulate", "cylinder_friction"], "--x0", "-inf,0,1,1", 3, "initial state non-finite"),
+            (["simulate", "cylinder_friction"], "--q0", "-inf,0", 3, "initial state non-finite"),
+            (["hj-check", "rolling_ball"], "--box", "-inf:0,0:1,0:1", 2, "box bounds must be finite, got -inf:0"),
+            (["hj-check", "rolling_ball"], "--box", "-Infinity:0,0:1,0:1", 2, "box bounds must be finite, got -inf:0"),
+            (["flag-rank", "vertical_disk"], "--point", "-nan,0,0,0", 3, "flag depth 2: "),
+            (["flag-rank", "vertical_disk"], "--point", "-NaN,0,0,0", 3, "flag depth 2: "),
+        ],
+    )
+    def test_separated_non_finite_vector_matches_attached(self, tmp_path, capsys, argv, option, value, code,
+                                                          message):
+        # a separated leading -inf or -nan used to die in argparse with
+        # "expected one argument"
+        errs = []
+        for name, form in (("sep", [option, value]), ("eq", [f"{option}={value}"])):
+            out = tmp_path / name
+            assert run_cli(argv + form + ["--out", str(out)]) == code
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: " + message)
+
+
+class TestParamValues:
+    @pytest.mark.parametrize("value", ["abc", "", "1,2"])
+    def test_non_number_names_the_flag_and_parameter(self, value, tmp_path, capsys):
+        # this was Python's bare "could not convert string to float"
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "cylinder_friction", "--param", f"m={value}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --param m expects a number, got {value!r}\n"
+        assert not out.exists()
+
 
 class TestLiftVerify:
     def test_disk_reference(self, tmp_path):

@@ -34,7 +34,7 @@ from algebroid_mech import (
     projector_restriction,
     tangent_algebroid,
 )
-from algebroid_mech import constructions, gallery
+from algebroid_mech import algebroid, constructions, gallery
 from algebroid_mech.algebroid import sample_box
 from algebroid_mech.calculus import Chart, fd_gradient, fd_jacobian
 from algebroid_mech.hamilton_jacobi import grid_points, verify_lift
@@ -513,8 +513,9 @@ class TestKernel:
         verify_lift(gs.system, gs.section("reference"), gs.default_q0, 0.0, 1.0, 1e-2)  # 100 steps
         assert calls == []
 
-    def test_negative_zero_basis_misses_the_cache(self, monkeypatch):
-        # -0.0 == 0.0: only the bytes tell the two bases apart
+    def test_negative_zero_basis_is_orthonormalized_per_call(self, monkeypatch):
+        # -0.0 == 0.0: a basis behind a plain callable may change its bytes
+        # between calls, so no stack reuses the rows of an earlier one
         E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
         sign = [1.0]
         U = [ESection(components=lambda q: np.array([sign[0] * 0.0, 2.0]))]
@@ -523,16 +524,26 @@ class TestKernel:
         calls = count_gram_schmidt(monkeypatch)
         Q = np.zeros((3, 2))
         assert frames(Q).tobytes() == stacked_frames(G, U, X0, Q).tobytes()
-        assert calls == [3]  # only the reference: construction cached the rows
+        assert calls == [3, 3]  # the kernel's own, then the reference's
         sign[0] = -1.0
         calls.clear()
         got = frames(Q)
-        assert calls == [3]  # a miss, not the cached rows of the 0.0 basis
+        assert calls == [3]
         assert got.tobytes() == stacked_frames(G, U, X0, Q).tobytes()
 
-    def test_stack_led_by_the_cached_point_is_orthonormalized(self, monkeypatch):
-        # the cached rows belong to the first point only; the second point of
-        # the stack has its own metric
+    def test_constant_negative_zero_basis_is_orthonormalized_once(self, monkeypatch):
+        E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
+        U = [constant_section([-0.0, 2.0])]
+        G, X0 = MetricField.constant(np.eye(2)), constant_section([1.0, 0.0])
+        _, _, frames = affine_kernel(monkeypatch, lambda: affine_constraints(E, G, U, X0))
+        calls = count_gram_schmidt(monkeypatch)
+        Q = np.zeros((3, 2))
+        assert frames(Q).tobytes() == stacked_frames(G, U, X0, Q).tobytes()
+        assert calls == [3]  # only the reference: construction built the frame
+
+    def test_q_dependent_metric_is_orthonormalized_per_point(self, monkeypatch):
+        # constant U basis and drift, but the second point of the stack has
+        # its own metric
         E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
         G = MetricField(matrix=lambda q: np.diag([1.0, 1.0 + q[0] ** 2]))
         U, X0 = [constant_section([0.0, 1.0])], constant_section([1.0, 0.0])
@@ -543,6 +554,91 @@ class TestKernel:
         got = frames(Q)
         assert got.tobytes() == stacked_frames(G, U, X0, Q).tobytes()
         assert got[1, 1, 1] != got[0, 1, 1]
+
+
+def callable_path(monkeypatch):
+    """Make every constant built afterwards a plain callable, which
+    SkewAlgebroid and the builders cannot tell from q-dependent data, so
+    they evaluate it per call as they would a q-dependent input."""
+    def plain(value):
+        v = np.array(value, dtype=float)
+        return lambda q: v
+
+    for module in (algebroid, constructions):
+        monkeypatch.setattr(module, "_Constant", plain)
+
+
+GALLERY_CASES = [("cylinder_friction", "constant"), ("three_body_drag", "constant"),
+                 ("rolling_ball", "constant"), ("rolling_ball", "linear"), ("vertical_disk", "constant"),
+                 ("time_dependent_free", "constant"), ("riemannian_flat", "constant")]
+# systems built from constant data only: their reads return one array
+CONSTANT_SYSTEMS = ("cylinder_friction", "three_body_drag", "time_dependent_free", "riemannian_flat")
+
+
+class TestConstantData:
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("system,omega", GALLERY_CASES)
+    def test_reads_are_the_callable_path_bits(self, system, omega, seed, monkeypatch):
+        gs = instantiate(system, omega=omega)
+        Q = sample_box(gs.default_box, 64, seed)
+        with monkeypatch.context() as patch:
+            callable_path(patch)
+            plain = instantiate(system, omega=omega).system.algebroid
+        assert kernel_reads(gs.system.algebroid, Q) == kernel_reads(plain, Q)
+
+    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS)
+    def test_constant_reads_are_one_read_only_array(self, system):
+        A = instantiate(system).system.algebroid
+        p, q = sample_box(instantiate(system).default_box, 2, 9)
+        for read in (A.anchor_at, A.structure_at):
+            assert read(p) is read(q)
+            with pytest.raises(ValueError, match="read-only"):
+                read(p)[0, 0] += 1.0
+
+    def test_constant_builders_give_read_only_values(self):
+        q = np.zeros(2)
+        values = [constant_section([1.0, 2.0])(q), MetricField.constant(np.eye(2)).at(q),
+                  Homomorphism.constant(np.eye(2)).at(q), Homomorphism.zero(2).at(q),
+                  tangent_algebroid(Chart(dim=2, coord_names=("a", "b"))).anchor_at(q)]
+        for value in values:
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 5.0
+
+    def test_a_q_dependent_force_stays_on_the_callable_path(self, disk):
+        # the disk's force carries cos(phi): its reads build fresh arrays
+        A = disk.system.algebroid
+        p, q = seeded_points(4, n=2, seed=13)
+        for read in (A.anchor_at, A.structure_at):
+            assert read(p) is not read(q)
+            assert read(p).flags.writeable
+        assert not np.array_equal(A.structure_at(p), A.structure_at(q))
+
+    def test_a_q_dependent_metric_stays_on_the_callable_path(self, monkeypatch):
+        _, _, frames = affine_kernel(monkeypatch, lambda: affine_constraints(*twisted_affine()))
+        calls = count_gram_schmidt(monkeypatch)
+        Q = seeded_points(3, n=4, seed=17)
+        frames(Q)
+        frames(Q)
+        assert calls == [4, 4]
+
+    def test_wrong_constant_shape_raises_at_construction(self):
+        chart = Chart(dim=2, coord_names=("a", "b"))
+        with pytest.raises(ValueError, match=re.escape("anchor must return shape (2, 3), got (2, 2)")):
+            SkewAlgebroid(chart=chart, rank=3, anchor=algebroid._Constant(np.eye(2)))
+        with pytest.raises(ValueError, match=re.escape("structure must return shape (2, 2, 2), got (2, 2)")):
+            SkewAlgebroid(chart=chart, rank=2, anchor=algebroid._Constant(np.eye(2)),
+                          structure=algebroid._Constant(np.eye(2)))
+
+    @pytest.mark.parametrize("omega", ["constant", "linear"])
+    def test_ball_lift_calls_no_frame_row_callable(self, omega, monkeypatch):
+        gs = instantiate("rolling_ball", omega=omega)
+        calls = []
+        for cls, name in ((ESection, "__call__"), (MetricField, "at")):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, q, real=real: calls.append(q) or real(self, q))
+        report = verify_lift(gs.system, gs.section("reference"), gs.default_q0, 0.0, 1.0, 1e-2)  # 100 steps
+        assert report.passed
+        assert calls == []
 
 
 def counted_frames(monkeypatch):
