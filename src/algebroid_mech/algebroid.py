@@ -191,13 +191,11 @@ class SkewAlgebroid:
     def basis_section(self, a: int) -> ESection:
         return constant_section(np.eye(self.rank)[a])
 
-    def validate_adapted(self, points, tol: float = 1e-9):
-        """Check C_{ab}^0 = 0 at the sample points; a non-finite value raises NumericFailure."""
+    def validate_adapted(self, points):
+        """Check |C_{ab}^0| <= 1e-9 at the sample points; a non-finite value raises NumericFailure."""
         worst = max((max_abs(self.structure_at(q)[:, :, 0], "C[{}, {}, 0]", q) for q in points), default=0.0)
-        if worst > tol:
-            raise ConstructionError(
-                f"frame not adapted to the cocycle: |C_ab^0| = {worst:g} > {tol:g}"
-            )
+        if worst > 1e-9:
+            raise ConstructionError(f"frame not adapted to the cocycle: |C_ab^0| = {worst:g} > 1e-09")
         return worst
 
 
@@ -352,11 +350,7 @@ def check_cocycle(
 
 
 def _svd_rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
+    s = np.linalg.svd(M, compute_uv=False)  # descending; all zero when s[0] is
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 

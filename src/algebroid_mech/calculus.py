@@ -27,15 +27,13 @@ RK4_STEP_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class Chart:
-    """A single coordinate chart: dimension, coordinate names, periodicity flags.
+    """A single coordinate chart: dimension and coordinate names.
 
-    Angles are stored unwrapped on the real line; ``wrap`` is only for
-    display purposes.
+    Angles are stored unwrapped on the real line.
     """
 
     dim: int
     coord_names: tuple
-    periodic: tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -44,18 +42,6 @@ class Chart:
         if len(names) != self.dim or len(set(names)) != self.dim:
             raise ValueError("coordinate names must be unique and match dim")
         object.__setattr__(self, "coord_names", names)
-        per = tuple(self.periodic) if self.periodic else (False,) * self.dim
-        if len(per) != self.dim:
-            raise ValueError("periodic flags must match dim")
-        object.__setattr__(self, "periodic", per)
-
-    def wrap(self, q: np.ndarray) -> np.ndarray:
-        """Wrap periodic coordinates to (-pi, pi] for display."""
-        q = np.array(q, dtype=float)
-        for i, per in enumerate(self.periodic):
-            if per:
-                q[i] = np.pi - np.mod(np.pi - q[i], 2.0 * np.pi)
-        return q
 
 
 @dataclass(frozen=True)

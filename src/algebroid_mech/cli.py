@@ -63,25 +63,30 @@ def _parse_params(pairs):
     return out
 
 
-def _parse_vector(text):
+def _parse_vector(text, flag):
     try:
         return np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
-        raise ValueError(f"expected comma-separated decimals, got {text!r}")
+        raise ValueError(f"{flag} expects comma-separated decimals, got {text!r}") from None
+
+
+def _resolution(text):
+    try:
+        return [int(v) for v in text.split(",")] if "," in text else int(text)
+    except ValueError:
+        raise ValueError(f"--resolution expects an integer or comma-separated integers, got {text!r}") from None
 
 
 def _box(gs, args):
     if not args.box:
         return gs.default_box
-    box = []
-    for axis in args.box.split(","):
-        lo, sep, hi = axis.partition(":")
-        if not sep:
-            raise ValueError(f"box axis must be lo:hi, got {axis!r}")
-        box.append((float(lo), float(hi)))
+    try:  # an axis without exactly one ':' fails to unpack
+        box = tuple((float(lo), float(hi)) for lo, hi in (axis.split(":") for axis in args.box.split(",")))
+    except ValueError:
+        raise ValueError(f"--box expects comma-separated lo:hi numbers, got {args.box!r}") from None
     if len(box) != gs.system.chart.dim:
         raise ValueError(f"--box needs {gs.system.chart.dim} axes for {gs.id}")
-    return tuple(box)
+    return box
 
 
 def _horizon(gs, args):
@@ -99,13 +104,7 @@ def _write(out_path, text):
 def _resolved_config(args, **extra):
     # everything that determines the computation; the destination path is
     # deliberately excluded so reruns are byte-identical wherever written
-    cfg = {}
-    for key, val in sorted(vars(args).items()):
-        if key in ("handler", "command", "out") or callable(val):
-            continue
-        if isinstance(val, np.ndarray):
-            val = [float(v) for v in val]
-        cfg[key] = val
+    cfg = {key: val for key, val in sorted(vars(args).items()) if key not in ("handler", "command", "out")}
     cfg.update(extra)
     cfg["version"] = __version__
     return cfg
@@ -119,7 +118,7 @@ def _load_system(args):
 def _initial_state(gs, args):
     sys_ = gs.system
     if getattr(args, "x0", None):
-        x0 = _parse_vector(args.x0)
+        x0 = _parse_vector(args.x0, "--x0")
         if len(x0) != sys_.chart.dim + sys_.n_momenta:
             raise ValueError(
                 f"--x0 needs {sys_.chart.dim + sys_.n_momenta} components for {gs.id}"
@@ -131,7 +130,7 @@ def _initial_state(gs, args):
 
 
 def _q0(gs, args):
-    q0 = _parse_vector(args.q0) if getattr(args, "q0", None) else np.array(gs.default_q0)
+    q0 = _parse_vector(args.q0, "--q0") if getattr(args, "q0", None) else np.array(gs.default_q0)
     if len(q0) != gs.system.chart.dim:
         raise ValueError(f"--q0 needs {gs.system.chart.dim} components for {gs.id}")
     return q0
@@ -171,7 +170,7 @@ def _cmd_dissipation(args):
 def _cmd_hj_check(args):
     gs = _load_system(args)
     section = gs.section(args.section)
-    resolution = [int(v) for v in args.resolution.split(",")] if "," in args.resolution else int(args.resolution)
+    resolution = _resolution(args.resolution)
     report = hj_grid_check(gs.system, section, _box(gs, args), resolution=resolution, tol=args.tol)
     payload = {"config": _resolved_config(args, system_params=gs.params), "report": report.to_json_dict()}
     _write(args.out, dump_json(payload))
@@ -215,7 +214,7 @@ def _cmd_cocycle_check(args):
 def _cmd_flag_rank(args):
     gs = _load_system(args)
     A = gs.extras.get("constraint_algebroid", gs.system.algebroid)
-    q = _parse_vector(args.point)
+    q = _parse_vector(args.point, "--point")
     if len(q) != A.chart.dim:
         raise ValueError(f"--point needs {A.chart.dim} components for {gs.id}")
     ranks = flag_rank(A, q, args.depth)

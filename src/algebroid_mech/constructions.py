@@ -9,7 +9,7 @@ Three constructions are provided:
   a projector (linear nonholonomic constraints);
 * ``affine_constraints`` -- the affine-constraint setup: a drift section
   X0, a constrained subbundle U and a bundle metric produce an adapted
-  rank |U|+1 system with kinetic-plus-potential Hamiltonian.
+  rank |U|+1 system with the kinetic Hamiltonian of its orthonormal frame.
 
 Every builder assembles the dense structure tensor C (n, n, n) of its
 algebroid per point: the force extension pads the base tensor and writes
@@ -37,8 +37,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .algebroid import CheckReport, ESection, SkewAlgebroid, _Constant, _constant, prefetched, sample_box, v_restriction
-from .calculus import (ScalarField, _central_differences, as_scalar_field, fd_gradient, fd_jacobian, max_abs,
-                       require_finite)
+from .calculus import ScalarField, _central_differences, fd_jacobian, max_abs, require_finite
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bivector_at
 
@@ -138,12 +137,11 @@ def projector_restriction(
     D_basis: List[ESection],
     P: Callable[[np.ndarray, np.ndarray], np.ndarray],
     validation_points=None,
-    tol: float = 1e-9,
 ) -> SkewAlgebroid:
     """Restrict E to the subbundle spanned by ``D_basis`` via the projector P.
 
     P maps (q, E-fiber vector) to coordinates in the D frame and must
-    restrict to the identity on D; this is validated at sample points.
+    restrict to the identity on D, within 1e-9 at sample points.
     The restricted bracket is project-after-bracket, the anchor is the
     anchored inclusion.  When every basis section carries a ``jacobian``,
     the kernel differentiates the frame with them; they must agree with
@@ -158,8 +156,8 @@ def projector_restriction(
     points = np.asarray(validation_points, dtype=float)
     worst = max((max_abs(np.array([P(q, s(q)) for s in D_basis], dtype=float) - np.eye(r),
                          "P(q, D_{}(q))[{}]", q) for q in points), default=0.0)
-    if worst > tol:
-        raise ConstructionError(f"P restricted to D is not the identity: {worst:g} > {tol:g}")
+    if worst > 1e-9:
+        raise ConstructionError(f"P restricted to D is not the identity: {worst:g} > 1e-09")
 
     def frames(Q):
         return np.array([[s(q) for s in D_basis] for q in Q])  # (K, r, n_E)
@@ -213,7 +211,9 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
                 memo.clear()
             M = frames(q[None])[0]
             rhoE = E.anchor_at(q)
-            hit = memo[key] = [M, rhoE, rhoE @ M.T, None]
+            anchor = rhoE @ M.T
+            anchor.flags.writeable = False  # shared by every later visit to q, as C is
+            hit = memo[key] = [M, rhoE, anchor, None]
         return hit
 
     def structure(q):
@@ -254,8 +254,9 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             for p, (i, j) in enumerate(zip(I, J)):
                 C[k, i, j] = project(val[k, p])
         C[:, J, I] = -C[:, I, J]
-        C.flags.writeable = False
-        return M, rhoE, rhoE @ np.swapaxes(M, -1, -2), C
+        anchor = rhoE @ np.swapaxes(M, -1, -2)
+        C.flags.writeable = anchor.flags.writeable = False
+        return M, rhoE, anchor, C
 
     def prefetch(Q):
         todo = {}  # q bytes -> q, for the distinct points without a C
@@ -322,7 +323,6 @@ def affine_constraints(
     G: MetricField,
     U_basis: List[ESection],
     X0: ESection,
-    V_potential: Optional[ScalarField] = None,
     validation_points=None,
     name: str = "affine",
     params: Optional[dict] = None,
@@ -332,7 +332,7 @@ def affine_constraints(
     Builds the adapted rank |U|+1 algebroid on the bidual of the affine
     subbundle, with frame {(1, X0), (0, ebar_a)} for a pointwise
     G-orthonormal frame ebar of U, and the Hamiltonian
-    H = (1/2) sum p_a^2 + V in that frame.
+    H = (1/2) sum p_a^2 in that frame.
 
     When G, every U section and X0 are constant (``MetricField.constant``,
     ``constant_section``), the frame and its projection are built once,
@@ -374,21 +374,11 @@ def affine_constraints(
     A = _bracket_then_project(E, frames, projection, rank=r + 1, adapted=True)
     A.validate_adapted(validation_points)
 
-    V = as_scalar_field(V_potential) if V_potential is not None else None
-
     def h_eval(x):
-        qq, pp = x[:m], x[m:]
-        val = 0.5 * float(pp @ pp)
-        if V is not None:
-            val += V(qq)
-        return val
+        p = x[m:]
+        return 0.5 * float(p @ p)
 
-    def h_grad(x):
-        qq, pp = x[:m], x[m:]
-        gq = fd_gradient(V, qq) if V is not None else np.zeros(m)
-        return np.concatenate([gq, pp])
-
-    H = ScalarField(eval=h_eval, grad=h_grad)
+    H = ScalarField(eval=h_eval, grad=lambda x: np.concatenate([np.zeros(m), x[m:]]))
     return HamiltonianSystem(algebroid=A, H=H, name=name, params=dict(params or {}))
 
 
@@ -396,11 +386,11 @@ def affine_constraints(
 class MorphismEndpoint:
     """One side of a hamiltonian-morphism check: an algebroid (for its
     bracket), the affine hamiltonian function on the full dual, and the
-    cocycle components in the frame (None when the side carries none)."""
+    cocycle components in the frame."""
 
     algebroid: SkewAlgebroid
     f_h: Callable[[np.ndarray], float]
-    cocycle: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    cocycle: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def from_system(sys: HamiltonianSystem) -> "MorphismEndpoint":
@@ -486,9 +476,8 @@ def morphism_check(
         Jbar = fd_jacobian(lambda X: X, image, stacked=True)
         gaps = J @ _bivector_at(A, xf) @ J.T - Jbar @ _bivector_at(Abar, image) @ Jbar.T
         worst1.append((q, max_abs(np.triu(gaps, 1), "bracket of probes {}, {}", q)))
-        if src.cocycle is not None and dst.cocycle is not None:
-            gap = np.asarray(pair.fiber_map(q, src.cocycle(q)), dtype=float) - dst.cocycle(image[:mbar])
-            worst2.append((q, max_abs(gap, "cocycle correspondence[{}]", q)))
+        gap = np.asarray(pair.fiber_map(q, src.cocycle(q)), dtype=float) - dst.cocycle(image[:mbar])
+        worst2.append((q, max_abs(gap, "cocycle correspondence[{}]", q)))
         worst3.append((q, max_abs(dst.f_h(image) - src.f_h(xf), "hamiltonian pullback", q)))
 
     return (

@@ -103,7 +103,7 @@ def _build_vertical_disk(params):
     )
     _require_positive(p, ["m", "I", "J", "R"])
     m, I, J, R, K, k, kappa = (p[nm] for nm in ["m", "I", "J", "R", "K", "k", "kappa"])
-    chart = Chart(dim=4, coord_names=("x", "y", "theta", "phi"), periodic=(False, False, True, True))
+    chart = Chart(dim=4, coord_names=("x", "y", "theta", "phi"))
     TQ = tangent_algebroid(chart)
     s = math.sqrt(R * R * m + I)
     sJ = math.sqrt(J)
@@ -327,7 +327,6 @@ def _build_rolling_ball(params, omega_mode="constant"):
         horizon=(0.0, 10.0),
         extras={
             "alpha_on_u": alpha_on_u,
-            "omega": omega,
             "original_rhs": original_rhs,
             "constraints": constraints,
             "to_original": to_original,
@@ -352,7 +351,7 @@ def _build_cylinder(params):
         p[nm] for nm in ["m", "r", "g", "K1", "K2", "C1", "C2", "branch"]
     )
     sign = 1.0 if branch >= 0 else -1.0
-    chart = Chart(dim=2, coord_names=("x", "theta"), periodic=(False, True))
+    chart = Chart(dim=2, coord_names=("x", "theta"))
     base = tangent_algebroid(chart)
     F = Homomorphism.constant(np.diag([K1, K2]))
     A = force_extension(base, F)
@@ -518,7 +517,7 @@ def _build_three_body(params):
         default_box=((0.4, 1.4), (0.4, 1.4)),
         default_q0=(1.0, 1.0),
         horizon=(0.0, 2.0),
-        extras={"force": F, "probe_invariant": invariant, "probe_S": S},
+        extras={"force": F, "probe_invariant": invariant},
     )
 
 
@@ -570,7 +569,7 @@ def _build_time_dependent(params):
 
 def _build_riemannian(params):
     p = _merge({}, params)
-    chart = Chart(dim=2, coord_names=("r", "theta"), periodic=(False, True))
+    chart = Chart(dim=2, coord_names=("r", "theta"))
     base = tangent_algebroid(chart)
     A = force_extension(base, None)
     H = ScalarField(
@@ -603,11 +602,7 @@ def _build_riemannian(params):
         default_box=((0.5, 2.0), (-1.2, 1.2)),
         default_q0=(1.0, 0.3),
         horizon=(0.0, 1.0),
-        extras={
-            "metric": metric,
-            "field": X_comps,
-            "flat_metric": MetricField.constant(np.eye(2)),
-        },
+        extras={"metric": metric, "field": X_comps},
     )
 
 

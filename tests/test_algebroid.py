@@ -478,6 +478,21 @@ class TestAlgebroidModel:
         with pytest.raises(ConstructionError):
             A.validate_adapted([np.zeros(1)])
 
+    @pytest.mark.parametrize("c,passes", [(2e-9, False), (5e-10, True)])
+    def test_adapted_validation_threshold_is_1e_9(self, c, passes):
+        A = SkewAlgebroid(
+            chart=Chart(dim=1, coord_names=("x",)),
+            rank=2,
+            anchor=lambda q: np.array([[1.0, 0.0]]),
+            structure=lambda q: np.array([[[0.0, 0.0], [c, 0.0]], [[-c, 0.0], [0.0, 0.0]]]),
+            adapted=True,
+        )
+        if passes:
+            assert A.validate_adapted([np.zeros(1)]) == c
+        else:
+            with pytest.raises(ConstructionError, match=re.escape("|C_ab^0| = 2e-09 > 1e-09")):
+                A.validate_adapted([np.zeros(1)])
+
     def test_adapted_validation_nan_at_a_later_point_raises(self, adapted_algebroid):
         # Python's max() keeps a NaN only when it comes first; put it last
         pts = seeded_points(2, n=8)

@@ -13,8 +13,8 @@ from conftest import seeded_points
 
 class TestChart:
     def test_basic(self):
-        c = Chart(dim=2, coord_names=("x", "theta"), periodic=(False, True))
-        assert c.dim == 2 and c.periodic == (False, True)
+        c = Chart(dim=2, coord_names=("x", "theta"))
+        assert c.dim == 2 and c.coord_names == ("x", "theta")
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
@@ -23,12 +23,6 @@ class TestChart:
     def test_duplicate_names(self):
         with pytest.raises(ValueError):
             Chart(dim=2, coord_names=("x", "x"))
-
-    def test_wrap_only_touches_periodic_axes(self):
-        c = Chart(dim=2, coord_names=("x", "phi"), periodic=(False, True))
-        w = c.wrap(np.array([7.0, 2.0 * math.pi + 0.25]))
-        assert w[0] == 7.0
-        assert abs(w[1] - 0.25) < 1e-12
 
 
 class TestFdGradient:

@@ -227,6 +227,25 @@ class TestParamValues:
         assert not out.exists()
 
 
+class TestValueParseErrors:
+    @pytest.mark.parametrize("argv,flag,value,expects", [
+        (["hj-check", "vertical_disk"], "--resolution", "abc", "an integer or comma-separated integers"),
+        (["hj-check", "vertical_disk"], "--resolution", "2.5", "an integer or comma-separated integers"),
+        (["hj-check", "vertical_disk"], "--resolution", "3,x", "an integer or comma-separated integers"),
+        (["hj-check", "vertical_disk"], "--box", "a:b,0:1,0:1,0:1", "comma-separated lo:hi numbers"),
+        (["hj-check", "vertical_disk"], "--box", "0:1,0,0:1,0:1", "comma-separated lo:hi numbers"),
+        (["simulate", "vertical_disk"], "--q0", "1,a", "comma-separated decimals"),
+        (["simulate", "vertical_disk"], "--x0", "1,a", "comma-separated decimals"),
+        (["flag-rank", "vertical_disk"], "--point", "0,x,0,0", "comma-separated decimals"),
+    ], ids=["resolution-abc", "resolution-2.5", "resolution-3,x", "box-a:b", "box-no-colon", "q0", "x0", "point"])
+    def test_message_names_the_flag(self, argv, flag, value, expects, tmp_path, capsys):
+        # these were Python's bare int() / float() messages, or named no flag
+        out = tmp_path / "out"
+        assert run_cli(argv + [flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} expects {expects}, got {value!r}\n"
+        assert not out.exists()
+
+
 class TestLiftVerify:
     def test_disk_reference(self, tmp_path):
         out = tmp_path / "lift.json"

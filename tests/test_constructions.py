@@ -137,6 +137,20 @@ class TestProjectorRestriction:
         with pytest.raises(ConstructionError):
             projector_restriction(A, basis, lambda q, v: 0.5 * np.asarray(v, dtype=float))
 
+    @pytest.mark.parametrize("offset,builds", [(2e-9, False), (5e-10, True)])
+    def test_projector_identity_threshold_is_1e_9(self, offset, builds):
+        A = lie_tangent(2)
+        basis = [A.basis_section(0), A.basis_section(1)]
+
+        def P(q, v):
+            return (1.0 + offset) * np.asarray(v, dtype=float)
+
+        if builds:
+            projector_restriction(A, basis, P)
+        else:
+            with pytest.raises(ConstructionError, match=re.escape("is not the identity: 2e-09 > 1e-09")):
+                projector_restriction(A, basis, P)
+
     def test_projector_nan_at_a_later_point_raises(self):
         # Python's max() keeps a NaN only when it comes first; put it last
         A = lie_tangent(2)
@@ -782,6 +796,31 @@ class TestPrefetch:
         frames_calls.clear()
         A.structure_at(Q[0])
         assert frames_calls == [1, 4]  # a cold pointwise build
+
+
+ANCHOR_SYSTEMS = {  # name -> a fresh algebroid whose anchor is memoized by the kernel
+    "rolling_ball-constant": lambda: instantiate("rolling_ball").system.algebroid,
+    "rolling_ball-linear": lambda: instantiate("rolling_ball", omega="linear").system.algebroid,
+    "disk_constraint": lambda: instantiate("vertical_disk").extras["constraint_algebroid"],
+    "twisted_affine": lambda: affine_constraints(*twisted_affine()).algebroid,
+}
+
+
+class TestReadOnlyAnchor:
+    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("system,view", [(name, False) for name in ANCHOR_SYSTEMS]
+                             + [(name, True) for name in ANCHOR_SYSTEMS if name != "disk_constraint"])
+    def test_a_write_to_the_memoized_anchor_raises(self, system, view, read):
+        # the anchor used to be writable, so a write changed every later read of q
+        A = ANCHOR_SYSTEMS[system]()
+        q = np.linspace(0.1, 0.4, A.chart.dim)
+        if read == "prefetched":
+            A.prefetch(q[None])
+        B = algebroid.v_restriction(A) if view else A
+        before = B.anchor_at(q).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            B.anchor_at(q)[0, 0] = 99.0
+        assert B.anchor_at(q).tobytes() == before.tobytes()
 
 
 class TestGramSchmidt:
