@@ -9,8 +9,10 @@ their default horizons (three_body_drag from its ``dS`` section, as it has
 no reference section), then the checks at the benchmark's
 ``point_checks`` sizes: the ball's and the disk's ``hj-check`` grids
 (4 and 3 points per axis), every gallery system's adapted-frame cocycle
-and the ball's kernel section at 16 samples, and the four morphism checks
-at 8.  Each run is a fresh interpreter, so the
+and the ball's kernel section at 16 samples, the four morphism checks
+at 8, and three handler paths that no command above takes (a JSON
+``simulate``, the ball's ``mu-projection`` morphism and a ``--x0``
+start).  Each run is a fresh interpreter, so the
 constructed algebroids start with empty memos.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.
@@ -19,11 +21,12 @@ drift in the machine's speed falls on all of them alike.
 
 ``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
 includes interpreter start-up and the package import.  The SHA-256 of
-every output (JSON or CSV) is recorded, and so are the accuracy numbers of
-each JSON report (``max_violation`` per named report, the HJ residual's
-``max_norm`` and the lift's ``max_deviation``), so a speed-up that changes
-results shows up; ``outputs_equal`` says whether every command gave the
-same exit code and output bytes in every tree, and ``outputs_differ``
+every output (JSON or CSV) and of every command's stderr is recorded, and
+so are the accuracy numbers of each JSON report (``max_violation`` per
+named report, the HJ residual's ``max_norm`` and the lift's
+``max_deviation``), so a speed-up that changes results shows up;
+``outputs_equal`` says whether every command gave the same exit code,
+output bytes and stderr bytes in every tree, and ``outputs_differ``
 lists the commands that did not.
 """
 
@@ -71,6 +74,11 @@ TRAJECTORY_SECTIONS = {"time_dependent_free": "reference", "riemannian_flat": "r
                        "cylinder_friction": "reference", "three_body_drag": "dS"}
 TRAJECTORIES = tuple([kind, g, "--section", section] for g, section in TRAJECTORY_SECTIONS.items()
                      for kind in ("simulate", "dissipation"))
+# CLI handler paths that none of the commands above take
+HANDLER_PATHS = (
+    ["simulate", "rolling_ball", "--t1", "1", "--dt", "1e-2", "--format", "json"],
+    ["simulate", "riemannian_flat", "--x0", "1,0.3,0.1,0.2"],
+)
 
 CHILD = """
 import json, sys, time
@@ -91,11 +99,15 @@ def commands(seed: int) -> list:
         cmds.append(["morphism-check", g, "--morphism", "identity", "--samples", MORPHISM_SAMPLES, "--seed", s])
     cmds.append(["morphism-check", "cylinder_friction", "--morphism", "momentum-scale",
                  "--samples", MORPHISM_SAMPLES, "--seed", s])
+    cmds += [list(argv) for argv in HANDLER_PATHS]
+    cmds.append(["morphism-check", "rolling_ball", "--morphism", "mu-projection",
+                 "--samples", MORPHISM_SAMPLES, "--seed", s])
     return cmds
 
 
 def run_once(src: Path, argv: list, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
+    out.unlink(missing_ok=True)  # a command that writes nothing must not read the last one's output
     t = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv, "--out", str(out)],
                           env=env, capture_output=True, text=True, check=False)
@@ -103,13 +115,14 @@ def run_once(src: Path, argv: list, out: Path) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} crashed in {src}: {proc.stderr.strip()}")
     child = json.loads(proc.stdout.strip().splitlines()[-1])
-    data = out.read_bytes()
+    data = out.read_bytes() if out.exists() else b""
     return {
         "exit": child["exit"],
         "run_s": child["run_s"],
         "wall_s": wall,
         **accuracy(data),
         "output_sha256": hashlib.sha256(data).hexdigest(),
+        "stderr_sha256": hashlib.sha256(proc.stderr.encode()).hexdigest(),
     }
 
 
@@ -185,7 +198,8 @@ def main(argv=None) -> int:
             "commands": rows,
         }
 
-    outcomes = [[(r["exit"], r["output_sha256"]) for r in e["commands"]] for e in entries.values()]
+    outcomes = [[(r["exit"], r["output_sha256"], r["stderr_sha256"]) for r in e["commands"]]
+                for e in entries.values()]
     differ = [" ".join(argv) for c, argv in enumerate(cmds) if any(o[c] != outcomes[0][c] for o in outcomes)]
     result = {
         "benchmark": "README commands and sampled checks, fresh process per run, best of k",

@@ -33,6 +33,9 @@ PREFETCH_CHUNK = 1024
 # Nested finite differencing in flag_rank amplifies roundoff by 1/h per
 # bracket level; 1e-3 keeps the noise floor under RANK_RTOL at depth 4.
 FLAG_FD_SCALE = 1e-3
+# The most fields flag_rank's levels hold in all; every level adds at least
+# one, so no depth beyond this can add a field or change a rank.
+FLAG_FIELD_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -359,11 +362,11 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
 
     Depth 1 spans the anchor columns; each further depth adds numerically
     evaluated Lie brackets of the generators with the previous level, in
-    generator-major order, at most 256 fields in all.  A level is one
-    stacked field q -> (m, k), so the next level takes one Jacobian of the
-    generators and one of the level per point (steps FLAG_FD_SCALE; one in
-    all when the level is the generators), and each level is evaluated at
-    q once.  A non-finite field value or point raises NumericFailure naming
+    generator-major order, at most FLAG_FIELD_CAP fields in all.  A level is
+    one stacked field q -> (m, k), so the next level takes one Jacobian of
+    the generators and one of the level per point (steps FLAG_FD_SCALE; one
+    in all when the level is the generators), and each level is evaluated
+    at q once.  A non-finite field value or point raises NumericFailure naming
     the depth and q.
     """
     if max_depth < 1:
@@ -393,7 +396,7 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
         max_abs(M, f"flag depth {depth} field matrix[{{}}, {{}}]", q)
         ranks.append(_svd_rank(M))
         # cap combinatorial growth; enough for desk-scale examples
-        pairs = [(a, j) for a in range(n) for j in range(values.shape[1])][: max(0, 256 - M.shape[1])]
+        pairs = [(a, j) for a in range(n) for j in range(values.shape[1])][: max(0, FLAG_FIELD_CAP - M.shape[1])]
         if depth == max_depth or ranks[-1] >= m or not pairs:
             # pad once full rank is reached or no field is left; deeper levels cannot change it
             ranks.extend([ranks[-1]] * (max_depth - depth))

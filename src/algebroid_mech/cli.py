@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebroid import DualSection, check_cocycle, flag_rank, v_restriction
+from .algebroid import FLAG_FIELD_CAP, DualSection, check_cocycle, flag_rank, v_restriction
 from .constructions import MorphismEndpoint, MorphismPair, morphism_check
 from .errors import AlgebroidError, DomainError, NumericFailure
 from .gallery import GALLERY_IDS, gallery_index, instantiate
@@ -41,14 +41,23 @@ def _finite(text):
     return val
 
 
-def _seed(text):
-    try:
-        val = int(text)
-    except ValueError:
-        val = None
-    if val is None or val < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return val
+def _integer(lo, hi, expected):
+    """An argparse type: an integer in lo..hi, else an error naming ``expected``."""
+    def parse(text):
+        try:
+            val = int(text)
+        except ValueError:
+            val = None
+        if val is None or not lo <= val <= hi:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return val
+
+    return parse
+
+
+_seed = _integer(0, math.inf, "a non-negative integer")
+# deeper levels than the field cap can only repeat the last rank
+_depth = _integer(1, FLAG_FIELD_CAP, f"an integer in 1..{FLAG_FIELD_CAP}")
 
 
 def _parse_params(pairs):
@@ -101,68 +110,61 @@ def _write(out_path, text):
             fh.write(text)
 
 
-def _resolved_config(args, **extra):
-    # everything that determines the computation; the destination path is
-    # deliberately excluded so reruns are byte-identical wherever written
-    cfg = {key: val for key, val in sorted(vars(args).items()) if key not in ("handler", "command", "out")}
-    cfg.update(extra)
-    cfg["version"] = __version__
-    return cfg
+def _emit(args, gs, key, body, passed=True, **extra):
+    """Write ``{"config": ..., key: body}`` as JSON and return the exit code.
+    The config excludes the destination path, so reruns are byte-identical
+    wherever written."""
+    config = {k: v for k, v in vars(args).items() if k not in ("handler", "command", "out")}
+    config.update(system_params=gs.params, **extra, version=__version__)
+    _write(args.out, dump_json({"config": config, key: body}))
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _load_system(args):
-    params = _parse_params(getattr(args, "param", None))
-    return instantiate(args.system, params or None, omega=getattr(args, "omega", "constant"))
-
-
-def _initial_state(gs, args):
-    sys_ = gs.system
-    if getattr(args, "x0", None):
-        x0 = _parse_vector(args.x0, "--x0")
-        if len(x0) != sys_.chart.dim + sys_.n_momenta:
-            raise ValueError(
-                f"--x0 needs {sys_.chart.dim + sys_.n_momenta} components for {gs.id}"
-            )
-        return x0
-    q0 = _q0(gs, args)
-    section = gs.section(getattr(args, "section", None) or "reference")
-    return np.concatenate([q0, section(q0)])
+    return instantiate(args.system, _parse_params(args.param) or None, omega=args.omega)
 
 
 def _q0(gs, args):
-    q0 = _parse_vector(args.q0, "--q0") if getattr(args, "q0", None) else np.array(gs.default_q0)
+    q0 = _parse_vector(args.q0, "--q0") if args.q0 else np.array(gs.default_q0)
     if len(q0) != gs.system.chart.dim:
         raise ValueError(f"--q0 needs {gs.system.chart.dim} components for {gs.id}")
     return q0
 
 
+def _integrate(args):
+    """The system and its Hamilton flow from --x0, or from --q0 and --section."""
+    gs = _load_system(args)
+    sys_ = gs.system
+    if args.x0 is not None and (args.q0 is not None or args.section is not None):
+        raise ValueError("--x0 gives the whole initial state; it excludes --q0 and --section")
+    if args.x0:
+        x0 = _parse_vector(args.x0, "--x0")
+        if len(x0) != sys_.chart.dim + sys_.n_momenta:
+            raise ValueError(f"--x0 needs {sys_.chart.dim + sys_.n_momenta} components for {gs.id}")
+    else:
+        q0 = _q0(gs, args)
+        x0 = np.concatenate([q0, gs.section(args.section or "reference")(q0)])
+    return gs, integrate_hamilton(sys_, x0, *_horizon(gs, args), args.dt)
+
+
 def _cmd_gallery(args):
-    if args.action != "list":
-        raise ValueError("gallery supports only the 'list' action")
     _write(args.out, dump_json(gallery_index()))
     return EXIT_OK
 
 
 def _cmd_simulate(args):
-    gs = _load_system(args)
-    sys_ = gs.system
-    curve = integrate_hamilton(sys_, _initial_state(gs, args), *_horizon(gs, args), args.dt)
-    header = trajectory_header(sys_.chart, sys_.n_momenta)
+    gs, curve = _integrate(args)
+    header = trajectory_header(gs.system.chart, gs.system.n_momenta)
     if args.format == "csv":
         _write(args.out, trajectory_csv(curve, header))
-    else:
-        payload = {"config": _resolved_config(args, system_params=gs.params), "trajectory": curve_json_dict(curve, header)}
-        _write(args.out, dump_json(payload))
-    return EXIT_OK
+        return EXIT_OK
+    return _emit(args, gs, "trajectory", curve_json_dict(curve, header))
 
 
 def _cmd_dissipation(args):
-    gs = _load_system(args)
+    gs, curve = _integrate(args)
     sys_ = gs.system
-    curve = integrate_hamilton(sys_, _initial_state(gs, args), *_horizon(gs, args), args.dt)
-    rows = []
-    for t, state in zip(curve.times, curve.points):
-        rows.append((t, sys_.H(state), dissipation_rate(sys_, state)))
+    rows = [(t, sys_.H(state), dissipation_rate(sys_, state)) for t, state in zip(curve.times, curve.points)]
     _write(args.out, table_csv(["t", "H", "rate"], rows))
     return EXIT_OK
 
@@ -172,24 +174,22 @@ def _cmd_hj_check(args):
     section = gs.section(args.section)
     resolution = _resolution(args.resolution)
     report = hj_grid_check(gs.system, section, _box(gs, args), resolution=resolution, tol=args.tol)
-    payload = {"config": _resolved_config(args, system_params=gs.params), "report": report.to_json_dict()}
-    _write(args.out, dump_json(payload))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit(args, gs, "report", report.to_json_dict(), report.passed)
 
 
 def _cmd_lift_verify(args):
     gs = _load_system(args)
     section = gs.section(args.section)
     report = verify_lift(gs.system, section, _q0(gs, args), *_horizon(gs, args), args.dt, tol=args.tol)
-    payload = {"config": _resolved_config(args, system_params=gs.params), "report": report.to_json_dict()}
-    _write(args.out, dump_json(payload))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit(args, gs, "report", report.to_json_dict(), report.passed)
 
 
 def _cmd_cocycle_check(args):
     gs = _load_system(args)
     sys_ = gs.system
     if args.on == "e":
+        if args.section is not None:
+            raise ValueError("--section applies only to --on v; --on e checks the adapted-frame cocycle")
         A = sys_.algebroid
         phi = np.zeros(A.rank)
         phi[0] = 1.0
@@ -203,12 +203,7 @@ def _cmd_cocycle_check(args):
         section = DualSection(components=named.components, space="E*", jacobian=named.jacobian)
         name = f"section {args.section} on the kernel algebroid"
     report = check_cocycle(A, section, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
-    payload = {
-        "config": _resolved_config(args, system_params=gs.params, checked=name),
-        "report": report.to_json_dict(),
-    }
-    _write(args.out, dump_json(payload))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit(args, gs, "report", report.to_json_dict(), report.passed, checked=name)
 
 
 def _cmd_flag_rank(args):
@@ -218,56 +213,47 @@ def _cmd_flag_rank(args):
     if len(q) != A.chart.dim:
         raise ValueError(f"--point needs {A.chart.dim} components for {gs.id}")
     ranks = flag_rank(A, q, args.depth)
-    payload = {
-        "config": _resolved_config(args, system_params=gs.params),
-        "report": {
-            "ranks": ranks,
-            "dim": A.chart.dim,
-            "full_rank": bool(ranks and ranks[-1] == A.chart.dim),
-        },
-    }
-    _write(args.out, dump_json(payload))
-    return EXIT_OK
+    return _emit(args, gs, "report", {"ranks": ranks, "dim": A.chart.dim, "full_rank": ranks[-1] == A.chart.dim})
 
 
-def _make_morphism(gs, args):
-    sys_ = gs.system
-    m = sys_.chart.dim
-    if args.morphism == "identity":
-        src = MorphismEndpoint.from_system(sys_)
-        dst = MorphismEndpoint.from_system(sys_)
-        pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)
-    elif args.morphism == "mu-projection":
-        src = MorphismEndpoint.from_system(sys_)
-        dst = MorphismEndpoint.v_side(sys_)
-        pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p[1:])
-    elif args.morphism == "momentum-scale":
-        factor = args.factor
-        src = MorphismEndpoint.from_system(sys_)
-        dst = MorphismEndpoint.from_system(sys_)
-        pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: factor * p)
-    else:
-        raise ValueError(f"unknown morphism {args.morphism!r}")
-    return src, dst, pair
+# --morphism name -> the fiber map p -> p' for a given --factor; every base
+# map is the identity, and only mu-projection lands on the kernel side V
+_FIBER_MAPS = {
+    "identity": lambda factor: lambda q, p: p,
+    "mu-projection": lambda factor: lambda q, p: p[1:],
+    "momentum-scale": lambda factor: lambda q, p: factor * p,
+}
 
 
 def _cmd_morphism_check(args):
     gs = _load_system(args)
-    src, dst, pair = _make_morphism(gs, args)
+    sys_ = gs.system
+    src = MorphismEndpoint.from_system(sys_)
+    dst = MorphismEndpoint.v_side(sys_) if args.morphism == "mu-projection" else MorphismEndpoint.from_system(sys_)
+    pair = MorphismPair(base_map=lambda q: q, fiber_map=_FIBER_MAPS[args.morphism](args.factor))
     reports = morphism_check(src, dst, pair, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
-    payload = {
-        "config": _resolved_config(args, system_params=gs.params),
-        "reports": {r.name: r.to_json_dict() for r in reports},
-    }
-    _write(args.out, dump_json(payload))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return _emit(args, gs, "reports", {r.name: r.to_json_dict() for r in reports}, all(r.passed for r in reports))
 
 
-def _add_system_arg(parser):
-    parser.add_argument("system", choices=sorted(GALLERY_IDS), help="gallery system id")
-    parser.add_argument("--param", action="append", metavar="NAME=VALUE", help="parameter override (repeatable)")
-    parser.add_argument("--omega", choices=["constant", "linear"], default="constant",
-                        help="angular-velocity law for the rolling ball; other systems take only 'constant'")
+def _add_start_flags(p):
+    """The initial state and horizon of simulate and dissipation."""
+    p.add_argument("--x0", help="initial state q1..qm,p1..pn (comma-separated); excludes --q0 and --section")
+    p.add_argument("--q0", help="initial base point; momenta from --section")
+    p.add_argument("--section", default=None, help="section supplying momenta (default: reference)")
+    _add_horizon_flags(p)
+
+
+def _add_horizon_flags(p):
+    p.add_argument("--t0", type=float, default=None)
+    p.add_argument("--t1", type=float, default=None)
+    p.add_argument("--dt", type=float, default=1e-3)
+
+
+def _add_sample_flags(p, samples, tol):
+    p.add_argument("--box", default=None, help="per-axis lo:hi, comma-separated")
+    p.add_argument("--samples", type=int, default=samples)
+    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--tol", type=_finite, default=tol)
 
 
 @functools.cache
@@ -280,88 +266,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw)
+    def add_parser(name, handler, help, system=True):
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(handler=handler)
+        if system:
+            p.add_argument("system", choices=sorted(GALLERY_IDS), help="gallery system id")
+            p.add_argument("--param", action="append", metavar="NAME=VALUE", help="parameter override (repeatable)")
+            p.add_argument("--omega", choices=["constant", "linear"], default="constant",
+                           help="angular-velocity law for the rolling ball; other systems take only 'constant'")
+        return p
 
-    p = sub.add_parser("gallery", help="inspect the systems gallery")
+    p = add_parser("gallery", _cmd_gallery, "inspect the systems gallery", system=False)
     p.add_argument("action", choices=["list"])
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(handler=_cmd_gallery)
 
-    p = add_parser("simulate", help="integrate the Hamilton equations, emit a trajectory")
-    _add_system_arg(p)
-    p.add_argument("--x0", help="initial state q1..qm,p1..pn (comma-separated)")
-    p.add_argument("--q0", help="initial base point; momenta from --section")
-    p.add_argument("--section", default=None, help="section supplying momenta (default: reference)")
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p = add_parser("simulate", _cmd_simulate, "integrate the Hamilton equations, emit a trajectory")
+    _add_start_flags(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = add_parser("dissipation", help="H and its rate of change along a trajectory (CSV)")
-    _add_system_arg(p)
-    p.add_argument("--x0")
-    p.add_argument("--q0")
-    p.add_argument("--section", default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_dissipation)
+    _add_start_flags(add_parser("dissipation", _cmd_dissipation, "H and its rate of change along a trajectory (CSV)"))
 
-    p = add_parser("hj-check", help="Hamilton-Jacobi residual of a section over a grid")
-    _add_system_arg(p)
+    p = add_parser("hj-check", _cmd_hj_check, "Hamilton-Jacobi residual of a section over a grid")
     p.add_argument("--section", default="reference")
     p.add_argument("--box", default=None, help="per-axis lo:hi, comma-separated")
     p.add_argument("--resolution", default="11", help="grid points per axis (int or comma list)")
     p.add_argument("--tol", type=_finite, default=1e-9)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_hj_check)
 
-    p = add_parser("lift-verify", help="compare the lifted base flow with the Hamilton flow")
-    _add_system_arg(p)
+    p = add_parser("lift-verify", _cmd_lift_verify, "compare the lifted base flow with the Hamilton flow")
     p.add_argument("--section", default="reference")
     p.add_argument("--q0", default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--dt", type=float, default=1e-3)
+    _add_horizon_flags(p)
     p.add_argument("--tol", type=_finite, default=1e-6)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_lift_verify)
 
-    p = add_parser("cocycle-check", help="verify a section is a cocycle")
-    _add_system_arg(p)
+    p = add_parser("cocycle-check", _cmd_cocycle_check, "verify a section is a cocycle")
     p.add_argument("--on", choices=["e", "v"], default="e",
                    help="check the adapted cocycle on E, or a named section on the kernel")
-    p.add_argument("--section", default=None)
-    p.add_argument("--box", default=None)
-    p.add_argument("--samples", type=int, default=128)
-    p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--tol", type=_finite, default=1e-9)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_cocycle_check)
+    p.add_argument("--section", default=None, help="the section checked with --on v")
+    _add_sample_flags(p, samples=128, tol=1e-9)
 
-    p = add_parser("flag-rank", help="bracket-generating flag ranks at a point")
-    _add_system_arg(p)
+    p = add_parser("flag-rank", _cmd_flag_rank, "bracket-generating flag ranks at a point")
     p.add_argument("--point", required=True, help="chart point, comma-separated")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_flag_rank)
+    p.add_argument("--depth", type=_depth, default=4, help=f"flag levels, 1..{FLAG_FIELD_CAP}")
 
-    p = add_parser("morphism-check", help="numeric hamiltonian-morphism conditions")
-    _add_system_arg(p)
-    p.add_argument("--morphism", choices=["identity", "mu-projection", "momentum-scale"],
-                   default="identity")
+    p = add_parser("morphism-check", _cmd_morphism_check, "numeric hamiltonian-morphism conditions")
+    p.add_argument("--morphism", choices=list(_FIBER_MAPS), default="identity")
     p.add_argument("--factor", type=_finite, default=2.0)
-    p.add_argument("--box", default=None)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--tol", type=_finite, default=1e-6)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_morphism_check)
+    _add_sample_flags(p, samples=64, tol=1e-6)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output path; stdout if unset or '-'")
     return parser
 
 

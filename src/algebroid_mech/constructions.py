@@ -324,8 +324,6 @@ def affine_constraints(
     U_basis: List[ESection],
     X0: ESection,
     validation_points=None,
-    name: str = "affine",
-    params: Optional[dict] = None,
 ) -> HamiltonianSystem:
     """Mechanical system with affine constraints: drift X0 plus subbundle U.
 
@@ -379,7 +377,7 @@ def affine_constraints(
         return 0.5 * float(p @ p)
 
     H = ScalarField(eval=h_eval, grad=lambda x: np.concatenate([np.zeros(m), x[m:]]))
-    return HamiltonianSystem(algebroid=A, H=H, name=name, params=dict(params or {}))
+    return HamiltonianSystem(algebroid=A, H=H)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def _build_vertical_disk(params):
         eval=lambda x: 0.5 * (x[4] ** 2 + x[5] ** 2),
         grad=lambda x: np.array([0.0, 0.0, 0.0, 0.0, x[4], x[5]]),
     )
-    system = HamiltonianSystem(algebroid=A, H=H, name="vertical_disk", params=p)
+    system = HamiltonianSystem(algebroid=A, H=H)
 
     def alpha_comps(q):
         return np.array([k, -(K / sJ) * math.sin(q[3]) + kappa])
@@ -237,7 +237,7 @@ def _build_rolling_ball(params, omega_mode="constant"):
         constant_section([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
     ]
     X0 = constant_section([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    system = affine_constraints(E, G, U_basis, X0, name="rolling_ball", params=p)
+    system = affine_constraints(E, G, U_basis, X0)
 
     N = math.sqrt(m * (k * k + r * r))
 
@@ -359,7 +359,7 @@ def _build_cylinder(params):
         eval=lambda x: x[2] ** 2 / (2.0 * m) + x[3] ** 2 / (2.0 * m * r * r) + m * g * x[0],
         grad=lambda x: np.array([m * g, 0.0, x[2] / m, x[3] / (m * r * r)]),
     )
-    system = HamiltonianSystem(algebroid=A, H=H, name="cylinder_friction", params=p)
+    system = HamiltonianSystem(algebroid=A, H=H)
 
     if K1 != 0.0:
         x_max = (g / (K1 * K1)) * math.log(g * m) + C2 / m
@@ -477,7 +477,7 @@ def _build_three_body(params):
             [-s[3] + Ux(s[0], s[1]), s[2] + Uy(s[0], s[1]), s[2] + s[1], s[3] - s[0]]
         ),
     )
-    system = HamiltonianSystem(algebroid=A, H=H, name="three_body_drag", params=p)
+    system = HamiltonianSystem(algebroid=A, H=H)
 
     # quadratic probe for the cocycle identity; not a solution of anything
     def S(x, y):
@@ -530,7 +530,7 @@ def _build_time_dependent(params):
     chart = Chart(dim=2, coord_names=("t", "q"))
     A = tangent_algebroid(chart, adapted=True)
     H = ScalarField(eval=lambda s: 0.5 * s[2] ** 2, grad=lambda s: np.array([0.0, 0.0, s[2]]))
-    system = HamiltonianSystem(algebroid=A, H=H, name="time_dependent_free", params=p)
+    system = HamiltonianSystem(algebroid=A, H=H)
 
     def alpha_comps(q):
         t = q[0]
@@ -576,7 +576,7 @@ def _build_riemannian(params):
         eval=lambda s: 0.5 * (s[2] ** 2 + (s[3] / s[0]) ** 2),
         grad=lambda s: np.array([-s[3] ** 2 / s[0] ** 3, 0.0, s[2], s[3] / s[0] ** 2]),
     )
-    system = HamiltonianSystem(algebroid=A, H=H, name="riemannian_flat", params=p)
+    system = HamiltonianSystem(algebroid=A, H=H)
 
     # the straight-line field d/dx expressed in polar coordinates
     def X_comps(q):

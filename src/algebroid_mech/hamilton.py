@@ -9,7 +9,7 @@ phase space (q, p_1..p_{n-1}) carries the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -51,8 +51,6 @@ class HamiltonianSystem:
 
     algebroid: SkewAlgebroid
     H: ScalarField
-    name: str = "system"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.algebroid.adapted:

@@ -295,6 +295,19 @@ class TestFlagRank:
     def test_wrong_point_dim(self):
         assert run_cli(["flag-rank", "vertical_disk", "--point", "0,0"]) == 2
 
+    @pytest.mark.parametrize("depth", ["0", "257", "1000000", "abc"])
+    def test_depth_outside_the_field_cap_is_usage_error(self, depth, tmp_path, capsys):
+        # depth 0 named no flag, and a depth of 1e6 exited 0 after padding a 9 MB report
+        out = tmp_path / "flag.json"
+        assert run_cli(["flag-rank", "vertical_disk", "--point", "0,0,0,0", "--depth", depth, "--out", str(out)]) == 2
+        assert f"argument --depth: expected an integer in 1..256, got {depth!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_depth_at_the_field_cap(self, tmp_path):
+        out = tmp_path / "flag.json"
+        assert run_cli(["flag-rank", "vertical_disk", "--point", "0,0,0,0", "--depth", "256", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["ranks"] == [2, 3, 4] + [4] * 253
+
     def test_non_finite_point_is_numeric_failure(self, tmp_path, capsys):
         # used to exit 2 with numpy's "SVD did not converge", naming no point
         out = tmp_path / "flag.json"
@@ -488,3 +501,77 @@ class TestEntryPoint:
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0
+
+
+SYSTEM_FLAGS = {"param": None, "omega": "constant"}
+HORIZON = {"t0": None, "t1": None, "dt": 1e-3}
+START = {"x0": None, "q0": None, "section": None, **HORIZON}
+# each subcommand: the argv that parses to its defaults, the namespace it
+# parses to (beyond command, out and handler), and for the JSON reports the
+# flags of a short run with their parsed values
+SUBCOMMANDS = {
+    "gallery": (["list"], {"action": "list"}, None),
+    "simulate": (["riemannian_flat"], {**SYSTEM_FLAGS, "system": "riemannian_flat", **START, "format": "csv"},
+                 {"--format": "json", "--t1": 0.01}),
+    "dissipation": (["riemannian_flat"], {**SYSTEM_FLAGS, "system": "riemannian_flat", **START}, None),
+    "hj-check": (["riemannian_flat"], {**SYSTEM_FLAGS, "system": "riemannian_flat", "section": "reference",
+                                      "box": None, "resolution": "11", "tol": 1e-9}, {"--resolution": "2"}),
+    "lift-verify": (["riemannian_flat"], {**SYSTEM_FLAGS, "system": "riemannian_flat", "section": "reference",
+                                         "q0": None, **HORIZON, "tol": 1e-6}, {"--t1": 0.01}),
+    "cocycle-check": (["riemannian_flat"], {**SYSTEM_FLAGS, "system": "riemannian_flat", "on": "e", "section": None,
+                                           "box": None, "samples": 128, "seed": 42, "tol": 1e-9}, {"--samples": 2}),
+    "flag-rank": (["vertical_disk", "--point", "0,0,0,0"], {**SYSTEM_FLAGS, "system": "vertical_disk",
+                                                            "point": "0,0,0,0", "depth": 4}, {"--depth": 1}),
+    "morphism-check": (["riemannian_flat"], {**SYSTEM_FLAGS, "system": "riemannian_flat", "morphism": "identity",
+                                            "factor": 2.0, "box": None, "samples": 64, "seed": 42, "tol": 1e-6},
+                       {"--samples": 2}),
+}
+
+
+class TestSubcommandDeclarations:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_namespace_dests_and_defaults(self, command):
+        argv, expected, _ = SUBCOMMANDS[command]
+        ns = vars(cli.build_parser().parse_args([command, *argv]))
+        assert ns.pop("handler") is getattr(cli, "_cmd_" + command.replace("-", "_"))
+        expected = {"command": command, "out": None, **expected}
+        assert ns == expected
+        assert {k: type(v) for k, v in ns.items()} == {k: type(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("command", [c for c, (_, _, run) in SUBCOMMANDS.items() if run])
+    def test_report_config(self, command, tmp_path):
+        argv, defaults, run = SUBCOMMANDS[command]
+        out = tmp_path / "report.json"
+        flags = [tok for flag, val in run.items() for tok in (flag, str(val))]
+        assert run_cli([command, *argv, *flags, "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        extra = {"checked"} if command == "cocycle-check" else set()
+        assert set(config) == set(defaults) | {"system_params", "version"} | extra
+        expected = {**defaults, **{flag[2:]: val for flag, val in run.items()}}
+        assert {k: config[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_zero(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: algebroid-mech {command} ")
+
+
+class TestConflictingFlags:
+    @pytest.mark.parametrize("argv,message", [
+        (["cocycle-check", "riemannian_flat", "--on", "e", "--section", "reference", "--samples", "4"],
+         "error: --section applies only to --on v"),
+        (["cocycle-check", "riemannian_flat", "--section", "reference", "--samples", "4"],
+         "error: --section applies only to --on v"),
+        (["simulate", "riemannian_flat", "--x0", "1,0.3,0.1,0.2", "--q0", "2,0", "--section", "reference"],
+         "error: --x0 gives the whole initial state; it excludes --q0 and --section"),
+        (["simulate", "riemannian_flat", "--x0", "1,0.3,0.1,0.2", "--section", "reference"],
+         "excludes --q0 and --section"),
+        (["dissipation", "riemannian_flat", "--x0", "1,0.3,0.1,0.2", "--q0", "2,0"], "excludes --q0 and --section"),
+    ], ids=["cocycle-on-e", "cocycle-default-on", "simulate-x0-q0-section", "simulate-x0-section",
+            "dissipation-x0-q0"])
+    def test_usage_error_and_no_report(self, argv, message, tmp_path, capsys):
+        # each exited 0 and ignored a flag: --section, or --q0 and --section
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

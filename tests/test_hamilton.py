@@ -34,7 +34,7 @@ def free_system(dim=2):
         eval=lambda x: 0.5 * float(x[dim:] @ x[dim:]),
         grad=lambda x: np.concatenate([np.zeros(dim), x[dim:]]),
     )
-    return HamiltonianSystem(algebroid=A, H=H, name="free")
+    return HamiltonianSystem(algebroid=A, H=H)
 
 
 class TestPoissonBracket:
