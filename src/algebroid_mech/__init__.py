@@ -8,6 +8,7 @@ from .algebroid import (
     DualSection,
     ESection,
     SkewAlgebroid,
+    adapted_cocycle,
     anchor_apply,
     bracket,
     check_cocycle,
@@ -35,7 +36,6 @@ from .errors import AlgebroidError, ConstructionError, DomainError, NumericFailu
 from .gallery import GALLERY_IDS, GallerySystem, gallery_index, instantiate, reference_solution
 from .hamilton import (
     HamiltonianSystem,
-    PhasePoint,
     dissipation_rate,
     f_h_eval,
     hamilton_rhs,

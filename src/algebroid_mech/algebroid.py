@@ -330,6 +330,14 @@ def prefetched(A: SkewAlgebroid, points):
         yield from chunk
 
 
+def adapted_cocycle(A: SkewAlgebroid) -> DualSection:
+    """The distinguished cocycle in an adapted frame: the constant frame
+    covector e^0 = (1, 0, ..., 0), one read-only array."""
+    if not A.adapted:
+        raise ValueError("adapted_cocycle requires an adapted algebroid")
+    return DualSection(components=_Constant(np.eye(A.rank)[0]), space="E*")
+
+
 def check_cocycle(
     A: SkewAlgebroid,
     phi: DualSection,

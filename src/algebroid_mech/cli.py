@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebroid import FLAG_FIELD_CAP, DualSection, check_cocycle, flag_rank, v_restriction
+from .algebroid import FLAG_FIELD_CAP, adapted_cocycle, check_cocycle, flag_rank, v_restriction
 from .constructions import MorphismEndpoint, MorphismPair, morphism_check
 from .errors import AlgebroidError, DomainError, NumericFailure
 from .gallery import GALLERY_IDS, gallery_index, instantiate
@@ -87,7 +87,7 @@ def _resolution(text):
 
 
 def _box(gs, args):
-    if not args.box:
+    if args.box is None:
         return gs.default_box
     try:  # an axis without exactly one ':' fails to unpack
         box = tuple((float(lo), float(hi)) for lo, hi in (axis.split(":") for axis in args.box.split(",")))
@@ -125,7 +125,7 @@ def _load_system(args):
 
 
 def _q0(gs, args):
-    q0 = _parse_vector(args.q0, "--q0") if args.q0 else np.array(gs.default_q0)
+    q0 = np.array(gs.default_q0) if args.q0 is None else _parse_vector(args.q0, "--q0")
     if len(q0) != gs.system.chart.dim:
         raise ValueError(f"--q0 needs {gs.system.chart.dim} components for {gs.id}")
     return q0
@@ -137,13 +137,13 @@ def _integrate(args):
     sys_ = gs.system
     if args.x0 is not None and (args.q0 is not None or args.section is not None):
         raise ValueError("--x0 gives the whole initial state; it excludes --q0 and --section")
-    if args.x0:
+    if args.x0 is not None:
         x0 = _parse_vector(args.x0, "--x0")
         if len(x0) != sys_.chart.dim + sys_.n_momenta:
             raise ValueError(f"--x0 needs {sys_.chart.dim + sys_.n_momenta} components for {gs.id}")
     else:
         q0 = _q0(gs, args)
-        x0 = np.concatenate([q0, gs.section(args.section or "reference")(q0)])
+        x0 = np.concatenate([q0, gs.section("reference" if args.section is None else args.section)(q0)])
     return gs, integrate_hamilton(sys_, x0, *_horizon(gs, args), args.dt)
 
 
@@ -191,16 +191,13 @@ def _cmd_cocycle_check(args):
         if args.section is not None:
             raise ValueError("--section applies only to --on v; --on e checks the adapted-frame cocycle")
         A = sys_.algebroid
-        phi = np.zeros(A.rank)
-        phi[0] = 1.0
-        section = DualSection(components=lambda q, v=phi: v, space="E*")
+        section = adapted_cocycle(A)
         name = "adapted-frame cocycle"
     else:
         A = v_restriction(sys_.algebroid)
         if not args.section:
             raise ValueError("--on v requires --section")
-        named = gs.section(args.section)
-        section = DualSection(components=named.components, space="E*", jacobian=named.jacobian)
+        section = gs.section(args.section)
         name = f"section {args.section} on the kernel algebroid"
     report = check_cocycle(A, section, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
     return _emit(args, gs, "report", report.to_json_dict(), report.passed, checked=name)
@@ -216,8 +213,8 @@ def _cmd_flag_rank(args):
     return _emit(args, gs, "report", {"ranks": ranks, "dim": A.chart.dim, "full_rank": ranks[-1] == A.chart.dim})
 
 
-# --morphism name -> the fiber map p -> p' for a given --factor; every base
-# map is the identity, and only mu-projection lands on the kernel side V
+# --morphism name -> the fiber map p -> p' for --factor (read by momentum-scale alone);
+# every base map is the identity, and only mu-projection lands on the kernel side V
 _FIBER_MAPS = {
     "identity": lambda factor: lambda q, p: p,
     "mu-projection": lambda factor: lambda q, p: p[1:],
@@ -226,13 +223,17 @@ _FIBER_MAPS = {
 
 
 def _cmd_morphism_check(args):
+    if args.factor is not None and args.morphism != "momentum-scale":
+        raise ValueError(f"--factor applies only to --morphism momentum-scale, not {args.morphism}")
+    factor = 2.0 if args.factor is None else args.factor
     gs = _load_system(args)
     sys_ = gs.system
     src = MorphismEndpoint.from_system(sys_)
     dst = MorphismEndpoint.v_side(sys_) if args.morphism == "mu-projection" else MorphismEndpoint.from_system(sys_)
-    pair = MorphismPair(base_map=lambda q: q, fiber_map=_FIBER_MAPS[args.morphism](args.factor))
+    pair = MorphismPair(base_map=lambda q: q, fiber_map=_FIBER_MAPS[args.morphism](factor))
     reports = morphism_check(src, dst, pair, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
-    return _emit(args, gs, "reports", {r.name: r.to_json_dict() for r in reports}, all(r.passed for r in reports))
+    return _emit(args, gs, "reports", {r.name: r.to_json_dict() for r in reports}, all(r.passed for r in reports),
+                 factor=factor)
 
 
 def _add_start_flags(p):
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("morphism-check", _cmd_morphism_check, "numeric hamiltonian-morphism conditions")
     p.add_argument("--morphism", choices=list(_FIBER_MAPS), default="identity")
-    p.add_argument("--factor", type=_finite, default=2.0)
+    p.add_argument("--factor", type=_finite, default=None, help="momentum-scale's factor; 2.0 if unset")
     _add_sample_flags(p, samples=64, tol=1e-6)
 
     for p in sub.choices.values():

@@ -36,10 +36,11 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .algebroid import CheckReport, ESection, SkewAlgebroid, _Constant, _constant, prefetched, sample_box, v_restriction
+from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _constant, adapted_cocycle, prefetched,
+                        sample_box, v_restriction)
 from .calculus import ScalarField, _central_differences, fd_jacobian, max_abs, require_finite
 from .errors import ConstructionError
-from .hamilton import HamiltonianSystem, _bivector_at
+from .hamilton import HamiltonianSystem, _bivector_at, f_h_eval
 
 _MEMO_POINTS = 1 << 14  # per algebroid, then emptied; a 1000-step lift visits ~8000
 
@@ -392,27 +393,16 @@ class MorphismEndpoint:
 
     @staticmethod
     def from_system(sys: HamiltonianSystem) -> "MorphismEndpoint":
-        m = sys.chart.dim
-        phi = np.zeros(sys.algebroid.rank)
-        phi[0] = 1.0
-        return MorphismEndpoint(
-            algebroid=sys.algebroid,
-            f_h=lambda xf: float(xf[m]) + sys.h_value(xf[:m], xf[m + 1:]),
-            cocycle=lambda q: phi,
-        )
+        return MorphismEndpoint(algebroid=sys.algebroid, f_h=lambda xf: f_h_eval(sys, xf),
+                                cocycle=adapted_cocycle(sys.algebroid))
 
     @staticmethod
     def v_side(sys: HamiltonianSystem) -> "MorphismEndpoint":
         """The reduced dual of a system: kernel algebroid, H as hamiltonian,
         zero cocycle (the projection kills the distinguished direction)."""
         A = v_restriction(sys.algebroid)
-        m = sys.chart.dim
         zero = np.zeros(A.rank)
-        return MorphismEndpoint(
-            algebroid=A,
-            f_h=lambda xf: sys.h_value(xf[:m], xf[m:]),
-            cocycle=lambda q: zero,
-        )
+        return MorphismEndpoint(algebroid=A, f_h=sys.H, cocycle=lambda q: zero)
 
 
 def _coerce_endpoint(obj) -> MorphismEndpoint:

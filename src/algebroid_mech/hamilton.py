@@ -11,34 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
 from .algebroid import DualSection, SkewAlgebroid
 from .calculus import Curve, ScalarField, as_scalar_field, fd_gradient, integrate_rk4
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the reduced phase space, optionally with the p_0 slot."""
-
-    q: np.ndarray
-    p: np.ndarray
-    p0: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-
-    def full_coords(self) -> np.ndarray:
-        """(q, p0, p) concatenated; requires p0."""
-        if self.p0 is None:
-            raise ValueError("phase point has no p0 component")
-        return np.concatenate([self.q, [float(self.p0)], self.p])
-
-    def reduced_coords(self) -> np.ndarray:
-        return np.concatenate([self.q, self.p])
 
 
 @dataclass(frozen=True)
@@ -66,10 +43,8 @@ class HamiltonianSystem:
         return self.algebroid.rank - 1
 
     def reduced_state(self, x) -> np.ndarray:
-        """The reduced state (q, p) as one float vector; x is such a vector
-        or a PhasePoint.  A wrong length raises ValueError."""
-        if isinstance(x, PhasePoint):
-            x = x.reduced_coords()
+        """The reduced state (q, p) as one float vector; a wrong length
+        raises ValueError."""
         x = np.asarray(x, dtype=float)
         if len(x) != self.chart.dim + self.n_momenta:
             raise ValueError("state length does not match the system")
@@ -86,20 +61,23 @@ class HamiltonianSystem:
         return g[: len(q)], g[len(q):]
 
 
-def f_h_eval(sys: HamiltonianSystem, x: PhasePoint) -> float:
-    """The fiberwise-affine function representing the hamiltonian section:
-    F(q, p0, p) = p0 + H(q, p)."""
-    if x.p0 is None:
-        raise ValueError("f_h_eval needs a phase point with p0")
-    return float(x.p0) + sys.h_value(x.q, x.p)
+def f_h_eval(sys: HamiltonianSystem, xf) -> float:
+    """The fiberwise-affine function representing the hamiltonian section
+    at the full dual point xf = (q, p0, p): F(q, p0, p) = p0 + H(q, p).
+    A wrong length raises ValueError."""
+    xf = np.asarray(xf, dtype=float)
+    m = sys.chart.dim
+    if len(xf) != m + sys.algebroid.rank:
+        raise ValueError("full dual point length does not match the system")
+    return float(xf[m]) + sys.h_value(xf[:m], xf[m + 1:])
 
 
 def poisson_bracket_eval(A: SkewAlgebroid, F, G, x) -> float:
     """Linear almost-Poisson bracket {F, G} on the full dual of A.
 
     F and G are scalar fields of the full dual coordinates
-    (q, p_0..p_{rank-1}); x is a PhasePoint with p0 (adapted layout) or a
-    raw coordinate vector of length m + rank.  The bivector is
+    (q, p_0..p_{rank-1}); x is such a coordinate vector, of length
+    m + rank.  The bivector is
 
         rho_a^i  d/dq^i ^ d/dp_a  -  (1/2) C_{ab}^c p_c  d/dp_a ^ d/dp_b,
 
@@ -107,7 +85,7 @@ def poisson_bracket_eval(A: SkewAlgebroid, F, G, x) -> float:
     reads the blocks of the matrix ``_bivector_at`` and sums over pairs
     a < b, so the result is exactly antisymmetric and {F, F} is exactly 0.
     """
-    xf = x.full_coords() if isinstance(x, PhasePoint) else np.asarray(x, dtype=float)
+    xf = np.asarray(x, dtype=float)
     m = A.chart.dim
     L = _bivector_at(A, xf)
     gF, gG = fd_gradient(as_scalar_field(F), xf), fd_gradient(as_scalar_field(G), xf)
@@ -168,7 +146,7 @@ def _state_partials(sys: HamiltonianSystem, x):
 def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
     """Rates (dq/dt, dp/dt) of the Hamilton equations at the state x.
 
-    x is the reduced state (q, p) or a PhasePoint.  One call takes one
+    x is the reduced state (q, p).  One call takes one
     gradient of H, reads the anchor once and C once (in ``_pdot_rhs``).
     Explicit time enters only through chart coordinates, so t is unused
     here; it is kept for integrator compatibility.

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from algebroid_mech import DualSection, cli
+from algebroid_mech import DualSection, MorphismEndpoint, algebroid, cli
 from algebroid_mech.cli import main
 from algebroid_mech.gallery import GALLERY_IDS, instantiate
 
@@ -279,6 +279,22 @@ class TestCocycleCheck:
     def test_on_v_requires_section(self):
         assert run_cli(["cocycle-check", "rolling_ball", "--on", "v"]) == 2
 
+    @pytest.mark.parametrize("system", ["cylinder_friction", "rolling_ball"])
+    def test_on_e_reads_the_morphism_endpoints_e0(self, system, monkeypatch, tmp_path):
+        # one e^0 builder serves the cocycle check and the morphism check
+        checked = []
+        check = cli.check_cocycle
+        monkeypatch.setattr(cli, "check_cocycle",
+                            lambda A, phi, *args, **kw: checked.append(phi) or check(A, phi, *args, **kw))
+        assert run_cli(["cocycle-check", system, "--samples", "2", "--out", str(tmp_path / "out")]) == 0
+        endpoint = MorphismEndpoint.from_system(instantiate(system).system)
+        q = np.zeros(endpoint.algebroid.chart.dim)
+        e0 = np.eye(endpoint.algebroid.rank)[0]
+        for phi in (checked[0], endpoint.cocycle):
+            assert type(phi.components) is algebroid._Constant
+            assert phi(q).tobytes() == e0.tobytes()
+            assert not phi(q).flags.writeable
+
 
 class TestFlagRank:
     def test_disk_reaches_full_rank(self, tmp_path):
@@ -523,9 +539,11 @@ SUBCOMMANDS = {
     "flag-rank": (["vertical_disk", "--point", "0,0,0,0"], {**SYSTEM_FLAGS, "system": "vertical_disk",
                                                             "point": "0,0,0,0", "depth": 4}, {"--depth": 1}),
     "morphism-check": (["riemannian_flat"], {**SYSTEM_FLAGS, "system": "riemannian_flat", "morphism": "identity",
-                                            "factor": 2.0, "box": None, "samples": 64, "seed": 42, "tol": 1e-6},
+                                            "factor": None, "box": None, "samples": 64, "seed": 42, "tol": 1e-6},
                        {"--samples": 2}),
 }
+# the report's config records a value its handler resolves from an unset flag
+RESOLVED = {"morphism-check": {"factor": 2.0}}
 
 
 class TestSubcommandDeclarations:
@@ -547,7 +565,7 @@ class TestSubcommandDeclarations:
         config = json.loads(out.read_text())["config"]
         extra = {"checked"} if command == "cocycle-check" else set()
         assert set(config) == set(defaults) | {"system_params", "version"} | extra
-        expected = {**defaults, **{flag[2:]: val for flag, val in run.items()}}
+        expected = {**defaults, **RESOLVED.get(command, {}), **{flag[2:]: val for flag, val in run.items()}}
         assert {k: config[k] for k in expected} == expected
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -574,4 +592,29 @@ class TestConflictingFlags:
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEmptyAndUnreadValues:
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "riemannian_flat", "--x0=", "--t1", "0.01"],
+         "error: --x0 expects comma-separated decimals, got ''"),
+        (["simulate", "riemannian_flat", "--section=", "--t1", "0.01"], "error: unknown section ''; known:"),
+        (["lift-verify", "riemannian_flat", "--q0=", "--t1", "0.01"],
+         "error: --q0 expects comma-separated decimals, got ''"),
+        (["hj-check", "time_dependent_free", "--box=", "--resolution", "3"],
+         "error: --box expects comma-separated lo:hi numbers, got ''"),
+        (["cocycle-check", "riemannian_flat", "--box=", "--samples", "4"],
+         "error: --box expects comma-separated lo:hi numbers, got ''"),
+        (["morphism-check", "vertical_disk", "--samples", "4", "--factor", "3"],
+         "error: --factor applies only to --morphism momentum-scale, not identity"),
+        (["morphism-check", "vertical_disk", "--samples", "4", "--morphism", "mu-projection", "--factor", "2"],
+         "error: --factor applies only to --morphism momentum-scale, not mu-projection"),
+    ], ids=["simulate-x0", "simulate-section", "lift-verify-q0", "hj-check-box", "cocycle-check-box",
+            "factor-identity", "factor-mu-projection"])
+    def test_usage_error_and_no_report(self, argv, message, tmp_path, capsys):
+        # each exited 0: an empty value ran from the default, and --factor was ignored
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()

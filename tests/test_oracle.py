@@ -1,0 +1,111 @@
+"""An independent oracle: the vertical disk built symbolically in sympy.
+
+The library assembles the disk from its constructions (projector
+restriction of the tangent bundle onto X1, X2, then a force extension)
+with numpy, one point at a time.  Here the same system is written out by
+hand: the constrained frame X1, X2, the projector P(v) = (X1.Gv, X2.Gv),
+the projected Lie bracket, the force rows, H and the reference section.
+The expressions are lambdified once and compared with the library on
+seeded points; the Hamilton-Jacobi residual of the reference section is
+simplified symbolically, for every parameter value.
+"""
+
+import numpy as np
+import pytest
+
+from algebroid_mech import hamilton_rhs, hj_residual, instantiate
+
+from conftest import seeded_points
+
+sp = pytest.importorskip("sympy")
+
+PARAMS = (*sp.symbols("m I J R", positive=True), *sp.symbols("K k kappa", real=True))
+Q = sp.symbols("x y theta phi", real=True)
+P1, P2 = sp.symbols("p1 p2", real=True)
+
+
+def _disk():
+    """Anchor (4, 3), structure C (3, 3, 3), H, the reference section and
+    the Hamilton-Jacobi residual of that section, as sympy expressions."""
+    m, I, J, R, K, k, kappa = PARAMS
+    phi = Q[3]
+    s, sJ = sp.sqrt(R**2 * m + I), sp.sqrt(J)
+    X = [sp.Matrix([R * sp.cos(phi) / s, R * sp.sin(phi) / s, 1 / s, 0]), sp.Matrix([0, 0, 0, 1 / sJ])]
+    G = sp.diag(m, m, I, J)
+
+    def P(v):
+        return [(Xa.T * G * v)[0] for Xa in X]
+
+    lie = X[1].jacobian(Q) * X[0] - X[0].jacobian(Q) * X[1]  # [X1, X2]
+    F = sp.Matrix([[0, 0], [0, K * sp.cos(phi) / J]])
+    rho = sp.zeros(4, 3)
+    rho[:, 1], rho[:, 2] = X[0], X[1]
+    C = sp.MutableDenseNDimArray.zeros(3, 3, 3)
+    C[1, 2, 1], C[1, 2, 2] = P(lie)
+    C[2, 1, 1], C[2, 1, 2] = -C[1, 2, 1], -C[1, 2, 2]
+    for a in range(2):
+        for c in range(2):
+            C[0, a + 1, c + 1] = -F[a, c]
+            C[a + 1, 0, c + 1] = F[a, c]
+    p = [P1, P2]
+    H = (P1**2 + P2**2) / 2
+    alpha = [k, -(K / sJ) * sp.sin(phi) + kappa]
+
+    # residual_b = alpha_b's transport along R^alpha minus the momentum rate at p = alpha
+    on_alpha = {P1: alpha[0], P2: alpha[1]}
+    dHp = [sp.diff(H, pa).subs(on_alpha) for pa in p]
+    field = rho[:, 0] + rho[:, 1] * dHp[0] + rho[:, 2] * dHp[1]
+    w = [1] + dHp
+    residual = []
+    for b in (1, 2):
+        pdot = -sum(rho[i, b] * sp.diff(H, Q[i]).subs(on_alpha) for i in range(4))
+        pdot += sum(w[a] * C[a, b, c] * alpha[c - 1] for a in range(3) for c in (1, 2))
+        residual.append(sum(alpha[b - 1].diff(Q[i]) * field[i] for i in range(4)) - pdot)
+    return rho, C, H, alpha, residual
+
+
+@pytest.fixture(scope="module")
+def disk():
+    rho, C, H, alpha, residual = _disk()
+    values = dict(zip(PARAMS, (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)))  # the gallery's defaults
+    fns = {name: sp.lambdify([Q], sp.Array(expr).subs(values), "numpy")
+           for name, expr in (("anchor", rho), ("C", C), ("alpha", alpha))}
+    fns["H"] = sp.lambdify([(*Q, P1, P2)], H, "numpy")
+    return fns, residual
+
+
+def test_the_gallery_defaults_are_the_oracles():
+    assert instantiate("vertical_disk").params == {"m": 1.0, "I": 1.0, "J": 1.0, "R": 1.0, "K": 1.0, "k": 1.0,
+                                                   "kappa": 0.0}
+
+
+def test_anchor_and_structure_match(disk):
+    fns, _ = disk
+    A = instantiate("vertical_disk").system.algebroid
+    worst_anchor = worst_C = 0.0
+    for q in seeded_points(4, n=256, seed=2026):
+        worst_anchor = max(worst_anchor, np.max(np.abs(A.anchor_at(q) - np.array(fns["anchor"](q), dtype=float))))
+        worst_C = max(worst_C, np.max(np.abs(A.structure_at(q) - np.array(fns["C"](q), dtype=float))))
+    assert worst_anchor <= 1e-15
+    assert worst_C <= 1e-16
+
+
+def test_hamiltonian_section_and_rates_match(disk):
+    fns, _ = disk
+    gs = instantiate("vertical_disk")
+    sys_, alpha = gs.system, gs.section("reference")
+    for x in seeded_points(6, n=64, seed=2027):
+        q = x[:4]
+        assert abs(sys_.H(x) - fns["H"](x)) <= 1e-15
+        assert np.max(np.abs(alpha(q) - np.array(fns["alpha"](q), dtype=float))) <= 1e-15
+        # the library's Hamilton equations read the oracle's anchor and C
+        rho, C = np.array(fns["anchor"](q), dtype=float), np.array(fns["C"](q), dtype=float)
+        w = np.concatenate([[1.0], x[4:]])
+        want = np.concatenate([rho @ w, np.einsum("abc,a,c->b", C[:, 1:, 1:], w, x[4:])])
+        assert np.max(np.abs(hamilton_rhs(sys_, 0.0, x) - want)) <= 1e-15
+        assert np.max(np.abs(hj_residual(sys_, alpha, q))) <= 1e-15
+
+
+def test_reference_residual_simplifies_to_zero(disk):
+    _, residual = disk
+    assert [sp.simplify(r) for r in residual] == [0, 0]
