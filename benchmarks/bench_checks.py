@@ -28,6 +28,12 @@ named report, the HJ residual's ``max_norm`` and the lift's
 ``outputs_equal`` says whether every command gave the same exit code,
 output bytes and stderr bytes in every tree, and ``outputs_differ``
 lists the commands that did not.
+
+``constructions`` holds the in-process ``gallery.instantiate`` time of
+every gallery system, and of the ball under ``--omega linear``, from
+fresh children that alternate trees as the commands do: ``cold_s`` is
+the first build after the import, ``warm_s`` the mean of the next
+BUILD_REPS builds, each the best of k.
 """
 
 from __future__ import annotations
@@ -87,6 +93,21 @@ t = time.perf_counter()
 code = main(sys.argv[1:])
 print(json.dumps({"exit": code, "run_s": time.perf_counter() - t}))
 """
+# every gallery system's construction, and the ball's under the linear omega law
+CONSTRUCTIONS = tuple((g, "constant") for g in GALLERY) + (("rolling_ball", "linear"),)
+BUILD_REPS = 50
+BUILD_CHILD = """
+import json, sys, time
+from algebroid_mech.gallery import instantiate
+system, omega, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
+t = time.perf_counter()
+instantiate(system, omega=omega)
+cold = time.perf_counter() - t
+t = time.perf_counter()
+for _ in range(reps):
+    instantiate(system, omega=omega)
+print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
+"""
 
 
 def commands(seed: int) -> list:
@@ -124,6 +145,14 @@ def run_once(src: Path, argv: list, out: Path) -> dict:
         "output_sha256": hashlib.sha256(data).hexdigest(),
         "stderr_sha256": hashlib.sha256(proc.stderr.encode()).hexdigest(),
     }
+
+
+def build_once(src: Path, system: str, omega: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", BUILD_CHILD, system, omega, str(BUILD_REPS)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"instantiate({system!r}, omega={omega!r}) crashed in {src}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def accuracy(data: bytes) -> dict:
@@ -168,6 +197,7 @@ def main(argv=None) -> int:
 
     cmds = commands(args.seed)
     runs = {label: [[] for _ in cmds] for label in trees}
+    builds = {label: [[] for _ in CONSTRUCTIONS] for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "output"
         for rnd in range(args.k):
@@ -175,6 +205,9 @@ def main(argv=None) -> int:
             for c, argv in enumerate(cmds):
                 for label in order:
                     runs[label][c].append(run_once(trees[label], argv, out))
+            for b, (system, omega) in enumerate(CONSTRUCTIONS):
+                for label in order:
+                    builds[label][b].append(build_once(trees[label], system, omega))
 
     entries = {}
     for label, src in trees.items():
@@ -196,6 +229,11 @@ def main(argv=None) -> int:
             "total_run_s": sum(r["run_s"] for r in rows),
             "total_wall_s": sum(r["wall_s"] for r in rows),
             "commands": rows,
+            "constructions": [
+                {"system": system, "omega": omega, "cold_s": min(r["cold_s"] for r in rs),
+                 "warm_s": min(r["warm_s"] for r in rs)}
+                for (system, omega), rs in zip(CONSTRUCTIONS, builds[label])
+            ],
         }
 
     outcomes = [[(r["exit"], r["output_sha256"], r["stderr_sha256"]) for r in e["commands"]]
@@ -217,6 +255,9 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for label, e in entries.items():
         print(f"{label}: run {e['total_run_s']:.3f} s, wall {e['total_wall_s']:.3f} s, src {e['src_lines']} lines")
+        for c in e["constructions"]:
+            print(f"  instantiate {c['system']} ({c['omega']}): cold {c['cold_s'] * 1e3:.2f} ms, "
+                  f"warm {c['warm_s'] * 1e3:.2f} ms")
     print(f"outputs equal across trees: {result['outputs_equal']}")
     for argv in differ:
         print(f"  differs: {argv}")

@@ -9,8 +9,9 @@ promise and is tested, not checked per call.
 
 When ``adapted`` is set, frame index 0 is dual to the distinguished
 cocycle: the frame covector (1, 0, ..., 0) annihilates brackets, i.e.
-C_{ab}^0 = 0.  Builders are expected to emit adapted algebroids and
-validate that property at construction samples (``validate_adapted``).
+C_{ab}^0 = 0.  That is the builder's promise, as antisymmetry is, and is
+tested, not checked per call; ``check_cocycle`` of ``adapted_cocycle``
+measures it at run time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import Chart, fd_gradient, fd_jacobian, max_abs
-from .errors import ConstructionError, NumericFailure
+from .errors import NumericFailure
 
 # Relative singular-value threshold for numeric rank decisions.
 RANK_RTOL = 1e-8
@@ -193,13 +194,6 @@ class SkewAlgebroid:
 
     def basis_section(self, a: int) -> ESection:
         return constant_section(np.eye(self.rank)[a])
-
-    def validate_adapted(self, points):
-        """Check |C_{ab}^0| <= 1e-9 at the sample points; a non-finite value raises NumericFailure."""
-        worst = max((max_abs(self.structure_at(q)[:, :, 0], "C[{}, {}, 0]", q) for q in points), default=0.0)
-        if worst > 1e-9:
-            raise ConstructionError(f"frame not adapted to the cocycle: |C_ab^0| = {worst:g} > 1e-09")
-        return worst
 
 
 def _shaped(value, shape, what: str) -> np.ndarray:

@@ -14,13 +14,17 @@ Three constructions are provided:
 Every builder assembles the dense structure tensor C (n, n, n) of its
 algebroid per point: the force extension pads the base tensor and writes
 the force rows, and the restricted and affine algebroids share one kernel
-(bracket, then project onto a frame).  Per point, the kernel's anchor
-needs only the frame; its C, computed on first request, adds the frame's
-derivative: analytic when every basis section of a projector restriction
-carries a jacobian, else from one stacked finite-difference stencil (so
-always for the affine constraints).  Values are memoized per point, keyed
-by the exact coordinates, so a repeat visit reuses them and a neighbouring
-point never does.  A batch of points known in advance (a grid or a sample
+(bracket, then project onto a frame).  The two adapted builders write
+C_{ab}^0 as an exact 0.0 (the force extension's padding, the affine
+projection's leading entry), so no construction checks adaptedness;
+``check_cocycle`` of ``adapted_cocycle`` measures it on demand.  Per
+point, the kernel's anchor needs only the frame; its C, computed on first
+request, adds the frame's derivative: analytic when every basis section
+of a projector restriction carries a jacobian, else from one stacked
+finite-difference stencil (so always for the affine constraints).  Values
+are memoized per point, keyed by the exact coordinates, so a repeat visit
+reuses them and a neighbouring point never does; a construction leaves
+the memo empty.  A batch of points known in advance (a grid or a sample
 set) is built in one stacked pass by ``prefetch``, bit for bit as its
 points' reads would build them.  Constant inputs are evaluated once, at
 construction: the force extension of a constant base by a constant force
@@ -61,10 +65,6 @@ class Homomorphism:
     @staticmethod
     def scalar(k: float, rank: int) -> "Homomorphism":
         return Homomorphism.constant(float(k) * np.eye(rank))
-
-    @staticmethod
-    def zero(rank: int) -> "Homomorphism":
-        return Homomorphism.constant(np.zeros((rank, rank)))
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,9 @@ def affine_constraints(
     Builds the adapted rank |U|+1 algebroid on the bidual of the affine
     subbundle, with frame {(1, X0), (0, ebar_a)} for a pointwise
     G-orthonormal frame ebar of U, and the Hamiltonian
-    H = (1/2) sum p_a^2 in that frame.
+    H = (1/2) sum p_a^2 in that frame.  The projection has no drift row,
+    so every C_{ab}^0 is an exact 0.0; the validation points check only
+    the precondition G(X0, U) = 0, and no C is built here.
 
     When G, every U section and X0 are constant (``MetricField.constant``,
     ``constant_section``), the frame and its projection are built once,
@@ -371,7 +373,6 @@ def affine_constraints(
         raise ConstructionError(f"P(X0) != 0: G(X0, U) reaches {worst:g} at validation samples")
 
     A = _bracket_then_project(E, frames, projection, rank=r + 1, adapted=True)
-    A.validate_adapted(validation_points)
 
     def h_eval(x):
         p = x[m:]

@@ -28,16 +28,6 @@ from .errors import DomainError
 from .hamilton import HamiltonianSystem
 from .lambertw import lambert_w
 
-GALLERY_IDS = (
-    "cylinder_friction",
-    "three_body_drag",
-    "rolling_ball",
-    "vertical_disk",
-    "time_dependent_free",
-    "riemannian_flat",
-)
-
-
 @dataclass(frozen=True)
 class RefSolution:
     """A closed-form function of one variable with a validity domain."""
@@ -87,8 +77,8 @@ def _merge(defaults: dict, params: Optional[dict]) -> dict:
     for key, val in (params or {}).items():
         if key not in defaults:
             raise ValueError(f"unknown parameter {key!r}; known: {sorted(defaults)}")
-        out[key] = type(defaults[key])(val) if not isinstance(defaults[key], str) else str(val)
-        if isinstance(out[key], float) and not math.isfinite(out[key]):
+        out[key] = float(val)  # every default is a float
+        if not math.isfinite(out[key]):
             raise ValueError(f"parameter {key} must be finite, got {val!r}")
     return out
 
@@ -151,12 +141,19 @@ def _build_vertical_disk(params):
     def phi_t(t):
         return 2.0 * math.atan(math.exp(-(K / J) * t))
 
-    def x_t(t):
-        return (R * k / s) * (t + (J / K) * math.log1p(math.exp(-2.0 * (K / J) * t)))
+    if K == 0.0:  # the unforced disk: phi stays at pi/2, so the contact point moves on a line
+        def x_t(t):
+            return (R * k / s) * t * math.cos(phi_t(t))
 
-    def y_t(t):
-        # sign fixed so that dy/dt = R k sin(phi)/s along the flow
-        return -(J / K) * (R * k / s) * phi_t(t)
+        def y_t(t):
+            return (R * k / s) * t * math.sin(phi_t(t))
+    else:
+        def x_t(t):
+            return (R * k / s) * (t + (J / K) * math.log1p(math.exp(-2.0 * (K / J) * t)))
+
+        def y_t(t):
+            # sign fixed so that dy/dt = R k sin(phi)/s along the flow
+            return -(J / K) * (R * k / s) * phi_t(t)
 
     def theta_t(t):
         return k * t / s
@@ -271,7 +268,7 @@ def _build_rolling_ball(params, omega_mode="constant"):
         "alpha34": RefSolution(fn=alpha34, description="momenta along the lifted reference"),
         "phi12": RefSolution(fn=lambda t: np.array([phi1(t), phi2(t)]), description="cocycle factors"),
     }
-    if omega_mode == "constant":
+    if omega_mode == "constant" and Om0 != 0.0:  # a still table has no orbit period
         period = 2.0 * math.pi * (k * k + r * r) / (r * r * Om0)
         solutions["period"] = RefSolution(fn=lambda t: period, description="base-orbit period")
 
@@ -614,6 +611,7 @@ _BUILDERS = {
     "time_dependent_free": _build_time_dependent,
     "riemannian_flat": _build_riemannian,
 }
+GALLERY_IDS = tuple(_BUILDERS)
 
 
 def instantiate(system_id: str, params: Optional[dict] = None, omega: str = "constant") -> GallerySystem:

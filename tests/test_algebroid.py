@@ -7,12 +7,12 @@ import pytest
 from algebroid_mech import (
     CheckReport,
     Chart,
-    ConstructionError,
     DualSection,
     ESection,
     NumericFailure,
     ScalarField,
     SkewAlgebroid,
+    adapted_cocycle,
     anchor_apply,
     bracket,
     check_cocycle,
@@ -462,43 +462,39 @@ class TestFlagRank:
             flag_rank(A, np.array([0.1, 0.2]), 3)
 
 
-class TestAlgebroidModel:
-    def test_adapted_validation_passes(self, adapted_algebroid):
-        assert adapted_algebroid.validate_adapted(seeded_points(2, n=8)) <= 1e-12
+def _one_bracket(c):
+    """A rank-2 algebroid declared adapted whose one bracket is [[e_0, e_1]] = c e_0."""
+    return SkewAlgebroid(
+        chart=Chart(dim=1, coord_names=("x",)),
+        rank=2,
+        anchor=lambda q: np.array([[1.0, 0.0]]),
+        structure=lambda q: np.array([[[0.0, 0.0], [c, 0.0]], [[-c, 0.0], [0.0, 0.0]]]),
+        adapted=True,
+    )
 
-    def test_adapted_validation_rejects(self):
-        chart = Chart(dim=1, coord_names=("x",))
-        A = SkewAlgebroid(
-            chart=chart,
-            rank=2,
-            anchor=lambda q: np.array([[1.0, 0.0]]),
-            structure=lambda q: np.array([[[0.0, 0.0], [0.5, 0.0]], [[-0.5, 0.0], [0.0, 0.0]]]),
-            adapted=True,
-        )
-        with pytest.raises(ConstructionError):
-            A.validate_adapted([np.zeros(1)])
+
+class TestAlgebroidModel:
+    # adaptedness, C_ab^0 = 0, is measured by the cocycle check of e^0: d e^0(e_a, e_b) = -C_ab^0
+    def test_adapted_cocycle_check_passes(self, adapted_algebroid):
+        A = adapted_algebroid
+        rep = check_cocycle(A, adapted_cocycle(A), box=[(-1.0, 1.0)] * 2, samples=8, seed=SEED, tol=1e-9)
+        assert rep.passed and rep.max_violation == 0.0
+
+    def test_adapted_cocycle_check_rejects(self):
+        A = _one_bracket(0.5)
+        rep = check_cocycle(A, adapted_cocycle(A), box=[(-1.0, 1.0)], samples=8, seed=SEED, tol=1e-9)
+        assert not rep.passed and rep.max_violation == 0.5
 
     @pytest.mark.parametrize("c,passes", [(2e-9, False), (5e-10, True)])
-    def test_adapted_validation_threshold_is_1e_9(self, c, passes):
-        A = SkewAlgebroid(
-            chart=Chart(dim=1, coord_names=("x",)),
-            rank=2,
-            anchor=lambda q: np.array([[1.0, 0.0]]),
-            structure=lambda q: np.array([[[0.0, 0.0], [c, 0.0]], [[-c, 0.0], [0.0, 0.0]]]),
-            adapted=True,
-        )
-        if passes:
-            assert A.validate_adapted([np.zeros(1)]) == c
-        else:
-            with pytest.raises(ConstructionError, match=re.escape("|C_ab^0| = 2e-09 > 1e-09")):
-                A.validate_adapted([np.zeros(1)])
+    def test_adapted_cocycle_check_threshold_is_1e_9(self, c, passes):
+        A = _one_bracket(c)
+        rep = check_cocycle(A, adapted_cocycle(A), box=[(-1.0, 1.0)], samples=8, seed=SEED, tol=1e-9)
+        assert rep.passed == passes
+        assert rep.max_violation == c
 
-    def test_adapted_validation_nan_at_a_later_point_raises(self, adapted_algebroid):
-        # Python's max() keeps a NaN only when it comes first; put it last
-        pts = seeded_points(2, n=8)
-        A = nan_structure_at(adapted_algebroid, pts[-1])
-        with pytest.raises(NumericFailure, match=re.escape(f"C[0, 0, 0] non-finite at q={list(map(float, pts[-1]))}")):
-            A.validate_adapted(pts)
+    def test_adapted_cocycle_requires_adapted(self):
+        with pytest.raises(ValueError, match="adapted_cocycle requires an adapted algebroid"):
+            adapted_cocycle(lie_tangent(2))
 
     def test_structure_wrong_shape_rejected(self):
         chart = Chart(dim=1, coord_names=("x",))
@@ -527,8 +523,6 @@ class TestAlgebroidModel:
             for q in sample_box(gs.default_box, 8, 17):
                 C = B.structure_at(q)
                 assert np.array_equal(C, -C.transpose(1, 0, 2))
-                if B.adapted:
-                    assert np.max(np.abs(C[:, :, 0])) <= 1e-9
 
     def test_v_restriction_requires_adapted(self):
         with pytest.raises(ValueError):

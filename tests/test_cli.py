@@ -226,6 +226,25 @@ class TestParamValues:
         assert capsys.readouterr().err == f"error: --param m expects a number, got {value!r}\n"
         assert not out.exists()
 
+    def test_missing_equals_sign_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "cylinder_friction", "--param", "m", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --param expects name=value, got 'm'\n"
+        assert not out.exists()
+
+
+class TestZeroParameters:
+    # the unforced disk and a still table used to raise ZeroDivisionError at construction
+    @pytest.mark.parametrize("system,param", [("vertical_disk", "K=0"), ("rolling_ball", "Omega0=0")])
+    @pytest.mark.parametrize("argv", [["simulate", "--t1", "1", "--dt", "1e-2"], ["hj-check"],
+                                      ["lift-verify", "--t1", "1", "--dt", "1e-2"]],
+                             ids=["simulate", "hj-check", "lift-verify"])
+    def test_commands_exit_zero(self, system, param, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli([argv[0], system, "--param", param, *argv[1:], "--out", str(out)]) == 0
+        if argv[0] != "simulate":
+            assert json.loads(out.read_text())["report"]["pass"] is True
+
 
 class TestValueParseErrors:
     @pytest.mark.parametrize("argv,flag,value,expects", [

@@ -68,7 +68,7 @@ class TestForceExtension:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            force_extension(lie_tangent(2), Homomorphism.zero(3))
+            force_extension(lie_tangent(2), Homomorphism.constant(np.zeros((3, 3))))
 
 
 class TestProjectorRestriction:
@@ -346,7 +346,9 @@ class TestAffineConstraints:
             affine_constraints(E, G, U_basis, X0, validation_points=pts)
 
     def test_adaptedness_holds_at_samples(self, ball):
-        assert ball.system.algebroid.validate_adapted(seeded_points(3, n=8, seed=24)) < 1e-12
+        A = ball.system.algebroid
+        for q in seeded_points(3, n=8, seed=24):
+            assert np.all(A.structure_at(q)[:, :, 0] == 0.0)
 
     def test_projection_commutes_with_bracket(self, ball):
         # project-then-bracket equals bracket-then-project on lifted sections
@@ -461,9 +463,9 @@ class TestKernel:
         assert np.array_equal(C, fresh_C)
 
     def test_memo_reuses_exact_points_and_stays_bounded(self, monkeypatch):
-        # the drift section is evaluated once per memoized point; the one
-        # validation point leaves a single entry in the memo
-        monkeypatch.setattr(constructions, "_MEMO_POINTS", 3)
+        # the drift section is evaluated once per memoized point; construction
+        # leaves the memo empty
+        monkeypatch.setattr(constructions, "_MEMO_POINTS", 2)
         E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
         calls = []
         X0 = ESection(components=lambda q: calls.append(q) or np.array([1.0, 0.0]))
@@ -478,6 +480,33 @@ class TestKernel:
         for x in (r, p):  # r finds the memo full and empties it, so p is new
             A.anchor_at(x)
         assert len(calls) == 4
+
+    def test_a_chunk_that_does_not_fit_empties_the_memo(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_MEMO_POINTS", 4)
+        frames_calls = counted_frames(monkeypatch)
+        Q = sample_box(((0.0, 2.0 * math.pi), (-2.0, 2.0), (-2.0, 2.0)), 5, 19)
+        expect = kernel_reads(instantiate("rolling_ball").system.algebroid, Q)
+        A = instantiate("rolling_ball").system.algebroid
+        kernel_reads(A, Q[:2])
+        A.prefetch(Q[2:])  # 2 memoized + 3 new > 4: the memo is emptied first
+        frames_calls.clear()
+        assert kernel_reads(A, Q[2:]) == expect[2:]
+        assert frames_calls == []  # the chunk's reads are hits
+        assert kernel_reads(A, Q[:1]) == expect[:1]
+        assert frames_calls == [1, 6]  # an earlier point is built again
+
+    @pytest.mark.parametrize("system,omega", [("rolling_ball", "constant"), ("rolling_ball", "linear"),
+                                              ("vertical_disk", "constant")])
+    def test_construction_reads_no_structure_tensor(self, system, omega, monkeypatch):
+        # the kernel's C^0 is written as 0.0, so nothing checks it at construction
+        ambients, reads = [], []
+        real_kernel, real_read = constructions._bracket_then_project, SkewAlgebroid.structure_at
+        monkeypatch.setattr(constructions, "_bracket_then_project",
+                            lambda E, *a, **kw: ambients.append(E) or real_kernel(E, *a, **kw))
+        monkeypatch.setattr(SkewAlgebroid, "structure_at", lambda self, q: reads.append(self) or real_read(self, q))
+        instantiate(system, omega=omega)
+        assert len(ambients) == 1
+        assert reads == []  # neither the kernel's C nor its ambient's
 
     def test_affine_frames_that_vary_with_q(self, monkeypatch):
         # metric, U basis and drift all depend on q; compare with the frame
@@ -612,7 +641,7 @@ class TestConstantData:
     def test_constant_builders_give_read_only_values(self):
         q = np.zeros(2)
         values = [constant_section([1.0, 2.0])(q), MetricField.constant(np.eye(2)).at(q),
-                  Homomorphism.constant(np.eye(2)).at(q), Homomorphism.zero(2).at(q),
+                  Homomorphism.constant(np.eye(2)).at(q), Homomorphism.scalar(0.0, 2).at(q),
                   tangent_algebroid(Chart(dim=2, coord_names=("a", "b"))).anchor_at(q)]
         for value in values:
             with pytest.raises(ValueError, match="read-only"):
@@ -796,6 +825,36 @@ class TestPrefetch:
         frames_calls.clear()
         A.structure_at(Q[0])
         assert frames_calls == [1, 4]  # a cold pointwise build
+
+
+def _gallery_build(system, omega):
+    def build():
+        gs = instantiate(system, omega=omega)
+        return gs.system.algebroid, gs.default_box
+
+    return build
+
+
+ADAPTED_BUILDS = {  # name -> a fresh adapted algebroid of a builder and a box of points
+    **{f"{system}-{omega}": _gallery_build(system, omega) for system, omega in GALLERY_CASES},
+    "twisted_affine": lambda: (affine_constraints(*twisted_affine()).algebroid, ((-1.0, 1.0),) * 3),
+    "q_dependent_force": lambda: (force_extension(lie_tangent(2), Homomorphism(
+        coeff=lambda q: np.array([[math.sin(q[0]), q[1]], [0.3, 1.0 + q[0] * q[1]]]))), ((-1.0, 1.0),) * 2),
+}
+
+
+class TestAdaptedness:
+    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("name", ADAPTED_BUILDS)
+    def test_builders_write_exact_zero_cocycle_components(self, name, read):
+        # the builders' promise C_ab^0 = 0, which no construction checks at run time
+        A, box = ADAPTED_BUILDS[name]()
+        assert A.adapted
+        Q = sample_box(box, 64, 23)
+        if read == "prefetched":
+            A.prefetch(Q)
+        for q in Q:
+            assert np.all(A.structure_at(q)[:, :, 0] == 0.0)
 
 
 ANCHOR_SYSTEMS = {  # name -> a fresh algebroid whose anchor is memoized by the kernel

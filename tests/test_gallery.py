@@ -111,8 +111,29 @@ class TestDisk:
             for i in (len(c) // 2, len(c) - 1):
                 assert abs(c.points[i, idx] - sol(c.times[i])) < 1e-6, name
 
+    def test_unforced_closed_forms_match_the_simulated_curve(self):
+        # K = 0 used to divide by zero in x and y at construction
+        gs = instantiate("vertical_disk", {"K": 0.0})
+        assert gs.default_q0 == (0.0, 0.0, 0.0, math.pi / 2.0)
+        q0 = np.array(gs.default_q0)
+        c = integrate_hamilton(gs.system, np.concatenate([q0, gs.section("reference")(q0)]), 0.0, 3.0, 1e-2)
+        for name, idx in (("x", 0), ("y", 1), ("theta", 2), ("phi", 3), ("p2", 5)):
+            sol = gs.reference_solutions[name]
+            for i in (len(c) // 2, len(c) - 1):
+                assert abs(c.points[i, idx] - sol(c.times[i])) < 1e-12, name
+        assert abs(c.points[-1, 1] - 3.0 / math.sqrt(2.0)) < 1e-12  # y = R k t / s on a line
+
 
 class TestBall:
+    def test_still_table_has_no_period(self):
+        # Omega0 = 0 used to divide by zero in the period at construction
+        gs = instantiate("rolling_ball", {"Omega0": 0.0})
+        assert "period" not in gs.reference_solutions
+        alpha = gs.reference_sections["reference"]
+        c = integrate_rk4(lambda t, q: projected_field(gs.system, alpha, q), np.array(gs.default_q0), 0.0, 2.0, 1e-2)
+        step = c.points[1] - c.points[0]
+        assert np.max(np.abs(np.diff(c.points, axis=0) - step)) < 1e-12  # the base orbit is a line
+
     def test_alpha_closed_forms_match_hamilton_flow(self, ball):
         q0 = np.array(ball.default_q0)
         alpha = ball.reference_sections["reference"]

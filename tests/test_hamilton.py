@@ -36,6 +36,12 @@ def free_system(dim=2):
     return HamiltonianSystem(algebroid=A, H=H)
 
 
+def test_system_requires_an_adapted_algebroid():
+    H = ScalarField(eval=lambda x: 0.0, grad=lambda x: np.zeros(4))
+    with pytest.raises(ValueError, match="HamiltonianSystem requires an adapted algebroid"):
+        HamiltonianSystem(algebroid=lie_tangent(2), H=H)
+
+
 class TestPoissonBracket:
     def test_base_functions_commute_exactly(self, adapted_algebroid):
         A = adapted_algebroid

@@ -147,6 +147,10 @@ class TestResidualDual:
         for q in seeded_points(2, n=16, seed=15):
             assert np.max(np.abs(hj_residual_dual(sys_, beta, q))) < 1e-9
 
+    def test_rejects_reduced_dual_sections(self, ball):
+        with pytest.raises(ValueError, match="hj_residual_dual expects a full-dual section"):
+            hj_residual_dual(ball.system, ball.reference_sections["reference"], np.array([0.7, 0.3, -0.2]))
+
     def test_three_body_suggestive_equation(self, three_body):
         # the residual is the plain gradient of kS + H o dS
         from algebroid_mech.calculus import fd_gradient
@@ -171,7 +175,7 @@ class TestForcedResidual:
         sys_ = HamiltonianSystem(algebroid=A, H=H)
         alpha = DualSection(components=lambda q: np.array([0.4, -0.7]), space="V*")
         for q in seeded_points(2, n=8, seed=17):
-            val = hj_forced_residual(sys_, Homomorphism.zero(2), alpha, q)
+            val = hj_forced_residual(sys_, Homomorphism.constant(np.zeros((2, 2))), alpha, q)
             assert np.max(np.abs(val)) < 1e-10
 
     def test_cylinder_reduces_to_separated_equations(self, cylinder):
