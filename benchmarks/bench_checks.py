@@ -27,7 +27,8 @@ named report, the HJ residual's ``max_norm`` and the lift's
 ``max_deviation``), so a speed-up that changes results shows up;
 ``outputs_equal`` says whether every command gave the same exit code,
 output bytes and stderr bytes in every tree, and ``outputs_differ``
-lists the commands that did not.
+lists the commands that did not.  The script exits 1 when any did, after
+writing the JSON and printing them, and 0 otherwise.
 
 ``constructions`` holds the in-process ``gallery.instantiate`` time of
 every gallery system, and of the ball under ``--omega linear``, from
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
     print(f"outputs equal across trees: {result['outputs_equal']}")
     for argv in differ:
         print(f"  differs: {argv}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

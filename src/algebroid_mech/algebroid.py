@@ -22,14 +22,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import Chart, fd_gradient, fd_jacobian, max_abs
+from .calculus import Chart, _central_differences, fd_gradient, fd_jacobian, max_abs
 from .errors import NumericFailure
 
 # Relative singular-value threshold for numeric rank decisions.
 RANK_RTOL = 1e-8
 # The most points of a grid or of a sample set that one check may visit.
 GRID_POINT_CAP = 100_000
-# The points a grid or sample sweep prefetches at once (see ``prefetched``).
+# The points a grid or sample sweep prefetches, and a sampled check stacks, at once (see ``prefetched``).
 PREFETCH_CHUNK = 1024
 # Nested finite differencing in flag_rank amplifies roundoff by 1/h per
 # bracket level; 1e-3 keeps the noise floor under RANK_RTOL at depth 4.
@@ -192,6 +192,12 @@ class SkewAlgebroid:
             return self._structure.value
         return _shaped(self._structure(np.asarray(q, dtype=float)), (self.rank,) * 3, "structure")
 
+    def read_at(self, q):
+        """The anchor and C at q, or their stacks at a stack of points q (K, m), read point by point."""
+        if np.ndim(q) == 2:
+            return np.array([self.anchor_at(x) for x in q]), np.array([self.structure_at(x) for x in q])
+        return self.anchor_at(q), self.structure_at(q)
+
     def basis_section(self, a: int) -> ESection:
         return constant_section(np.eye(self.rank)[a])
 
@@ -266,10 +272,11 @@ def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:
     antisymmetric, as C is.  d beta is C-infinity-bilinear on a skew-symmetric
     algebroid (the Leibniz rule alone makes it tensorial), so
     d beta(sigma, gamma) = sigma . D . gamma and no section other than beta
-    is ever differentiated.
+    is ever differentiated.  Stacks of q, beta and jac give the stack of D.
     """
-    G = jac @ A.anchor_at(q)  # G[b, a] = rho(e_a)(beta_b)
-    return (G.T - G) - A.structure_at(q) @ beta_q
+    rho, C = A.read_at(q)
+    G = jac @ rho  # G[..., b, a] = rho(e_a)(beta_b)
+    return (np.swapaxes(G, -1, -2) - G) - (C @ np.asarray(beta_q)[..., None, :, None])[..., 0]
 
 
 def d_oneform_eval(A: SkewAlgebroid, alpha: DualSection, sigma: ESection, gamma: ESection, q) -> float:
@@ -316,12 +323,29 @@ def sample_box(box, samples: int, seed: int) -> np.ndarray:
 
 
 def prefetched(A: SkewAlgebroid, points):
-    """The points in order, with ``A.prefetch`` run on each chunk of at most
-    PREFETCH_CHUNK of them before its first point is yielded."""
+    """The points (N, d) in chunks of at most PREFETCH_CHUNK rows, each yielded
+    after ``A.prefetch`` of its rows' first m = A.chart.dim coordinates."""
+    points = np.asarray(points, dtype=float)
     for start in range(0, len(points), PREFETCH_CHUNK):
         chunk = points[start:start + PREFETCH_CHUNK]
-        A.prefetch(chunk)
-        yield from chunk
+        A.prefetch(chunk[:, :A.chart.dim])
+        yield chunk
+
+
+def stacked_sweep(A: SkewAlgebroid, points, terms, whats) -> list:
+    """Per point, the max |entry| of each term ``terms(chunk)`` yields (a row per point),
+    one stack per ``prefetched`` chunk.  A chunk that raises or is not finite reruns one
+    point at a time, each term folded by ``max_abs`` with its ``whats`` format before the
+    next is evaluated, so an error names its point, term and entry as a pointwise sweep's."""
+    values = []
+    for chunk in prefetched(A, points):
+        try:
+            vals = np.column_stack([np.abs(V.reshape(len(chunk), -1)).max(axis=1, initial=0.0) for V in terms(chunk)])
+        except Exception:  # the rerun raises it at its point, or an earlier point's error
+            vals = np.array(np.nan)
+        values += vals.tolist() if np.isfinite(vals).all() else [
+            [max_abs(V[0], what, x[:A.chart.dim]) for V, what in zip(terms(x[None]), whats)] for x in chunk]
+    return values
 
 
 def adapted_cocycle(A: SkewAlgebroid) -> DualSection:
@@ -343,14 +367,20 @@ def check_cocycle(
     """Max of |d phi (e_a, e_b)| over seeded samples and all frame pairs;
     a non-finite value raises NumericFailure naming its point and pair.
 
-    Per sample, the pairs a < b are the upper triangle of one
-    ``d_oneform_matrix``, taken from phi(q) and a central-difference
-    Jacobian of phi even when phi carries an analytic one, so the reports
-    keep their bits.  phi is evaluated 2m + 1 times per sample.  The
-    samples are ``prefetched`` in chunks."""
+    The pairs a < b are the upper triangle of ``d_oneform_matrix``, taken from phi(q) and a
+    central-difference Jacobian of phi even when phi carries an analytic one, so the reports
+    keep their bits.  The samples are a ``stacked_sweep``: phi is evaluated 2m + 1 times per
+    sample, but a finite constant phi (``adapted_cocycle``) is read with no call, its Jacobian
+    being the exact zero its stencil would give."""
     pts = sample_box(box, samples, seed)
-    worst = [(q, max_abs(np.triu(d_oneform_matrix(A, phi(q), fd_jacobian(phi, q), q), 1), "d phi(e_{}, e_{})", q))
-             for q in prefetched(A, pts)]
+    const = type(phi.components) is _Constant and np.isfinite(phi.components.value).all()
+
+    def terms(Q):
+        beta = np.broadcast_to(phi.components.value, (len(Q), A.rank)) if const else np.array([phi(q) for q in Q])
+        jac = np.zeros(beta.shape + Q.shape[1:]) if const else _central_differences(phi, Q, None, False, "function")
+        yield np.triu(d_oneform_matrix(A, beta, jac, Q), 1)
+
+    worst = [(q, v[0]) for q, v in zip(pts, stacked_sweep(A, pts, terms, ["d phi(e_{}, e_{})"]))]
     return CheckReport.from_samples("cocycle", worst, tol, seed)
 
 

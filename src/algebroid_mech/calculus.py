@@ -95,8 +95,8 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
     """The one stencil behind ``fd_gradient`` and ``fd_jacobian``: (k, m) central
     differences of ``fn`` at q, step ``h`` or FD_SCALE * max(1, |q_i|).
 
-    A stack of points q (K, m) gives (K, k, m), each point's bits as if
-    alone; with ``stacked`` fn gets all K * 2m stencil rows in one call."""
+    A stack of points q (K, m) gives (K, k, m), each point's bits as if alone (an error
+    names the first failing point); with ``stacked`` fn gets all K * 2m rows in one call."""
     require_finite(q, "finite-difference base point", q)
     steps = FD_SCALE * np.maximum(1.0, np.abs(q)) if h is None else np.broadcast_to(np.asarray(h, dtype=float), q.shape)
     m = q.shape[-1]
@@ -106,8 +106,9 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
     stencil[..., m + idx, idx] -= steps
     rows = stencil.reshape(-1, m)
     vals = np.asarray(fn(rows) if stacked else [fn(x) for x in rows], dtype=float).reshape(q.shape[:-1] + (2 * m, -1))
-    if not np.all(np.isfinite(vals)):
-        raise NumericFailure(f"{what} evaluation non-finite near q={q.tolist()}")
+    if not np.isfinite(vals).all():
+        first = tuple(np.argwhere(~np.isfinite(vals).all(axis=(-2, -1)))[0])  # a stack's first failing point
+        raise NumericFailure(f"{what} evaluation non-finite near q={q[first].tolist()}")
     return np.swapaxes((vals[..., :m, :] - vals[..., m:, :]) / (2.0 * steps)[..., None], -1, -2)
 
 

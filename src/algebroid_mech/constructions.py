@@ -40,8 +40,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _constant, adapted_cocycle, prefetched,
-                        sample_box, v_restriction)
+from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _constant, adapted_cocycle, sample_box,
+                        stacked_sweep, v_restriction)
 from .calculus import ScalarField, _central_differences, fd_jacobian, max_abs, require_finite
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bivector_at, f_h_eval
@@ -98,6 +98,14 @@ class MorphismPair:
         return np.concatenate([qbar, pbar])
 
 
+def _validation_points(points, m: int) -> np.ndarray:
+    """``points`` as floats; by default 8 fixed points spread over [-1, 1]^m, off its axes
+    and diagonals: sines of a golden-angle sequence, so building imports no numpy.random."""
+    if points is None:
+        return np.sin(1.0 + 2.399963229728653 * np.arange(8 * m)).reshape(8, m)
+    return np.asarray(points, dtype=float)
+
+
 def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgebroid:
     """Extend ``base`` by a trivial line: rank n = base.rank + 1, adapted.
 
@@ -152,9 +160,7 @@ def projector_restriction(
     if r < 1:
         raise ValueError("D_basis must be non-empty")
     m = E.chart.dim
-    if validation_points is None:
-        validation_points = sample_box([(-1.0, 1.0)] * m, samples=8, seed=0)
-    points = np.asarray(validation_points, dtype=float)
+    points = _validation_points(validation_points, m)
     worst = max((max_abs(np.array([P(q, s(q)) for s in D_basis], dtype=float) - np.eye(r),
                          "P(q, D_{}(q))[{}]", q) for q in points), default=0.0)
     if worst > 1e-9:
@@ -168,9 +174,13 @@ def projector_restriction(
         def frame_jacobian(q):  # (r, n_E, m)
             return np.array([s.jacobian(q) for s in D_basis], dtype=float)
 
+        try:  # one stencil for all the points, else each point's own, which raises at its point in turn
+            stencils = iter(_central_differences(frames, points, None, True, "function").reshape(len(points), r, -1, m))
+        except Exception:
+            stencils = (fd_jacobian(frames, q, stacked=True).reshape(r, -1, m) for q in points)
         worst = 0.0
         for q in points:
-            exact, stencil = frame_jacobian(q), fd_jacobian(frames, q, stacked=True).reshape(r, -1, m)
+            exact, stencil = frame_jacobian(q), next(stencils)
             if exact.shape != stencil.shape:
                 raise ValueError(f"section jacobians must have shape {stencil.shape[1:]}, got {exact.shape[1:]}")
             worst = max(worst, max_abs(exact - stencil, "jacobian of D_{}(q)[{}, {}]", q))
@@ -344,8 +354,6 @@ def affine_constraints(
     if r < 1:
         raise ValueError("U_basis must be non-empty")
     m = E.chart.dim
-    if validation_points is None:
-        validation_points = sample_box([(-1.0, 1.0)] * m, samples=8, seed=0)
 
     def frames(Q):
         """Rows: X0 then the orthonormalized U frame, in E components."""
@@ -366,7 +374,7 @@ def affine_constraints(
         projection = lambda q, M: project
 
     # precondition: X0 is G-orthogonal to U
-    points = np.asarray(validation_points, dtype=float)
+    points = _validation_points(validation_points, m)
     worst = max((max_abs(projection(q, M)(M[0]), "P(X0)[{}]", q)
                  for q, M in zip(points, frames(points))), default=0.0)
     if worst > 1e-9:
@@ -438,9 +446,10 @@ def morphism_check(
     bit for bit, and Jbar holds the probes' own gradients at the image,
     taken by the same central differences so that the identity morphism
     compares equal bits.  Its strict upper triangle is folded.  psi is
-    evaluated 2(m + n) + 1 times per sample.  A non-finite value raises
-    NumericFailure naming its sample point and probe pair or component.
-    The source algebroid is ``prefetched`` at the samples in chunks, which
+    evaluated 2(m + n) + 1 times per sample, one point at a time; the rest
+    is stacked over the samples (``stacked_sweep``).  A non-finite value
+    raises NumericFailure naming its sample point and probe pair or
+    component.  The source algebroid is prefetched at the samples, which
     also serves the target when it shares the source's memo (the gallery's
     morphisms over the identity base map).
     """
@@ -457,20 +466,17 @@ def morphism_check(
     def psi_full(xf):
         return pair.full(A, xf)
 
-    worst1, worst2, worst3 = [], [], []
-    for q, p in zip(prefetched(A, qs), ps):
-        xf = np.concatenate([q, p])
-        image = psi_full(xf)
-        J = fd_jacobian(psi_full, xf)
-        Jbar = fd_jacobian(lambda X: X, image, stacked=True)
-        gaps = J @ _bivector_at(A, xf) @ J.T - Jbar @ _bivector_at(Abar, image) @ Jbar.T
-        worst1.append((q, max_abs(np.triu(gaps, 1), "bracket of probes {}, {}", q)))
-        gap = np.asarray(pair.fiber_map(q, src.cocycle(q)), dtype=float) - dst.cocycle(image[:mbar])
-        worst2.append((q, max_abs(gap, "cocycle correspondence[{}]", q)))
-        worst3.append((q, max_abs(dst.f_h(image) - src.f_h(xf), "hamiltonian pullback", q)))
+    def terms(X):  # the three conditions' gaps at a stack of samples X = (q, p)
+        images = np.array([psi_full(xf) for xf in X])
+        J = _central_differences(psi_full, X, None, False, "function")
+        Jbar = _central_differences(lambda Y: Y, images, None, True, "function")
+        yield np.triu(J @ _bivector_at(A, X) @ np.swapaxes(J, -1, -2)
+                      - Jbar @ _bivector_at(Abar, images) @ np.swapaxes(Jbar, -1, -2), 1)
+        yield np.array([np.asarray(pair.fiber_map(xf[:m], src.cocycle(xf[:m])), dtype=float)
+                        - dst.cocycle(image[:mbar]) for xf, image in zip(X, images)])
+        yield np.array([dst.f_h(image) - src.f_h(xf) for xf, image in zip(X, images)])
 
-    return (
-        CheckReport.from_samples("poisson_morphism", worst1, tol, seed),
-        CheckReport.from_samples("cocycle_related", worst2, tol, seed),
-        CheckReport.from_samples("hamiltonian_pullback", worst3, tol, seed),
-    )
+    values = stacked_sweep(A, np.concatenate([qs, ps], axis=1), terms,
+                           ("bracket of probes {}, {}", "cocycle correspondence[{}]", "hamiltonian pullback"))
+    return tuple(CheckReport.from_samples(name, [(q, v[i]) for q, v in zip(qs, values)], tol, seed)
+                 for i, name in enumerate(("poisson_morphism", "cocycle_related", "hamiltonian_pullback")))

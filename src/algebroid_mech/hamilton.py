@@ -102,15 +102,15 @@ def _bivector_at(A: SkewAlgebroid, xf: np.ndarray) -> np.ndarray:
     """The Poisson matrix (m + n, m + n) of the bracket at the full dual
     point xf, so {F, G} = grad F . L . grad G: the blocks are
     [[0, rho], [-rho^T, -C_{ab}^c p_c]], from one read of the anchor and
-    one of C."""
+    one of C; a stack of points xf (K, m + n) gives the stack of matrices."""
     m = A.chart.dim
-    if len(xf) != m + A.rank:
+    if xf.shape[-1] != m + A.rank:
         raise ValueError("phase coordinates do not match the algebroid")
-    rho = A.anchor_at(xf[:m])
-    L = np.zeros((len(xf), len(xf)))
-    L[:m, m:] = rho
-    L[m:, :m] = -rho.T
-    L[m:, m:] = -(A.structure_at(xf[:m]) @ xf[m:])
+    rho, C = A.read_at(xf[..., :m])
+    L = np.zeros(xf.shape + xf.shape[-1:])
+    L[..., :m, m:] = rho
+    L[..., m:, :m] = -np.swapaxes(rho, -1, -2)
+    L[..., m:, m:] = -(C @ xf[..., None, m:, None])[..., 0]
     return L
 
 

@@ -16,6 +16,7 @@ fixes the signs; ``verify_lift`` checks the equivalence directly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -167,7 +168,7 @@ def grid_points(box, resolution) -> tuple:
         raise ValueError("resolution must match the box dimension")
     if any(r < 2 for r in resolution):
         raise ValueError("resolution must be >= 2 per axis")
-    total = int(np.prod(resolution))
+    total = math.prod(resolution)  # a Python int: an int64 product wraps round past the cap
     if total > GRID_POINT_CAP:
         raise ValueError(f"grid of {total} points exceeds the cap {GRID_POINT_CAP}")
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
@@ -183,12 +184,14 @@ def hj_grid_check(
     tol: float = 1e-9,
 ) -> HJReport:
     """Evaluate the HJ residual over a grid, in grid order with the points
-    ``prefetched`` in chunks, and report the max norm; a non-finite
-    residual raises NumericFailure naming its grid point."""
+    ``prefetched`` in chunks, and report the max norm, one stacked fold; a
+    non-finite residual raises NumericFailure naming its grid point."""
     box, resolution, pts = grid_points(box, resolution)
-    residuals = parallel_map(lambda q: hj_residual(sys, alpha, q), prefetched(sys.algebroid, pts))
+    residuals = parallel_map(lambda q: hj_residual(sys, alpha, q),
+                             (q for chunk in prefetched(sys.algebroid, pts) for q in chunk))
     grid = tuple(zip(pts, residuals))
-    max_norm = max((max_abs(r, "HJ residual", q) for q, r in grid), default=0.0)
+    R = np.abs(residuals)  # if not finite, the pointwise fold raises at the first non-finite residual
+    max_norm = float(R.max(initial=0.0)) if np.isfinite(R).all() else max(max_abs(r, "HJ residual", q) for q, r in grid)
     return HJReport(residual_grid=grid, max_norm=max_norm, tol=float(tol), box=box, resolution=resolution)
 
 

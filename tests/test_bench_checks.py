@@ -1,0 +1,38 @@
+"""``benchmarks/bench_checks.py``: its exit code says whether every tree gave
+the same outputs, and its JSON is written either way."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "benchmarks" / "bench_checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "commands", lambda seed: [["gallery", "list"], ["cocycle-check", "rolling_ball"]])
+    monkeypatch.setattr(module, "CONSTRUCTIONS", ())
+    return module
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_exit_code_says_whether_the_outputs_are_equal(bench, differ, tmp_path, monkeypatch, capsys):
+    def run_once(src, argv, out):  # the cocycle check's output differs between the trees when ``differ``
+        digest = src.name if differ and argv[0] == "cocycle-check" else "same"
+        return {"exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None,
+                "max_deviation": None, "output_sha256": digest, "stderr_sha256": "same"}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    code = bench.main(["--tree", f"parent={tmp_path / 'a'}", "--tree", f"change={tmp_path / 'b'}", "--k", "1",
+                       "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert code == (1 if differ else 0)
+    assert data["outputs_equal"] is not differ
+    assert data["outputs_differ"] == (["cocycle-check rolling_ball"] if differ else [])
+    assert ("differs: cocycle-check rolling_ball" in capsys.readouterr().out) is differ

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from algebroid_mech import DualSection, MorphismEndpoint, algebroid, cli
+from algebroid_mech import DualSection, MorphismEndpoint, algebroid, cli, hamilton_jacobi
 from algebroid_mech.cli import main
 from algebroid_mech.gallery import GALLERY_IDS, instantiate
 
@@ -133,6 +133,18 @@ class TestHJCheck:
         assert run_cli(["hj-check", "cylinder_friction", "--box=-0.5:0.5,-0.3:0.7", "--resolution", "3",
                         "--out", str(out)]) == 3
         assert "x=0 at the Lambert branch point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_grid_product_past_int64_is_still_capped(self, tmp_path, capsys, monkeypatch):
+        # 65536^4 = 2^64 wrapped to 0 in int64 and passed the cap; the sweep then built the grid
+        def no_grid(*axes):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(hamilton_jacobi.itertools, "product", no_grid)
+        out = tmp_path / "hj.json"
+        assert run_cli(["hj-check", "vertical_disk", "--resolution", "65536,65536,65536,65536",
+                        "--out", str(out)]) == 2
+        assert f"grid of {2 ** 64} points exceeds the cap 100000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_disk_reference_at_the_exact_frame_floor(self, tmp_path):

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -616,6 +619,32 @@ GALLERY_CASES = [("cylinder_friction", "constant"), ("three_body_drag", "constan
                  ("time_dependent_free", "constant"), ("riemannian_flat", "constant")]
 # systems built from constant data only: their reads return one array
 CONSTANT_SYSTEMS = ("cylinder_friction", "three_body_drag", "time_dependent_free", "riemannian_flat")
+
+
+class TestDefaultValidationPoints:
+    def test_building_the_kernel_systems_imports_no_numpy_random(self):
+        # the points used to be drawn with sample_box, whose generator made numpy import numpy.random
+        code = ("import sys\nfrom algebroid_mech.gallery import instantiate\n"
+                "for system, omega in [('rolling_ball', 'constant'), ('rolling_ball', 'linear'),\n"
+                "                      ('vertical_disk', 'constant')]:\n"
+                "    instantiate(system, omega=omega)\n"
+                "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))")
+        src = os.path.dirname(os.path.dirname(constructions.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_points_are_fixed_and_spread_over_the_box(self, m):
+        P = constructions._validation_points(None, m)
+        assert P.shape == (8, m)
+        assert np.all(np.abs(P) < 1.0) and np.all(P != 0.0)
+        assert all(len(set(row)) == m for row in P)  # off the diagonals
+        assert len({row.tobytes() for row in P}) == 8
+        assert P.tobytes() == constructions._validation_points(None, m).tobytes()
+        given = [[0.5] * m]
+        assert constructions._validation_points(given, m).tobytes() == np.array(given).tobytes()
 
 
 class TestConstantData:
