@@ -192,12 +192,6 @@ class SkewAlgebroid:
             return self._structure.value
         return _shaped(self._structure(np.asarray(q, dtype=float)), (self.rank,) * 3, "structure")
 
-    def read_at(self, q):
-        """The anchor and C at q, or their stacks at a stack of points q (K, m), read point by point."""
-        if np.ndim(q) == 2:
-            return np.array([self.anchor_at(x) for x in q]), np.array([self.structure_at(x) for x in q])
-        return self.anchor_at(q), self.structure_at(q)
-
     def basis_section(self, a: int) -> ESection:
         return constant_section(np.eye(self.rank)[a])
 
@@ -261,6 +255,13 @@ def d_function(A: SkewAlgebroid, f) -> DualSection:
     return DualSection(components=comps, space="E*")
 
 
+def _read_at(A: SkewAlgebroid, q):
+    """The anchor and C at q, or their stacks at a stack of points q (K, m), read point by point."""
+    if np.ndim(q) == 2:
+        return np.array([A.anchor_at(x) for x in q]), np.array([A.structure_at(x) for x in q])
+    return A.anchor_at(q), A.structure_at(q)
+
+
 def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:
     """The almost differential of a one-form beta at q as an (n, n) matrix
     on frame pairs:
@@ -274,7 +275,7 @@ def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:
     d beta(sigma, gamma) = sigma . D . gamma and no section other than beta
     is ever differentiated.  Stacks of q, beta and jac give the stack of D.
     """
-    rho, C = A.read_at(q)
+    rho, C = _read_at(A, q)
     G = jac @ rho  # G[..., b, a] = rho(e_a)(beta_b)
     return (np.swapaxes(G, -1, -2) - G) - (C @ np.asarray(beta_q)[..., None, :, None])[..., 0]
 
@@ -333,10 +334,9 @@ def prefetched(A: SkewAlgebroid, points):
 
 
 def stacked_sweep(A: SkewAlgebroid, points, terms, whats) -> list:
-    """Per point, the max |entry| of each term ``terms(chunk)`` yields (a row per point),
-    one stack per ``prefetched`` chunk.  A chunk that raises or is not finite reruns one
-    point at a time, each term folded by ``max_abs`` with its ``whats`` format before the
-    next is evaluated, so an error names its point, term and entry as a pointwise sweep's."""
+    """Per point, the max |entry| of each term ``terms(chunk)`` yields (a row per point), one stack
+    per ``prefetched`` chunk.  A chunk that raises or is not finite reruns point by point, each term
+    folded by ``max_abs`` with its ``whats`` format before the next, so errors are a pointwise sweep's."""
     values = []
     for chunk in prefetched(A, points):
         try:

@@ -97,7 +97,8 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
 
     A stack of points q (K, m) gives (K, k, m), each point's bits as if alone (an error
     names the first failing point); with ``stacked`` fn gets all K * 2m rows in one call."""
-    require_finite(q, "finite-difference base point", q)
+    if not np.isfinite(q).all():
+        _fail_at_first(q, np.isfinite(q).all(axis=-1), "finite-difference base point non-finite at")
     steps = FD_SCALE * np.maximum(1.0, np.abs(q)) if h is None else np.broadcast_to(np.asarray(h, dtype=float), q.shape)
     m = q.shape[-1]
     idx = np.arange(m)
@@ -107,9 +108,13 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
     rows = stencil.reshape(-1, m)
     vals = np.asarray(fn(rows) if stacked else [fn(x) for x in rows], dtype=float).reshape(q.shape[:-1] + (2 * m, -1))
     if not np.isfinite(vals).all():
-        first = tuple(np.argwhere(~np.isfinite(vals).all(axis=(-2, -1)))[0])  # a stack's first failing point
-        raise NumericFailure(f"{what} evaluation non-finite near q={q[first].tolist()}")
+        _fail_at_first(q, np.isfinite(vals).all(axis=(-2, -1)), f"{what} evaluation non-finite near")
     return np.swapaxes((vals[..., :m, :] - vals[..., m:, :]) / (2.0 * steps)[..., None], -1, -2)
+
+
+def _fail_at_first(q, ok, message):
+    """Raise NumericFailure ``message`` naming the first point of q (K, m) not ``ok`` (K,), or q (m,) itself."""
+    raise NumericFailure(f"{message} q={q[tuple(np.argwhere(~ok)[0])].tolist()}")
 
 
 def require_finite(value, what: str, q):

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebroid import DualSection, SkewAlgebroid
+from .algebroid import DualSection, SkewAlgebroid, _read_at
 from .calculus import Curve, ScalarField, as_scalar_field, fd_gradient, integrate_rk4
 
 
@@ -106,7 +106,7 @@ def _bivector_at(A: SkewAlgebroid, xf: np.ndarray) -> np.ndarray:
     m = A.chart.dim
     if xf.shape[-1] != m + A.rank:
         raise ValueError("phase coordinates do not match the algebroid")
-    rho, C = A.read_at(xf[..., :m])
+    rho, C = _read_at(A, xf[..., :m])
     L = np.zeros(xf.shape + xf.shape[-1:])
     L[..., :m, m:] = rho
     L[..., m:, :m] = -np.swapaxes(rho, -1, -2)

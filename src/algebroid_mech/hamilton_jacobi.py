@@ -184,14 +184,13 @@ def hj_grid_check(
     tol: float = 1e-9,
 ) -> HJReport:
     """Evaluate the HJ residual over a grid, in grid order with the points
-    ``prefetched`` in chunks, and report the max norm, one stacked fold; a
-    non-finite residual raises NumericFailure naming its grid point."""
+    ``prefetched`` in chunks, and report the max norm; a non-finite
+    residual raises NumericFailure naming its grid point."""
     box, resolution, pts = grid_points(box, resolution)
     residuals = parallel_map(lambda q: hj_residual(sys, alpha, q),
                              (q for chunk in prefetched(sys.algebroid, pts) for q in chunk))
     grid = tuple(zip(pts, residuals))
-    R = np.abs(residuals)  # if not finite, the pointwise fold raises at the first non-finite residual
-    max_norm = float(R.max(initial=0.0)) if np.isfinite(R).all() else max(max_abs(r, "HJ residual", q) for q, r in grid)
+    max_norm = max((max_abs(r, "HJ residual", q) for q, r in grid), default=0.0)
     return HJReport(residual_grid=grid, max_norm=max_norm, tol=float(tol), box=box, resolution=resolution)
 
 

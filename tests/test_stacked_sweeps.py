@@ -316,6 +316,7 @@ class TestErrorsAreThoseOfThePointwiseSweep:
         {"pullback nan": 6, "cocycle nan": 8},
         {"target raises": 6, "psi nan near": 9},
         {"bracket nan": 11, "target raises": 12},
+        {"psi nan at": 7},  # the image alone is NaN: the target's stencil names its base point
     ], ids=str)
     def test_morphism(self, failures):
         sys_, box = _gallery("cylinder_friction")
@@ -335,6 +336,9 @@ class TestErrorsAreThoseOfThePointwiseSweep:
             fiber = _raising_at(at["fiber map raises"], fiber)
         if "psi nan near" in at:
             base = _nan_near(at["psi nan near"], base)
+        if "psi nan at" in at:  # no stencil row of the sample has both its q and its p
+            p_at = -1.0 + 2.0 * np.random.default_rng(8).random((16, sys_.algebroid.rank))[failures["psi nan at"]]
+            fiber = lambda q, p: p * (np.nan if np.array_equal(q, at["psi nan at"]) and np.array_equal(p, p_at) else 1.0)
         pair = MorphismPair(base_map=base, fiber_map=fiber)
         got = _error(lambda: morphism_check(src, dst, pair, box, samples=16, seed=7))
         assert got == _error(lambda: reference_morphism(src, dst, pair, box, 16, 7))
@@ -364,12 +368,20 @@ class TestStencilErrors:
             with pytest.raises(NumericFailure, match=re.escape(f"function evaluation non-finite near q={q.tolist()}")):
                 fd_jacobian(fn, q)
 
+    def test_a_stack_names_its_first_non_finite_base_point(self):
+        Q = np.arange(12.0).reshape(4, 3)
+        Q[2, 1] = Q[3, 0] = np.inf
+        with pytest.raises(NumericFailure, match=re.escape("finite-difference base point non-finite at q=[6.0, inf, 8.0]")):
+            calculus._central_differences(lambda x: x, Q, None, True, "function")
+        with pytest.raises(NumericFailure, match=re.escape("finite-difference base point non-finite at q=[6.0, inf, 8.0]")):
+            fd_jacobian(lambda x: x, Q[2])
+
 
 @pytest.mark.parametrize("build", ["twisted_affine", "vertical_disk"])
 def test_stacked_reads_are_the_pointwise_reads(build):
     A, box = (_twisted_system().algebroid, TWISTED_BOX) if build == "twisted_affine" else (
         lambda sys_, box: (sys_.algebroid, box))(*_gallery(build))
     Q = sample_box(box, 9, 8)
-    rho, C = A.read_at(Q)
+    rho, C = algebroid._read_at(A, Q)
     assert rho.tobytes() == np.array([A.anchor_at(q) for q in Q]).tobytes()
     assert C.tobytes() == np.array([A.structure_at(q) for q in Q]).tobytes()
