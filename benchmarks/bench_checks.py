@@ -6,7 +6,10 @@ The commands are the nine in README.md's CLI section, then the disk's
 default ``hj-check`` and a 5 s ``lift-verify``, then ``simulate`` and
 ``dissipation`` of the four systems built without a constraint kernel at
 their default horizons (three_body_drag from its ``dS`` section, as it has
-no reference section), then the checks at the benchmark's
+no reference section), then the ops of the benchmark's ``constrained_flows``
+workload at its sizes from the default starts (the ball's 0.3 s lift under
+both ``--omega`` laws, the disk's 0.6 s lift and its 0.15 s ``simulate``
+and ``dissipation``), then the checks at the benchmark's
 ``point_checks`` sizes: the ball's and the disk's ``hj-check`` grids
 (4 and 3 points per axis), every gallery system's adapted-frame cocycle
 and the ball's kernel section at 16 samples, the four morphism checks
@@ -71,6 +74,15 @@ ACCURACY = (
     ["hj-check", "vertical_disk"],
     ["lift-verify", "vertical_disk", "--t1", "5", "--dt", "1e-2"],
 )
+# the ops of the benchmark's ``constrained_flows`` workload at its sizes; the linear law is the one
+# gallery kernel whose ambient C varies with q
+CONSTRAINED_FLOWS = (
+    ["lift-verify", "rolling_ball", "--omega", "constant", "--t1", "0.3", "--dt", "1e-2"],
+    ["lift-verify", "rolling_ball", "--omega", "linear", "--t1", "0.3", "--dt", "1e-2"],
+    ["lift-verify", "vertical_disk", "--t1", "0.6", "--dt", "1e-2"],
+    ["simulate", "vertical_disk", "--t1", "0.15", "--dt", "0.001"],
+    ["dissipation", "vertical_disk", "--t1", "0.15", "--dt", "0.001"],
+)
 # the grid sizes of the benchmark's ``point_checks`` workload on the two kernel systems
 POINT_CHECK_GRIDS = (
     ["hj-check", "rolling_ball", "--resolution", "4"],
@@ -113,7 +125,7 @@ print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
 
 def commands(seed: int) -> list:
     s = str(seed)
-    cmds = [list(argv) for argv in README + ACCURACY + TRAJECTORIES + POINT_CHECK_GRIDS]
+    cmds = [list(argv) for argv in README + ACCURACY + TRAJECTORIES + CONSTRAINED_FLOWS + POINT_CHECK_GRIDS]
     cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])

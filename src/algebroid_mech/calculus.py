@@ -205,9 +205,10 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
     t = t0
     for k in range(n_steps):
         step = dt if k < n_full else last_partial
+        half = 0.5 * step
         k1 = np.asarray(rhs(t, x), dtype=float)
-        k2 = np.asarray(rhs(t + 0.5 * step, x + 0.5 * step * k1), dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * step, x + 0.5 * step * k2), dtype=float)
+        k2 = np.asarray(rhs(t + half, x + half * k1), dtype=float)
+        k3 = np.asarray(rhs(t + half, x + half * k2), dtype=float)
         k4 = np.asarray(rhs(t + step, x + step * k3), dtype=float)
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t1 if k + 1 == n_steps else t0 + (k + 1) * dt
@@ -216,5 +217,5 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
                 f"state went non-finite at t={t:g}", last_good_time=times[-1]
             )
         times.append(t)
-        states.append(x.copy())
+        states.append(x)  # a fresh array each step
     return Curve(times=np.array(times), points=np.array(states))

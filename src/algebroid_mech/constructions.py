@@ -35,7 +35,6 @@ drift (the rolling ball) orthonormalize their frame once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -206,9 +205,23 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     and stacked mat-vecs.  Only the projection runs per point and pair.  If
     the pass raises, it memoizes nothing, and the pointwise read of the
     failing point raises as it would have without it.
+
+    Both bodies take the E-brackets of all frame pairs from one contraction
+    with C_E (none over a flat E, whose pair brackets are one zero array);
+    only the derivative terms and the projection run per pair.
     """
     memo = {}  # q bytes -> [frame, rho_E, anchor, C]
     I, J = np.triu_indices(rank, 1)  # the pairs i < j, in the pointwise loop's order
+    pairs = list(zip(I.tolist(), J.tolist()))
+    flat = _constant(E._structure) and not E._structure.value.any()
+    zero = np.zeros((len(pairs), E.rank))
+
+    def pair_brackets(Q, M):  # [[e_i, e_j]]_E of the pairs of the frame M at q, or of a stack at Q
+        if flat:
+            return zero
+        if Q.ndim == 1:
+            return np.einsum("abg,pa,pb->pg", E.structure_at(Q), M[I], M[J])
+        return np.einsum("kabg,kpa,kpb->kpg", np.array([E.structure_at(q) for q in Q]), M[:, I], M[:, J])
 
     def entry(q):  # q arrives as a float array from anchor_at / structure_at
         key = q.tobytes()
@@ -231,14 +244,12 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
                 dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
             else:
                 dM = require_finite(frame_jacobian(q), "frame jacobian", q)
-            CE = E.structure_at(q)
+            brackets = pair_brackets(q, M)
             anchored = M @ rhoE.T  # (rank, m): rows rho_E(e_a)
             project = projection(q, M)
             C = np.zeros((rank, rank, rank))
-            for i, j in combinations(range(rank), 2):
-                val = np.einsum("abg,a,b->g", CE, M[i], M[j])
-                val = val + dM[j] @ anchored[i] - dM[i] @ anchored[j]
-                C[i, j] = project(val)
+            for p, (i, j) in enumerate(pairs):
+                C[i, j] = project(brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j])
                 C[j, i] = -C[i, j]
             C.flags.writeable = False  # shared by every later visit to q
             hit[3] = C
@@ -251,14 +262,13 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             dM = _central_differences(frames, Q, None, True, "function").reshape(M.shape + Q.shape[-1:])
         else:
             dM = require_finite(np.array([frame_jacobian(q) for q in Q], dtype=float), "frame jacobian", Q)
-        CE = np.array([E.structure_at(q) for q in Q])
+        brackets = pair_brackets(Q, M)
         anchored = M @ np.swapaxes(rhoE, -1, -2)  # (K, rank, m)
-        val = np.einsum("kabg,kpa,kpb->kpg", CE, M[:, I], M[:, J])
-        val = val + (dM[:, J] @ anchored[:, I, :, None])[..., 0] - (dM[:, I] @ anchored[:, J, :, None])[..., 0]
+        val = brackets + (dM[:, J] @ anchored[:, I, :, None])[..., 0] - (dM[:, I] @ anchored[:, J, :, None])[..., 0]
         C = np.zeros((len(Q), rank, rank, rank))
         for k, (q, Mk) in enumerate(zip(Q, M)):
             project = projection(q, Mk)
-            for p, (i, j) in enumerate(zip(I, J)):
+            for p, (i, j) in enumerate(pairs):
                 C[k, i, j] = project(val[k, p])
         C[:, J, I] = -C[:, I, J]
         anchor = rhoE @ np.swapaxes(M, -1, -2)
@@ -353,6 +363,8 @@ def affine_constraints(
 
     def frames(Q):
         """Rows: X0 then the orthonormalized U frame, in E components."""
+        if len(Q) == 0:
+            return np.zeros((0, r + 1, E.rank))
         Gq = np.array([G.at(q) for q in Q])
         B = np.array([[s(q) for s in U_basis] for q in Q])
         X = np.array([X0(q) for q in Q])
@@ -365,7 +377,8 @@ def affine_constraints(
 
     if _constant(G.matrix, X0.components, *(s.components for s in U_basis)):
         frame = frames(np.zeros((1, m)))[0]
-        frames = lambda Q: np.broadcast_to(frame, (len(Q),) + frame.shape)  # read-only views
+        stack = np.broadcast_to(frame, (np.iinfo(np.intp).max // frame.nbytes,) + frame.shape)  # longer than any Q
+        frames = lambda Q: stack[:len(Q)]
         project = projection(np.zeros(m), frame)
         projection = lambda q, M: project
 

@@ -42,7 +42,8 @@ class HJReport:
         return self.max_norm <= self.tol
 
     def to_json_dict(self) -> dict:
-        worst = sorted(self.residual_grid, key=lambda t: -float(np.max(np.abs(t[1]))))[:5]
+        peaks = np.abs(np.array([r for _, r in self.residual_grid])).max(axis=1)
+        worst = [self.residual_grid[i] for i in np.argsort(-peaks, kind="stable")[:5]]  # ties in grid order
         return {
             "max_norm": self.max_norm,
             "tol": self.tol,
@@ -74,7 +75,7 @@ class LiftReport:
 
     def to_json_dict(self) -> dict:
         dev = np.max(np.abs(self.lifted_curve.points - self.hamilton_curve.points), axis=1)
-        order = np.argsort(-dev)[:5]
+        order = np.argsort(-dev, kind="stable")[:5]  # ties in time order
         return {
             "max_deviation": self.max_deviation,
             "tol": self.tol,

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .calculus import Curve
-
-
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def dump_json(obj) -> str:
@@ -25,17 +23,17 @@ def trajectory_header(chart, n_momenta: int) -> list:
 
 
 def trajectory_csv(curve: Curve, header) -> str:
-    lines = [",".join(header)]
-    for t, row in zip(curve.times, curve.points):
-        lines.append(",".join([format_float(t)] + [format_float(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    return _csv(header, np.column_stack([curve.times, curve.points]))
 
 
 def table_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(header, rows)
+
+
+def _csv(header, rows) -> str:
+    values = np.asarray(rows, dtype=float)
+    fmt = ",".join(["{:.17g}"] * values.shape[-1]).format  # each field the text of format(float(v), ".17g")
+    return "\n".join([",".join(header)] + [fmt(*row) for row in values.tolist()]) + "\n"
 
 
 def curve_json_dict(curve: Curve, header) -> dict:

@@ -1,10 +1,13 @@
 """``benchmarks/bench_checks.py``: its exit code says whether every tree gave
-the same outputs, and its JSON is written either way."""
+the same outputs, and its JSON is written either way; its constrained-flow
+commands are the benchmark workload's ops."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +39,18 @@ def test_exit_code_says_whether_the_outputs_are_equal(bench, differ, tmp_path, m
     assert data["outputs_equal"] is not differ
     assert data["outputs_differ"] == (["cocycle-check rolling_ball"] if differ else [])
     assert ("differs: cocycle-check rolling_ball" in capsys.readouterr().out) is differ
+
+
+def test_constrained_flows_commands_are_the_workload_ops_at_their_sizes(monkeypatch):
+    modules = {}
+    for name, path in (("bench_checks", "benchmarks/bench_checks.py"), ("perfbench_workloads", "perfbench/workloads.py")):
+        spec = importlib.util.spec_from_file_location(name, ROOT / path)
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])  # its dataclasses resolve their annotations here
+        spec.loader.exec_module(modules[name])
+    bench, workloads = modules["bench_checks"], modules["perfbench_workloads"]
+    # the workload draws each op's start; the commands take the default one
+    ops = workloads.constrained_flows(np.random.default_rng(0))
+    expect = [[a for a in op.argv if not a.startswith("--q0=")] for op in ops]
+    assert [list(argv) for argv in bench.CONSTRAINED_FLOWS] == expect
+    assert all(argv in bench.commands(11) for argv in expect)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from algebroid_mech import DualSection, MorphismEndpoint, algebroid, cli, hamilton_jacobi
+from algebroid_mech import Curve, DualSection, MorphismEndpoint, algebroid, cli, hamilton_jacobi, io
 from algebroid_mech.cli import main
 from algebroid_mech.gallery import GALLERY_IDS, instantiate
 
@@ -499,6 +499,28 @@ class TestDissipation:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,H,rate"
         assert len(lines) == 22
+
+
+class TestCsvWriters:
+    VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -3.0, 1e16, 0.1, 1 / 3, -2.5e-7]
+
+    @staticmethod
+    def _per_value(header, rows):  # the writers' text, one format(float(v), ".17g") per field
+        return "\n".join([",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]) + "\n"
+
+    def test_table_csv_matches_the_per_value_text(self):
+        rows = [(np.float64(v), v, float(i)) for i, v in enumerate(self.VALUES)]
+        text = io.table_csv(["t", "H", "rate"], rows)
+        assert text == self._per_value(["t", "H", "rate"], rows)
+        assert text.splitlines()[1:4] == ["-0,-0,0", "0,0,1", "4.9406564584124654e-324,4.9406564584124654e-324,2"]
+
+    def test_trajectory_csv_matches_the_per_value_text(self):
+        times = np.arange(len(self.VALUES), dtype=float)
+        points = np.column_stack([self.VALUES, self.VALUES[::-1]])
+        header = ["t", "q1", "p1"]
+        text = io.trajectory_csv(Curve(times, points), header)
+        assert text == self._per_value(header, [[t, *row] for t, row in zip(times, points)])
+        assert text.splitlines()[1] == "0,-0,-2.4999999999999999e-07"
 
 
 class TestDeterminism:

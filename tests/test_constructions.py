@@ -42,7 +42,7 @@ from algebroid_mech.algebroid import sample_box
 from algebroid_mech.calculus import Chart, fd_gradient, fd_jacobian
 from algebroid_mech.hamilton_jacobi import grid_points, verify_lift
 
-from conftest import lie_tangent, nan_structure_at, seeded_points, smooth_field
+from conftest import lie_tangent, nan_structure_at, random_adapted_algebroid, seeded_points, smooth_field
 
 
 class TestForceExtension:
@@ -190,6 +190,21 @@ def _twisted_frame():
     return E, [X1, X2], P
 
 
+def _full_frame(E):
+    """q-dependent sections spanning E (rank 2 or 3), each near a frame vector,
+    and P the coordinates in them.  Over ``random_adapted_algebroid`` (three
+    pairs, C_E non-zero and q-dependent) every pair bracket reads C_E."""
+    n = E.rank
+    eye = np.eye(n)
+    basis = [ESection(components=lambda q, a=a: eye[a] + 0.2 * math.sin(q[0] + a) * eye[(a + 1) % n]
+                      + 0.1 * math.cos(q[1] - a) * eye[(a + 2) % n]) for a in range(n)]
+
+    def P(q, v):
+        return np.linalg.solve(np.array([s(q) for s in basis]).T, v)
+
+    return E, basis, P
+
+
 def _stencil_kernel_C(E, basis, P, q):
     """C at q as the stencil kernel forms it, written out pair by pair."""
     def frames(Q):
@@ -251,12 +266,14 @@ class TestExactFrameDerivative:
             gap = max(gap, float(np.max(np.abs(C - stencil.structure_at(q)))))
         assert 0.0 < gap <= 1e-9
 
-    @pytest.mark.parametrize("case", ["disk", "twisted"])
+    @pytest.mark.parametrize("case", ["disk", "twisted", "non-flat"])
     def test_jacobian_less_basis_keeps_the_stencil_bits(self, case, disk):
         if case == "disk":
             E, basis, P = tangent_algebroid(disk.system.chart), disk.extras["constraint_basis"], disk.extras["projector"]
-        else:
+        elif case == "twisted":
             E, basis, P = _twisted_frame()
+        else:
+            E, basis, P = _full_frame(random_adapted_algebroid())
         A = projector_restriction(E, _strip(basis), P)
         for q in seeded_points(E.chart.dim, n=32, lo=-4.0, hi=4.0, seed=64):
             assert np.array_equal(A.structure_at(q), _stencil_kernel_C(E, _strip(basis), P, q))
@@ -297,6 +314,49 @@ class TestExactFrameDerivative:
         D.anchor_at(bad)  # the anchor needs no derivative
         with pytest.raises(NumericFailure, match=re.escape(f"frame jacobian non-finite at q={list(map(float, bad))}")):
             D.structure_at(bad)
+
+
+class TestNanFrame:
+    @pytest.mark.parametrize("check", ["cocycle-check", "hj-check"])
+    @pytest.mark.parametrize("ambient", ["flat", "non-flat"])
+    def test_nan_frame_at_one_point_is_named(self, ambient, check):
+        # over a flat E the pair brackets are a zero array, not a contraction of
+        # the NaN frame; the derivative terms still carry the NaN into C
+        box = ((-1.0, 1.0),) * 2
+        bad = sample_box(box, 16, 7)[5] if check == "cocycle-check" else grid_points(box, 4)[2][5]
+        E, basis, P = _full_frame(lie_tangent(2) if ambient == "flat" else random_adapted_algebroid())
+        X = ESection(components=lambda q: np.full(E.rank, np.nan) if np.array_equal(q, bad) else basis[0](q))
+        A = projector_restriction(E, [X, *basis[1:]], P)
+        if check == "cocycle-check":
+            with pytest.raises(NumericFailure, match=re.escape(f"d phi(e_0, e_1) non-finite at q={bad.tolist()}")):
+                check_cocycle(A, DualSection(components=lambda q: np.linspace(1.0, 2.0, E.rank)), box, 16, 7)
+        else:
+            sys_ = HamiltonianSystem(algebroid=force_extension(A, None),
+                                     H=ScalarField(eval=lambda x: 0.5 * float(x[2:] @ x[2:])))
+            alpha = DualSection(components=lambda q: np.array([0.5, q[0], 0.1][:E.rank]), space="V*")
+            with pytest.raises(NumericFailure, match=re.escape(f"HJ residual non-finite at q={bad.tolist()}")):
+                hj_grid_check(sys_, alpha, box, 4)
+
+
+class TestEmptyValidationSet:
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 3))], ids=["list", "stack"])
+    @pytest.mark.parametrize("data", ["constant", "q-dependent"])
+    def test_affine_constraints_build(self, data, points, ball):
+        if data == "constant":
+            args = (ball.extras["ambient"], ball.extras["metric"], [constant_section([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])],
+                    constant_section([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        else:
+            args = twisted_affine()
+        A = affine_constraints(*args, validation_points=points).algebroid
+        q = np.full(3, 0.2)
+        assert np.array_equal(A.structure_at(q), affine_constraints(*args).algebroid.structure_at(q))
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 3))], ids=["list", "stack"])
+    def test_projector_restriction_builds(self, points):
+        E, basis, P = _twisted_frame()
+        A = projector_restriction(E, basis, P, validation_points=points)
+        q = np.full(3, 0.2)
+        assert np.array_equal(A.structure_at(q), projector_restriction(E, basis, P).structure_at(q))
 
 
 class TestAffineConstraints:
@@ -738,6 +798,8 @@ KERNEL_SYSTEMS = {  # name -> (a fresh kernel algebroid, a box of points)
     # the gallery's frame derivatives leave one term per sum; here the
     # Gram-Schmidt, the stencil and every mat-vec carry roundoff
     "twisted_affine": (lambda: affine_constraints(*twisted_affine()).algebroid, ((-1.0, 1.0),) * 3),
+    # a non-flat E whose C depends on q, so every pair bracket is a contraction
+    "non_flat_frame": (lambda: projector_restriction(*_full_frame(random_adapted_algebroid())), ((-1.0, 1.0),) * 2),
 }
 
 

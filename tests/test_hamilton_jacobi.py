@@ -6,6 +6,7 @@ import pytest
 
 from algebroid_mech import (
     Chart,
+    Curve,
     DomainError,
     DualSection,
     ESection,
@@ -27,7 +28,7 @@ from algebroid_mech import (
 from algebroid_mech import algebroid
 from algebroid_mech.algebroid import sample_box
 from algebroid_mech.hamilton import HamiltonianSystem
-from algebroid_mech.hamilton_jacobi import grid_points
+from algebroid_mech.hamilton_jacobi import LiftReport, grid_points
 
 from conftest import lie_tangent, offset_section, seeded_points
 
@@ -268,6 +269,16 @@ class TestVerifyLift:
         d = rep.to_json_dict()
         assert set(d) == {"max_deviation", "tol", "pass", "times", "worst"}
 
+    def test_tied_deviations_list_the_earliest_times(self):
+        # 200 zero deviations, then 301 equal ones: the worst five are the first tied times
+        times = np.linspace(0.0, 5.0, 501)
+        points = np.zeros((501, 2))
+        shifted = points.copy()
+        shifted[200:] = 0.25
+        rep = LiftReport(base_curve=Curve(times, points[:, :1]), lifted_curve=Curve(times, shifted),
+                         hamilton_curve=Curve(times, points), max_deviation=0.25, tol=1e-6)
+        assert rep.to_json_dict()["worst"] == [{"t": float(times[i]), "deviation": 0.25} for i in range(200, 205)]
+
     def test_perturbed_ball_section_diverges(self, ball):
         pert = offset_section(ball.reference_sections["reference"], [0.1, 0.0, 0.0])
         rep = verify_lift(ball.system, pert, np.array(ball.default_q0), 0.0, 1.0, 2e-3, tol=1e-6)
@@ -433,6 +444,17 @@ class TestGrid:
         assert all(events.index(("prefetch", c)) < events.index(("alpha", c[0])) for c in chunks)
         monkeypatch.undo()
         assert report.to_json_dict() == hj_grid_check(disk.system, inner, box, 2).to_json_dict()
+
+    @pytest.mark.parametrize("system", ["time_dependent", "cylinder"])
+    def test_tied_residuals_keep_the_grid_order_witnesses(self, system, request):
+        # a 5x5 grid of 25 per-point maxima holds 7 (time_dependent) or 3 (cylinder) distinct values
+        gs = request.getfixturevalue(system)
+        rep = hj_grid_check(gs.system, gs.reference_sections["reference"], gs.default_box, 5)
+        peaks = [float(np.max(np.abs(r))) for _, r in rep.residual_grid]
+        assert len(set(peaks)) < len(peaks)
+        worst = sorted(rep.residual_grid, key=lambda t: -float(np.max(np.abs(t[1]))))[:5]  # a stable sort
+        assert rep.to_json_dict()["worst"] == [{"q": list(map(float, q)), "residual": list(map(float, r))}
+                                               for q, r in worst]
 
     def test_report_json(self, time_dependent):
         alpha = time_dependent.reference_sections["reference"]
