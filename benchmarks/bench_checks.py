@@ -10,8 +10,10 @@ no reference section), then the ops of the benchmark's ``constrained_flows``
 workload at its sizes from the default starts (the ball's 0.3 s lift under
 both ``--omega`` laws, the disk's 0.6 s lift and its 0.15 s ``simulate``
 and ``dissipation``), then the checks at the benchmark's
-``point_checks`` sizes: the ball's and the disk's ``hj-check`` grids
-(4 and 3 points per axis), every gallery system's adapted-frame cocycle
+``point_checks`` sizes: the ``hj-check`` grids of its five systems
+(4 points per axis on the ball, 3 on the disk and 8 on the three 2-D
+systems, whose residuals read the operands their systems bind once over
+constant data), every gallery system's adapted-frame cocycle
 and the ball's kernel section at 16 samples, the four morphism checks
 at 8, and three handler paths that no command above takes (a JSON
 ``simulate``, the ball's ``mu-projection`` morphism and a ``--x0``
@@ -83,10 +85,14 @@ CONSTRAINED_FLOWS = (
     ["simulate", "vertical_disk", "--t1", "0.15", "--dt", "0.001"],
     ["dissipation", "vertical_disk", "--t1", "0.15", "--dt", "0.001"],
 )
-# the grid sizes of the benchmark's ``point_checks`` workload on the two kernel systems
+# the grid sizes of the benchmark's ``point_checks`` workload: the two kernel systems, then the three
+# constant ones
 POINT_CHECK_GRIDS = (
     ["hj-check", "rolling_ball", "--resolution", "4"],
     ["hj-check", "vertical_disk", "--resolution", "3"],
+    ["hj-check", "cylinder_friction", "--resolution", "8"],
+    ["hj-check", "time_dependent_free", "--resolution", "8"],
+    ["hj-check", "riemannian_flat", "--resolution", "8"],
 )
 # the systems of the benchmark's ``trajectories`` workload
 TRAJECTORY_SECTIONS = {"time_dependent_free": "reference", "riemannian_flat": "reference",

@@ -119,7 +119,8 @@ def _fail_at_first(q, ok, message):
 
 def require_finite(value, what: str, q):
     """``value`` if all of it is finite, else NumericFailure naming ``what`` and q."""
-    if not np.isfinite(value).all():
+    # counted, not ``.all()``: on the small arrays of a per-point read the reduction costs twice the test
+    if np.count_nonzero(np.isfinite(value)) < np.size(value):
         raise NumericFailure(f"{what} non-finite at q={np.asarray(q, dtype=float).tolist()}")
     return value
 

@@ -191,7 +191,8 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     """The algebroid of a frame {e_a} of E, bracketed in E and projected.
 
     ``frames`` maps points (K, m) to frames (K, rank, n_E), row a holding
-    the E-components of e_a.  The anchor is rho_E(e_a).  The structure
+    the E-components of e_a; a non-finite frame raises NumericFailure
+    naming the point.  The anchor is rho_E(e_a).  The structure
     functions are projection(q, M)([[e_a, e_b]]_E) for the frame M at q, a
     length-``rank`` vector.  The bracket's derivative terms take the frame
     derivative (rank, n_E, m) from ``frame_jacobian(q)`` when given (a
@@ -229,7 +230,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         if hit is None:
             if len(memo) >= _MEMO_POINTS:
                 memo.clear()
-            M = frames(q[None])[0]
+            M = require_finite(frames(q[None])[0], "frame", q)
             rhoE = E.anchor_at(q)
             anchor = rhoE @ M.T
             anchor.flags.writeable = False  # shared by every later visit to q, as C is
@@ -256,7 +257,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         return hit[3]
 
     def build(Q):  # the pointwise values of every row of Q, stacked
-        M = frames(Q)  # (K, rank, n_E)
+        M = require_finite(frames(Q), "frame", Q)  # (K, rank, n_E)
         rhoE = np.array([E.anchor_at(q) for q in Q])
         if frame_jacobian is None:
             dM = _central_differences(frames, Q, None, True, "function").reshape(M.shape + Q.shape[-1:])
@@ -373,7 +374,13 @@ def affine_constraints(
     def projection(q, M):
         # G(ebar_a, .) for the orthonormal rows; the drift row has none
         rows = M[1:] @ G.at(q)
-        return lambda val: np.concatenate([[0.0], rows @ val])
+
+        def project(val):
+            out = np.zeros(r + 1)
+            out[1:] = rows @ val
+            return out
+
+        return project
 
     if _constant(G.matrix, X0.components, *(s.components for s in U_basis)):
         frame = frames(np.zeros((1, m)))[0]

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebroid import DualSection, SkewAlgebroid, _read_at
+from .algebroid import DualSection, SkewAlgebroid, _constant, _read_at
 from .calculus import Curve, ScalarField, as_scalar_field, fd_gradient, integrate_rk4
 
 
@@ -23,16 +23,22 @@ class HamiltonianSystem:
     """An adapted algebroid plus a Hamiltonian H(q, p_1..p_{n-1}).
 
     ``H`` is a ScalarField over the concatenated (q, p) coordinates of the
-    reduced phase space.
+    reduced phase space.  Over a constant anchor and C (``_Constant``), the
+    operands of the Hamilton field, rho_0, rho_V, rho_V^T and C_V, are
+    bound once, here, as views of the stored read-only arrays, so its RK4
+    stages, HJ residuals and dissipation rows read neither the anchor nor C.
     """
 
     algebroid: SkewAlgebroid
     H: ScalarField
 
     def __post_init__(self):
-        if not self.algebroid.adapted:
+        A = self.algebroid
+        if not A.adapted:
             raise ValueError("HamiltonianSystem requires an adapted algebroid")
         object.__setattr__(self, "H", as_scalar_field(self.H))
+        bound = _split(A._anchor.value, A._structure.value) if _constant(A._anchor, A._structure) else None
+        object.__setattr__(self, "_bound", bound)
 
     @property
     def chart(self):
@@ -114,24 +120,37 @@ def _bivector_at(A: SkewAlgebroid, xf: np.ndarray) -> np.ndarray:
     return L
 
 
-def _pdot_rhs(sys: HamiltonianSystem, q, p, dHq, dHp, rho) -> np.ndarray:
+def _split(rho, C=None):
+    """The operands of the Hamilton field as views of the anchor rho and of
+    C: rho_0 = rho[:, 0], rho_V = rho[:, 1:], rho_V^T and C_V = C[:, 1:, 1:]
+    (None without C)."""
+    rhoV = rho[:, 1:]
+    return rho[:, 0], rhoV, rhoV.T, None if C is None else C[:, 1:, 1:]
+
+
+def _operands(sys: HamiltonianSystem, q, structure: bool = True):
+    """rho_0, rho_V, rho_V^T and C_V at q: those bound over constant data,
+    else from one read of the anchor and, when ``structure``, one of C."""
+    if sys._bound is not None:
+        return sys._bound
+    A = sys.algebroid
+    return _split(A.anchor_at(q), A.structure_at(q) if structure else None)
+
+
+def _pdot_rhs(p, dHq, dHp, rhoVT, CV) -> np.ndarray:
     """Right-hand side of the momentum equations at (q, p):
 
         dp_b/dt = -rho_b^i dH/dq^i + (C_{0b}^c + C_{ab}^c dH/dp_a) p_c
 
-    The caller supplies dH/dq, dH/dp and the anchor rho at q, so a state
-    reads each of them once; only C is read here.
+    from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``).
     """
-    A = sys.algebroid
-    C = A.structure_at(q)
-    n = A.rank
     # weights w_alpha against the full frame: w_0 = 1, w_a = dH/dp_a
-    w = np.empty(n)
+    w = np.empty(len(dHp) + 1)
     w[0] = 1.0
     w[1:] = dHp
     # (C_{alpha b}^c) contracted with w_alpha and p_c, for b, c >= 1
-    coeff = np.einsum("abc,a->bc", C[:, 1:, 1:], w)
-    return -(rho[:, 1:].T @ dHq) + coeff @ p
+    coeff = np.einsum("abc,a->bc", CV, w)
+    return -(rhoVT @ dHq) + coeff @ p
 
 
 def _state_partials(sys: HamiltonianSystem, x):
@@ -146,16 +165,15 @@ def _state_partials(sys: HamiltonianSystem, x):
 def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
     """Rates (dq/dt, dp/dt) of the Hamilton equations at the state x.
 
-    x is the reduced state (q, p).  One call takes one
-    gradient of H, reads the anchor once and C once (in ``_pdot_rhs``).
-    Explicit time enters only through chart coordinates, so t is unused
-    here; it is kept for integrator compatibility.
+    x is the reduced state (q, p).  One call takes one gradient of H and
+    reads the anchor once and C once, or neither over constant data, whose
+    operands the system binds once.  Explicit time enters only through
+    chart coordinates, so t is unused here; it is kept for integrator
+    compatibility.
     """
     q, p, dHq, dHp = _state_partials(sys, x)
-    rho = sys.algebroid.anchor_at(q)
-    qdot = rho[:, 0] + rho[:, 1:] @ dHp
-    pdot = _pdot_rhs(sys, q, p, dHq, dHp, rho)
-    return np.concatenate([qdot, pdot])
+    rho0, rhoV, rhoVT, CV = _operands(sys, q)
+    return np.concatenate([rho0 + rhoV @ dHp, _pdot_rhs(p, dHq, dHp, rhoVT, CV)])
 
 
 def integrate_hamilton(sys: HamiltonianSystem, x0, t0: float, t1: float, dt: float) -> Curve:
@@ -172,12 +190,10 @@ def dissipation_rate(sys: HamiltonianSystem, x) -> float:
     bracket into the kernel (conservative case).
     """
     q, p, dHq, dHp = _state_partials(sys, x)
-    A = sys.algebroid
-    rho = A.anchor_at(q)
-    C = A.structure_at(q)
-    val = float(rho[:, 0] @ dHq)
-    for b in range(1, A.rank):
-        val += float(C[0, b, 1:] @ p) * dHp[b - 1]
+    rho0, _, _, CV = _operands(sys, q)
+    val = float(rho0 @ dHq)
+    for b, row in enumerate(CV[0]):  # row b is C_{0, b+1}^c for c >= 1
+        val += float(row @ p) * dHp[b]
     return val
 
 
@@ -190,5 +206,5 @@ def projected_field(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray
     q = np.asarray(q, dtype=float)
     p = alpha(q)
     _, dHp = sys.h_partials(q, p)
-    rho = sys.algebroid.anchor_at(q)
-    return rho[:, 0] + rho[:, 1:] @ dHp
+    rho0, rhoV, _, _ = _operands(sys, q, structure=False)
+    return rho0 + rhoV @ dHp

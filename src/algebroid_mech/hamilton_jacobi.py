@@ -23,7 +23,7 @@ import numpy as np
 from .algebroid import GRID_POINT_CAP, DualSection, ESection, box_bounds, d_oneform_matrix, prefetched, v_restriction
 from .calculus import Curve, fd_jacobian, integrate_rk4, max_abs, require_finite
 from .errors import DomainError
-from .hamilton import HamiltonianSystem, _pdot_rhs, integrate_hamilton, projected_field
+from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, integrate_hamilton, projected_field
 from .util import parallel_map
 
 
@@ -116,7 +116,8 @@ def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     R = projected_field(sys, alpha, q)
     J = alpha.jac(q)  # (n-1, m)
     dHq, dHp = sys.h_partials(q, p)
-    return J @ R - _pdot_rhs(sys, q, p, dHq, dHp, sys.algebroid.anchor_at(q))
+    _, _, rhoVT, CV = _operands(sys, q)
+    return J @ R - _pdot_rhs(p, dHq, dHp, rhoVT, CV)
 
 
 def hj_residual_dual(sys: HamiltonianSystem, beta: DualSection, q) -> np.ndarray:

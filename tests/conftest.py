@@ -12,9 +12,12 @@ from algebroid_mech import (
     instantiate,
     tangent_algebroid,
 )
+from algebroid_mech import algebroid, constructions
 
 SEED = 42
 N_SAMPLES = 128
+# systems built from constant data only: their reads return one array
+CONSTANT_SYSTEMS = ("cylinder_friction", "three_body_drag", "time_dependent_free", "riemannian_flat")
 
 
 @pytest.fixture(scope="session")
@@ -87,6 +90,18 @@ def random_adapted_algebroid(dim=2, rank=3):
 def lie_tangent(dim=2):
     chart = Chart(dim=dim, coord_names=tuple(f"q{i}" for i in range(dim)))
     return tangent_algebroid(chart)
+
+
+def callable_path(monkeypatch):
+    """Make every constant built afterwards a plain callable, which
+    SkewAlgebroid and the builders cannot tell from q-dependent data, so
+    they evaluate it per call as they would a q-dependent input."""
+    def plain(value):
+        v = np.array(value, dtype=float)
+        return lambda q: v
+
+    for module in (algebroid, constructions):
+        monkeypatch.setattr(module, "_Constant", plain)
 
 
 def nan_structure_at(A, bad):

@@ -41,16 +41,31 @@ def test_exit_code_says_whether_the_outputs_are_equal(bench, differ, tmp_path, m
     assert ("differs: cocycle-check rolling_ball" in capsys.readouterr().out) is differ
 
 
-def test_constrained_flows_commands_are_the_workload_ops_at_their_sizes(monkeypatch):
+@pytest.fixture
+def bench_and_workloads(monkeypatch):
+    """``bench_checks.py`` and ``perfbench/workloads.py``, loaded from their files."""
     modules = {}
     for name, path in (("bench_checks", "benchmarks/bench_checks.py"), ("perfbench_workloads", "perfbench/workloads.py")):
         spec = importlib.util.spec_from_file_location(name, ROOT / path)
         modules[name] = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, name, modules[name])  # its dataclasses resolve their annotations here
         spec.loader.exec_module(modules[name])
-    bench, workloads = modules["bench_checks"], modules["perfbench_workloads"]
+    return modules["bench_checks"], modules["perfbench_workloads"]
+
+
+def test_constrained_flows_commands_are_the_workload_ops_at_their_sizes(bench_and_workloads):
+    bench, workloads = bench_and_workloads
     # the workload draws each op's start; the commands take the default one
     ops = workloads.constrained_flows(np.random.default_rng(0))
     expect = [[a for a in op.argv if not a.startswith("--q0=")] for op in ops]
     assert [list(argv) for argv in bench.CONSTRAINED_FLOWS] == expect
     assert all(argv in bench.commands(11) for argv in expect)
+
+
+def test_point_check_grids_are_the_workload_hj_checks_at_their_resolutions(bench_and_workloads):
+    bench, workloads = bench_and_workloads
+    # the workload draws each grid's box; the commands take the default one
+    ops = [op for op in workloads.point_checks(np.random.default_rng(0)) if op.kind == "hj-check"]
+    expect = sorted([op.argv[0], op.system, "--resolution", op.argv[op.argv.index("--resolution") + 1]] for op in ops)
+    assert sorted(list(argv) for argv in bench.POINT_CHECK_GRIDS) == expect
+    assert all(list(argv) in bench.commands(11) for argv in bench.POINT_CHECK_GRIDS)

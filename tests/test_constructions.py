@@ -42,7 +42,8 @@ from algebroid_mech.algebroid import sample_box
 from algebroid_mech.calculus import Chart, fd_gradient, fd_jacobian
 from algebroid_mech.hamilton_jacobi import grid_points, verify_lift
 
-from conftest import lie_tangent, nan_structure_at, random_adapted_algebroid, seeded_points, smooth_field
+from conftest import (CONSTANT_SYSTEMS, callable_path, lie_tangent, nan_structure_at, random_adapted_algebroid,
+                      seeded_points, smooth_field)
 
 
 class TestForceExtension:
@@ -320,21 +321,22 @@ class TestNanFrame:
     @pytest.mark.parametrize("check", ["cocycle-check", "hj-check"])
     @pytest.mark.parametrize("ambient", ["flat", "non-flat"])
     def test_nan_frame_at_one_point_is_named(self, ambient, check):
-        # over a flat E the pair brackets are a zero array, not a contraction of
-        # the NaN frame; the derivative terms still carry the NaN into C
+        # the kernel names the frame, not the check's own term, over a flat E
+        # (zero pair brackets) as over a non-flat one; the stacked prefetch
+        # memoizes nothing, so the pointwise read names the point
         box = ((-1.0, 1.0),) * 2
         bad = sample_box(box, 16, 7)[5] if check == "cocycle-check" else grid_points(box, 4)[2][5]
         E, basis, P = _full_frame(lie_tangent(2) if ambient == "flat" else random_adapted_algebroid())
         X = ESection(components=lambda q: np.full(E.rank, np.nan) if np.array_equal(q, bad) else basis[0](q))
         A = projector_restriction(E, [X, *basis[1:]], P)
         if check == "cocycle-check":
-            with pytest.raises(NumericFailure, match=re.escape(f"d phi(e_0, e_1) non-finite at q={bad.tolist()}")):
+            with pytest.raises(NumericFailure, match=re.escape(f"frame non-finite at q={bad.tolist()}")):
                 check_cocycle(A, DualSection(components=lambda q: np.linspace(1.0, 2.0, E.rank)), box, 16, 7)
         else:
             sys_ = HamiltonianSystem(algebroid=force_extension(A, None),
                                      H=ScalarField(eval=lambda x: 0.5 * float(x[2:] @ x[2:])))
             alpha = DualSection(components=lambda q: np.array([0.5, q[0], 0.1][:E.rank]), space="V*")
-            with pytest.raises(NumericFailure, match=re.escape(f"HJ residual non-finite at q={bad.tolist()}")):
+            with pytest.raises(NumericFailure, match=re.escape(f"frame non-finite at q={bad.tolist()}")):
                 hj_grid_check(sys_, alpha, box, 4)
 
 
@@ -662,23 +664,9 @@ class TestKernel:
         assert got[1, 1, 1] != got[0, 1, 1]
 
 
-def callable_path(monkeypatch):
-    """Make every constant built afterwards a plain callable, which
-    SkewAlgebroid and the builders cannot tell from q-dependent data, so
-    they evaluate it per call as they would a q-dependent input."""
-    def plain(value):
-        v = np.array(value, dtype=float)
-        return lambda q: v
-
-    for module in (algebroid, constructions):
-        monkeypatch.setattr(module, "_Constant", plain)
-
-
 GALLERY_CASES = [("cylinder_friction", "constant"), ("three_body_drag", "constant"),
                  ("rolling_ball", "constant"), ("rolling_ball", "linear"), ("vertical_disk", "constant"),
                  ("time_dependent_free", "constant"), ("riemannian_flat", "constant")]
-# systems built from constant data only: their reads return one array
-CONSTANT_SYSTEMS = ("cylinder_friction", "three_body_drag", "time_dependent_free", "riemannian_flat")
 
 
 class TestDefaultValidationPoints:

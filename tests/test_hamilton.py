@@ -19,7 +19,10 @@ from algebroid_mech import (
     projected_field,
 )
 
-from conftest import N_SAMPLES, SEED, lie_tangent, seeded_points, smooth_field
+from algebroid_mech.algebroid import sample_box
+from algebroid_mech.hamilton_jacobi import hj_residual
+
+from conftest import CONSTANT_SYSTEMS, N_SAMPLES, SEED, callable_path, lie_tangent, seeded_points, smooth_field
 
 
 def phase_samples(A, n=N_SAMPLES, seed=SEED):
@@ -133,52 +136,90 @@ class TestFh:
             f_h_eval(sys_, np.zeros(4))
 
 
-class TestRhsReads:
-    """One hamilton_rhs call reads dH, the anchor and C once per state."""
+def count_reads(monkeypatch, sys_, run):
+    """The outermost anchor_at and structure_at reads, and the gradients of
+    sys_.H, that run() makes, with its result."""
+    counts = {"anchor_at": 0, "structure_at": 0, "grad H": 0}
+    depth = {"anchor_at": 0, "structure_at": 0}
+    for name in depth:
+        original = getattr(SkewAlgebroid, name)
 
-    @staticmethod
-    def _count_reads(monkeypatch, sys_, x):
-        counts = {"anchor_at": 0, "structure_at": 0, "grad H": 0}
-        depth = {"anchor_at": 0, "structure_at": 0}
-        for name in depth:
-            original = getattr(SkewAlgebroid, name)
+        def counting(self, q, name=name, original=original):
+            # a force extension's read re-enters for its base; count the outermost
+            counts[name] += depth[name] == 0
+            depth[name] += 1
+            try:
+                return original(self, q)
+            finally:
+                depth[name] -= 1
 
-            def counting(self, q, name=name, original=original):
-                # a force extension's read re-enters for its base; count the outermost
-                counts[name] += depth[name] == 0
-                depth[name] += 1
-                try:
-                    return original(self, q)
-                finally:
-                    depth[name] -= 1
+        monkeypatch.setattr(SkewAlgebroid, name, counting)
+    gradient = hamilton.fd_gradient
 
-            monkeypatch.setattr(SkewAlgebroid, name, counting)
-        gradient = hamilton.fd_gradient
+    def counting_gradient(f, *args, **kwargs):
+        counts["grad H"] += f is sys_.H
+        return gradient(f, *args, **kwargs)
 
-        def counting_gradient(f, *args, **kwargs):
-            counts["grad H"] += f is sys_.H
-            return gradient(f, *args, **kwargs)
-
-        monkeypatch.setattr(hamilton, "fd_gradient", counting_gradient)
-        rate = hamilton_rhs(sys_, 0.0, x)
+    monkeypatch.setattr(hamilton, "fd_gradient", counting_gradient)
+    try:
+        result = run()
+    finally:
         monkeypatch.undo()
-        return counts, rate
+    return counts, result
 
-    @pytest.mark.parametrize("system,omega", [
-        pytest.param("cylinder_friction", "constant", id="cylinder_friction"),
-        pytest.param("vertical_disk", "constant", id="vertical_disk"),
+
+def probe_section(gs):
+    """The system's reference section, or the dS section of three_body_drag, which has none."""
+    return gs.reference_sections.get("reference") or gs.probe_sections["dS"]
+
+
+def start_state(gs):
+    q0 = np.array(gs.default_q0)
+    return np.concatenate([q0, probe_section(gs)(q0)])
+
+
+# the systems whose kernel builds the anchor and C per point
+KERNEL_CASES = [
+    pytest.param("vertical_disk", "constant", id="vertical_disk"),
+    pytest.param("rolling_ball", "constant", id="rolling_ball-constant"),
+    pytest.param("rolling_ball", "linear", id="rolling_ball-linear"),
+]
+
+
+class TestRhsReads:
+    """One hamilton_rhs call takes dH once and reads the anchor and C once
+    per state, or neither over constant data, whose operands the system
+    binds once."""
+
+    @pytest.mark.parametrize("system,omega,reads", [
+        pytest.param("cylinder_friction", "constant", 0, id="cylinder_friction"),
+        pytest.param("vertical_disk", "constant", 1, id="vertical_disk"),
         # the affine kernel's RK4 stage: a new point, built by the pointwise reads
-        pytest.param("rolling_ball", "constant", id="rolling_ball-constant"),
-        pytest.param("rolling_ball", "linear", id="rolling_ball-linear"),
+        pytest.param("rolling_ball", "constant", 1, id="rolling_ball-constant"),
+        pytest.param("rolling_ball", "linear", 1, id="rolling_ball-linear"),
     ])
-    def test_one_read_of_each_object(self, system, omega, monkeypatch):
+    def test_one_read_of_each_object(self, system, omega, reads, monkeypatch):
         gs = instantiate(system, omega=omega)
         sys_ = gs.system
-        q0 = np.array(gs.default_q0)
-        x = np.concatenate([q0, gs.reference_sections["reference"](q0)])
-        counts, rate = self._count_reads(monkeypatch, sys_, x)
-        assert counts == {"anchor_at": 1, "structure_at": 1, "grad H": 1}
+        x = start_state(gs)
+        counts, rate = count_reads(monkeypatch, sys_, lambda: hamilton_rhs(sys_, 0.0, x))
+        assert counts == {"anchor_at": reads, "structure_at": reads, "grad H": 1}
         assert np.array_equal(rate, hamilton_rhs(sys_, 0.0, x))
+
+    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS)
+    def test_constant_system_integration_reads_neither(self, system, monkeypatch):
+        gs = instantiate(system)
+        x0 = start_state(gs)
+        counts, curve = count_reads(monkeypatch, gs.system, lambda: integrate_hamilton(gs.system, x0, 0.0, 1.0, 1e-2))
+        assert len(curve.points) == 101
+        assert counts == {"anchor_at": 0, "structure_at": 0, "grad H": 400}
+
+    @pytest.mark.parametrize("system,omega", KERNEL_CASES)
+    def test_kernel_system_reads_each_object_once_per_stage(self, system, omega, monkeypatch):
+        gs = instantiate(system, omega=omega)
+        x0 = start_state(gs)
+        counts, _ = count_reads(monkeypatch, gs.system, lambda: integrate_hamilton(gs.system, x0, 0.0, 0.05, 1e-2))
+        assert counts == {"anchor_at": 20, "structure_at": 20, "grad H": 20}
 
     def test_wrong_length_state_raises(self, cylinder):
         sys_ = cylinder.system
@@ -186,6 +227,40 @@ class TestRhsReads:
         for bad in (np.zeros(n - 1), np.zeros(n + 1)):
             with pytest.raises(ValueError, match="state length does not match the system"):
                 hamilton_rhs(sys_, 0.0, bad)
+
+
+class TestBoundOperands:
+    """A system over constant data binds rho_0, rho_V, rho_V^T and C_V once;
+    every consumer gives the bits of the same system read point by point."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS)
+    def test_consumers_are_the_callable_path_bits(self, system, seed, monkeypatch):
+        gs = instantiate(system)
+        with monkeypatch.context() as patch:
+            callable_path(patch)
+            plain = instantiate(system)
+        assert gs.system._bound is not None and plain.system._bound is None
+        Q = sample_box(gs.default_box, 64, seed)
+        P = np.random.default_rng(seed).uniform(-1.0, 1.0, (64, gs.system.n_momenta))
+
+        def values(g):
+            S, alpha = g.system, probe_section(g)
+            return [np.concatenate([hamilton_rhs(S, 0.0, np.concatenate([q, p])),
+                                    [dissipation_rate(S, np.concatenate([q, p]))],
+                                    projected_field(S, alpha, q), hj_residual(S, alpha, q)]).tobytes()
+                    for q, p in zip(Q, P)]
+
+        assert values(gs) == values(plain)
+
+    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS)
+    def test_bound_operands_are_read_only_views(self, system):
+        S = instantiate(system).system
+        q = np.zeros(S.chart.dim)
+        rho, C = S.algebroid.anchor_at(q), S.algebroid.structure_at(q)
+        for view, base in zip(S._bound, (rho, rho, rho, C)):
+            assert np.shares_memory(view, base)
+            assert not view.flags.writeable
 
 
 class TestHamiltonRhs:
