@@ -18,9 +18,13 @@ and the ball's kernel section at 16 samples, the four morphism checks
 at 8, and three handler paths that no command above takes (a JSON
 ``simulate``, the ball's ``mu-projection`` morphism and a ``--x0``
 start).  Each run is a fresh interpreter, so the
-constructed algebroids start with empty memos.  A tree's time for a
+constructed algebroids start with nothing built.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
-drift in the machine's speed falls on all of them alike.
+drift in the machine's speed falls on all of them alike.  Every tree is
+byte-compiled (``compileall``) before the first timed run, so that no
+tree's ``wall_s`` includes compiling the package on every command (a tree
+without ``__pycache__`` read 20-30 ms higher per command); each entry's
+``bytecode_compiled`` records that it was.
 
     python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_13.json
 
@@ -45,6 +49,7 @@ BUILD_REPS builds, each the best of k.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -214,6 +219,7 @@ def main(argv=None) -> int:
             ap.error(f"--tree needs LABEL=SRC, got {spec!r}")
         trees[label] = Path(src).resolve()
 
+    compiled = {label: bool(compileall.compile_dir(str(src), quiet=1)) for label, src in trees.items()}
     cmds = commands(args.seed)
     runs = {label: [[] for _ in cmds] for label in trees}
     builds = {label: [[] for _ in CONSTRUCTIONS] for label in trees}
@@ -244,6 +250,7 @@ def main(argv=None) -> int:
                 "wall_s": min(r["wall_s"] for r in rs),
             })
         entries[label] = {
+            "bytecode_compiled": compiled[label],
             "src_lines": src_lines(src),
             "total_run_s": sum(r["run_s"] for r in rows),
             "total_wall_s": sum(r["wall_s"] for r in rows),

@@ -154,8 +154,8 @@ class SkewAlgebroid:
     adapted : bool
         Frame index 0 is dual to the cocycle (C_{ab}^0 = 0).
     prefetch : callable Q -> None, or None
-        Fills the memo of an algebroid that keeps one for a stack of points
-        Q (K, m), so later reads at those points are hits; see ``prefetch``.
+        Builds the values of a stack of points Q (K, m) for a construction
+        kernel's later reads at those points; see ``prefetch``.
     """
 
     def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False, prefetch=None):
@@ -174,10 +174,11 @@ class SkewAlgebroid:
         self.adapted = bool(adapted)
 
     def prefetch(self, Q) -> None:
-        """Build the memoized values of a stack of points Q (K, m) in one
-        pass, bit for bit those a pointwise read would build; a no-op on an
-        algebroid without a memo.  Reads are unchanged: they return the same
-        values and raise the same errors, prefetched or not."""
+        """Build the values of a stack of points Q (K, m) in one pass, bit
+        for bit those pointwise reads would build, and keep them in place of
+        the construction kernel's last build; a no-op on an algebroid without
+        a kernel.  Reads are unchanged: they return the same values and raise
+        the same errors, prefetched or not."""
         if self._prefetch is not None:
             self._prefetch(np.asarray(Q, dtype=float).reshape(-1, self.chart.dim))
 
@@ -256,10 +257,13 @@ def d_function(A: SkewAlgebroid, f) -> DualSection:
 
 
 def _read_at(A: SkewAlgebroid, q):
-    """The anchor and C at q, or their stacks at a stack of points q (K, m), read point by point."""
+    """The anchor and C at q, or their stacks at a stack of points q (K, m), read point by point;
+    C first, so that a kernel's anchor read finds the point its C read built."""
     if np.ndim(q) == 2:
-        return np.array([A.anchor_at(x) for x in q]), np.array([A.structure_at(x) for x in q])
-    return A.anchor_at(q), A.structure_at(q)
+        rho, C = zip(*[_read_at(A, x) for x in q])
+        return np.array(rho), np.array(C)
+    C = A.structure_at(q)
+    return A.anchor_at(q), C
 
 
 def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebroid import FLAG_FIELD_CAP, adapted_cocycle, check_cocycle, flag_rank, v_restriction
+from .algebroid import FLAG_FIELD_CAP, adapted_cocycle, check_cocycle, flag_rank, prefetched, v_restriction
 from .constructions import MorphismEndpoint, MorphismPair, morphism_check
 from .errors import AlgebroidError, DomainError, NumericFailure
 from .gallery import GALLERY_IDS, gallery_index, instantiate
@@ -39,6 +39,12 @@ def _finite(text):
     if not math.isfinite(val):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return val
+
+
+def _tolerance(text):
+    if _finite(text) < 0.0:  # no value could pass a check against it
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    return float(text)
 
 
 def _integer(lo, hi, expected):
@@ -164,7 +170,8 @@ def _cmd_simulate(args):
 def _cmd_dissipation(args):
     gs, curve = _integrate(args)
     sys_ = gs.system
-    rows = [(t, sys_.H(state), dissipation_rate(sys_, state)) for t, state in zip(curve.times, curve.points)]
+    states = (x for chunk in prefetched(sys_.algebroid, curve.points) for x in chunk)
+    rows = [(t, sys_.H(x), dissipation_rate(sys_, x)) for t, x in zip(curve.times, states)]
     _write(args.out, table_csv(["t", "H", "rate"], rows))
     return EXIT_OK
 
@@ -254,7 +261,7 @@ def _add_sample_flags(p, samples, tol):
     p.add_argument("--box", default=None, help="per-axis lo:hi, comma-separated")
     p.add_argument("--samples", type=int, default=samples)
     p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--tol", type=_finite, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=tol)
 
 
 @functools.cache
@@ -290,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", default="reference")
     p.add_argument("--box", default=None, help="per-axis lo:hi, comma-separated")
     p.add_argument("--resolution", default="11", help="grid points per axis (int or comma list)")
-    p.add_argument("--tol", type=_finite, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = add_parser("lift-verify", _cmd_lift_verify, "compare the lifted base flow with the Hamilton flow")
     p.add_argument("--section", default="reference")
     p.add_argument("--q0", default=None)
     _add_horizon_flags(p)
-    p.add_argument("--tol", type=_finite, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = add_parser("cocycle-check", _cmd_cocycle_check, "verify a section is a cocycle")
     p.add_argument("--on", choices=["e", "v"], default="e",
@@ -320,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _attach_vector_values(argv):
     """``--box -1:1,...`` -> ``--box=-1:1,...``: argparse takes a separated
-    value that starts with '-' and is not a plain number (-inf) for an option."""
+    value that starts with '-' and is not a plain number (-inf, -1e-9) for an option."""
     out = []
     for tok in argv:
-        if out and out[-1] in ("--box", "--q0", "--x0", "--point") and re.match(r"-([0-9.]|inf|nan)", tok, re.I):
+        if out and out[-1] in ("--box", "--q0", "--x0", "--point", "--tol") and re.match(r"(?i)-([0-9.]|inf|nan)", tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -18,18 +18,17 @@ the force rows, and the restricted and affine algebroids share one kernel
 C_{ab}^0 as an exact 0.0 (the force extension's padding, the affine
 projection's leading entry), so no construction checks adaptedness;
 ``check_cocycle`` of ``adapted_cocycle`` measures it on demand.  Per
-point, the kernel's anchor needs only the frame; its C, computed on first
-request, adds the frame's derivative: analytic when every basis section
-of a projector restriction carries a jacobian, else from one stacked
-finite-difference stencil (so always for the affine constraints).  Values
-are memoized per point, keyed by the exact coordinates, so a repeat visit
-reuses them and a neighbouring point never does; a construction leaves
-the memo empty.  A batch of points known in advance (a grid or a sample
-set) is built in one stacked pass by ``prefetch``, bit for bit as its
-points' reads would build them.  Constant inputs are evaluated once, at
-construction: the force extension of a constant base by a constant force
-is constant, and affine constraints with a constant metric, U basis and
-drift (the rolling ball) orthonormalize their frame once.
+point, the kernel's anchor needs only the frame; its C adds the frame's
+derivative: analytic when every basis section of a projector restriction
+carries a jacobian, else from one stacked finite-difference stencil (so
+always for the affine constraints).  The kernel keeps only its last build:
+the point whose C a read just built, for the anchor read that follows, or
+the points (a grid or sample chunk, a trajectory's rows) that ``prefetch``
+just built in one stacked pass, bit for bit as their reads would build
+them.  Constant inputs are evaluated once, at construction: the force
+extension of a constant base by a constant force is constant, and affine
+constraints with a constant metric, U basis and drift (the rolling ball)
+orthonormalize their frame once.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _consta
 from .calculus import ScalarField, _central_differences, fd_jacobian, max_abs, require_finite
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bivector_at, f_h_eval
-
-_MEMO_POINTS = 1 << 14  # per algebroid, then emptied; a 1000-step lift visits ~8000
 
 
 @dataclass(frozen=True)
@@ -199,19 +196,22 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     non-finite value raises NumericFailure), else from central differences
     of the frame, all stencil points in one ``frames`` call.
 
-    A read builds one point's values.  ``prefetch(Q)`` builds those of every
-    point of Q not yet holding a C in one stacked pass of the same
-    arithmetic, so their bits are the pointwise ones: one ``frames`` call for
-    the points, one for all their stencils, the pair brackets as one einsum
-    and stacked mat-vecs.  Only the projection runs per point and pair.  If
-    the pass raises, it memoizes nothing, and the pointwise read of the
-    failing point raises as it would have without it.
+    A read builds one point's values; the kernel keeps only those of its
+    last build.  That is the one point whose C a read just built, which
+    serves the anchor read that follows it, or the stack Q that
+    ``prefetch(Q)`` just built in one pass of the same arithmetic, so its
+    bits are the pointwise ones: one ``frames`` call for the points, one for
+    all their stencils, the pair brackets as one einsum and stacked
+    mat-vecs; only the projection runs per point and pair.  An anchor read
+    of any other point builds the frame and keeps nothing.  A stacked pass
+    that raises keeps nothing, and the pointwise read of the failing point
+    raises as it would have without it.
 
     Both bodies take the E-brackets of all frame pairs from one contraction
     with C_E (none over a flat E, whose pair brackets are one zero array);
     only the derivative terms and the projection run per pair.
     """
-    memo = {}  # q bytes -> [frame, rho_E, anchor, C]
+    last = {}  # q bytes -> (anchor, C): the points of the last build only
     I, J = np.triu_indices(rank, 1)  # the pairs i < j, in the pointwise loop's order
     pairs = list(zip(I.tolist(), J.tolist()))
     flat = _constant(E._structure) and not E._structure.value.any()
@@ -224,23 +224,21 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             return np.einsum("abg,pa,pb->pg", E.structure_at(Q), M[I], M[J])
         return np.einsum("kabg,kpa,kpb->kpg", np.array([E.structure_at(q) for q in Q]), M[:, I], M[:, J])
 
-    def entry(q):  # q arrives as a float array from anchor_at / structure_at
-        key = q.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            if len(memo) >= _MEMO_POINTS:
-                memo.clear()
-            M = require_finite(frames(q[None])[0], "frame", q)
-            rhoE = E.anchor_at(q)
-            anchor = rhoE @ M.T
-            anchor.flags.writeable = False  # shared by every later visit to q, as C is
-            hit = memo[key] = [M, rhoE, anchor, None]
-        return hit
+    def cold(q):  # the frame, rho_E and the read-only anchor at q, a float array from anchor_at / structure_at
+        M = require_finite(frames(q[None])[0], "frame", q)
+        rhoE = E.anchor_at(q)
+        anchor = rhoE @ M.T
+        anchor.flags.writeable = False
+        return M, rhoE, anchor
+
+    def anchor(q):
+        hit = last.get(q.tobytes())
+        return cold(q)[2] if hit is None else hit[0]
 
     def structure(q):
-        hit = entry(q)
-        if hit[3] is None:
-            M, rhoE = hit[0], hit[1]
+        key = q.tobytes()
+        if key not in last:
+            M, rhoE, anchor = cold(q)
             if frame_jacobian is None:
                 dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
             else:
@@ -252,11 +250,12 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             for p, (i, j) in enumerate(pairs):
                 C[i, j] = project(brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j])
                 C[j, i] = -C[i, j]
-            C.flags.writeable = False  # shared by every later visit to q
-            hit[3] = C
-        return hit[3]
+            C.flags.writeable = False
+            last.clear()
+            last[key] = (anchor, C)
+        return last[key][1]
 
-    def build(Q):  # the pointwise values of every row of Q, stacked
+    def build(Q):  # the pointwise anchors and C of every row of Q, stacked
         M = require_finite(frames(Q), "frame", Q)  # (K, rank, n_E)
         rhoE = np.array([E.anchor_at(q) for q in Q])
         if frame_jacobian is None:
@@ -274,31 +273,17 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         C[:, J, I] = -C[:, I, J]
         anchor = rhoE @ np.swapaxes(M, -1, -2)
         C.flags.writeable = anchor.flags.writeable = False
-        return M, rhoE, anchor, C
+        return anchor, C
 
     def prefetch(Q):
-        todo = {}  # q bytes -> q, for the distinct points without a C
-        for q in Q:
-            key = q.tobytes()
-            hit = memo.get(key)
-            if hit is None or hit[3] is None:
-                todo.setdefault(key, q)
-        if not todo:
-            return
         try:
-            built = build(np.array(list(todo.values())))
+            built = build(Q)
         except Exception:  # whatever it is, the sweep's own read of the failing point raises it, in sweep order
             return
-        if len(memo) + len(todo) > _MEMO_POINTS:
-            memo.clear()
-        for key, M, rhoE, anchor, C in zip(todo, *built):
-            hit = memo.get(key)
-            if hit is None:
-                memo[key] = [M, rhoE, anchor, C]
-            else:  # keep the memoized frame and anchor
-                hit[3] = C
+        last.clear()
+        last.update(zip((q.tobytes() for q in Q), zip(*built)))
 
-    return SkewAlgebroid(chart=E.chart, rank=rank, anchor=lambda q: entry(q)[2], structure=structure,
+    return SkewAlgebroid(chart=E.chart, rank=rank, anchor=anchor, structure=structure,
                          adapted=adapted, prefetch=prefetch)
 
 
@@ -466,8 +451,8 @@ def morphism_check(
     is stacked over the samples (``stacked_sweep``).  A non-finite value
     raises NumericFailure naming its sample point and probe pair or
     component.  The source algebroid is prefetched at the samples, which
-    also serves the target when it shares the source's memo (the gallery's
-    morphisms over the identity base map).
+    also serves the target when it shares the source's kernel (the
+    gallery's morphisms over the identity base map).
     """
     src = _coerce_endpoint(src)
     dst = _coerce_endpoint(dst)

@@ -130,11 +130,13 @@ def _split(rho, C=None):
 
 def _operands(sys: HamiltonianSystem, q, structure: bool = True):
     """rho_0, rho_V, rho_V^T and C_V at q: those bound over constant data,
-    else from one read of the anchor and, when ``structure``, one of C."""
+    else from one read of C, when ``structure``, then one of the anchor (so
+    a kernel's anchor read finds the point its C read built)."""
     if sys._bound is not None:
         return sys._bound
     A = sys.algebroid
-    return _split(A.anchor_at(q), A.structure_at(q) if structure else None)
+    C = A.structure_at(q) if structure else None
+    return _split(A.anchor_at(q), C)
 
 
 def _pdot_rhs(p, dHq, dHp, rhoVT, CV) -> np.ndarray:

@@ -112,11 +112,11 @@ def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     if alpha.space != "V*":
         raise ValueError("hj_residual expects a reduced-dual section (space 'V*')")
     q = np.asarray(q, dtype=float)
+    _, _, rhoVT, CV = _operands(sys, q)  # first, so that the projected field's anchor read finds its build
     p = alpha(q)
     R = projected_field(sys, alpha, q)
     J = alpha.jac(q)  # (n-1, m)
     dHq, dHp = sys.h_partials(q, p)
-    _, _, rhoVT, CV = _operands(sys, q)
     return J @ R - _pdot_rhs(p, dHq, dHp, rhoVT, CV)
 
 
@@ -161,7 +161,8 @@ def hj_forced_residual(sys: HamiltonianSystem, F, alpha: DualSection, q) -> np.n
 
 
 def grid_points(box, resolution) -> tuple:
-    """Inclusive cartesian grid over the box; resolution per axis."""
+    """Inclusive cartesian grid over the box, resolution per axis: the box, the
+    resolution and the (K, m) points in ``itertools.product`` order."""
     box = box_bounds(box)
     if isinstance(resolution, int):
         resolution = [resolution] * len(box)
@@ -174,7 +175,7 @@ def grid_points(box, resolution) -> tuple:
     if total > GRID_POINT_CAP:
         raise ValueError(f"grid of {total} points exceeds the cap {GRID_POINT_CAP}")
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
-    pts = [np.array(p) for p in itertools.product(*axes)]
+    pts = np.array(list(itertools.product(*axes)))
     return tuple(box), tuple(resolution), pts
 
 

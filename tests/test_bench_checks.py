@@ -41,6 +41,28 @@ def test_exit_code_says_whether_the_outputs_are_equal(bench, differ, tmp_path, m
     assert ("differs: cocycle-check rolling_ball" in capsys.readouterr().out) is differ
 
 
+def test_each_tree_is_compiled_before_its_first_timed_run(bench, tmp_path, monkeypatch):
+    # a tree without __pycache__ used to read wall_s 20-30 ms high on every command
+    trees = {label: tmp_path / label for label in ("parent", "change")}
+    for src in trees.values():
+        (src / "algebroid_mech").mkdir(parents=True)
+        (src / "algebroid_mech" / "__init__.py").write_text("X = 1\n")
+    compiled_at_run = []
+
+    def run_once(src, argv, out):
+        compiled_at_run.append(any((src / "algebroid_mech" / "__pycache__").glob("__init__.*.pyc")))
+        return {"exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None,
+                "max_deviation": None, "output_sha256": "same", "stderr_sha256": "same"}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench.main([arg for label, src in trees.items() for arg in ("--tree", f"{label}={src}")]
+                      + ["--k", "1", "--out", str(out)]) == 0
+    assert compiled_at_run == [True] * 4  # two commands in each of two trees
+    entries = json.loads(out.read_text())["entries"]
+    assert {label: e["bytecode_compiled"] for label, e in entries.items()} == {"parent": True, "change": True}
+
+
 @pytest.fixture
 def bench_and_workloads(monkeypatch):
     """``bench_checks.py`` and ``perfbench/workloads.py``, loaded from their files."""

@@ -440,15 +440,29 @@ class TestNonFiniteArguments:
          "expected a finite number, got 'nan'"),
         (["morphism-check", "cylinder_friction", "--morphism", "momentum-scale", "--factor", "inf"],
          "expected a finite number, got 'inf'"),
+        (["hj-check", "riemannian_flat", "--resolution", "3", "--tol", "-1"],
+         "argument --tol: expected a non-negative number, got '-1'"),
+        (["lift-verify", "time_dependent_free", "--tol", "-1e-9"],
+         "argument --tol: expected a non-negative number, got '-1e-9'"),
+        (["cocycle-check", "cylinder_friction", "--tol", "-1"], "argument --tol: expected a non-negative number"),
+        (["morphism-check", "cylinder_friction", "--tol", "-0.5"], "argument --tol: expected a non-negative number"),
     ])
     def test_usage_error_and_no_report(self, argv, message, tmp_path, capsys):
         # an infinite time used to crash with OverflowError (exit 1), an
         # infinite tolerance passed every check in a report that is not JSON,
-        # and a NaN parameter or factor failed later with an unrelated message
+        # a NaN parameter or factor failed later with an unrelated message,
+        # and a negative tolerance wrote a report that could never pass
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_zero_tolerance_is_valid(self, tmp_path):
+        # max_norm is 6e-17 here, so the check runs and fails against 0
+        out = tmp_path / "out"
+        assert run_cli(["hj-check", "riemannian_flat", "--resolution", "3", "--tol", "0", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())["report"]
+        assert report["tol"] == 0.0 and 0.0 < report["max_norm"] < 1e-15
 
 
 class TestLiftVerifyQ0:

@@ -30,8 +30,11 @@ from algebroid_mech import (
     d_oneform_eval,
     force_extension,
     gram_schmidt_at,
+    hamilton_rhs,
     hj_grid_check,
+    hj_residual,
     instantiate,
+    integrate_hamilton,
     morphism_check,
     poisson_bracket_eval,
     projector_restriction,
@@ -323,7 +326,7 @@ class TestNanFrame:
     def test_nan_frame_at_one_point_is_named(self, ambient, check):
         # the kernel names the frame, not the check's own term, over a flat E
         # (zero pair brackets) as over a non-flat one; the stacked prefetch
-        # memoizes nothing, so the pointwise read names the point
+        # keeps nothing, so the pointwise read names the point
         box = ((-1.0, 1.0),) * 2
         bad = sample_box(box, 16, 7)[5] if check == "cocycle-check" else grid_points(box, 4)[2][5]
         E, basis, P = _full_frame(lie_tangent(2) if ambient == "flat" else random_adapted_algebroid())
@@ -527,39 +530,6 @@ class TestKernel:
         assert np.array_equal(anchor, fresh_anchor)
         assert np.array_equal(C, fresh_C)
 
-    def test_memo_reuses_exact_points_and_stays_bounded(self, monkeypatch):
-        # the drift section is evaluated once per memoized point; construction
-        # leaves the memo empty
-        monkeypatch.setattr(constructions, "_MEMO_POINTS", 2)
-        E = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
-        calls = []
-        X0 = ESection(components=lambda q: calls.append(q) or np.array([1.0, 0.0]))
-        U = [ESection(components=lambda q: np.array([0.0, 1.0]))]
-        G = MetricField.constant(np.eye(2))
-        A = affine_constraints(E, G, U, X0, validation_points=[np.array([0.5, -0.5])]).algebroid
-        p, q, r = (np.array([0.1 * k, 0.2]) for k in range(3))
-        calls.clear()
-        for x in (p, q, p):
-            A.anchor_at(x)
-        assert len(calls) == 2  # p's second visit is served by the memo
-        for x in (r, p):  # r finds the memo full and empties it, so p is new
-            A.anchor_at(x)
-        assert len(calls) == 4
-
-    def test_a_chunk_that_does_not_fit_empties_the_memo(self, monkeypatch):
-        monkeypatch.setattr(constructions, "_MEMO_POINTS", 4)
-        frames_calls = counted_frames(monkeypatch)
-        Q = sample_box(((0.0, 2.0 * math.pi), (-2.0, 2.0), (-2.0, 2.0)), 5, 19)
-        expect = kernel_reads(instantiate("rolling_ball").system.algebroid, Q)
-        A = instantiate("rolling_ball").system.algebroid
-        kernel_reads(A, Q[:2])
-        A.prefetch(Q[2:])  # 2 memoized + 3 new > 4: the memo is emptied first
-        frames_calls.clear()
-        assert kernel_reads(A, Q[2:]) == expect[2:]
-        assert frames_calls == []  # the chunk's reads are hits
-        assert kernel_reads(A, Q[:1]) == expect[:1]
-        assert frames_calls == [1, 6]  # an earlier point is built again
-
     @pytest.mark.parametrize("system,omega", [("rolling_ball", "constant"), ("rolling_ball", "linear"),
                                               ("vertical_disk", "constant")])
     def test_construction_reads_no_structure_tensor(self, system, omega, monkeypatch):
@@ -761,19 +731,20 @@ class TestConstantData:
         assert calls == []
 
 
-def counted_frames(monkeypatch):
+def counted_frames(monkeypatch, log=len):
     """Patch the kernel builder so that every kernel built afterwards logs
-    the stack size of each of its ``frames`` calls; returns the log."""
+    ``log`` of the stack of each of its ``frames`` calls (by default its
+    size); returns the log."""
     calls = []
     real = constructions._bracket_then_project
     monkeypatch.setattr(constructions, "_bracket_then_project",
-                        lambda E, frames, *a, **kw: real(E, lambda Q: calls.append(len(Q)) or frames(Q), *a, **kw))
+                        lambda E, frames, *a, **kw: real(E, lambda Q: calls.append(log(Q)) or frames(Q), *a, **kw))
     return calls
 
 
 def kernel_reads(A, Q):
-    """The bytes of the anchor and C read at each row of Q."""
-    return [A.anchor_at(q).tobytes() + A.structure_at(q).tobytes() for q in Q]
+    """The bytes of the anchor and C read at each row of Q by ``_read_at``, which reads C first."""
+    return [b"".join(value.tobytes() for value in algebroid._read_at(A, q)) for q in Q]
 
 
 KERNEL_SYSTEMS = {  # name -> (a fresh kernel algebroid, a box of points)
@@ -811,8 +782,8 @@ class TestPrefetch:
             A.prefetch(stack)
             frames_calls.clear()
             assert kernel_reads(A, Q) == [expect[bytes(q)] for q in Q], name
-            assert frames_calls == [], name  # every read was served by the memo
-        # points that already hold a memoized anchor but no C
+            assert frames_calls == [], name  # every read was served by the prefetched stack
+        # after anchor reads, which keep nothing
         A = build()
         for q in Q[::3]:
             A.anchor_at(q)
@@ -832,7 +803,9 @@ class TestPrefetch:
         A.prefetch(Q[1:])
         assert frames_calls == [64, 64 * 6]  # the chunk's points, then all their stencils
         frames_calls.clear()
-        A.prefetch(Q)  # nothing left to build
+        A.prefetch(Q)  # a chunk is built whole, whatever the kernel held
+        assert frames_calls == [65, 65 * 6]
+        frames_calls.clear()
         kernel_reads(A, Q)
         assert frames_calls == []
 
@@ -906,6 +879,60 @@ class TestPrefetch:
         assert frames_calls == [1, 4]  # a cold pointwise build
 
 
+class TestLastBuild:
+    """The kernel keeps only the values of its last build: those of the one
+    point whose C a read built, or those of the last prefetched stack.  So
+    what it holds is bounded by construction."""
+
+    def test_a_long_integration_and_a_chunk_keep_only_the_last_build(self, monkeypatch):
+        stacks = counted_frames(monkeypatch, log=np.copy)
+        gs = instantiate("vertical_disk")
+        A = gs.system.algebroid
+        q0 = np.array(gs.default_q0)
+        stacks.clear()
+        integrate_hamilton(gs.system, np.concatenate([q0, gs.section("reference")(q0)]), 0.0, 4.1, 1e-3)
+        # 16,400 stage points, past the 16,384 of the retired memo: one frame each (the disk's
+        # frame derivative is analytic, so no stencil), built by the stage's C read
+        assert [len(Q) for Q in stacks] == [1] * 16_400
+        first, last = stacks[0][0], stacks[-1][0]
+        stacks.clear()
+        kernel_reads(A, [last])
+        assert stacks == []  # the last point whose C was built is served
+        kernel_reads(A, [first])
+        assert [len(Q) for Q in stacks] == [1]  # a point read before the last build is built again
+        Q = sample_box(gs.default_box, 64, 3)
+        stacks.clear()
+        A.prefetch(Q)
+        assert [len(Q) for Q in stacks] == [64]
+        stacks.clear()
+        kernel_reads(A, Q)
+        assert stacks == []  # every point of the last chunk is served
+        kernel_reads(A, [first])
+        assert [len(Q) for Q in stacks] == [1]  # built before the chunk, so built again
+        stacks.clear()
+        kernel_reads(A, Q[:1])
+        assert [len(Q) for Q in stacks] == [1]  # that C build replaced the chunk
+
+    @pytest.mark.parametrize("omega", ["constant", "linear"])
+    def test_a_cold_stage_or_residual_on_the_ball_builds_one_frame(self, omega, monkeypatch):
+        frames_calls = counted_frames(monkeypatch)
+        gs = instantiate("rolling_ball", omega=omega)
+        alpha = gs.section("reference")
+        q, r = np.array([0.3, 0.5, -0.4]), np.array([0.6, -0.2, 0.1])
+        frames_calls.clear()
+        hamilton_rhs(gs.system, 0.0, np.concatenate([q, alpha(q)]))
+        assert frames_calls == [1, 6]  # the C read builds the point; the anchor read that follows is served
+        frames_calls.clear()
+        hj_residual(gs.system, alpha, r)
+        assert frames_calls == [1, 6]  # the projected field's anchor read comes after the C read
+        frames_calls.clear()
+        gs.system.algebroid.anchor_at(q)
+        gs.system.algebroid.anchor_at(q)
+        assert frames_calls == [1, 1]  # an anchor read of another point keeps nothing
+        gs.system.algebroid.anchor_at(r)
+        assert frames_calls == [1, 1]  # and leaves the last build in place
+
+
 def _gallery_build(system, omega):
     def build():
         gs = instantiate(system, omega=omega)
@@ -936,7 +963,7 @@ class TestAdaptedness:
             assert np.all(A.structure_at(q)[:, :, 0] == 0.0)
 
 
-ANCHOR_SYSTEMS = {  # name -> a fresh algebroid whose anchor is memoized by the kernel
+ANCHOR_SYSTEMS = {  # name -> a fresh algebroid whose anchor the kernel builds
     "rolling_ball-constant": lambda: instantiate("rolling_ball").system.algebroid,
     "rolling_ball-linear": lambda: instantiate("rolling_ball", omega="linear").system.algebroid,
     "disk_constraint": lambda: instantiate("vertical_disk").extras["constraint_algebroid"],

@@ -140,18 +140,19 @@ def count_reads(monkeypatch, sys_, run):
     """The outermost anchor_at and structure_at reads, and the gradients of
     sys_.H, that run() makes, with its result."""
     counts = {"anchor_at": 0, "structure_at": 0, "grad H": 0}
-    depth = {"anchor_at": 0, "structure_at": 0}
-    for name in depth:
+    depth = [0]
+    for name in ("anchor_at", "structure_at"):
         original = getattr(SkewAlgebroid, name)
 
         def counting(self, q, name=name, original=original):
-            # a force extension's read re-enters for its base; count the outermost
-            counts[name] += depth[name] == 0
-            depth[name] += 1
+            # a read inside a read is the algebroid's own (a force extension's of its base, a
+            # kernel's of its ambient E); count the outermost
+            counts[name] += depth[0] == 0
+            depth[0] += 1
             try:
                 return original(self, q)
             finally:
-                depth[name] -= 1
+                depth[0] -= 1
 
         monkeypatch.setattr(SkewAlgebroid, name, counting)
     gradient = hamilton.fd_gradient

@@ -1,3 +1,4 @@
+import itertools
 import re
 import threading
 
@@ -375,6 +376,18 @@ class TestAutoparallel:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("box,resolution", [
+        ([(-1.0, 1.0)] * 4, 11),
+        ([(0.0, 2.0 * np.pi), (-2.0, 2.0), (-2.0, 2.0)], [4, 3, 5]),
+        ([(0.1, 0.7), (-0.3, 1.9)], [7, 2]),
+    ])
+    def test_points_are_one_array_in_product_order(self, box, resolution):
+        _, res, pts = grid_points(box, resolution)
+        axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, res)]
+        expect = list(itertools.product(*axes))
+        assert pts.shape == (len(expect), len(box)) and pts.dtype == np.float64
+        assert all(row.tobytes() == np.array(p).tobytes() for row, p in zip(pts, expect))
+
     def test_point_cap(self):
         with pytest.raises(ValueError):
             grid_points([(-1, 1)] * 4, [20, 20, 20, 20])

@@ -1,4 +1,5 @@
-"""An independent oracle: the vertical disk built symbolically in sympy.
+"""Independent oracles: the vertical disk and the rolling ball built
+symbolically in sympy.
 
 The library assembles the disk from its constructions (projector
 restriction of the tangent bundle onto X1, X2, then a force extension)
@@ -8,6 +9,11 @@ the projected Lie bracket, the force rows, H and the reference section.
 The expressions are lambdified once and compared with the library on
 seeded points; the Hamilton-Jacobi residual of the reference section is
 simplified symbolically, for every parameter value.
+
+The ball's kernel C is the first non-zero one: the library orthonormalizes
+its constant U basis by Gram-Schmidt, brackets the frame in the ambient
+algebroid and projects with the metric.  Here that frame is written in
+closed form, under both angular-velocity laws of the table.
 """
 
 import numpy as np
@@ -109,3 +115,114 @@ def test_hamiltonian_section_and_rates_match(disk):
 def test_reference_residual_simplifies_to_zero(disk):
     _, residual = disk
     assert [sp.simplify(r) for r in residual] == [0, 0]
+
+
+BALL_PARAMS = (*sp.symbols("m r k", positive=True), *sp.symbols("Omega0 C1 C2", real=True))
+TQ = sp.symbols("t q1 q2", real=True)
+PB = sp.symbols("p1 p2 p3", real=True)
+BALL_VALUES = {  # the gallery's defaults, and a set without unit values
+    "defaults": (1.0, 1.0, 1.0, 1.0, 1.0, 0.0),
+    "generic": (1.7, 0.6, 0.8, 1.3, 0.4, -0.9),
+}
+
+
+def _ball(law):
+    """Anchor (3, 4), structure C (4, 4, 4), H, the reference section and
+    its Hamilton-Jacobi residual, as sympy expressions, under the table's
+    ``law`` ('constant' or 'linear')."""
+    m, r, k, Om0, C1, C2 = BALL_PARAMS
+    t, q1, q2 = TQ
+    omega = Om0 if law == "constant" else Om0 * t
+    phase = r**2 * Om0 * t / (k**2 + r**2) if law == "constant" else r**2 * Om0 * t**2 / (2 * (k**2 + r**2))
+    # the ambient rank-6 algebroid: the table's frame e0 and the two translations, then so(3)
+    rhoE = sp.zeros(3, 6)
+    rhoE[:, 0] = sp.Matrix([1, -omega * q2, omega * q1])
+    rhoE[1, 1] = rhoE[2, 2] = 1
+    CE = sp.MutableDenseNDimArray.zeros(6, 6, 6)
+    for (a, b, c), v in {(0, 1, 2): -omega, (0, 2, 1): omega, (3, 4, 5): 1, (4, 5, 3): 1, (3, 5, 4): -1}.items():
+        CE[a, b, c], CE[b, a, c] = v, -v
+    G = sp.diag(1, m, m, m * k**2, m * k**2, m * k**2)
+    # the drift X0 = e0, then U's basis, already G-orthogonal, normalized
+    N = sp.sqrt(m * (k**2 + r**2))
+    f = [sp.Matrix([1, 0, 0, 0, 0, 0]), sp.Matrix([0, 0, -r, 1, 0, 0]) / N, sp.Matrix([0, r, 0, 0, 1, 0]) / N,
+         sp.Matrix([0, 0, 0, 0, 0, 1]) / (k * sp.sqrt(m))]
+    rho = sp.Matrix.hstack(*[rhoE * fa for fa in f])
+    # the frame is constant, so its E-bracket is C_E alone; project by G onto the U frame, no drift row
+    C = sp.MutableDenseNDimArray.zeros(4, 4, 4)
+    for a in range(4):
+        for b in range(4):
+            v = sp.Matrix([sum(CE[i, j, g] * f[a][i] * f[b][j] for i in range(6) for j in range(6)) for g in range(6)])
+            for c in (1, 2, 3):
+                C[a, b, c] = sp.simplify((f[c].T * G * v)[0])
+    H = sum(p**2 for p in PB) / 2
+    phi1 = C1 * sp.cos(phase) - C2 * sp.sin(phase)
+    phi2 = C1 * sp.sin(phase) + C2 * sp.cos(phase)
+    alpha = [-(r / N) * phi2, (r / N) * phi1, sp.Integer(0)]
+
+    on_alpha = dict(zip(PB, alpha))
+    dHp = [sp.diff(H, p).subs(on_alpha) for p in PB]
+    field = rho[:, 0] + rho[:, 1] * dHp[0] + rho[:, 2] * dHp[1] + rho[:, 3] * dHp[2]
+    w = [1] + dHp
+    residual = []
+    for b in (1, 2, 3):
+        pdot = -sum(rho[i, b] * sp.diff(H, TQ[i]).subs(on_alpha) for i in range(3))
+        pdot += sum(w[a] * C[a, b, c] * alpha[c - 1] for a in range(4) for c in (1, 2, 3))
+        residual.append(sum(alpha[b - 1].diff(TQ[i]) * field[i] for i in range(3)) - pdot)
+    return rho, C, H, alpha, residual
+
+
+@pytest.fixture(scope="module", params=["constant", "linear"])
+def ball(request):
+    return request.param, _ball(request.param)
+
+
+def _ball_case(ball, values):
+    """The library's ball and the oracle's lambdified anchor, C, section and H at ``values``."""
+    law, (rho, C, H, alpha, _) = ball
+    subs = dict(zip(BALL_PARAMS, BALL_VALUES[values]))
+    fns = {name: sp.lambdify([TQ], sp.Array(expr).subs(subs), "numpy")
+           for name, expr in (("anchor", rho), ("C", C), ("alpha", alpha))}
+    fns["H"] = sp.lambdify([(*TQ, *PB)], H, "numpy")
+    names = ("m", "r", "k", "Omega0", "C1", "C2")
+    return instantiate("rolling_ball", dict(zip(names, BALL_VALUES[values])), omega=law), fns
+
+
+def test_the_ball_defaults_are_the_oracles():
+    params = instantiate("rolling_ball").params
+    assert {name: params[name] for name in ("m", "r", "k", "Omega0", "C1", "C2")} == dict(
+        zip(("m", "r", "k", "Omega0", "C1", "C2"), BALL_VALUES["defaults"]))
+
+
+@pytest.mark.parametrize("values", BALL_VALUES)
+def test_ball_anchor_and_projected_structure_match(ball, values):
+    gs, fns = _ball_case(ball, values)
+    A = gs.system.algebroid
+    worst_anchor = worst_C = 0.0
+    for q in seeded_points(3, n=256, seed=2028):
+        C = np.array(fns["C"](q), dtype=float)
+        assert np.any(C[1:, 1:, 1:])  # the projected bracket of the U frame is not zero
+        worst_anchor = max(worst_anchor, np.max(np.abs(A.anchor_at(q) - np.array(fns["anchor"](q), dtype=float))))
+        worst_C = max(worst_C, np.max(np.abs(A.structure_at(q) - C)))
+    # measured: at most 4.4e-16 for both, under either law; the Gram-Schmidt's roundoff in the frame
+    assert worst_anchor <= 1e-15
+    assert worst_C <= 1e-15
+
+
+@pytest.mark.parametrize("values", BALL_VALUES)
+def test_ball_hamiltonian_section_and_rates_match(ball, values):
+    gs, fns = _ball_case(ball, values)
+    sys_, alpha = gs.system, gs.section("reference")
+    for x in seeded_points(6, n=64, seed=2029):
+        q = x[:3]
+        assert abs(sys_.H(x) - fns["H"](x)) <= 1e-15
+        assert np.max(np.abs(alpha(q) - np.array(fns["alpha"](q), dtype=float))) <= 1e-15
+        rho, C = np.array(fns["anchor"](q), dtype=float), np.array(fns["C"](q), dtype=float)
+        w = np.concatenate([[1.0], x[3:]])
+        want = np.concatenate([rho @ w, np.einsum("abc,a,c->b", C[:, 1:, 1:], w, x[3:])])
+        assert np.max(np.abs(hamilton_rhs(sys_, 0.0, x) - want)) <= 1e-15
+        assert np.max(np.abs(hj_residual(sys_, alpha, q))) <= 1e-15
+
+
+def test_ball_reference_residual_simplifies_to_zero(ball):
+    _, (*_, residual) = ball
+    assert [sp.simplify(r) for r in residual] == [0, 0, 0]

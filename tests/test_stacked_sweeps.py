@@ -180,7 +180,7 @@ class TestReportsAreThePointwiseBytes:
     def test_cocycle(self, case, chunk):
         A, phi, box = COCYCLE_CASES[case]()
         got = check_cocycle(A, phi, box, samples=17, seed=3)
-        A, phi, box = COCYCLE_CASES[case]()  # fresh memos
+        A, phi, box = COCYCLE_CASES[case]()  # fresh kernels
         assert _bytes(got) == _bytes(reference_cocycle(A, phi, box, 17, 3))
 
     @pytest.mark.parametrize("system,omega,morphism", MORPHISM_CASES)
