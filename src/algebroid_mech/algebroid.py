@@ -101,6 +101,11 @@ def constant_section(values) -> ESection:
     return ESection(components=_Constant(values))
 
 
+def _five_largest(values) -> list:
+    """The indices of the five largest values, largest first, ties in input order: a report's witnesses."""
+    return np.argsort(-np.asarray(values, dtype=float), kind="stable")[:5].tolist()
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Structured pass/fail result of a sampled numerical check."""
@@ -115,9 +120,9 @@ class CheckReport:
     @classmethod
     def from_samples(cls, name: str, worst, tol: float, seed: int) -> "CheckReport":
         """The report of per-sample ``(q, worst value)`` pairs; the five worst are the witnesses."""
-        worst = sorted(worst, key=lambda t: -t[1])
-        return cls(name=name, max_violation=float(worst[0][1]) if worst else 0.0, tol=float(tol),
-                   samples=len(worst), seed=seed, witnesses=tuple(worst[:5]))
+        witnesses = tuple(worst[i] for i in _five_largest([v for _, v in worst]))
+        return cls(name=name, max_violation=float(witnesses[0][1]) if worst else 0.0, tol=float(tol),
+                   samples=len(worst), seed=seed, witnesses=witnesses)
 
     @property
     def passed(self) -> bool:
@@ -231,13 +236,12 @@ def bracket(A: SkewAlgebroid, sigma: ESection, gamma: ESection) -> ESection:
         q = np.asarray(q, dtype=float)
         sv = sigma(q)
         gv = gamma(q)
-        C = A.structure_at(q)
+        rho, C = _read_at(A, q)
         out = np.zeros(A.rank)
         for a, b in combinations(range(A.rank), 2):
             coeff = sv[a] * gv[b] - sv[b] * gv[a]
             if coeff != 0.0:
                 out = out + C[a, b] * coeff
-        rho = A.anchor_at(q)
         vs = rho @ sv
         vg = rho @ gv
         out = out + (fd_jacobian(gamma.components, q) @ vs - fd_jacobian(sigma.components, q) @ vg)
@@ -257,8 +261,8 @@ def d_function(A: SkewAlgebroid, f) -> DualSection:
 
 
 def _read_at(A: SkewAlgebroid, q):
-    """The anchor and C at q, or their stacks at a stack of points q (K, m), read point by point;
-    C first, so that a kernel's anchor read finds the point its C read built."""
+    """The anchor and C at q, or their stacks at a stack of points q (K, m): the one joint read, and the one
+    place that knows its order, C first, so that a kernel's anchor read finds the point its C read built."""
     if np.ndim(q) == 2:
         rho, C = zip(*[_read_at(A, x) for x in q])
         return np.array(rho), np.array(C)
@@ -273,13 +277,16 @@ def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:
         D[a, b] = d beta (e_a, e_b) = rho(e_a)(beta_b) - rho(e_b)(beta_a) - beta . C_ab,
 
     from beta(q), the (n, m) jacobian ``jac`` of its components (row b is
-    the gradient of beta_b), one anchor read and one C read.  D is exactly
-    antisymmetric, as C is.  d beta is C-infinity-bilinear on a skew-symmetric
-    algebroid (the Leibniz rule alone makes it tensorial), so
+    the gradient of beta_b) and one ``_read_at`` of the anchor and C.  D is
+    exactly antisymmetric, as C is.  d beta is C-infinity-bilinear on a
+    skew-symmetric algebroid (the Leibniz rule alone makes it tensorial), so
     d beta(sigma, gamma) = sigma . D . gamma and no section other than beta
     is ever differentiated.  Stacks of q, beta and jac give the stack of D.
     """
-    rho, C = _read_at(A, q)
+    return _d_oneform(*_read_at(A, q), beta_q, jac)
+
+
+def _d_oneform(rho, C, beta_q, jac) -> np.ndarray:  # d_oneform_matrix from the anchor and C its caller read
     G = jac @ rho  # G[..., b, a] = rho(e_a)(beta_b)
     return (np.swapaxes(G, -1, -2) - G) - (C @ np.asarray(beta_q)[..., None, :, None])[..., 0]
 
@@ -400,24 +407,29 @@ def flag_rank(A: SkewAlgebroid, q, max_depth: int) -> list:
     evaluated Lie brackets of the generators with the previous level, in
     generator-major order, at most FLAG_FIELD_CAP fields in all.  A level is
     one stacked field q -> (m, k), so the next level takes one Jacobian of
-    the generators and one of the level per point (steps FLAG_FD_SCALE; one
-    in all when the level is the generators), and each level is evaluated
-    at q once.  A non-finite field value or point raises NumericFailure naming
-    the depth and q.
+    the generators and one of the level per point (steps FLAG_FD_SCALE), each
+    level is evaluated at q once, and the anchor once per distinct point the
+    nested stencils visit in the call.  A non-finite field value or point
+    raises NumericFailure naming the depth and q.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     q = np.asarray(q, dtype=float)
     m, n = A.chart.dim, A.rank
-    anchor = A.anchor_at
+    reads = {}
+
+    def anchor(qq):  # kept by the point's bytes until the call returns
+        key = qq.tobytes()
+        if key not in reads:
+            reads[key] = A.anchor_at(qq)
+        return reads[key]
 
     def brackets(level, pairs):
         def field(qq):
             h = FLAG_FD_SCALE * np.maximum(1.0, np.abs(qq))
             JG = fd_jacobian(anchor, qq, h=h).reshape(m, -1, m)
             G = anchor(qq)
-            # level 2 brackets the generators with themselves: one stencil serves both
-            JL, L = (JG, G) if level is anchor else (fd_jacobian(level, qq, h=h).reshape(m, -1, m), level(qq))
+            JL, L = fd_jacobian(level, qq, h=h).reshape(m, -1, m), level(qq)
             return np.column_stack([JL[:, j] @ G[:, a] - JG[:, a] @ L[:, j] for a, j in pairs])
 
         return field

@@ -327,10 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _attach_vector_values(argv):
     """``--box -1:1,...`` -> ``--box=-1:1,...``: argparse takes a separated
-    value that starts with '-' and is not a plain number (-inf, -1e-9) for an option."""
+    value that starts with '-' and is not a plain number (-inf, -1e-3) for an
+    option; every option but --help and --version (or "--") takes one value."""
     out = []
     for tok in argv:
-        if out and out[-1] in ("--box", "--q0", "--x0", "--point", "--tol") and re.match(r"(?i)-([0-9.]|inf|nan)", tok):
+        flag = out[-1] if out else ""  # prefixes of --help and --version abbreviate them
+        if (flag.startswith("--") and "=" not in flag and not any(f.startswith(flag) for f in ("--help", "--version"))
+                and re.match(r"(?i)-([0-9.]|inf|nan)", tok)):
             out[-1] += "=" + tok
         else:
             out.append(tok)

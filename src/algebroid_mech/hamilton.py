@@ -130,13 +130,18 @@ def _split(rho, C=None):
 
 def _operands(sys: HamiltonianSystem, q, structure: bool = True):
     """rho_0, rho_V, rho_V^T and C_V at q: those bound over constant data,
-    else from one read of C, when ``structure``, then one of the anchor (so
-    a kernel's anchor read finds the point its C read built)."""
+    else from one joint ``_read_at`` of the anchor and C, or from one anchor
+    read alone when not ``structure`` (C_V is then None)."""
     if sys._bound is not None:
         return sys._bound
-    A = sys.algebroid
-    C = A.structure_at(q) if structure else None
-    return _split(A.anchor_at(q), C)
+    return _split(*_read_at(sys.algebroid, q)) if structure else _split(sys.algebroid.anchor_at(q))
+
+
+def _zeta(dHp) -> np.ndarray:
+    """The characteristic section zeta_H = (1, dH/dp) in the full frame."""
+    w = np.empty(len(dHp) + 1)
+    w[0], w[1:] = 1.0, dHp
+    return w
 
 
 def _pdot_rhs(p, dHq, dHp, rhoVT, CV) -> np.ndarray:
@@ -146,12 +151,8 @@ def _pdot_rhs(p, dHq, dHp, rhoVT, CV) -> np.ndarray:
 
     from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``).
     """
-    # weights w_alpha against the full frame: w_0 = 1, w_a = dH/dp_a
-    w = np.empty(len(dHp) + 1)
-    w[0] = 1.0
-    w[1:] = dHp
-    # (C_{alpha b}^c) contracted with w_alpha and p_c, for b, c >= 1
-    coeff = np.einsum("abc,a->bc", CV, w)
+    # (C_{alpha b}^c) contracted with zeta_alpha and p_c, for b, c >= 1
+    coeff = np.einsum("abc,a->bc", CV, _zeta(dHp))
     return -(rhoVT @ dHq) + coeff @ p
 
 

@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .algebroid import GRID_POINT_CAP, DualSection, ESection, box_bounds, d_oneform_matrix, prefetched, v_restriction
+from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _d_oneform, _five_largest, _read_at, box_bounds,
+                        prefetched, v_restriction)
 from .calculus import Curve, fd_jacobian, integrate_rk4, max_abs, require_finite
 from .errors import DomainError
-from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, integrate_hamilton, projected_field
+from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, _zeta, integrate_hamilton, projected_field
 from .util import parallel_map
 
 
@@ -43,7 +44,7 @@ class HJReport:
 
     def to_json_dict(self) -> dict:
         peaks = np.abs(np.array([r for _, r in self.residual_grid])).max(axis=1)
-        worst = [self.residual_grid[i] for i in np.argsort(-peaks, kind="stable")[:5]]  # ties in grid order
+        worst = [self.residual_grid[i] for i in _five_largest(peaks)]
         return {
             "max_norm": self.max_norm,
             "tol": self.tol,
@@ -75,7 +76,6 @@ class LiftReport:
 
     def to_json_dict(self) -> dict:
         dev = np.max(np.abs(self.lifted_curve.points - self.hamilton_curve.points), axis=1)
-        order = np.argsort(-dev, kind="stable")[:5]  # ties in time order
         return {
             "max_deviation": self.max_deviation,
             "tol": self.tol,
@@ -87,7 +87,7 @@ class LiftReport:
             },
             "worst": [
                 {"t": float(self.lifted_curve.times[i]), "deviation": float(dev[i])}
-                for i in sorted(order)
+                for i in sorted(_five_largest(dev))
             ],
         }
 
@@ -95,12 +95,7 @@ class LiftReport:
 def zeta_eval(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     """The characteristic section evaluated at q: component 0 is exactly 1,
     component a is (dH/dp_a)(q, alpha(q))."""
-    q = np.asarray(q, dtype=float)
-    _, dHp = sys.h_partials(q, alpha(q))
-    out = np.empty(sys.algebroid.rank)
-    out[0] = 1.0
-    out[1:] = dHp
-    return out
+    return _zeta(sys.h_partials(q, alpha(q))[1])
 
 
 def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
@@ -128,16 +123,15 @@ def hj_residual_dual(sys: HamiltonianSystem, beta: DualSection, q) -> np.ndarray
     where (F o beta)(q) = beta_0(q) + H(q, beta_1..beta_{n-1}(q)) and
     zeta = (1, dH/dp).  d beta is the matrix ``d_oneform_matrix`` from
     ``beta.jac``, contracted with zeta; the gradient of F o beta is
-    d beta_0 + dH/dq + (d beta_{1..})^T dH/dp, from one partial of H.
+    d beta_0 + dH/dq + (d beta_{1..})^T dH/dp; one partial of H, one ``_read_at``.
     """
     q = np.asarray(q, dtype=float)
     if beta.space != "E*":
         raise ValueError("hj_residual_dual expects a full-dual section")
-    A = sys.algebroid
     b, J = beta(q), beta.jac(q)
     dHq, dHp = sys.h_partials(q, b[1:])
-    zeta = np.concatenate([[1.0], dHp])
-    out = zeta @ d_oneform_matrix(A, b, J, q) + A.anchor_at(q).T @ (J[0] + dHq + J[1:].T @ dHp)
+    rho, C = _read_at(sys.algebroid, q)
+    out = _zeta(dHp) @ _d_oneform(rho, C, b, J) + rho.T @ (J[0] + dHq + J[1:].T @ dHp)
     return out[1:]
 
 
@@ -150,14 +144,14 @@ def hj_forced_residual(sys: HamiltonianSystem, F, alpha: DualSection, q) -> np.n
 
     with zeta_H = dH/dp, d alpha the matrix ``d_oneform_matrix`` from
     ``alpha.jac`` and d(H o alpha) = dH/dq + (d alpha)^T dH/dp, from one
-    partial of H.  Algebraically identical to ``hj_residual`` on the
-    extended system; kept as an independent evaluation path.
+    partial of H and one ``_read_at``.  Algebraically identical to
+    ``hj_residual`` on the extended system; kept as an independent path.
     """
     q = np.asarray(q, dtype=float)
-    base = v_restriction(sys.algebroid)
     av, J = alpha(q), alpha.jac(q)
     dHq, dHp = sys.h_partials(q, av)
-    return dHp @ d_oneform_matrix(base, av, J, q) + base.anchor_at(q).T @ (dHq + J.T @ dHp) + F.at(q) @ av
+    rho, C = _read_at(v_restriction(sys.algebroid), q)
+    return dHp @ _d_oneform(rho, C, av, J) + rho.T @ (dHq + J.T @ dHp) + F.at(q) @ av
 
 
 def grid_points(box, resolution) -> tuple:

@@ -422,12 +422,27 @@ class TestFlagRankLevels:
             assert seen[-1].shape == (2, 256)
 
     def test_disk_anchor_evaluations(self, disk):
-        # each level is evaluated at q once, and level 2 differences the anchor once:
-        # 1 + 9 + 90 anchor reads to full rank at depth 3
+        # one read per distinct point to full rank at depth 3: q, its 8 stencil points and the 32
+        # that the level-3 stencils add (each two-axis point is reached from two stencil points)
         D, calls = disk.extras["constraint_algebroid"], []
-        A = SkewAlgebroid(chart=D.chart, rank=D.rank, anchor=lambda q: calls.append(1) or D.anchor_at(q))
+        A = SkewAlgebroid(chart=D.chart, rank=D.rank, anchor=lambda q: calls.append(q.tobytes()) or D.anchor_at(q))
         assert flag_rank(A, np.array([0.3, -0.2, 0.5, 0.1]), 4) == [2, 3, 4, 4]
-        assert len(calls) == 100
+        assert len(calls) == len(set(calls)) == 41
+
+    @pytest.mark.parametrize("case", ["disk", "ball", "capped"])
+    def test_anchor_read_once_per_distinct_point(self, case, disk, ball):
+        # the nested stencils revisit points; a call keeps what it has read until it returns
+        B = {
+            "disk": disk.extras["constraint_algebroid"],
+            "ball": v_restriction(ball.system.algebroid),
+            "capped": _never_generating(3),
+        }[case]
+        calls = []
+        A = SkewAlgebroid(chart=B.chart, rank=B.rank, anchor=lambda q: calls.append(q.tobytes()) or B.anchor_at(q))
+        for q in seeded_points(A.chart.dim, n=3, lo=-2.0, hi=2.0, seed=SEED + 8):
+            calls.clear()
+            assert flag_rank(A, q, 4) == flag_rank(B, q, 4)
+            assert len(calls) == len(set(calls)) > 1
 
 
 class TestFlagRank:

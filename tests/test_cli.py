@@ -228,6 +228,27 @@ class TestVectorArguments:
         assert errs[0] == errs[1]
         assert errs[0].startswith("error: " + message)
 
+    @pytest.mark.parametrize(
+        "argv,option,value,code,err",
+        [
+            (["simulate", "cylinder_friction", "--t1", "0.01"], "--t0", "-1e-3", 0, ""),
+            (["morphism-check", "vertical_disk", "--morphism", "momentum-scale", "--samples", "4"], "--factor",
+             "-1e-3", 1, ""),
+            (["simulate", "cylinder_friction", "--t1", "0.01"], "--dt", "-1e-3", 2, "error: dt must be positive\n"),
+        ],
+        ids=["t0", "factor", "dt"],
+    )
+    def test_separated_negative_number_matches_attached(self, tmp_path, capsys, argv, option, value, code, err):
+        # a separated value in scientific notation used to die in argparse with
+        # "expected one argument" after any option but the five vector ones
+        results = []
+        for name, form in (("sep", [option, value]), ("eq", [f"{option}={value}"])):
+            out = tmp_path / name
+            code_ = run_cli(argv + form + ["--out", str(out)])
+            results.append((code_, out.read_bytes() if out.exists() else None, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == code and results[0][2] == err
+
 
 class TestParamValues:
     @pytest.mark.parametrize("value", ["abc", "", "1,2"])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from algebroid_mech import (
+    ESection,
     Homomorphism,
     HamiltonianSystem,
     ScalarField,
     SkewAlgebroid,
+    bracket,
     dissipation_rate,
     f_h_eval,
     force_extension,
@@ -20,7 +22,7 @@ from algebroid_mech import (
 )
 
 from algebroid_mech.algebroid import sample_box
-from algebroid_mech.hamilton_jacobi import hj_residual
+from algebroid_mech.hamilton_jacobi import hj_forced_residual, hj_residual, hj_residual_dual
 
 from conftest import CONSTANT_SYSTEMS, N_SAMPLES, SEED, callable_path, lie_tangent, seeded_points, smooth_field
 
@@ -228,6 +230,48 @@ class TestRhsReads:
         for bad in (np.zeros(n - 1), np.zeros(n + 1)):
             with pytest.raises(ValueError, match="state length does not match the system"):
                 hamilton_rhs(sys_, 0.0, bad)
+
+
+class TestReadsPerPoint:
+    """On a force extension of a plain-callable base, every path reads a
+    point's anchor and C once, through one joint read, and gives the bits of
+    the same system over constant data."""
+
+    CASES = {  # path -> (anchor reads, C reads, gradients of H)
+        "hj_residual_dual": (1, 1, 1),
+        "hj_forced_residual": (1, 1, 1),
+        "hamilton_rhs": (1, 1, 1),
+        "dissipation_rate": (1, 1, 1),
+        "bracket": (1, 1, 0),
+        "poisson_bracket_eval": (1, 1, 0),
+        # the second anchor read is the pinned projected_field call's, with its own gradient of H
+        "hj_residual": (2, 1, 2),
+    }
+
+    @staticmethod
+    def run(name, gs, q, p):
+        S, A = gs.system, gs.system.algebroid
+        sigma, gamma = (ESection(components=lambda x, k=k: np.sin(k * x.sum()) + np.arange(A.rank)) for k in (1, 2))
+        return {
+            "hj_residual_dual": lambda: hj_residual_dual(S, gs.probe_sections["beta_probe"], q),
+            "hj_forced_residual": lambda: hj_forced_residual(S, gs.extras["force"], gs.probe_sections["dS"], q),
+            "hamilton_rhs": lambda: hamilton_rhs(S, 0.0, np.concatenate([q, p])),
+            "dissipation_rate": lambda: dissipation_rate(S, np.concatenate([q, p])),
+            "bracket": lambda: bracket(A, sigma, gamma)(q),
+            "poisson_bracket_eval": lambda: poisson_bracket_eval(
+                A, lambda x: x @ x, lambda x: np.sin(x).sum(), np.concatenate([q, [0.4], p])),
+            "hj_residual": lambda: hj_residual(S, gs.probe_sections["dS"], q),
+        }[name]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_one_joint_read(self, name, monkeypatch):
+        with monkeypatch.context() as patch:
+            callable_path(patch)
+            plain = instantiate("three_body_drag")
+        q, p = np.array([0.9, 0.7]), np.array([0.3, -0.2])
+        counts, value = count_reads(monkeypatch, plain.system, self.run(name, plain, q, p))
+        assert tuple(counts.values()) == self.CASES[name]
+        assert np.asarray(value).tobytes() == np.asarray(self.run(name, instantiate("three_body_drag"), q, p)()).tobytes()
 
 
 class TestBoundOperands:
