@@ -13,10 +13,11 @@ and ``dissipation``), then the checks at the benchmark's
 ``point_checks`` sizes: the ``hj-check`` grids of its five systems
 (4 points per axis on the ball, 3 on the disk and 8 on the three 2-D
 systems, whose residuals read the operands their systems bind once over
-constant data), the disk's ``flag-rank`` at the off-axis point
-0.3,-0.2,0.5,0.1 (the workload draws its points from [-pi, pi]^4; here,
+constant data), the disk's ``flag-rank`` at two off-axis points
+(the workload draws its points from [-pi, pi]^4): at 0.3,-0.2,0.5,0.1,
 as at the README's 0,0,0,0, every flag step is 1e-3 and 41 of the 100
-nested stencil points are distinct), every gallery system's
+nested stencil points are distinct; at 2.1,-1.3,0.4,-2.9 the steps
+scale with the coordinates beyond 1 and 46 are), every gallery system's
 adapted-frame cocycle and the ball's kernel section at 16 samples, the
 four morphism checks at 8, and three handler paths that no command above takes (a JSON
 ``simulate``, the ball's ``mu-projection`` morphism and a ``--x0``
@@ -102,8 +103,11 @@ POINT_CHECK_GRIDS = (
     ["hj-check", "time_dependent_free", "--resolution", "8"],
     ["hj-check", "riemannian_flat", "--resolution", "8"],
 )
-# the benchmark's ``point_checks`` flag-rank op at an off-axis point
-OFF_AXIS_FLAG = ["flag-rank", "vertical_disk", "--point", "0.3,-0.2,0.5,0.1", "--depth", "4"]
+# the benchmark's ``point_checks`` flag-rank op at off-axis points, the second with its steps scaled beyond |q| = 1
+OFF_AXIS_FLAGS = (
+    ["flag-rank", "vertical_disk", "--point", "0.3,-0.2,0.5,0.1", "--depth", "4"],
+    ["flag-rank", "vertical_disk", "--point", "2.1,-1.3,0.4,-2.9", "--depth", "4"],
+)
 # the systems of the benchmark's ``trajectories`` workload
 TRAJECTORY_SECTIONS = {"time_dependent_free": "reference", "riemannian_flat": "reference",
                        "cylinder_friction": "reference", "three_body_drag": "dS"}
@@ -141,8 +145,8 @@ print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
 
 def commands(seed: int) -> list:
     s = str(seed)
-    cmds = [list(argv) for argv in README + ACCURACY + TRAJECTORIES + CONSTRAINED_FLOWS + POINT_CHECK_GRIDS]
-    cmds.append(list(OFF_AXIS_FLAG))
+    cmds = [list(argv) for argv in
+            README + ACCURACY + TRAJECTORIES + CONSTRAINED_FLOWS + POINT_CHECK_GRIDS + OFF_AXIS_FLAGS]
     cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])

@@ -28,7 +28,7 @@ just built in one stacked pass, bit for bit as their reads would build
 them.  Constant inputs are evaluated once, at construction: the force
 extension of a constant base by a constant force is constant, and affine
 constraints with a constant metric, U basis and drift (the rolling ball)
-orthonormalize their frame once.
+orthonormalize their frame once, and bracket it once over a constant C_E.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def projector_restriction(
 
 
 def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapted: bool,
-                          frame_jacobian=None) -> SkewAlgebroid:
+                          frame_jacobian=None, frame=None) -> SkewAlgebroid:
     """The algebroid of a frame {e_a} of E, bracketed in E and projected.
 
     ``frames`` maps points (K, m) to frames (K, rank, n_E), row a holding
@@ -194,7 +194,8 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     length-``rank`` vector.  The bracket's derivative terms take the frame
     derivative (rank, n_E, m) from ``frame_jacobian(q)`` when given (a
     non-finite value raises NumericFailure), else from central differences
-    of the frame, all stencil points in one ``frames`` call.
+    of the frame, all stencil points in one ``frames`` call.  A ``frame``
+    fixed with its projection at every q projects all pairs (..., n_E) at once.
 
     A read builds one point's values; the kernel keeps only those of its
     last build.  That is the one point whose C a read just built, which
@@ -202,24 +203,29 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     ``prefetch(Q)`` just built in one pass of the same arithmetic, so its
     bits are the pointwise ones: one ``frames`` call for the points, one for
     all their stencils, the pair brackets as one einsum and stacked
-    mat-vecs; only the projection runs per point and pair.  An anchor read
-    of any other point builds the frame and keeps nothing.  A stacked pass
-    that raises keeps nothing, and the pointwise read of the failing point
-    raises as it would have without it.
+    mat-vecs; only the projection runs per point and pair (or once, for a
+    fixed ``frame``).  An anchor read of any other point builds the frame
+    and keeps nothing.  A stacked pass that raises keeps nothing, and the
+    pointwise read of the failing point raises as it would have without it.
 
-    Both bodies take the E-brackets of all frame pairs from one contraction
-    with C_E (none over a flat E, whose pair brackets are one zero array);
-    only the derivative terms and the projection run per pair.
+    Both bodies take the E-brackets of all frame pairs from one place, fixed
+    at construction over a zero ``_Constant`` C_E (zeros) or a ``_Constant``
+    C_E and a fixed ``frame`` (one einsum), else one contraction with C_E
+    per point or stack; only the derivative terms run per pair.
     """
     last = {}  # q bytes -> (anchor, C): the points of the last build only
     I, J = np.triu_indices(rank, 1)  # the pairs i < j, in the pointwise loop's order
     pairs = list(zip(I.tolist(), J.tolist()))
-    flat = _constant(E._structure) and not E._structure.value.any()
-    zero = np.zeros((len(pairs), E.rank))
+    fixed = None  # the pair brackets, when fixed at construction
+    if _constant(E._structure) and not E._structure.value.any():
+        fixed = np.zeros((len(pairs), E.rank))
+    elif _constant(E._structure) and frame is not None:
+        fixed = np.einsum("abg,pa,pb->pg", E._structure.value, frame[I], frame[J])
+    project_all = None if frame is None else projection(np.zeros(E.chart.dim), frame)
 
     def pair_brackets(Q, M):  # [[e_i, e_j]]_E of the pairs of the frame M at q, or of a stack at Q
-        if flat:
-            return zero
+        if fixed is not None:
+            return fixed
         if Q.ndim == 1:
             return np.einsum("abg,pa,pb->pg", E.structure_at(Q), M[I], M[J])
         return np.einsum("kabg,kpa,kpb->kpg", np.array([E.structure_at(q) for q in Q]), M[:, I], M[:, J])
@@ -245,11 +251,16 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
                 dM = require_finite(frame_jacobian(q), "frame jacobian", q)
             brackets = pair_brackets(q, M)
             anchored = M @ rhoE.T  # (rank, m): rows rho_E(e_a)
-            project = projection(q, M)
             C = np.zeros((rank, rank, rank))
-            for p, (i, j) in enumerate(pairs):
-                C[i, j] = project(brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j])
-                C[j, i] = -C[i, j]
+            if frame is None:  # projected pair by pair, the cheapest for the disk's one pair
+                project = projection(q, M)
+                for p, (i, j) in enumerate(pairs):
+                    C[i, j] = project(brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j])
+                    C[j, i] = -C[i, j]
+            else:  # the fixed projection maps all pairs at once
+                vals = [brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j] for p, (i, j) in enumerate(pairs)]
+                C[I, J] = projected = project_all(np.array(vals))
+                C[J, I] = -projected
             C.flags.writeable = False
             last.clear()
             last[key] = (anchor, C)
@@ -266,10 +277,13 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         anchored = M @ np.swapaxes(rhoE, -1, -2)  # (K, rank, m)
         val = brackets + (dM[:, J] @ anchored[:, I, :, None])[..., 0] - (dM[:, I] @ anchored[:, J, :, None])[..., 0]
         C = np.zeros((len(Q), rank, rank, rank))
-        for k, (q, Mk) in enumerate(zip(Q, M)):
-            project = projection(q, Mk)
-            for p, (i, j) in enumerate(pairs):
-                C[k, i, j] = project(val[k, p])
+        if frame is None:
+            for k, (q, Mk) in enumerate(zip(Q, M)):
+                project = projection(q, Mk)
+                for p, (i, j) in enumerate(pairs):
+                    C[k, i, j] = project(val[k, p])
+        else:  # one projection for the whole stack
+            C[:, I, J] = project_all(val)
         C[:, J, I] = -C[:, I, J]
         anchor = rhoE @ np.swapaxes(M, -1, -2)
         C.flags.writeable = anchor.flags.writeable = False
@@ -338,9 +352,9 @@ def affine_constraints(
     the precondition G(X0, U) = 0, and no C is built here.
 
     When G, every U section and X0 are constant (``MetricField.constant``,
-    ``constant_section``), the frame and its projection are built once,
-    here, and every stack reads that one read-only frame; otherwise each
-    stack is orthonormalized per call.
+    ``constant_section``), the frame, its projection and, over a constant
+    C_E, its pair brackets are built once, here, and every stack reads that
+    one read-only frame; otherwise each stack is orthonormalized per call.
     """
     r = len(U_basis)
     if r < 1:
@@ -360,19 +374,18 @@ def affine_constraints(
         # G(ebar_a, .) for the orthonormal rows; the drift row has none
         rows = M[1:] @ G.at(q)
 
-        def project(val):
-            out = np.zeros(r + 1)
-            out[1:] = rows @ val
+        def project(vals):  # (..., nE) -> (..., r+1), one stacked mat-vec: the bits of each rows @ val
+            out = np.zeros(vals.shape[:-1] + (r + 1,))
+            out[..., 1:] = (rows @ vals[..., None])[..., 0]
             return out
 
         return project
 
+    frame = None
     if _constant(G.matrix, X0.components, *(s.components for s in U_basis)):
         frame = frames(np.zeros((1, m)))[0]
         stack = np.broadcast_to(frame, (np.iinfo(np.intp).max // frame.nbytes,) + frame.shape)  # longer than any Q
         frames = lambda Q: stack[:len(Q)]
-        project = projection(np.zeros(m), frame)
-        projection = lambda q, M: project
 
     # precondition: X0 is G-orthogonal to U
     points = _validation_points(validation_points, m)
@@ -381,7 +394,7 @@ def affine_constraints(
     if worst > 1e-9:
         raise ConstructionError(f"P(X0) != 0: G(X0, U) reaches {worst:g} at validation samples")
 
-    A = _bracket_then_project(E, frames, projection, rank=r + 1, adapted=True)
+    A = _bracket_then_project(E, frames, projection, rank=r + 1, adapted=True, frame=frame)
 
     def h_eval(x):
         p = x[m:]

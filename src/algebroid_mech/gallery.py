@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebroid import DualSection, ESection, SkewAlgebroid, constant_section, tangent_algebroid
+from .algebroid import DualSection, ESection, SkewAlgebroid, _Constant, constant_section, tangent_algebroid
 from .calculus import Chart, ScalarField
 from .constructions import (
     Homomorphism,
@@ -215,18 +215,20 @@ def _build_rolling_ball(params, omega_mode="constant"):
         out[2, 2] = 1.0
         return out
 
+    template = np.zeros((6, 6, 6))  # all but the four omega entries, with the -0.0 of the skew rows
+    template[3, 4, 5] = template[4, 5, 3] = 1.0
+    template[3, 5, 4] = -1.0  # [[e3, e5]] = -[[e5, e3]] = -e4
+    for a, b in ((0, 1), (0, 2), (3, 4), (4, 5), (3, 5)):
+        template[b, a] = -template[a, b]
+
     def structure(q):
-        C = np.zeros((6, 6, 6))
-        C[0, 1, 2] = -omega(q[0])
-        C[0, 2, 1] = omega(q[0])
-        C[3, 4, 5] = 1.0
-        C[4, 5, 3] = 1.0
-        C[3, 5, 4] = -1.0  # [[e3, e5]] = -[[e5, e3]] = -e4
-        for a, b in ((0, 1), (0, 2), (3, 4), (4, 5), (3, 5)):
-            C[b, a] = -C[a, b]
+        C = template.copy()
+        C[0, 1, 2] = C[2, 0, 1] = -omega(q[0])  # C[b, a] = -C[a, b]
+        C[0, 2, 1] = C[1, 0, 2] = omega(q[0])
         return C
 
-    E = SkewAlgebroid(chart=chart, rank=6, anchor=anchor, structure=structure, adapted=False)
+    E = SkewAlgebroid(chart=chart, rank=6, anchor=anchor, adapted=False,  # a constant law's C_E is built once
+                      structure=_Constant(structure(np.zeros(3))) if omega_mode == "constant" else structure)
     G = MetricField.constant(np.diag([1.0, m, m, m * k * k, m * k * k, m * k * k]))
     U_basis = [
         constant_section([0.0, 0.0, -r, 1.0, 0.0, 0.0]),

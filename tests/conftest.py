@@ -12,7 +12,7 @@ from algebroid_mech import (
     instantiate,
     tangent_algebroid,
 )
-from algebroid_mech import algebroid, constructions
+from algebroid_mech import algebroid, constructions, gallery
 
 SEED = 42
 N_SAMPLES = 128
@@ -100,7 +100,7 @@ def callable_path(monkeypatch):
         v = np.array(value, dtype=float)
         return lambda q: v
 
-    for module in (algebroid, constructions):
+    for module in (algebroid, constructions, gallery):
         monkeypatch.setattr(module, "_Constant", plain)
 
 

@@ -429,6 +429,13 @@ class TestFlagRankLevels:
         assert flag_rank(A, np.array([0.3, -0.2, 0.5, 0.1]), 4) == [2, 3, 4, 4]
         assert len(calls) == len(set(calls)) == 41
 
+    def test_disk_anchor_evaluations_with_scaled_steps(self, disk):
+        # beyond |q_i| = 1 the steps scale with the coordinates, so fewer nested stencil points coincide
+        D, calls = disk.extras["constraint_algebroid"], []
+        A = SkewAlgebroid(chart=D.chart, rank=D.rank, anchor=lambda q: calls.append(q.tobytes()) or D.anchor_at(q))
+        assert flag_rank(A, np.array([2.1, -1.3, 0.4, -2.9]), 4) == [2, 3, 4, 4]
+        assert len(calls) == len(set(calls)) == 46
+
     @pytest.mark.parametrize("case", ["disk", "ball", "capped"])
     def test_anchor_read_once_per_distinct_point(self, case, disk, ball):
         # the nested stencils revisit points; a call keeps what it has read until it returns

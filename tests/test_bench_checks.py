@@ -91,3 +91,10 @@ def test_point_check_grids_are_the_workload_hj_checks_at_their_resolutions(bench
     expect = sorted([op.argv[0], op.system, "--resolution", op.argv[op.argv.index("--resolution") + 1]] for op in ops)
     assert sorted(list(argv) for argv in bench.POINT_CHECK_GRIDS) == expect
     assert all(list(argv) in bench.commands(11) for argv in bench.POINT_CHECK_GRIDS)
+
+
+def test_a_flag_rank_command_has_a_coordinate_beyond_one(bench_and_workloads):
+    # below |q_i| = 1 every flag step is 1e-3, as at the README's origin; the workload draws from [-pi, pi]^4
+    bench, _ = bench_and_workloads
+    points = [argv[argv.index("--point") + 1] for argv in bench.commands(11) if argv[0] == "flag-rank"]
+    assert any(abs(float(x)) > 1.0 for point in points for x in point.split(","))

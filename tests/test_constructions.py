@@ -879,6 +879,120 @@ class TestPrefetch:
         assert frames_calls == [1, 4]  # a cold pointwise build
 
 
+def ball_ambient_loop(omega_t):
+    """The ball's ambient C_E at the table's angular velocity omega_t, built by
+    a loop: written pair by pair, then each skew row negated whole, so the
+    rows that mirror zeros hold -0.0."""
+    C = np.zeros((6, 6, 6))
+    C[0, 1, 2] = -omega_t
+    C[0, 2, 1] = omega_t
+    C[3, 4, 5] = 1.0
+    C[4, 5, 3] = 1.0
+    C[3, 5, 4] = -1.0
+    for a, b in ((0, 1), (0, 2), (3, 4), (4, 5), (3, 5)):
+        C[b, a] = -C[a, b]
+    return C
+
+
+def affine_reference_reads(E, ambient, U_data, Q):
+    """The bytes of an affine kernel's anchor and C at each row of Q by the
+    per-pair arithmetic, as ``kernel_reads`` gives them: per point, the frame
+    and its stencil orthonormalized afresh, ``ambient(q)`` (C_E) contracted
+    with the frame pairs in one einsum, and each pair projected on its own
+    with a leading 0.0 concatenated."""
+    G, U, X0 = U_data
+    I, J = np.triu_indices(len(U) + 1, 1)
+    out = []
+    for q in Q:
+        M = stacked_frames(G, U, X0, q[None])[0]
+        dM = fd_jacobian(lambda X: stacked_frames(G, U, X0, X), q, stacked=True).reshape(M.shape + q.shape)
+        rhoE = E.anchor_at(q)
+        brackets = np.einsum("abg,pa,pb->pg", ambient(q), M[I], M[J])
+        anchored, rows = M @ rhoE.T, M[1:] @ G.at(q)
+        C = np.zeros((len(M),) * 3)
+        for p, (i, j) in enumerate(zip(I, J)):
+            C[i, j] = np.concatenate([[0.0], rows @ (brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j])])
+            C[j, i] = -C[i, j]
+        out.append((rhoE @ M.T).tobytes() + C.tobytes())
+    return out
+
+
+def dense_affine():
+    """(E, G, U_basis, X0) of affine constraints over constant, dense data: a
+    rank-5 E on a 2-D chart with a q-dependent anchor and a constant C_E, a
+    metric, U basis and G-orthogonal drift without zero entries, so every
+    projected pair sums five non-zero products."""
+    rng = np.random.default_rng(47)
+    CE = rng.normal(size=(5, 5, 5))
+    L = rng.normal(size=(5, 5))
+    G = L @ L.T + 5.0 * np.eye(5)
+    B = rng.normal(size=(2, 5))
+    v = rng.normal(size=5)
+    X0 = v - B.T @ np.linalg.solve(B @ G @ B.T, B @ G @ v)
+    E = SkewAlgebroid(chart=Chart(dim=2, coord_names=("a", "b")), rank=5,
+                      anchor=lambda q: np.array([[1.0, q[0], 0.3, -q[1], 0.5], [q[1], 1.0, -0.2, 0.7, q[0] * q[1]]]),
+                      structure=algebroid._Constant(CE - CE.transpose(1, 0, 2)))
+    return E, MetricField.constant(G), [constant_section(b) for b in B], constant_section(X0)
+
+
+class TestBallKernelArithmetic:
+    """The ball's kernel reads its constant bracket data once and projects
+    all frame pairs in one product, with the bits of the per-pair arithmetic."""
+
+    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("omega", ["constant", "linear"])
+    def test_reads_are_the_per_pair_reference_bits(self, omega, read, monkeypatch):
+        gs, U_data, _ = affine_kernel(monkeypatch, lambda: instantiate("rolling_ball", omega=omega))
+        Om0 = gs.params["Omega0"]
+        Q = sample_box(gs.default_box, 500, 41)
+        Q[0, 0] = -0.0  # t = -0.0: omega(t) is -0.0 under the linear law
+        Q[1] = [0.0, -0.0, 0.0]
+        A = gs.system.algebroid
+        if read == "prefetched":
+            A.prefetch(Q)
+        ambient = lambda q: ball_ambient_loop(Om0 if omega == "constant" else Om0 * q[0])
+        assert kernel_reads(A, Q) == affine_reference_reads(gs.extras["ambient"], ambient, U_data, Q)
+
+    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    def test_dense_rows_project_with_the_per_pair_bits(self, read):
+        # the ball's rows hold two non-zero entries each, so any summation order gives its bits; these
+        # do not, and a gemm ``vals @ rows.T`` in place of the stacked mat-vec changes them
+        E, G, U, X0 = dense_affine()
+        A = affine_constraints(E, G, U, X0).algebroid
+        Q = sample_box(((-2.0, 2.0),) * 2, 500, 43)
+        Q[0] = [-0.0, 0.5]
+        if read == "prefetched":
+            A.prefetch(Q)
+        assert kernel_reads(A, Q) == affine_reference_reads(E, E.structure_at, (G, U, X0), Q)
+
+    def test_the_constant_ambient_is_the_loop_bytes(self):
+        E = instantiate("rolling_ball").extras["ambient"]
+        assert type(E._structure) is algebroid._Constant
+        assert E.structure_at(np.zeros(3)).tobytes() == ball_ambient_loop(1.0).tobytes()
+        assert np.signbit(E._structure.value[1, 0, 0])  # a mirrored zero
+
+    def test_the_linear_ambient_is_the_loop_bytes(self):
+        gs = instantiate("rolling_ball", {"Omega0": 1.3}, omega="linear")
+        E = gs.extras["ambient"]
+        for t in [0.0, -0.0, *np.random.default_rng(43).uniform(-7.0, 7.0, 200)]:
+            q = np.array([t, 0.4, -1.1])
+            assert E.structure_at(q).tobytes() == ball_ambient_loop(1.3 * t).tobytes(), t
+            assert E.structure_at(q) is not E.structure_at(q)  # a fresh copy of the template per read
+
+    @pytest.mark.parametrize("omega, ambient_calls", [("constant", 0), ("linear", 1)])
+    def test_a_cold_read_runs_one_stencil(self, omega, ambient_calls, monkeypatch):
+        # the stencil is what perfbench's tracer sees as a kernel build; the constant frame's is exact zeros
+        gs = instantiate("rolling_ball", omega=omega)
+        E, A = gs.extras["ambient"], gs.system.algebroid
+        reads, stencils = [], []
+        real_read, real_stencil = SkewAlgebroid.structure_at, constructions.fd_jacobian
+        monkeypatch.setattr(SkewAlgebroid, "structure_at", lambda self, q: reads.append(self) or real_read(self, q))
+        monkeypatch.setattr(constructions, "fd_jacobian", lambda *a, **kw: stencils.append(a) or real_stencil(*a, **kw))
+        A.structure_at(np.array([0.3, 0.5, -0.4]))
+        assert [B for B in reads if B is E] == [E] * ambient_calls
+        assert len(stencils) == 1
+
+
 class TestLastBuild:
     """The kernel keeps only the values of its last build: those of the one
     point whose C a read built, or those of the last prefetched stack.  So
