@@ -33,9 +33,15 @@ without ``__pycache__`` read 20-30 ms higher per command); each entry's
     python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_13.json
 
 ``run_s`` times the ``cli.main`` call inside the child; ``wall_s`` also
-includes interpreter start-up and the package import.  The SHA-256 of
-every output (JSON or CSV) and of every command's stderr is recorded, and
-so are the accuracy numbers of each JSON report (``max_violation`` per
+includes interpreter start-up and the package import.  Each command also
+records the median ``run_s`` of its k runs, and with two trees
+``run_s_ratio`` holds the median and quartiles over rounds of the second
+tree's ``run_s`` over the first's, per command and for the round's total:
+the trees run back to back in each round, so the per-round ratio cancels
+most of the machine's drift, which a best of k does not (it did not
+resolve changes below about 1.5x at k = 3).  The SHA-256 of every
+output (JSON or CSV) and of every command's stderr is recorded, and so
+are the accuracy numbers of each JSON report (``max_violation`` per
 named report, the HJ residual's ``max_norm`` and the lift's
 ``max_deviation``), so a speed-up that changes results shows up;
 ``outputs_equal`` says whether every command gave the same exit code,
@@ -208,6 +214,11 @@ def accuracy(data: bytes) -> dict:
     }
 
 
+def quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"q1": q1, "median": median, "q3": q3}
+
+
 def src_lines(src: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((src / "algebroid_mech").glob("*.py")))
 
@@ -216,7 +227,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
                     help="a label and the src directory holding algebroid_mech (repeatable)")
-    ap.add_argument("--k", type=int, default=5, help="runs per command and tree; the best is kept")
+    ap.add_argument("--k", type=int, default=5, help="runs per command and tree; the best and the median are kept")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
@@ -258,6 +269,7 @@ def main(argv=None) -> int:
                 **stable,
                 "run_s": min(r["run_s"] for r in rs),
                 "wall_s": min(r["wall_s"] for r in rs),
+                "median_run_s": float(np.median([r["run_s"] for r in rs])),
             })
         entries[label] = {
             "bytecode_compiled": compiled[label],
@@ -276,7 +288,7 @@ def main(argv=None) -> int:
                 for e in entries.values()]
     differ = [" ".join(argv) for c, argv in enumerate(cmds) if any(o[c] != outcomes[0][c] for o in outcomes)]
     result = {
-        "benchmark": "README commands and sampled checks, fresh process per run, best of k",
+        "benchmark": "README commands and sampled checks, fresh process per run, best and median of k",
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -288,12 +300,23 @@ def main(argv=None) -> int:
         "outputs_equal": not differ,
         "outputs_differ": differ,
     }
+    if len(trees) == 2:
+        first, second = (np.array([[r["run_s"] for r in rs] for rs in runs[label]]) for label in trees)  # (commands, k)
+        result["run_s_ratio"] = {
+            "of": "{1}/{0}".format(*trees),
+            "total": quartiles(second.sum(axis=0) / first.sum(axis=0)),
+            "commands": [{"argv": argv, **quartiles(r)} for argv, r in zip(cmds, second / first)],
+        }
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for label, e in entries.items():
         print(f"{label}: run {e['total_run_s']:.3f} s, wall {e['total_wall_s']:.3f} s, src {e['src_lines']} lines")
         for c in e["constructions"]:
             print(f"  instantiate {c['system']} ({c['omega']}): cold {c['cold_s'] * 1e3:.2f} ms, "
                   f"warm {c['warm_s'] * 1e3:.2f} ms")
+    if "run_s_ratio" in result:
+        total = result["run_s_ratio"]["total"]
+        print(f"run_s ratio {result['run_s_ratio']['of']} per round: median {total['median']:.3f} "
+              f"(quartiles {total['q1']:.3f}-{total['q3']:.3f})")
     print(f"outputs equal across trees: {result['outputs_equal']}")
     for argv in differ:
         print(f"  differs: {argv}")

@@ -120,7 +120,8 @@ def _fail_at_first(q, ok, message):
 def require_finite(value, what: str, q):
     """``value`` if all of it is finite, else NumericFailure naming ``what`` and q."""
     # counted, not ``.all()``: on the small arrays of a per-point read the reduction costs twice the test
-    if np.count_nonzero(np.isfinite(value)) < np.size(value):
+    finite = np.isfinite(value)
+    if np.count_nonzero(finite) < finite.size:
         raise NumericFailure(f"{what} non-finite at q={np.asarray(q, dtype=float).tolist()}")
     return value
 
@@ -213,7 +214,7 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
         k4 = np.asarray(rhs(t + step, x + step * k3), dtype=float)
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t1 if k + 1 == n_steps else t0 + (k + 1) * dt
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) < x.size:  # counted, as in ``require_finite``
             raise NumericFailure(
                 f"state went non-finite at t={t:g}", last_good_time=times[-1]
             )

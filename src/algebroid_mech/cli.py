@@ -169,9 +169,14 @@ def _cmd_simulate(args):
 
 def _cmd_dissipation(args):
     gs, curve = _integrate(args)
-    sys_ = gs.system
-    states = (x for chunk in prefetched(sys_.algebroid, curve.points) for x in chunk)
-    rows = [(t, sys_.H(x), dissipation_rate(sys_, x)) for t, x in zip(curve.times, states)]
+    sys_, rows = gs.system, []
+    for chunk in prefetched(sys_.algebroid, curve.points):
+        try:  # a chunk's rate column in one stacked call
+            rates = dissipation_rate(sys_, chunk)
+        except Exception:  # rerun row by row, H before rate, so the error is the first failing row's
+            rates = [None] * len(chunk)
+        rows += [(t, sys_.H(x), dissipation_rate(sys_, x) if r is None else r)
+                 for t, x, r in zip(curve.times[len(rows):], chunk, rates)]
     _write(args.out, table_csv(["t", "H", "rate"], rows))
     return EXIT_OK
 

@@ -211,7 +211,8 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     Both bodies take the E-brackets of all frame pairs from one place, fixed
     at construction over a zero ``_Constant`` C_E (zeros) or a ``_Constant``
     C_E and a fixed ``frame`` (one einsum), else one contraction with C_E
-    per point or stack; only the derivative terms run per pair.
+    per point or stack; the derivative terms are one stacked product
+    (``pair_values``) but in a pointwise read without a fixed ``frame``.
     """
     last = {}  # q bytes -> (anchor, C): the points of the last build only
     I, J = np.triu_indices(rank, 1)  # the pairs i < j, in the pointwise loop's order
@@ -229,6 +230,10 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         if Q.ndim == 1:
             return np.einsum("abg,pa,pb->pg", E.structure_at(Q), M[I], M[J])
         return np.einsum("kabg,kpa,kpb->kpg", np.array([E.structure_at(q) for q in Q]), M[:, I], M[:, J])
+
+    def pair_values(brackets, dM, anchored):  # the pair brackets plus their derivative terms, one stacked product each
+        return (brackets + (dM[..., J, :, :] @ anchored[..., I, :, None])[..., 0]
+                - (dM[..., I, :, :] @ anchored[..., J, :, None])[..., 0])
 
     def cold(q):  # the frame, rho_E and the read-only anchor at q, a float array from anchor_at / structure_at
         M = require_finite(frames(q[None])[0], "frame", q)
@@ -258,8 +263,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
                     C[i, j] = project(brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j])
                     C[j, i] = -C[i, j]
             else:  # the fixed projection maps all pairs at once
-                vals = [brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j] for p, (i, j) in enumerate(pairs)]
-                C[I, J] = projected = project_all(np.array(vals))
+                C[I, J] = projected = project_all(pair_values(brackets, dM, anchored))
                 C[J, I] = -projected
             C.flags.writeable = False
             last.clear()
@@ -275,7 +279,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             dM = require_finite(np.array([frame_jacobian(q) for q in Q], dtype=float), "frame jacobian", Q)
         brackets = pair_brackets(Q, M)
         anchored = M @ np.swapaxes(rhoE, -1, -2)  # (K, rank, m)
-        val = brackets + (dM[:, J] @ anchored[:, I, :, None])[..., 0] - (dM[:, I] @ anchored[:, J, :, None])[..., 0]
+        val = pair_values(brackets, dM, anchored)
         C = np.zeros((len(Q), rank, rank, rank))
         if frame is None:
             for k, (q, Mk) in enumerate(zip(Q, M)):

@@ -10,6 +10,7 @@ phase space (q, p_1..p_{n-1}) carries the dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -23,10 +24,11 @@ class HamiltonianSystem:
     """An adapted algebroid plus a Hamiltonian H(q, p_1..p_{n-1}).
 
     ``H`` is a ScalarField over the concatenated (q, p) coordinates of the
-    reduced phase space.  Over a constant anchor and C (``_Constant``), the
-    operands of the Hamilton field, rho_0, rho_V, rho_V^T and C_V, are
-    bound once, here, as views of the stored read-only arrays, so its RK4
-    stages, HJ residuals and dissipation rows read neither the anchor nor C.
+    reduced phase space, whose layout (m, m + n - 1) is bound once, here.
+    Over a constant anchor and C (``_Constant``), so are the operands of the
+    Hamilton field, rho_0, rho_V, rho_V^T and C_V, as views of the stored
+    read-only arrays, so its RK4 stages, HJ residuals and dissipation rows
+    read neither the anchor nor C.
     """
 
     algebroid: SkewAlgebroid
@@ -39,6 +41,7 @@ class HamiltonianSystem:
         object.__setattr__(self, "H", as_scalar_field(self.H))
         bound = _split(A._anchor.value, A._structure.value) if _constant(A._anchor, A._structure) else None
         object.__setattr__(self, "_bound", bound)
+        object.__setattr__(self, "_layout", (A.chart.dim, A.chart.dim + A.rank - 1))
 
     @property
     def chart(self):
@@ -48,11 +51,11 @@ class HamiltonianSystem:
     def n_momenta(self) -> int:
         return self.algebroid.rank - 1
 
-    def reduced_state(self, x) -> np.ndarray:
-        """The reduced state (q, p) as one float vector; a wrong length
-        raises ValueError."""
+    def reduced_state(self, x, stack: bool = False) -> np.ndarray:
+        """The reduced state (q, p) as one float vector, or with ``stack`` a
+        stack of them (K, m + n - 1); a wrong length raises ValueError."""
         x = np.asarray(x, dtype=float)
-        if len(x) != self.chart.dim + self.n_momenta:
+        if x.shape[-1:] != self._layout[1:] or x.ndim != 1 + stack:
             raise ValueError("state length does not match the system")
         return x
 
@@ -123,9 +126,9 @@ def _bivector_at(A: SkewAlgebroid, xf: np.ndarray) -> np.ndarray:
 def _split(rho, C=None):
     """The operands of the Hamilton field as views of the anchor rho and of
     C: rho_0 = rho[:, 0], rho_V = rho[:, 1:], rho_V^T and C_V = C[:, 1:, 1:]
-    (None without C)."""
-    rhoV = rho[:, 1:]
-    return rho[:, 0], rhoV, rhoV.T, None if C is None else C[:, 1:, 1:]
+    (None without C), or their stacks from stacks of rho and C."""
+    rhoV = rho[..., 1:]
+    return rho[..., 0], rhoV, np.swapaxes(rhoV, -1, -2), None if C is None else C[..., 1:, 1:]
 
 
 def _operands(sys: HamiltonianSystem, q, structure: bool = True):
@@ -144,25 +147,16 @@ def _zeta(dHp) -> np.ndarray:
     return w
 
 
-def _pdot_rhs(p, dHq, dHp, rhoVT, CV) -> np.ndarray:
+def _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=None) -> np.ndarray:
     """Right-hand side of the momentum equations at (q, p):
 
         dp_b/dt = -rho_b^i dH/dq^i + (C_{0b}^c + C_{ab}^c dH/dp_a) p_c
 
-    from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``).
+    from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``), into ``out`` if given.
     """
     # (C_{alpha b}^c) contracted with zeta_alpha and p_c, for b, c >= 1
     coeff = np.einsum("abc,a->bc", CV, _zeta(dHp))
-    return -(rhoVT @ dHq) + coeff @ p
-
-
-def _state_partials(sys: HamiltonianSystem, x):
-    """q, p, dH/dq and dH/dp at the reduced state x (views of x and of one
-    gradient of H taken at x itself)."""
-    x = sys.reduced_state(x)
-    m = sys.chart.dim
-    g = fd_gradient(sys.H, x)
-    return x[:m], x[m:], g[:m], g[m:]
+    return np.subtract(coeff @ p, rhoVT @ dHq, out=out)  # b - a is -a + b, bit for bit
 
 
 def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
@@ -170,34 +164,46 @@ def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
 
     x is the reduced state (q, p).  One call takes one gradient of H and
     reads the anchor once and C once, or neither over constant data, whose
-    operands the system binds once.  Explicit time enters only through
-    chart coordinates, so t is unused here; it is kept for integrator
-    compatibility.
+    operands the system binds once; both rates are written into one row.
+    Explicit time enters only through chart coordinates, so t is unused
+    here; it is kept for integrator compatibility.
     """
-    q, p, dHq, dHp = _state_partials(sys, x)
+    x = sys.reduced_state(x)
+    m, dim = sys._layout
+    g = fd_gradient(sys.H, x)
+    q, p, dHq, dHp = x[:m], x[m:], g[:m], g[m:]
     rho0, rhoV, rhoVT, CV = _operands(sys, q)
-    return np.concatenate([rho0 + rhoV @ dHp, _pdot_rhs(p, dHq, dHp, rhoVT, CV)])
+    row = np.empty(dim)
+    np.add(rhoV @ dHp, rho0, out=row[:m])
+    _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=row[m:])
+    return row
 
 
 def integrate_hamilton(sys: HamiltonianSystem, x0, t0: float, t1: float, dt: float) -> Curve:
     """Integrate the Hamilton equations with RK4; states are (q, p) rows."""
-    return integrate_rk4(lambda t, x: hamilton_rhs(sys, t, x), sys.reduced_state(x0), t0, t1, dt)
+    return integrate_rk4(partial(hamilton_rhs, sys), sys.reduced_state(x0), t0, t1, dt)
 
 
-def dissipation_rate(sys: HamiltonianSystem, x) -> float:
+def dissipation_rate(sys: HamiltonianSystem, x):
     """Rate of change of H along the flow:
 
         {H, F} = rho_0^i dH/dq^i + C_{0b}^c p_c dH/dp_b.
 
     Vanishes when the cocycle direction is anchored to zero and does not
-    bracket into the kernel (conservative case).
+    bracket into the kernel (conservative case).  A stack of states x
+    (K, m + n - 1) gives the K rates, each the bits of its state alone: one
+    gradient of H per state, one ``_read_at`` of the stack (or the bound
+    operands) and stacked vector-vector products, each with a dot's bits.
     """
-    q, p, dHq, dHp = _state_partials(sys, x)
-    rho0, _, _, CV = _operands(sys, q)
-    val = float(rho0 @ dHq)
-    for b, row in enumerate(CV[0]):  # row b is C_{0, b+1}^c for c >= 1
-        val += float(row @ p) * dHp[b]
-    return val
+    Xs = np.atleast_2d(sys.reduced_state(x, stack=np.ndim(x) == 2))
+    m = sys._layout[0]
+    g = np.array([fd_gradient(sys.H, xk) for xk in Xs])
+    rho0, _, _, CV = _operands(sys, Xs[:, :m])
+    val = (rho0[..., None, :] @ g[:, :m, None])[:, 0, 0]
+    Cp = (CV[..., 0, :, None, :] @ Xs[:, None, m:, None])[..., 0, 0]  # column b is C_{0, b+1}^c p_c, c >= 1
+    for b in range(Cp.shape[-1]):
+        val += Cp[:, b] * g[:, m + b]
+    return val if np.ndim(x) == 2 else float(val[0])
 
 
 def projected_field(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:

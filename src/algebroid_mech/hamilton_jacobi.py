@@ -187,7 +187,9 @@ def hj_grid_check(
     residuals = parallel_map(lambda q: hj_residual(sys, alpha, q),
                              (q for chunk in prefetched(sys.algebroid, pts) for q in chunk))
     grid = tuple(zip(pts, residuals))
-    max_norm = max((max_abs(r, "HJ residual", q) for q, r in grid), default=0.0)
+    max_norm = float(np.abs(np.array(residuals)).max(initial=0.0))
+    if not np.isfinite(max_norm):  # the pointwise fold names the first non-finite grid point
+        max(max_abs(r, "HJ residual", q) for q, r in grid)
     return HJReport(residual_grid=grid, max_norm=max_norm, tol=float(tol), box=box, resolution=resolution)
 
 

@@ -98,3 +98,37 @@ def test_a_flag_rank_command_has_a_coordinate_beyond_one(bench_and_workloads):
     bench, _ = bench_and_workloads
     points = [argv[argv.index("--point") + 1] for argv in bench.commands(11) if argv[0] == "flag-rank"]
     assert any(abs(float(x)) > 1.0 for point in points for x in point.split(","))
+
+
+def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch):
+    # run_s by tree and round; the rounds alternate which tree runs first
+    times = {"parent": [1.0, 3.0, 2.0], "change": [2.0, 3.0, 1.0]}
+    calls = {}
+
+    def run_once(src, argv, out):
+        rnd = calls[src.name, tuple(argv)] = calls.get((src.name, tuple(argv)), -1) + 1
+        return {"exit": 0, "run_s": times[src.name][rnd], "wall_s": 0.5, "max_violation": {}, "max_norm": None,
+                "max_deviation": None, "output_sha256": "same", "stderr_sha256": "same"}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--tree", f"parent={tmp_path / 'parent'}", "--tree", f"change={tmp_path / 'change'}",
+                       "--k", "3", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    for e in data["entries"].values():  # the best of k stays beside the median
+        assert [(r["run_s"], r["median_run_s"]) for r in e["commands"]] == [(1.0, 2.0)] * 2
+    ratio = data["run_s_ratio"]
+    assert ratio["of"] == "change/parent"
+    # per-round ratios 2, 1 and 0.5, for each command and for the round's total
+    expect = {"q1": 0.75, "median": 1.0, "q3": 1.5}
+    assert ratio["total"] == expect
+    assert ratio["commands"] == [{"argv": argv, **expect} for argv in (["gallery", "list"], ["cocycle-check", "rolling_ball"])]
+
+
+def test_one_tree_records_no_ratio(bench, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "run_once", lambda src, argv, out: {
+        "exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
+        "output_sha256": "same", "stderr_sha256": "same"})
+    out = tmp_path / "bench.json"
+    assert bench.main(["--tree", f"only={tmp_path / 'only'}", "--k", "2", "--out", str(out)]) == 0
+    assert "run_s_ratio" not in json.loads(out.read_text())

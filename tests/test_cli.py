@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from algebroid_mech import Curve, DualSection, MorphismEndpoint, algebroid, cli, hamilton_jacobi, io
+from algebroid_mech import (Curve, DualSection, HamiltonianSystem, MorphismEndpoint, ScalarField, algebroid, cli, hamilton,
+                            hamilton_jacobi, io)
+from algebroid_mech.errors import NumericFailure
 from algebroid_mech.cli import main
 from algebroid_mech.gallery import GALLERY_IDS, instantiate
 
@@ -534,6 +536,62 @@ class TestDissipation:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,H,rate"
         assert len(lines) == 22
+
+    @pytest.mark.parametrize("system", ["vertical_disk", "cylinder_friction"])
+    def test_rows_across_a_chunk_boundary_are_the_per_row_bytes(self, system, tmp_path):
+        # 1,101 rows: a full prefetched chunk of 1,024, then a short one
+        out = tmp_path / "diss.csv"
+        argv = ["dissipation", system, "--t0", "0", "--t1", "1.1", "--dt", "1e-3"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        gs, curve = cli._integrate(cli.build_parser().parse_args(argv))
+        assert len(curve) > algebroid.PREFETCH_CHUNK
+        rows = [(t, gs.system.H(x), hamilton.dissipation_rate(gs.system, x)) for t, x in zip(curve.times, curve.points)]
+        assert out.read_text() == io.table_csv(["t", "H", "rate"], rows)
+
+    @staticmethod
+    def failing_at(monkeypatch, h_row=None, grad_row=None):
+        """cylinder_friction whose H value raises at row ``h_row`` of the trajectory and whose gradient raises at
+        row ``grad_row``, both only once the trajectory is integrated."""
+        gs = instantiate("cylinder_friction")
+        H, rows = gs.system.H, []
+
+        def at(x, row):
+            return row is not None and bool(rows) and np.array_equal(x, rows[0][row])
+
+        def value(x):
+            if at(x, h_row):
+                raise NumericFailure(f"H fails at row {h_row}")
+            return H.eval(x)
+
+        def grad(x):
+            if at(x, grad_row):
+                raise NumericFailure(f"dH fails at row {grad_row}")
+            return H.grad(x)
+
+        system = HamiltonianSystem(algebroid=gs.system.algebroid, H=ScalarField(eval=value, grad=grad))
+        monkeypatch.setattr(cli, "instantiate", lambda *args, **kw: dataclasses.replace(gs, system=system))
+        integrate = cli.integrate_hamilton
+
+        def integrate_then_arm(*args):
+            curve = integrate(*args)
+            rows.append(curve.points)
+            return curve
+
+        monkeypatch.setattr(cli, "integrate_hamilton", integrate_then_arm)
+
+    @pytest.mark.parametrize("h_row,grad_row,error", [
+        (3, None, "H fails at row 3"),  # the stacked rates pass; H raises at its row
+        (None, 5, "dH fails at row 5"),  # the stacked pass raises, the rerun at the same row
+        (3, 5, "H fails at row 3"),  # the rerun meets H's earlier row first
+        (5, 5, "H fails at row 5"),  # within a row, H before the rate
+        (6, 5, "dH fails at row 5"),
+    ])
+    def test_the_error_is_the_first_failing_rows(self, h_row, grad_row, error, monkeypatch, tmp_path, capsys):
+        self.failing_at(monkeypatch, h_row, grad_row)
+        out = tmp_path / "diss.csv"
+        assert run_cli(["dissipation", "cylinder_friction", "--t1", "0.02", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
 
 class TestCsvWriters:

@@ -22,9 +22,11 @@ from algebroid_mech import (
 )
 
 from algebroid_mech.algebroid import sample_box
+from algebroid_mech.gallery import GALLERY_IDS
 from algebroid_mech.hamilton_jacobi import hj_forced_residual, hj_residual, hj_residual_dual
 
-from conftest import CONSTANT_SYSTEMS, N_SAMPLES, SEED, callable_path, lie_tangent, seeded_points, smooth_field
+from conftest import (CONSTANT_SYSTEMS, N_SAMPLES, SEED, callable_path, lie_tangent, random_adapted_algebroid, seeded_points,
+                      smooth_field)
 
 
 def phase_samples(A, n=N_SAMPLES, seed=SEED):
@@ -306,6 +308,83 @@ class TestBoundOperands:
         for view, base in zip(S._bound, (rho, rho, rho, C)):
             assert np.shares_memory(view, base)
             assert not view.flags.writeable
+
+
+# every gallery system, with the rolling ball under both omega laws
+GALLERY_CASES = [pytest.param(g, "constant", id=g) for g in sorted(GALLERY_IDS)] + [
+    pytest.param("rolling_ball", "linear", id="rolling_ball-linear")]
+
+
+def seeded_states(gs, n, seed):
+    """n seeded reduced states near the default start, with a tenth of the momenta exactly +0.0 or -0.0."""
+    x0 = start_state(gs)
+    rng = np.random.default_rng(seed)
+    X = x0 + rng.uniform(-0.2, 0.2, (n, len(x0)))
+    P = X[:, gs.system.chart.dim:]
+    zero = rng.random(P.shape) < 0.1
+    P[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return X
+
+
+def parent_rhs(S, x):
+    """The rates as one concatenation of temporaries, the formula before they were written in place."""
+    m = S.chart.dim
+    g = hamilton.fd_gradient(S.H, x)
+    q, p, dHq, dHp = x[:m], x[m:], g[:m], g[m:]
+    rho0, rhoV, rhoVT, CV = hamilton._operands(S, q)
+    coeff = np.einsum("abc,a->bc", CV, hamilton._zeta(dHp))
+    return np.concatenate([rho0 + rhoV @ dHp, -(rhoVT @ dHq) + coeff @ p])
+
+
+def parent_rate(S, x):
+    """The dissipation rate as the per-state loop over C_{0b} it was before the stacked pass."""
+    m = S.chart.dim
+    g = hamilton.fd_gradient(S.H, x)
+    rho0, _, _, CV = hamilton._operands(S, x[:m])
+    val = float(rho0 @ g[:m])
+    for b, row in enumerate(CV[0]):
+        val += float(row @ x[m:]) * g[m + b]
+    return val
+
+
+class TestRatesInPlace:
+    """hamilton_rhs writes both rates into one row, and dissipation_rate takes a stack;
+    both keep the bits of the formulas they replaced."""
+
+    @pytest.mark.parametrize("system,omega", GALLERY_CASES)
+    def test_rhs_is_the_concatenated_formula_bits(self, system, omega):
+        gs = instantiate(system, omega=omega)
+        X = seeded_states(gs, 300, 25)
+        P = X[:, gs.system.chart.dim:]
+        assert ((P == 0.0) & np.signbit(P)).any() and ((P == 0.0) & ~np.signbit(P)).any()
+        got = [hamilton_rhs(gs.system, 0.0, x).tobytes() for x in X]
+        assert got == [parent_rhs(gs.system, x).tobytes() for x in X]
+
+    @pytest.mark.parametrize("system,omega", GALLERY_CASES)
+    def test_stacked_rates_are_the_per_state_bits(self, system, omega):
+        gs = instantiate(system, omega=omega)
+        S = gs.system
+        X = seeded_states(gs, 200, 26)
+        single = np.array([dissipation_rate(S, x) for x in X])
+        assert dissipation_rate(S, X).tobytes() == single.tobytes()
+        assert single.tobytes() == np.array([parent_rate(S, x) for x in X]).tobytes()
+        one = dissipation_rate(S, X[:1])
+        assert one.shape == (1,) and one.tobytes() == single[:1].tobytes()
+
+    def test_a_dense_C_keeps_the_sum_order(self):
+        # every C_{0b}^c and rho_0 entry is nonzero, so a reordered sum over b or i moves bits
+        S = HamiltonianSystem(algebroid=random_adapted_algebroid(), H=smooth_field(4, 27))
+        X = seeded_points(4, n=400, lo=-2.0, hi=2.0, seed=27)
+        assert dissipation_rate(S, X).tobytes() == np.array([parent_rate(S, x) for x in X]).tobytes()
+        assert [hamilton_rhs(S, 0.0, x).tobytes() for x in X] == [parent_rhs(S, x).tobytes() for x in X]
+
+    def test_a_stack_of_the_wrong_width_raises(self, cylinder):
+        S = cylinder.system
+        for bad in (np.zeros((3, 3)), np.zeros((3, 5)), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match="state length does not match the system"):
+                dissipation_rate(S, bad)
+        with pytest.raises(ValueError, match="state length does not match the system"):
+            hamilton_rhs(S, 0.0, np.zeros((2, 4)))
 
 
 class TestHamiltonRhs:

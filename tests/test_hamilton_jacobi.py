@@ -425,6 +425,27 @@ class TestGrid:
         with pytest.raises(NumericFailure, match=r"HJ residual non-finite at q=\[3\.5, 2\.0\]"):
             hj_grid_check(time_dependent.system, broken, box, 3)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the residual of an inf jacobian
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_the_first_non_finite_grid_point_is_named(self, time_dependent, bad):
+        # two non-finite points: the stacked peak is not finite, and the pointwise fold names the first
+        alpha = time_dependent.reference_sections["reference"]
+        box, _, pts = grid_points(time_dependent.default_box, 3)
+
+        def jac(q):
+            return np.full((1, 2), bad) if any(np.array_equal(q, pts[i]) for i in (4, 7)) else alpha.jac(q)
+
+        broken = DualSection(components=alpha.components, space="V*", jacobian=jac)
+        with pytest.raises(NumericFailure, match=re.escape(f"HJ residual non-finite at q={pts[4].tolist()}")):
+            hj_grid_check(time_dependent.system, broken, box, 3)
+
+    @pytest.mark.parametrize("system,resolution", [("time_dependent", 5), ("cylinder", 4), ("disk", 2)])
+    def test_max_norm_is_the_pointwise_fold(self, system, resolution, request):
+        gs = request.getfixturevalue(system)
+        rep = hj_grid_check(gs.system, gs.reference_sections["reference"], gs.default_box, resolution)
+        fold = max(float(np.max(np.abs(r), initial=0.0)) for _, r in rep.residual_grid)
+        assert type(rep.max_norm) is float and rep.max_norm == fold and rep.max_norm > 0.0
+
     def test_sweep_runs_on_the_calling_thread_in_grid_order(self, time_dependent, monkeypatch):
         # the retired thread setting no longer does anything
         monkeypatch.setenv("ALGEBROID_MECH_THREADS", "4")
