@@ -464,17 +464,16 @@ def _build_three_body(params):
     def U(x, y):
         return mu1 / math.sqrt((x + mu2) ** 2 + y * y) + mu2 / math.sqrt((x - mu1) ** 2 + y * y)
 
-    def Ux(x, y):
-        return -mu1 * (x + mu2) / r13(x, y) - mu2 * (x - mu1) / r23(x, y)
-
-    def Uy(x, y):
-        return -mu1 * y / r13(x, y) - mu2 * y / r23(x, y)
+    def grad(s):  # each distance power once, shared by dU/dx and dU/dy
+        x, y = s[0], s[1]
+        a, b = r13(x, y), r23(x, y)
+        Ux = -mu1 * (x + mu2) / a - mu2 * (x - mu1) / b
+        Uy = -mu1 * y / a - mu2 * y / b
+        return np.array([-s[3] + Ux, s[2] + Uy, s[2] + s[1], s[3] - s[0]])
 
     H = ScalarField(
         eval=lambda s: 0.5 * (s[2] ** 2 + s[3] ** 2) + s[1] * s[2] - s[0] * s[3] + U(s[0], s[1]),
-        grad=lambda s: np.array(
-            [-s[3] + Ux(s[0], s[1]), s[2] + Uy(s[0], s[1]), s[2] + s[1], s[3] - s[0]]
-        ),
+        grad=grad,
     )
     system = HamiltonianSystem(algebroid=A, H=H)
 

@@ -28,7 +28,10 @@ class HamiltonianSystem:
     Over a constant anchor and C (``_Constant``), so are the operands of the
     Hamilton field, rho_0, rho_V, rho_V^T and C_V, as views of the stored
     read-only arrays, so its RK4 stages, HJ residuals and dissipation rows
-    read neither the anchor nor C.
+    read neither the anchor nor C.  When moreover C_V[1:] is exactly zero, as
+    in a force extension of a tangent algebroid, the momentum coefficient
+    K = 0.0 + C_V[0] is bound too (``_coeff``, read-only; else None), and the
+    momentum rates take no einsum (``_pdot_rhs``).
     """
 
     algebroid: SkewAlgebroid
@@ -41,6 +44,10 @@ class HamiltonianSystem:
         object.__setattr__(self, "H", as_scalar_field(self.H))
         bound = _split(A._anchor.value, A._structure.value) if _constant(A._anchor, A._structure) else None
         object.__setattr__(self, "_bound", bound)
+        coeff = None if bound is None or bound[3][1:].any() else 0.0 + bound[3][0]
+        if coeff is not None:
+            coeff.flags.writeable = False
+        object.__setattr__(self, "_coeff", coeff)
         object.__setattr__(self, "_layout", (A.chart.dim, A.chart.dim + A.rank - 1))
 
     @property
@@ -147,15 +154,20 @@ def _zeta(dHp) -> np.ndarray:
     return w
 
 
-def _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=None) -> np.ndarray:
+def _pdot_rhs(p, dHq, dHp, rhoVT, CV, coeff=None, out=None) -> np.ndarray:
     """Right-hand side of the momentum equations at (q, p):
 
         dp_b/dt = -rho_b^i dH/dq^i + (C_{0b}^c + C_{ab}^c dH/dp_a) p_c
 
     from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``), into ``out`` if given.
+    The coefficient in brackets is C_V contracted with zeta_H by einsum, or the system's bound
+    ``_coeff`` when given.  That is einsum's bits: einsum sums 0.0 + C_V[0] * 1 + C_V[a] zeta_a
+    in order of a, and with every C_V[a >= 1] zero and dH/dp finite each later term is +-0.0,
+    which leaves a sum that is never -0.0 unchanged.  A non-finite dH/dp still fails the same
+    RK4 step or grid point through rho_V . dH/dp, or ``require_finite`` raises it for an analytic gradient.
     """
-    # (C_{alpha b}^c) contracted with zeta_alpha and p_c, for b, c >= 1
-    coeff = np.einsum("abc,a->bc", CV, _zeta(dHp))
+    if coeff is None:  # (C_{alpha b}^c) contracted with zeta_alpha, for b, c >= 1
+        coeff = np.einsum("abc,a->bc", CV, _zeta(dHp))
     return np.subtract(coeff @ p, rhoVT @ dHq, out=out)  # b - a is -a + b, bit for bit
 
 
@@ -175,7 +187,7 @@ def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
     rho0, rhoV, rhoVT, CV = _operands(sys, q)
     row = np.empty(dim)
     np.add(rhoV @ dHp, rho0, out=row[:m])
-    _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=row[m:])
+    _pdot_rhs(p, dHq, dHp, rhoVT, CV, sys._coeff, out=row[m:])
     return row
 
 

@@ -112,7 +112,7 @@ def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     R = projected_field(sys, alpha, q)
     J = alpha.jac(q)  # (n-1, m)
     dHq, dHp = sys.h_partials(q, p)
-    return J @ R - _pdot_rhs(p, dHq, dHp, rhoVT, CV)
+    return J @ R - _pdot_rhs(p, dHq, dHp, rhoVT, CV, sys._coeff)
 
 
 def hj_residual_dual(sys: HamiltonianSystem, beta: DualSection, q) -> np.ndarray:

@@ -293,6 +293,35 @@ class TestThreeBody:
         expect_p = -dHq - k * state[2:]
         assert np.max(np.abs(rate[2:] - expect_p)) < 1e-9
 
+    @pytest.mark.parametrize("params", [{}, {"mu1": 0.55, "mu2": 1.3, "k": 0.4}])
+    def test_gradient_keeps_the_bits_of_the_per_term_distances(self, params):
+        # the gradient as it was written before each distance power was computed once
+        gs = instantiate("three_body_drag", params)
+        mu1, mu2 = gs.params["mu1"], gs.params["mu2"]
+
+        def r13(x, y):
+            return ((x + mu2) ** 2 + y * y) ** 1.5
+
+        def r23(x, y):
+            return ((x - mu1) ** 2 + y * y) ** 1.5
+
+        def Ux(x, y):
+            return -mu1 * (x + mu2) / r13(x, y) - mu2 * (x - mu1) / r23(x, y)
+
+        def Uy(x, y):
+            return -mu1 * y / r13(x, y) - mu2 * y / r23(x, y)
+
+        def old(s):
+            return np.array([-s[3] + Ux(s[0], s[1]), s[2] + Uy(s[0], s[1]), s[2] + s[1], s[3] - s[0]])
+
+        rng = np.random.default_rng(26)
+        X = rng.uniform(-2.0, 2.0, (2000, 4))
+        zero = rng.random(X.shape) < 0.15
+        X[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        assert ((X == 0.0) & np.signbit(X)).any() and ((X == 0.0) & ~np.signbit(X)).any()
+        grad = gs.system.H.grad
+        assert [grad(x).tobytes() for x in X] == [old(x).tobytes() for x in X]
+
     def test_no_exact_reference_registered(self, three_body):
         assert three_body.reference_sections == {}
         assert set(three_body.probe_sections) == {"beta_probe", "dS"}

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from algebroid_mech import (
+    Chart,
+    DualSection,
     ESection,
     Homomorphism,
     HamiltonianSystem,
+    NumericFailure,
     ScalarField,
     SkewAlgebroid,
     bracket,
@@ -15,13 +18,14 @@ from algebroid_mech import (
     force_extension,
     hamilton,
     hamilton_rhs,
+    hj_grid_check,
     instantiate,
     integrate_hamilton,
     poisson_bracket_eval,
     projected_field,
 )
 
-from algebroid_mech.algebroid import sample_box
+from algebroid_mech.algebroid import _Constant, sample_box
 from algebroid_mech.gallery import GALLERY_IDS
 from algebroid_mech.hamilton_jacobi import hj_forced_residual, hj_residual, hj_residual_dual
 
@@ -276,6 +280,25 @@ class TestReadsPerPoint:
         assert np.asarray(value).tobytes() == np.asarray(self.run(name, instantiate("three_body_drag"), q, p)()).tobytes()
 
 
+# C_{0b}^c for b, c >= 1 with signed zeros, laid out as a force extension brackets e_0
+SIGNED_ZERO_C0 = np.array([[-0.0, -1.25], [0.5, -0.0]])
+
+
+def constant_system(C0, bracket=None):
+    """A system over a constant anchor and C on a rank-3 algebroid over two
+    coordinates: C_{0b}^c = C0, and with ``bracket`` also C_{12} = -C_{21},
+    a non-zero C_V[1:]; H is a smooth seeded field."""
+    C = np.zeros((3, 3, 3))
+    C[0, 1:, 1:] = C0
+    C[1:, 0, 1:] = -C[0, 1:, 1:]
+    if bracket is not None:
+        C[1, 2], C[2, 1] = bracket, np.negative(bracket)
+    anchor = np.array([[0.25, 1.0, 0.0], [-0.5, 0.0, 1.0]])
+    A = SkewAlgebroid(chart=Chart(dim=2, coord_names=("q0", "q1")), rank=3, anchor=_Constant(anchor),
+                      structure=_Constant(C), adapted=True)
+    return HamiltonianSystem(algebroid=A, H=smooth_field(4, 34))
+
+
 class TestBoundOperands:
     """A system over constant data binds rho_0, rho_V, rho_V^T and C_V once;
     every consumer gives the bits of the same system read point by point."""
@@ -308,6 +331,129 @@ class TestBoundOperands:
         for view, base in zip(S._bound, (rho, rho, rho, C)):
             assert np.shares_memory(view, base)
             assert not view.flags.writeable
+
+    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS + ("signed_zero_extension",))
+    def test_bound_coefficient_is_the_einsum_bits(self, system):
+        S = constant_system(SIGNED_ZERO_C0) if system == "signed_zero_extension" else instantiate(system).system
+        _, _, rhoVT, CV = S._bound
+        K = S._coeff
+        assert K is not None and not K.flags.writeable
+        if system == "signed_zero_extension":
+            assert ((CV[0] == 0.0) & np.signbit(CV[0])).any()
+        rng = np.random.default_rng(31)
+        n, m = S.n_momenta, S.chart.dim
+        for _ in range(500):
+            dHp, p = rng.normal(size=n) * 10.0 ** rng.uniform(-300.0, 300.0, n), rng.normal(size=n)
+            for v in (dHp, p):
+                zero = rng.random(n) < 0.25
+                v[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+            dHq = rng.normal(size=m)
+            assert K.tobytes() == np.einsum("abc,a->bc", CV, hamilton._zeta(dHp)).tobytes()
+            assert (hamilton._pdot_rhs(p, dHq, dHp, rhoVT, CV, K).tobytes()
+                    == hamilton._pdot_rhs(p, dHq, dHp, rhoVT, CV).tobytes())
+
+    def test_a_bracketing_C_V_binds_no_coefficient(self):
+        S = constant_system(SIGNED_ZERO_C0, bracket=[0.0, 0.3, -0.7])
+        assert S._bound is not None and S._coeff is None
+        X = seeded_points(4, n=300, lo=-2.0, hi=2.0, seed=32)
+        assert [hamilton_rhs(S, 0.0, x).tobytes() for x in X] == [parent_rhs(S, x).tobytes() for x in X]
+
+    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS)
+    def test_constant_systems_take_no_einsum(self, system, monkeypatch):
+        gs = instantiate(system)
+        S, alpha = gs.system, probe_section(gs)
+        x0 = start_state(gs)
+
+        def einsum(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        with pytest.raises(AssertionError, match="einsum called"):  # the patch reaches the einsum path
+            hamilton_rhs(constant_system(SIGNED_ZERO_C0, bracket=[0.0, 0.3, -0.7]), 0.0, np.zeros(4))
+        for x in seeded_states(gs, 20, 33):
+            hamilton_rhs(S, 0.0, x)
+            hj_residual(S, alpha, x[:S.chart.dim])
+        integrate_hamilton(S, x0, 0.0, 0.1, 0.01)
+
+
+def overflowing_cylinder(k=300):
+    """The cylinder's algebroid with p_theta growing as e^{2t} and H = the cylinder's H + p_theta^k, whose
+    stencil slope k p_theta^(k-1) overflows for p_theta just below the overflow of p_theta^k itself, while
+    every value of H and its q-differences stay finite; dH/dp_theta is then inf and dH/dq finite."""
+    H = ScalarField(eval=lambda s: s[2] ** 2 / 2.0 + s[3] ** 2 / 2.0 + s[0] + s[3] ** k)
+    return instantiate("cylinder_friction", {"K2": -2.0}).system.algebroid, H
+
+
+def einsum_path(S):
+    """A copy of S that binds no coefficient, so its momentum rates take the einsum."""
+    plain = HamiltonianSystem(algebroid=S.algebroid, H=S.H)
+    object.__setattr__(plain, "_coeff", None)
+    return plain
+
+
+class TestBoundCoefficientErrors:
+    """With a bound coefficient every failure is raised by the same check, at the same step or grid point,
+    as on the einsum path; only the momenta a mid-step failure's message names differ."""
+
+    def test_a_non_finite_analytic_gradient_still_raises(self):
+        A = instantiate("cylinder_friction").system.algebroid
+        H = ScalarField(eval=lambda s: 0.5 * float(s @ s),
+                        grad=lambda s: np.where(s > 0.5, np.inf, s))
+        S = HamiltonianSystem(algebroid=A, H=H)
+        assert S._coeff is not None
+        alpha = DualSection(components=lambda q: np.array([1.0, q[0]]), space="V*",
+                            jacobian=lambda q: np.array([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(NumericFailure, match=r"analytic gradient non-finite at q=\[0.0, 0.0, 0.75, 0.0\]"):
+            hamilton_rhs(S, 0.0, np.array([0.0, 0.0, 0.75, 0.0]))
+        with pytest.raises(NumericFailure, match=r"analytic gradient non-finite at q=\[0.5, 0.0, 1.0, 0.5\]"):
+            hj_residual(S, alpha, np.array([0.5, 0.0]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+    def test_an_overflowing_stencil_gradient_fails_the_same_step(self, monkeypatch):
+        # the slope overflows in the last stage of the step from t = 1.17
+        S = HamiltonianSystem(*overflowing_cylinder())
+        plain = einsum_path(S)
+        assert S._coeff is not None
+        rows = {id(S): [], id(plain): []}
+        rhs = hamilton.hamilton_rhs
+
+        def recording(sys_, t, x):
+            rows[id(sys_)].append(rhs(sys_, t, x))
+            return rows[id(sys_)][-1]
+
+        monkeypatch.setattr(hamilton, "hamilton_rhs", recording)
+        for sys_ in (S, plain):
+            with pytest.raises(NumericFailure, match=r"state went non-finite at t=1\.18$") as err:
+                integrate_hamilton(sys_, np.array([0.0, 0.0, 0.5, 1.0]), 0.0, 3.0, 1e-2)
+            assert err.value.last_good_time == pytest.approx(1.17)
+        bound, einsum = rows[id(S)], rows[id(plain)]
+        assert len(bound) == len(einsum) and [r.tobytes() for r in bound[:-1]] == [r.tobytes() for r in einsum[:-1]]
+        # the overflow reaches the bound path's last row through rho_V . dH/dp alone: its momentum rates stay finite
+        assert bound[-1][:2].tobytes() == einsum[-1][:2].tobytes() and not np.isfinite(bound[-1][:2]).all()
+        assert np.isfinite(bound[-1][2:]).all() and not np.isfinite(einsum[-1][2:]).any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+    def test_a_mid_step_overflow_fails_the_next_stage(self):
+        # the slope overflows in an inner stage, and the next stage's base point is non-finite on both paths;
+        # that point's momenta are the bound path's finite ones where the einsum path made them NaN
+        S = HamiltonianSystem(*overflowing_cylinder(400))
+        messages = []
+        for sys_ in (S, einsum_path(S)):
+            with pytest.raises(NumericFailure, match=r"finite-difference base point non-finite at q=\[nan, inf, ") as err:
+                integrate_hamilton(sys_, np.array([0.0, 0.0, 0.5, 1.0]), 0.0, 3.0, 1e-2)
+            messages.append(str(err.value))
+        assert messages == ["finite-difference base point non-finite at q=[nan, inf, 0.1945042342135968, 5.8711429985361105]",
+                            "finite-difference base point non-finite at q=[nan, inf, nan, nan]"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+    def test_an_overflowing_stencil_gradient_names_the_same_grid_point(self):
+        # p_theta = 10.55 overflows the stencil at x = 0 alone; every other grid point's H stays finite
+        S = HamiltonianSystem(*overflowing_cylinder())
+        alpha = DualSection(components=lambda q: np.array([0.5, 10.55 - 5.0 * q[0] * q[0]]), space="V*",
+                            jacobian=lambda q: np.array([[0.0, 0.0], [-10.0 * q[0], 0.0]]))
+        for sys_ in (S, einsum_path(S)):
+            with pytest.raises(NumericFailure, match=r"HJ residual non-finite at q=\[0\.0, -1\.0\]$"):
+                hj_grid_check(sys_, alpha, ((-1.0, 1.0), (-1.0, 1.0)), 11)
 
 
 # every gallery system, with the rolling ball under both omega laws
