@@ -19,9 +19,10 @@ as at the README's 0,0,0,0, every flag step is 1e-3 and 41 of the 100
 nested stencil points are distinct; at 2.1,-1.3,0.4,-2.9 the steps
 scale with the coordinates beyond 1 and 46 are), every gallery system's
 adapted-frame cocycle and the ball's kernel section at 16 samples, the
-four morphism checks at 8, and three handler paths that no command above takes (a JSON
-``simulate``, the ball's ``mu-projection`` morphism and a ``--x0``
-start).  Each run is a fresh interpreter, so the
+four morphism checks at 8, and four handler paths that no command above takes (a JSON
+``simulate``, the ball's ``mu-projection`` morphism, a ``--x0``
+start, and a ``dissipation`` whose first row's H is non-finite, which
+exits 3).  Each run is a fresh interpreter, so the
 constructed algebroids start with nothing built.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.  Every tree is
@@ -40,7 +41,8 @@ tree's ``run_s`` over the first's, per command and for the round's total:
 the trees run back to back in each round, so the per-round ratio cancels
 most of the machine's drift, which a best of k does not (it did not
 resolve changes below about 1.5x at k = 3).  The SHA-256 of every
-output (JSON or CSV) and of every command's stderr is recorded, and so
+output (JSON or CSV) and of every command's stderr (run with numpy's
+RuntimeWarnings ignored, as they name the tree's files) is recorded, and so
 are the accuracy numbers of each JSON report (``max_violation`` per
 named report, the HJ residual's ``max_norm`` and the lift's
 ``max_deviation``), so a speed-up that changes results shows up;
@@ -119,14 +121,17 @@ TRAJECTORY_SECTIONS = {"time_dependent_free": "reference", "riemannian_flat": "r
                        "cylinder_friction": "reference", "three_body_drag": "dS"}
 TRAJECTORIES = tuple([kind, g, "--section", section] for g, section in TRAJECTORY_SECTIONS.items()
                      for kind in ("simulate", "dissipation"))
-# CLI handler paths that none of the commands above take
+# CLI handler paths that none of the commands above take; the last is an error path, whose exit code 3 and
+# stderr are compared like any output
 HANDLER_PATHS = (
     ["simulate", "rolling_ball", "--t1", "1", "--dt", "1e-2", "--format", "json"],
     ["simulate", "riemannian_flat", "--x0", "1,0.3,0.1,0.2"],
+    ["dissipation", "cylinder_friction", "--x0", "0,0,1e200,0", "--t1", "2e-3", "--dt", "1e-3"],
 )
 
 CHILD = """
-import json, sys, time
+import json, sys, time, warnings
+warnings.simplefilter("ignore", RuntimeWarning)
 from algebroid_mech.cli import main
 t = time.perf_counter()
 code = main(sys.argv[1:])

@@ -29,7 +29,7 @@ from .errors import NumericFailure
 RANK_RTOL = 1e-8
 # The most points of a grid or of a sample set that one check may visit.
 GRID_POINT_CAP = 100_000
-# The points a grid or sample sweep prefetches, and a sampled check stacks, at once (see ``prefetched``).
+# The most points one chunk of a ``sweep`` prefetches and evaluates as a stack.
 PREFETCH_CHUNK = 1024
 # Nested finite differencing in flag_rank amplifies roundoff by 1/h per
 # bracket level; 1e-3 keeps the noise floor under RANK_RTOL at depth 4.
@@ -182,8 +182,8 @@ class SkewAlgebroid:
         """Build the values of a stack of points Q (K, m) in one pass, bit
         for bit those pointwise reads would build, and keep them in place of
         the construction kernel's last build; a no-op on an algebroid without
-        a kernel.  Reads are unchanged: they return the same values and raise
-        the same errors, prefetched or not."""
+        a kernel.  Reads return the same values, prefetched or not.  A pass
+        that fails raises its error and keeps the last build (see ``sweep``)."""
         if self._prefetch is not None:
             self._prefetch(np.asarray(Q, dtype=float).reshape(-1, self.chart.dim))
 
@@ -334,29 +334,29 @@ def sample_box(box, samples: int, seed: int) -> np.ndarray:
     return lo + (hi - lo) * rng.random((samples, len(box)))
 
 
-def prefetched(A: SkewAlgebroid, points):
-    """The points (N, d) in chunks of at most PREFETCH_CHUNK rows, each yielded
-    after ``A.prefetch`` of its rows' first m = A.chart.dim coordinates."""
-    points = np.asarray(points, dtype=float)
+def sweep(A: SkewAlgebroid, points, stacked, pointwise) -> list:
+    """The rows of the points (N, d), in chunks of at most PREFETCH_CHUNK: ``A.prefetch`` of a chunk's first
+    A.chart.dim coordinates, then its rows ``stacked(chunk)``.  A chunk where either raises, or a row is not
+    finite, is rerun as ``pointwise(x)`` per point, so the first failing point raises, as in a pointwise sweep."""
+    rows = []
     for start in range(0, len(points), PREFETCH_CHUNK):
         chunk = points[start:start + PREFETCH_CHUNK]
-        A.prefetch(chunk[:, :A.chart.dim])
-        yield chunk
+        try:
+            A.prefetch(chunk[:, :A.chart.dim])
+            vals = stacked(chunk)
+        except Exception:  # the rerun raises it at its point, or an earlier point's error
+            vals = [np.nan]
+        rows += list(vals) if np.isfinite(vals).all() else [pointwise(x) for x in chunk]
+    return rows
 
 
 def stacked_sweep(A: SkewAlgebroid, points, terms, whats) -> list:
-    """Per point, the max |entry| of each term ``terms(chunk)`` yields (a row per point), one stack
-    per ``prefetched`` chunk.  A chunk that raises or is not finite reruns point by point, each term
-    folded by ``max_abs`` with its ``whats`` format before the next, so errors are a pointwise sweep's."""
-    values = []
-    for chunk in prefetched(A, points):
-        try:
-            vals = np.column_stack([np.abs(V.reshape(len(chunk), -1)).max(axis=1, initial=0.0) for V in terms(chunk)])
-        except Exception:  # the rerun raises it at its point, or an earlier point's error
-            vals = np.array(np.nan)
-        values += vals.tolist() if np.isfinite(vals).all() else [
-            [max_abs(V[0], what, x[:A.chart.dim]) for V, what in zip(terms(x[None]), whats)] for x in chunk]
-    return values
+    """Per point, the max |entry| of each term ``terms(chunk)`` yields (a row per point), one stack per
+    chunk of a ``sweep``, whose pointwise rerun folds each term by ``max_abs`` with its ``whats`` format
+    before the next is evaluated."""
+    return sweep(A, points,
+                 lambda X: np.column_stack([np.abs(V.reshape(len(X), -1)).max(axis=1, initial=0.0) for V in terms(X)]),
+                 lambda x: [max_abs(V[0], what, x[:A.chart.dim]) for V, what in zip(terms(x[None]), whats)])
 
 
 def adapted_cocycle(A: SkewAlgebroid) -> DualSection:

@@ -179,7 +179,7 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
     Samples at t0, t0+dt, ...; the final step is shortened to land exactly
     on t1.  Raises ValueError for a non-finite t0, t1, dt or step count or
     for more than RK4_STEP_CAP steps, and NumericFailure (with the last
-    good time) if the state goes non-finite.
+    good time) naming the end of the step in which the state goes non-finite.
     """
     if not np.all(np.isfinite([t0, t1, dt])):
         raise ValueError("t0, t1 and dt must be finite")
@@ -209,9 +209,14 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
         step = dt if k < n_full else last_partial
         half = 0.5 * step
         k1 = np.asarray(rhs(t, x), dtype=float)
-        k2 = np.asarray(rhs(t + half, x + half * k1), dtype=float)
-        k3 = np.asarray(rhs(t + half, x + half * k2), dtype=float)
-        k4 = np.asarray(rhs(t + step, x + step * k3), dtype=float)
+        try:
+            k2 = np.asarray(rhs(t + half, stage := x + half * k1), dtype=float)
+            k3 = np.asarray(rhs(t + half, stage := x + half * k2), dtype=float)
+            k4 = np.asarray(rhs(t + step, stage := x + step * k3), dtype=float)
+        except NumericFailure:  # a non-finite stage state: name the step, not the next stage's stencil
+            if np.isfinite(stage).all():
+                raise
+            raise NumericFailure(f"state went non-finite at t={t + step:g}", last_good_time=times[-1]) from None
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t1 if k + 1 == n_steps else t0 + (k + 1) * dt
         if np.count_nonzero(np.isfinite(x)) < x.size:  # counted, as in ``require_finite``

@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebroid import FLAG_FIELD_CAP, adapted_cocycle, check_cocycle, flag_rank, prefetched, v_restriction
+from .algebroid import FLAG_FIELD_CAP, adapted_cocycle, check_cocycle, flag_rank, sweep, v_restriction
+from .calculus import require_finite
 from .constructions import MorphismEndpoint, MorphismPair, morphism_check
 from .errors import AlgebroidError, DomainError, NumericFailure
 from .gallery import GALLERY_IDS, gallery_index, instantiate
@@ -169,15 +170,12 @@ def _cmd_simulate(args):
 
 def _cmd_dissipation(args):
     gs, curve = _integrate(args)
-    sys_, rows = gs.system, []
-    for chunk in prefetched(sys_.algebroid, curve.points):
-        try:  # a chunk's rate column in one stacked call
-            rates = dissipation_rate(sys_, chunk)
-        except Exception:  # rerun row by row, H before rate, so the error is the first failing row's
-            rates = [None] * len(chunk)
-        rows += [(t, sys_.H(x), dissipation_rate(sys_, x) if r is None else r)
-                 for t, x, r in zip(curve.times[len(rows):], chunk, rates)]
-    _write(args.out, table_csv(["t", "H", "rate"], rows))
+    sys_ = gs.system
+    rows = sweep(sys_.algebroid, curve.points,  # a chunk's H column beside its rate column from one stacked call
+                 lambda X: np.column_stack([[sys_.H(x) for x in X], dissipation_rate(sys_, X)]),
+                 lambda x: (require_finite(sys_.H(x), "H", x),  # H before the rate
+                            require_finite(dissipation_rate(sys_, x), "dissipation rate", x)))
+    _write(args.out, table_csv(["t", "H", "rate"], np.column_stack([curve.times, rows])))
     return EXIT_OK
 
 

@@ -205,8 +205,9 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     all their stencils, the pair brackets as one einsum and stacked
     mat-vecs; only the projection runs per point and pair (or once, for a
     fixed ``frame``).  An anchor read of any other point builds the frame
-    and keeps nothing.  A stacked pass that raises keeps nothing, and the
-    pointwise read of the failing point raises as it would have without it.
+    and keeps nothing.  A stacked pass that raises keeps the last build and
+    raises its error; the ``sweep`` then reads its chunk point by point, so
+    the pointwise read of the failing point raises as it would have alone.
 
     Both bodies take the E-brackets of all frame pairs from one place, fixed
     at construction over a zero ``_Constant`` C_E (zeros) or a ``_Constant``
@@ -294,10 +295,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         return anchor, C
 
     def prefetch(Q):
-        try:
-            built = build(Q)
-        except Exception:  # whatever it is, the sweep's own read of the failing point raises it, in sweep order
-            return
+        built = build(Q)
         last.clear()
         last.update(zip((q.tobytes() for q in Q), zip(*built)))
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _d_oneform, _five_largest, _read_at, box_bounds,
-                        prefetched, v_restriction)
-from .calculus import Curve, fd_jacobian, integrate_rk4, max_abs, require_finite
+                        sweep, v_restriction)
+from .calculus import Curve, fd_jacobian, integrate_rk4, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, _zeta, integrate_hamilton, projected_field
 from .util import parallel_map
@@ -180,17 +180,15 @@ def hj_grid_check(
     resolution=11,
     tol: float = 1e-9,
 ) -> HJReport:
-    """Evaluate the HJ residual over a grid, in grid order with the points
-    ``prefetched`` in chunks, and report the max norm; a non-finite
+    """The HJ residual over a grid and its max norm, as a ``sweep`` in grid
+    order whose stacked pass maps ``hj_residual`` over a chunk; a non-finite
     residual raises NumericFailure naming its grid point."""
     box, resolution, pts = grid_points(box, resolution)
-    residuals = parallel_map(lambda q: hj_residual(sys, alpha, q),
-                             (q for chunk in prefetched(sys.algebroid, pts) for q in chunk))
-    grid = tuple(zip(pts, residuals))
+    residuals = sweep(sys.algebroid, pts, lambda Q: parallel_map(lambda q: hj_residual(sys, alpha, q), Q),
+                      lambda q: require_finite(hj_residual(sys, alpha, q), "HJ residual", q))
     max_norm = float(np.abs(np.array(residuals)).max(initial=0.0))
-    if not np.isfinite(max_norm):  # the pointwise fold names the first non-finite grid point
-        max(max_abs(r, "HJ residual", q) for q, r in grid)
-    return HJReport(residual_grid=grid, max_norm=max_norm, tol=float(tol), box=box, resolution=resolution)
+    return HJReport(residual_grid=tuple(zip(pts, residuals)), max_norm=max_norm, tol=float(tol), box=box,
+                    resolution=resolution)
 
 
 def verify_lift(

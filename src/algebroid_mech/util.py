@@ -8,6 +8,6 @@ def parallel_map(fn, items):
 
     Grid sweeps run sequentially, in grid order, on the calling thread.  The
     name is kept only because the benchmark's tracer wraps this function and
-    counts one call per ``hj_grid_check``.
+    counts one call per chunk of an ``hj_grid_check``.
     """
     return [fn(x) for x in items]

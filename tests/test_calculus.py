@@ -183,6 +183,31 @@ class TestRK4:
         assert err.value.last_good_time is not None
         assert 0.9 < err.value.last_good_time < 1.1
 
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_a_non_finite_stage_names_its_step(self, stage):
+        # stage k of the step from t = 0.2 returns inf; the next stage's rhs raises at its non-finite state, as a
+        # stencil does (after k4, the step's end is non-finite), and the error names the step's end
+        calls = []
+
+        def rhs(t, x):
+            if not np.isfinite(x).all():
+                raise NumericFailure("finite-difference base point non-finite")
+            calls.append(t)
+            return np.array([np.inf]) if len(calls) == 8 + stage else -x
+
+        with pytest.raises(NumericFailure, match=r"^state went non-finite at t=0\.3$") as err:
+            integrate_rk4(rhs, np.array([1.0]), 0.0, 1.0, 0.1)
+        assert err.value.last_good_time == pytest.approx(0.2)
+
+    def test_an_error_at_a_finite_stage_is_its_own(self):
+        def rhs(t, x):
+            if t > 0.2:
+                raise NumericFailure("frame non-finite at q=[0.5]")
+            return -x
+
+        with pytest.raises(NumericFailure, match=r"^frame non-finite at q=\[0\.5\]$"):
+            integrate_rk4(rhs, np.array([1.0]), 0.0, 1.0, 0.1)
+
     def test_usage_errors(self):
         with pytest.raises(ValueError):
             integrate_rk4(lambda t, x: x, np.array([1.0]), 0.0, 1.0, -0.1)

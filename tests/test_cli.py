@@ -593,6 +593,21 @@ class TestDissipation:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("x0,scaled,error", [
+        ("0,0,1e200,0", False, "H non-finite at q=[0.0, 0.0, 1e+200, 0.0]"),  # the rate is -inf too: H comes first
+        ("0,0,1e5,0", True, "dissipation rate non-finite at q=[0.0, 0.0, 100000.0, 0.0]"),  # H is 5e9
+    ])
+    def test_a_non_finite_row_fails_naming_its_state(self, x0, scaled, error, monkeypatch, tmp_path, capsys):
+        if scaled:  # every rate, stacked or not, 1e300 times the cylinder's -p_x^2: -inf from the first row on
+            rate = cli.dissipation_rate
+            monkeypatch.setattr(cli, "dissipation_rate", lambda sys_, x: rate(sys_, x) * 1e300)
+        out = tmp_path / "diss.csv"
+        argv = ["dissipation", "cylinder_friction", "--x0", x0, "--t1", "2e-3", "--dt", "1e-3", "--out", str(out)]
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
 
 class TestCsvWriters:
     VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -3.0, 1e16, 0.1, 1 / 3, -2.5e-7]

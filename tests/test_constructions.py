@@ -867,15 +867,20 @@ class TestPrefetch:
                 run()
         assert str(prefetched.value) == str(pointwise.value) == f"no structure at q={bad.tolist()}"
 
-    def test_a_failed_prefetch_memoizes_nothing(self, monkeypatch):
+    def test_a_failed_prefetch_raises_and_keeps_the_previous_build(self, monkeypatch):
         frames_calls = counted_frames(monkeypatch)
         Q = sample_box([(0.0, 1.0), (0.0, 1.0)], 8, 5)
         A = self._failing_system(Q[3], Q[6]).algebroid
+        A.prefetch(Q[:3])
+        kept = kernel_reads(A, Q[:3])
         frames_calls.clear()
-        A.prefetch(Q)
+        with pytest.raises(NumericFailure, match=re.escape(f"function evaluation non-finite near q={Q[6].tolist()}")):
+            A.prefetch(Q)
         assert frames_calls == [8, 8 * 4]  # built up to the NaN stencil values, then dropped
         frames_calls.clear()
-        A.structure_at(Q[0])
+        assert kernel_reads(A, Q[:3]) == kept
+        assert frames_calls == []  # the previous build serves its points
+        A.structure_at(Q[4])
         assert frames_calls == [1, 4]  # a cold pointwise build
 
 

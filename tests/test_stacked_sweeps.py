@@ -1,7 +1,8 @@
-"""The sampled checks and the HJ grid fold evaluate each chunk of points as
-one stack.  Their reports and errors must be those of a pointwise sweep,
-which is kept here as the reference, written as the sweeps were before they
-were stacked: one point at a time, without prefetch."""
+"""The sampled checks and the HJ grid walk their points as a ``sweep``: in
+prefetched chunks, each evaluated as one stacked pass.  Their reports and
+errors must be those of a pointwise sweep, which is kept here as the
+reference, written as the sweeps were before they were stacked: one point
+at a time, without prefetch."""
 
 import json
 import math
@@ -83,9 +84,11 @@ def reference_morphism(src, dst, pair, box, samples, seed, tol=1e-6):
 
 def reference_hj(sys_, alpha, box, resolution, tol=1e-9):
     box, resolution, pts = grid_points(box, resolution)
-    grid = tuple((q, hj_residual(sys_, alpha, q)) for q in pts)
-    max_norm = max((max_abs(r, "HJ residual", q) for q, r in grid), default=0.0)
-    return HJReport(residual_grid=grid, max_norm=max_norm, tol=tol, box=box, resolution=resolution)
+    grid, max_norm = [], 0.0
+    for q in pts:  # each residual folded before the next point is evaluated
+        grid.append((q, hj_residual(sys_, alpha, q)))
+        max_norm = max(max_norm, max_abs(grid[-1][1], "HJ residual", q))
+    return HJReport(residual_grid=tuple(grid), max_norm=max_norm, tol=tol, box=box, resolution=resolution)
 
 
 def _bytes(reports):
@@ -344,11 +347,14 @@ class TestErrorsAreThoseOfThePointwiseSweep:
         assert got == _error(lambda: reference_morphism(src, dst, pair, box, 16, 7))
         assert got[0] in (DomainError, NumericFailure)
 
-    def test_hj_grid(self):
+    @pytest.mark.parametrize("raises", [None, 48], ids=["nan", "nan-then-alpha-raises"])
+    def test_hj_grid(self, raises):
+        # with ``raises``, alpha raises at a later point of the NaN residual's chunk (45-49)
         gs = instantiate("vertical_disk")
         alpha = gs.section("reference")
         box, _, pts = grid_points(gs.default_box, 3)
-        broken = DualSection(components=alpha.components, space="V*", jacobian=lambda q: alpha.jac(q) * (
+        components = alpha.components if raises is None else _raising_at(pts[raises], alpha.components)
+        broken = DualSection(components=components, space="V*", jacobian=lambda q: alpha.jac(q) * (
             np.nan if np.array_equal(q, pts[47]) else 1.0))
         got = _error(lambda: hj_grid_check(gs.system, broken, box, 3))
         assert got == _error(lambda: reference_hj(gs.system, broken, box, 3))
