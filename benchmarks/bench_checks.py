@@ -17,7 +17,10 @@ constant data), the disk's ``flag-rank`` at two off-axis points
 (the workload draws its points from [-pi, pi]^4): at 0.3,-0.2,0.5,0.1,
 as at the README's 0,0,0,0, every flag step is 1e-3 and 41 of the 100
 nested stencil points are distinct; at 2.1,-1.3,0.4,-2.9 the steps
-scale with the coordinates beyond 1 and 46 are), every gallery system's
+scale with the coordinates beyond 1 and 46 are), the disk's ``dissipation``
+at K = 2.5, J = 0.7 and its ``lift-verify`` at K = 2.5, kappa = 0.3, both
+from q0 = (0.3, -0.2, 0.5, 0.4), where its force rows are not ~0 as they
+are at the default start phi = pi/2, every gallery system's
 adapted-frame cocycle and the ball's kernel section at 16 samples, the
 four morphism checks at 8, and four handler paths that no command above takes (a JSON
 ``simulate``, the ball's ``mu-projection`` morphism, a ``--x0``
@@ -121,6 +124,12 @@ TRAJECTORY_SECTIONS = {"time_dependent_free": "reference", "riemannian_flat": "r
                        "cylinder_friction": "reference", "three_body_drag": "dS"}
 TRAJECTORIES = tuple([kind, g, "--section", section] for g, section in TRAJECTORY_SECTIONS.items()
                      for kind in ("simulate", "dissipation"))
+# the disk's force rows away from phi = pi/2, where every command above starts and cos(phi) ~ 6e-17 makes F ~ 0
+FORCED_DISK = (
+    ["dissipation", "vertical_disk", "--param", "K=2.5", "--param", "J=0.7", "--q0=0.3,-0.2,0.5,0.4", "--t1", "1"],
+    ["lift-verify", "vertical_disk", "--param", "K=2.5", "--param", "kappa=0.3", "--q0=0.3,-0.2,0.5,0.4",
+     "--t1", "1", "--dt", "1e-2"],
+)
 # CLI handler paths that none of the commands above take; the last is an error path, whose exit code 3 and
 # stderr are compared like any output
 HANDLER_PATHS = (
@@ -157,7 +166,7 @@ print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
 def commands(seed: int) -> list:
     s = str(seed)
     cmds = [list(argv) for argv in
-            README + ACCURACY + TRAJECTORIES + CONSTRAINED_FLOWS + POINT_CHECK_GRIDS + OFF_AXIS_FLAGS]
+            README + ACCURACY + TRAJECTORIES + CONSTRAINED_FLOWS + POINT_CHECK_GRIDS + OFF_AXIS_FLAGS + FORCED_DISK]
     cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])

@@ -97,8 +97,9 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
 
     A stack of points q (K, m) gives (K, k, m), each point's bits as if alone (an error
     names the first failing point); with ``stacked`` fn gets all K * 2m rows in one call."""
-    if not np.isfinite(q).all():
-        _fail_at_first(q, np.isfinite(q).all(axis=-1), "finite-difference base point non-finite at")
+    finite = np.isfinite(q)
+    if np.count_nonzero(finite) < finite.size:  # counted, as in ``require_finite``
+        _fail_at_first(q, finite.all(axis=-1), "finite-difference base point non-finite at")
     steps = FD_SCALE * np.maximum(1.0, np.abs(q)) if h is None else np.broadcast_to(np.asarray(h, dtype=float), q.shape)
     m = q.shape[-1]
     idx = np.arange(m)
@@ -107,8 +108,9 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
     stencil[..., m + idx, idx] -= steps
     rows = stencil.reshape(-1, m)
     vals = np.asarray(fn(rows) if stacked else [fn(x) for x in rows], dtype=float).reshape(q.shape[:-1] + (2 * m, -1))
-    if not np.isfinite(vals).all():
-        _fail_at_first(q, np.isfinite(vals).all(axis=(-2, -1)), f"{what} evaluation non-finite near")
+    finite = np.isfinite(vals)
+    if np.count_nonzero(finite) < finite.size:
+        _fail_at_first(q, finite.all(axis=(-2, -1)), f"{what} evaluation non-finite near")
     return np.swapaxes((vals[..., :m, :] - vals[..., m:, :]) / (2.0 * steps)[..., None], -1, -2)
 
 

@@ -349,8 +349,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
-        return args.handler(args)
+    try:  # non-finite values are raised by the checks, so numpy's RuntimeWarnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except (NumericFailure, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -12,11 +12,12 @@ Three constructions are provided:
   rank |U|+1 system with the kinetic Hamiltonian of its orthonormal frame.
 
 Every builder assembles the dense structure tensor C (n, n, n) of its
-algebroid per point: the force extension pads the base tensor and writes
-the force rows, and the restricted and affine algebroids share one kernel
-(bracket, then project onto a frame).  The two adapted builders write
-C_{ab}^0 as an exact 0.0 (the force extension's padding, the affine
-projection's leading entry), so no construction checks adaptedness;
+algebroid per point: the restricted and affine algebroids share one kernel
+(bracket, then project onto a frame), which also writes the force rows of
+their force extension into its one padded build per read; the force
+extension of any other base pads that base's tensor.  The two adapted
+builders write C_{ab}^0 as an exact 0.0 (the force extension's padding, the
+affine projection's leading entry), so no construction checks adaptedness;
 ``check_cocycle`` of ``adapted_cocycle`` measures it on demand.  Per
 point, the kernel's anchor needs only the frame; its C adds the frame's
 derivative: analytic when every basis section of a projector restriction
@@ -109,12 +110,15 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
     [[e_0, e_a]] = -F_a^b e_b; the base bracket is kept on indices >= 1.
     The frame covector (1, 0, ..., 0) is a cocycle of the result, which is
     constant, built here once, when the base is and F is constant or None.
+    A construction kernel builds its own (``_forced``); any other base is copied per read.
     """
     r = base.rank
     if F is not None:
         probe = F.at(np.zeros(base.chart.dim))
         if probe.shape != (r, r):
             raise ValueError(f"homomorphism must be {r}x{r}, got {probe.shape}")
+    if hasattr(base, "_forced"):
+        return base._forced(F)
     n = r + 1
     m = base.chart.dim
 
@@ -126,9 +130,7 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
     def structure(q):
         C = np.zeros((n, n, n))
         C[1:, 1:, 1:] = base.structure_at(q)
-        if F is not None:
-            C[0, 1:, 1:] = -F.at(q)
-            C[1:, 0] = -C[0, 1:]
+        _force_rows(C, F, q)
         return C
 
     if _constant(base._anchor, base._structure) and (F is None or _constant(F.coeff)):
@@ -137,16 +139,24 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
                          prefetch=base.prefetch)
 
 
+def _force_rows(C, F, q) -> None:
+    """Write C_{0b}^c = -F_b^c(q) and C_{b0} = -C_{0b} into C (n, n, n), or per row of a stack q into a stack C."""
+    if F is not None:
+        C[..., 0, 1:, 1:] = -(F.at(q) if q.ndim == 1 else np.array([F.at(x) for x in q]))
+        C[..., 1:, 0, :] = -C[..., 0, 1:, :]
+
+
 def projector_restriction(
     E: SkewAlgebroid,
     D_basis: List[ESection],
-    P: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    P: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     validation_points=None,
 ) -> SkewAlgebroid:
     """Restrict E to the subbundle spanned by ``D_basis`` via the projector P.
 
-    P maps (q, E-fiber vector) to coordinates in the D frame and must
-    restrict to the identity on D, within 1e-9 at sample points.
+    P maps (q, E-fiber vector, M) to coordinates in the D frame, where M
+    (r, n_E) is that frame at q, row a holding D_a(q); it must restrict to
+    the identity on D, within 1e-9 at sample points.
     The restricted bracket is project-after-bracket, the anchor is the
     anchored inclusion.  When every basis section carries a ``jacobian``,
     the kernel differentiates the frame with them; they must agree with
@@ -156,14 +166,15 @@ def projector_restriction(
     if r < 1:
         raise ValueError("D_basis must be non-empty")
     m = E.chart.dim
-    points = _validation_points(validation_points, m)
-    worst = max((max_abs(np.array([P(q, s(q)) for s in D_basis], dtype=float) - np.eye(r),
-                         "P(q, D_{}(q))[{}]", q) for q in points), default=0.0)
-    if worst > 1e-9:
-        raise ConstructionError(f"P restricted to D is not the identity: {worst:g} > 1e-09")
 
     def frames(Q):
         return np.array([[s(q) for s in D_basis] for q in Q])  # (K, r, n_E)
+
+    points = _validation_points(validation_points, m)
+    worst = max((max_abs(np.array([P(q, v, M) for v in M], dtype=float) - np.eye(r), "P(q, D_{}(q))[{}]", q)
+                 for q, M in zip(points, frames(points))), default=0.0)
+    if worst > 1e-9:
+        raise ConstructionError(f"P restricted to D is not the identity: {worst:g} > 1e-09")
 
     frame_jacobian = None
     if all(s.jacobian is not None for s in D_basis):
@@ -179,7 +190,7 @@ def projector_restriction(
         if worst > 1e-6:
             raise ConstructionError(f"section jacobians disagree with finite differences: {worst:g} > 1e-06")
 
-    return _bracket_then_project(E, frames, lambda q, M: lambda val: P(q, val), rank=r, adapted=False,
+    return _bracket_then_project(E, frames, lambda q, M: lambda val: P(q, val, M), rank=r, adapted=False,
                                  frame_jacobian=frame_jacobian)
 
 
@@ -196,10 +207,12 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     non-finite value raises NumericFailure), else from central differences
     of the frame, all stencil points in one ``frames`` call.  A ``frame``
     fixed with its projection at every q projects all pairs (..., n_E) at once.
+    Its ``force_extension`` (``_forced``) is read by the kernel too: one build
+    writes these values at indices >= 1 of a padded anchor and C, and the force rows.
 
-    A read builds one point's values; the kernel keeps only those of its
-    last build.  That is the one point whose C a read just built, which
-    serves the anchor read that follows it, or the stack Q that
+    A read builds one point's values; each algebroid of the kernel keeps only
+    those of its last build.  That is the one point whose C a read just built,
+    which serves the anchor read that follows it, or the stack Q that
     ``prefetch(Q)`` just built in one pass of the same arithmetic, so its
     bits are the pointwise ones: one ``frames`` call for the points, one for
     all their stencils, the pair brackets as one einsum and stacked
@@ -215,7 +228,6 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     per point or stack; the derivative terms are one stacked product
     (``pair_values``) but in a pointwise read without a fixed ``frame``.
     """
-    last = {}  # q bytes -> (anchor, C): the points of the last build only
     I, J = np.triu_indices(rank, 1)  # the pairs i < j, in the pointwise loop's order
     pairs = list(zip(I.tolist(), J.tolist()))
     fixed = None  # the pair brackets, when fixed at construction
@@ -236,71 +248,81 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         return (brackets + (dM[..., J, :, :] @ anchored[..., I, :, None])[..., 0]
                 - (dM[..., I, :, :] @ anchored[..., J, :, None])[..., 0])
 
-    def cold(q):  # the frame, rho_E and the read-only anchor at q, a float array from anchor_at / structure_at
-        M = require_finite(frames(q[None])[0], "frame", q)
-        rhoE = E.anchor_at(q)
-        anchor = rhoE @ M.T
-        anchor.flags.writeable = False
-        return M, rhoE, anchor
+    def kernel(pad, F=None):  # the kernel's algebroid, or (pad 1) its force extension by F
+        last = {}  # q bytes -> (anchor, C): the points of the last build only
+        n = rank + pad
 
-    def anchor(q):
-        hit = last.get(q.tobytes())
-        return cold(q)[2] if hit is None else hit[0]
+        def cold(q):  # the frame and the read-only anchor at q, a float array from anchor_at / structure_at
+            M = require_finite(frames(q[None])[0], "frame", q)
+            anchor = np.zeros((len(q), n))  # rho_E(e_a) in column pad + a
+            np.matmul(E.anchor_at(q), M.T, out=anchor[:, pad:])
+            anchor.flags.writeable = False
+            return M, anchor
 
-    def structure(q):
-        key = q.tobytes()
-        if key not in last:
-            M, rhoE, anchor = cold(q)
+        def anchor(q):
+            hit = last.get(q.tobytes())
+            return cold(q)[1] if hit is None else hit[0]
+
+        def structure(q):
+            key = q.tobytes()
+            if key not in last:
+                M, anchor = cold(q)
+                if frame_jacobian is None:
+                    dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
+                else:
+                    dM = require_finite(frame_jacobian(q), "frame jacobian", q)
+                brackets = pair_brackets(q, M)
+                rows = anchor[:, pad:].T  # (rank, m): rows rho_E(e_a)
+                C = np.zeros((n, n, n))
+                V = C[pad:, pad:, pad:]  # the kernel's C; a force extension's rows sit beside it
+                if frame is None:  # projected pair by pair, the cheapest for the disk's one pair
+                    project = projection(q, M)
+                    for p, (i, j) in enumerate(pairs):
+                        V[i, j] = project(brackets[p] + dM[j] @ rows[i] - dM[i] @ rows[j])
+                        V[j, i] = -V[i, j]
+                else:  # the fixed projection maps all pairs at once
+                    V[I, J] = projected = project_all(pair_values(brackets, dM, rows))
+                    V[J, I] = -projected
+                _force_rows(C, F, q)
+                C.flags.writeable = False
+                last.clear()
+                last[key] = (anchor, C)
+            return last[key][1]
+
+        def build(Q):  # the pointwise anchors and C of every row of Q, stacked
+            M = require_finite(frames(Q), "frame", Q)  # (K, rank, n_E)
+            anchor = np.zeros(Q.shape + (n,))
+            np.matmul(np.array([E.anchor_at(q) for q in Q]), np.swapaxes(M, -1, -2), out=anchor[..., pad:])
             if frame_jacobian is None:
-                dM = fd_jacobian(frames, q, stacked=True).reshape(M.shape + q.shape)
+                dM = _central_differences(frames, Q, None, True, "function").reshape(M.shape + Q.shape[-1:])
             else:
-                dM = require_finite(frame_jacobian(q), "frame jacobian", q)
-            brackets = pair_brackets(q, M)
-            anchored = M @ rhoE.T  # (rank, m): rows rho_E(e_a)
-            C = np.zeros((rank, rank, rank))
-            if frame is None:  # projected pair by pair, the cheapest for the disk's one pair
-                project = projection(q, M)
-                for p, (i, j) in enumerate(pairs):
-                    C[i, j] = project(brackets[p] + dM[j] @ anchored[i] - dM[i] @ anchored[j])
-                    C[j, i] = -C[i, j]
-            else:  # the fixed projection maps all pairs at once
-                C[I, J] = projected = project_all(pair_values(brackets, dM, anchored))
-                C[J, I] = -projected
-            C.flags.writeable = False
+                dM = require_finite(np.array([frame_jacobian(q) for q in Q], dtype=float), "frame jacobian", Q)
+            val = pair_values(pair_brackets(Q, M), dM, np.swapaxes(anchor[..., pad:], -1, -2))
+            C = np.zeros((len(Q), n, n, n))
+            V = C[:, pad:, pad:, pad:]
+            if frame is None:
+                for k, (q, Mk) in enumerate(zip(Q, M)):
+                    project = projection(q, Mk)
+                    for p, (i, j) in enumerate(pairs):
+                        V[k, i, j] = project(val[k, p])
+            else:  # one projection for the whole stack
+                V[:, I, J] = project_all(val)
+            V[:, J, I] = -V[:, I, J]
+            _force_rows(C, F, Q)
+            C.flags.writeable = anchor.flags.writeable = False
+            return anchor, C
+
+        def prefetch(Q):
+            built = build(Q)
             last.clear()
-            last[key] = (anchor, C)
-        return last[key][1]
+            last.update(zip((q.tobytes() for q in Q), zip(*built)))
 
-    def build(Q):  # the pointwise anchors and C of every row of Q, stacked
-        M = require_finite(frames(Q), "frame", Q)  # (K, rank, n_E)
-        rhoE = np.array([E.anchor_at(q) for q in Q])
-        if frame_jacobian is None:
-            dM = _central_differences(frames, Q, None, True, "function").reshape(M.shape + Q.shape[-1:])
-        else:
-            dM = require_finite(np.array([frame_jacobian(q) for q in Q], dtype=float), "frame jacobian", Q)
-        brackets = pair_brackets(Q, M)
-        anchored = M @ np.swapaxes(rhoE, -1, -2)  # (K, rank, m)
-        val = pair_values(brackets, dM, anchored)
-        C = np.zeros((len(Q), rank, rank, rank))
-        if frame is None:
-            for k, (q, Mk) in enumerate(zip(Q, M)):
-                project = projection(q, Mk)
-                for p, (i, j) in enumerate(pairs):
-                    C[k, i, j] = project(val[k, p])
-        else:  # one projection for the whole stack
-            C[:, I, J] = project_all(val)
-        C[:, J, I] = -C[:, I, J]
-        anchor = rhoE @ np.swapaxes(M, -1, -2)
-        C.flags.writeable = anchor.flags.writeable = False
-        return anchor, C
+        return SkewAlgebroid(chart=E.chart, rank=n, anchor=anchor, structure=structure,
+                             adapted=adapted or pad, prefetch=prefetch)
 
-    def prefetch(Q):
-        built = build(Q)
-        last.clear()
-        last.update(zip((q.tobytes() for q in Q), zip(*built)))
-
-    return SkewAlgebroid(chart=E.chart, rank=rank, anchor=anchor, structure=structure,
-                         adapted=adapted, prefetch=prefetch)
+    A = kernel(0)
+    A._forced = lambda F: kernel(1, F)  # force_extension's one build per read
+    return A
 
 
 def gram_schmidt_at(G: MetricField, basis: List[ESection], q) -> np.ndarray:

@@ -114,9 +114,9 @@ def _build_vertical_disk(params):
     D_basis = [ESection(components=X1, jacobian=dX1), ESection(components=X2, jacobian=lambda q: dX2)]
     G = np.diag([m, m, I, J])
 
-    def P(q, v):
+    def P(q, v, M):  # M: the frame X1(q), X2(q) at q
         Gv = G @ np.asarray(v, dtype=float)
-        return np.array([float(X1(q) @ Gv), float(X2(q) @ Gv)])
+        return np.array([float(M[0] @ Gv), float(M[1] @ Gv)])
 
     D = projector_restriction(TQ, D_basis, P)
     F = Homomorphism(coeff=lambda q: np.array([[0.0, 0.0], [0.0, K * math.cos(q[3]) / J]]))

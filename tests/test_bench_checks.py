@@ -100,6 +100,18 @@ def test_a_flag_rank_command_has_a_coordinate_beyond_one(bench_and_workloads):
     assert any(abs(float(x)) > 1.0 for point in points for x in point.split(","))
 
 
+def test_disk_commands_read_non_zero_force_rows(bench_and_workloads):
+    # the disk's force F = K cos(phi) / J is ~6e-17 at its default start phi = pi/2
+    bench, _ = bench_and_workloads
+    disk = [argv for argv in bench.commands(11) if argv[:2] in (["dissipation", "vertical_disk"],
+                                                               ["lift-verify", "vertical_disk"])]
+    starts = [next((a for a in argv if a.startswith("--q0=")), None) for argv in disk]
+    forced = [argv for argv, q0 in zip(disk, starts) if q0 and abs(np.cos(float(q0.split(",")[3]))) > 0.5]
+    assert forced == [list(argv) for argv in bench.FORCED_DISK]
+    assert {argv[0] for argv in forced} == {"dissipation", "lift-verify"}
+    assert all("K=2.5" in argv for argv in forced)
+
+
 def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch):
     # run_s by tree and round; the rounds alternate which tree runs first
     times = {"parent": [1.0, 3.0, 2.0], "change": [2.0, 3.0, 1.0]}

@@ -40,7 +40,7 @@ from algebroid_mech import (
     projector_restriction,
     tangent_algebroid,
 )
-from algebroid_mech import algebroid, constructions, gallery
+from algebroid_mech import algebroid, constructions, gallery, hamilton
 from algebroid_mech.algebroid import sample_box
 from algebroid_mech.calculus import Chart, fd_gradient, fd_jacobian
 from algebroid_mech.hamilton_jacobi import grid_points, verify_lift
@@ -82,7 +82,7 @@ class TestProjectorRestriction:
     def test_full_bundle_identity_projector(self):
         A = lie_tangent(2)
         basis = [A.basis_section(0), A.basis_section(1)]
-        D = projector_restriction(A, basis, lambda q, v: np.asarray(v, dtype=float))
+        D = projector_restriction(A, basis, lambda q, v, M: np.asarray(v, dtype=float))
         q = np.array([0.4, -0.1])
         assert np.allclose(D.anchor_at(q), A.anchor_at(q))
         assert np.max(np.abs(D.structure_at(q))) < 1e-12
@@ -142,14 +142,14 @@ class TestProjectorRestriction:
         A = lie_tangent(2)
         basis = [A.basis_section(0), A.basis_section(1)]
         with pytest.raises(ConstructionError):
-            projector_restriction(A, basis, lambda q, v: 0.5 * np.asarray(v, dtype=float))
+            projector_restriction(A, basis, lambda q, v, M: 0.5 * np.asarray(v, dtype=float))
 
     @pytest.mark.parametrize("offset,builds", [(2e-9, False), (5e-10, True)])
     def test_projector_identity_threshold_is_1e_9(self, offset, builds):
         A = lie_tangent(2)
         basis = [A.basis_section(0), A.basis_section(1)]
 
-        def P(q, v):
+        def P(q, v, M):
             return (1.0 + offset) * np.asarray(v, dtype=float)
 
         if builds:
@@ -164,7 +164,7 @@ class TestProjectorRestriction:
         basis = [A.basis_section(0), A.basis_section(1)]
         pts = seeded_points(2, n=8)
 
-        def P(q, v):
+        def P(q, v, M):
             return np.full(2, np.nan) if np.array_equal(q, pts[-1]) else np.asarray(v, dtype=float)
 
         with pytest.raises(NumericFailure, match=re.escape(f"P(q, D_0(q))[0] non-finite at q={list(map(float, pts[-1]))}")):
@@ -181,14 +181,14 @@ def _disk_kernel(disk, basis):
 
 
 def _twisted_frame():
-    """X1 = (1, 0, sin y), X2 = (0, 1, 0) on R^3 with P(q, v) = (v0, v1 + v2 - sin(y) v0),
+    """X1 = (1, 0, sin y), X2 = (0, 1, 0) on R^3 with P(q, v, M) = (v0, v1 + v2 - sin(y) v0),
     the identity on D; [[X1, X2]] = -cos(y) d/dz, so C[0, 1] = (0, -cos y)."""
     E = tangent_algebroid(Chart(dim=3, coord_names=("x", "y", "z")))
     X1 = ESection(components=lambda q: np.array([1.0, 0.0, math.sin(q[1])]),
                   jacobian=lambda q: np.array([[0.0] * 3, [0.0] * 3, [0.0, math.cos(q[1]), 0.0]]))
     X2 = ESection(components=lambda q: np.array([0.0, 1.0, 0.0]), jacobian=lambda q: np.zeros((3, 3)))
 
-    def P(q, v):
+    def P(q, v, M):
         return np.array([v[0], v[1] + v[2] - math.sin(q[1]) * v[0]])
 
     return E, [X1, X2], P
@@ -196,15 +196,16 @@ def _twisted_frame():
 
 def _full_frame(E):
     """q-dependent sections spanning E (rank 2 or 3), each near a frame vector,
-    and P the coordinates in them.  Over ``random_adapted_algebroid`` (three
-    pairs, C_E non-zero and q-dependent) every pair bracket reads C_E."""
+    and P the coordinates in them, solved from the frame M.  Over
+    ``random_adapted_algebroid`` (three pairs, C_E non-zero and q-dependent)
+    every pair bracket reads C_E."""
     n = E.rank
     eye = np.eye(n)
     basis = [ESection(components=lambda q, a=a: eye[a] + 0.2 * math.sin(q[0] + a) * eye[(a + 1) % n]
                       + 0.1 * math.cos(q[1] - a) * eye[(a + 2) % n]) for a in range(n)]
 
-    def P(q, v):
-        return np.linalg.solve(np.array([s(q) for s in basis]).T, v)
+    def P(q, v, M):
+        return np.linalg.solve(M.T, v)
 
     return E, basis, P
 
@@ -221,7 +222,7 @@ def _stencil_kernel_C(E, basis, P, q):
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             val = np.einsum("abg,a,b->g", CE, M[i], M[j])
-            C[i, j] = P(q, val + dM[j] @ anchored[i] - dM[i] @ anchored[j])
+            C[i, j] = P(q, val + dM[j] @ anchored[i] - dM[i] @ anchored[j], M)
             C[j, i] = -C[i, j]
     return C
 
@@ -695,12 +696,12 @@ class TestConstantData:
                 value[0] = 5.0
 
     def test_a_q_dependent_force_stays_on_the_callable_path(self, disk):
-        # the disk's force carries cos(phi): its reads build fresh arrays
+        # the disk's force carries cos(phi): its reads build fresh arrays, the kernel's read-only build
         A = disk.system.algebroid
         p, q = seeded_points(4, n=2, seed=13)
         for read in (A.anchor_at, A.structure_at):
             assert read(p) is not read(q)
-            assert read(p).flags.writeable
+            assert not read(p).flags.writeable
         assert not np.array_equal(A.structure_at(p), A.structure_at(q))
 
     def test_a_q_dependent_metric_stays_on_the_callable_path(self, monkeypatch):
@@ -748,7 +749,7 @@ def kernel_reads(A, Q):
 
 
 KERNEL_SYSTEMS = {  # name -> (a fresh kernel algebroid, a box of points)
-    # the disk's kernel sits under a force extension, so its prefetch is forwarded
+    # the disk's force extension is read and prefetched by its kernel
     "rolling_ball-constant": (lambda: instantiate("rolling_ball").system.algebroid,
                               ((0.0, 2.0 * math.pi), (-2.0, 2.0), (-2.0, 2.0))),
     "rolling_ball-linear": (lambda: instantiate("rolling_ball", omega="linear").system.algebroid,
@@ -834,7 +835,7 @@ class TestPrefetch:
 
         E = SkewAlgebroid(chart=chart, rank=2, anchor=lambda q: eye, structure=structure)
         D = projector_restriction(E, [ESection(components=X1), constant_section([0.0, 1.0])],
-                                  lambda q, v: np.array([v[0], v[1] - 0.1 * q[0] * v[0]]))
+                                  lambda q, v, M: np.array([v[0], v[1] - 0.1 * q[0] * v[0]]))
         H = ScalarField(eval=lambda x: 0.5 * float(x[2:] @ x[2:]), grad=lambda x: np.concatenate([[0.0, 0.0], x[2:]]))
         return HamiltonianSystem(algebroid=force_extension(D, None), H=H)
 
@@ -998,6 +999,133 @@ class TestBallKernelArithmetic:
         assert len(stencils) == 1
 
 
+def wrapped_force_extension(base, F):
+    """The force extension as a wrapper layer over its base reads it: per read, the base's anchor and C copied
+    into zero padded arrays, then the force rows; its prefetch is the base's."""
+    n, m = base.rank + 1, base.chart.dim
+
+    def anchor(q):
+        out = np.zeros((m, n))
+        out[:, 1:] = base.anchor_at(q)
+        return out
+
+    def structure(q):
+        C = np.zeros((n, n, n))
+        C[1:, 1:, 1:] = base.structure_at(q)
+        if F is not None:
+            C[0, 1:, 1:] = -F.at(q)
+            C[1:, 0] = -C[0, 1:]
+        return C
+
+    return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True,
+                         prefetch=base.prefetch)
+
+
+def _twist(q):  # a q-dependent force on a rank-3 kernel
+    return np.array([[math.sin(q[0]), q[1], -0.4], [0.3, 1.0 + q[0] * q[1], math.cos(q[-1])], [-q[0], 0.0, 0.7]])
+
+
+def _forced_disk(params):
+    def build(wrapped):
+        gs = instantiate("vertical_disk", params)
+        if wrapped:
+            return wrapped_force_extension(gs.extras["constraint_algebroid"], gs.extras["force"]), gs.system.H
+        return gs.system.algebroid, gs.system.H
+
+    return build
+
+
+def _forced_kernel(kernel):
+    def build(wrapped):
+        extend = wrapped_force_extension if wrapped else force_extension
+        A = extend(kernel(), Homomorphism(coeff=_twist))
+        return A, ScalarField(eval=lambda x: 0.5 * float(x[A.chart.dim:] @ x[A.chart.dim:]))
+
+    return build
+
+
+FORCED_KERNELS = {  # name -> (build(wrapped) -> (a fresh forced algebroid, a Hamiltonian), a box of points)
+    "vertical_disk": (_forced_disk(None), ((-4.0, 4.0),) * 4),
+    "vertical_disk-K2.5-J0.7": (_forced_disk({"K": 2.5, "J": 0.7}), ((-4.0, 4.0),) * 4),
+    # frames that vary with q under a q-dependent force; the second over a non-identity anchor and a non-flat E
+    "twisted_affine": (_forced_kernel(lambda: affine_constraints(*twisted_affine()).algebroid), ((-1.0, 1.0),) * 3),
+    "non_flat_frame": (_forced_kernel(lambda: projector_restriction(*_full_frame(random_adapted_algebroid()))),
+                       ((-1.0, 1.0),) * 2),
+}
+
+
+def forced_points(box, n=500):
+    Q = sample_box(box, n, 53)
+    Q[0, -1] = -0.0
+    Q[1, 0] = -0.0
+    return Q
+
+
+class TestForcedKernel:
+    """A force extension of a construction kernel is built by the kernel: one padded anchor and C per read, with
+    the bits of the wrapper layer that copied the kernel's own values into padded arrays."""
+
+    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("system", FORCED_KERNELS)
+    def test_reads_are_the_wrapper_bits(self, system, read):
+        build, box = FORCED_KERNELS[system]
+        Q = forced_points(box)
+        (A, _), (ref, _) = build(False), build(True)
+        if read == "prefetched":
+            A.prefetch(Q)
+            ref.prefetch(Q)
+        assert kernel_reads(A, Q) == kernel_reads(ref, Q)  # C, then the anchor
+        V, Vref = algebroid.v_restriction(A), algebroid.v_restriction(ref)
+        assert kernel_reads(V, Q) == kernel_reads(Vref, Q)
+        assert not A.structure_at(Q[0]).flags.writeable and not A.anchor_at(Q[0]).flags.writeable
+
+    @pytest.mark.parametrize("system", FORCED_KERNELS)
+    def test_cold_anchor_reads_are_the_wrapper_bits(self, system):
+        build, box = FORCED_KERNELS[system]
+        (A, _), (ref, _) = build(False), build(True)
+        for q in forced_points(box):
+            assert A.anchor_at(q).tobytes() == ref.anchor_at(q).tobytes()
+
+    @pytest.mark.parametrize("system", FORCED_KERNELS)
+    def test_dissipation_rows_across_a_chunk_boundary(self, system):
+        build, box = FORCED_KERNELS[system]
+        Q = forced_points(box, algebroid.PREFETCH_CHUNK + 76)
+        r = build(False)[0].rank - 1
+        X = np.concatenate([Q, np.sin(np.arange(len(Q) * r)).reshape(len(Q), r)], axis=1)
+
+        def rows(wrapped):  # the dissipation command's H and rate columns, a stacked call per chunk
+            A, H = build(wrapped)
+            sys_ = HamiltonianSystem(algebroid=A, H=H)
+            return np.array(algebroid.sweep(
+                A, X, lambda Y: np.column_stack([[sys_.H(x) for x in Y], hamilton.dissipation_rate(sys_, Y)]),
+                lambda x: (sys_.H(x), hamilton.dissipation_rate(sys_, x))))
+
+        got = rows(False)
+        assert got.tobytes() == rows(True).tobytes()
+        assert np.count_nonzero(got[:, 1]) > len(X) // 2  # the force rows are not zero
+
+    def test_a_cold_disk_c_read_calls_x1_once_and_allocates_one_c(self, monkeypatch):
+        A = instantiate("vertical_disk").system.algebroid
+        Q = seeded_points(4, n=20, seed=57)
+        x1_calls, tensors = [], []
+        real_zeros = np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **kw: tensors.append(shape) or real_zeros(shape, *a, **kw))
+
+        def profile(frame, event, arg):  # the disk's frame field X1, however it is called
+            if event == "call" and frame.f_code.co_name == "X1" and frame.f_code.co_filename == gallery.__file__:
+                x1_calls.append(event)
+
+        sys.setprofile(profile)
+        try:
+            for q in Q:
+                A.structure_at(q)
+        finally:
+            sys.setprofile(None)
+        # the projector reads the kernel's frame, where it called X1 again; one C, where the base's was copied
+        assert len(x1_calls) == len(Q)
+        assert [s for s in tensors if isinstance(s, tuple) and len(s) == 3] == [(3, 3, 3)] * len(Q)
+
+
 class TestLastBuild:
     """The kernel keeps only the values of its last build: those of the one
     point whose C a read built, or those of the last prefetched stack.  So
@@ -1086,6 +1214,7 @@ ANCHOR_SYSTEMS = {  # name -> a fresh algebroid whose anchor the kernel builds
     "rolling_ball-constant": lambda: instantiate("rolling_ball").system.algebroid,
     "rolling_ball-linear": lambda: instantiate("rolling_ball", omega="linear").system.algebroid,
     "disk_constraint": lambda: instantiate("vertical_disk").extras["constraint_algebroid"],
+    "vertical_disk": lambda: instantiate("vertical_disk").system.algebroid,
     "twisted_affine": lambda: affine_constraints(*twisted_affine()).algebroid,
 }
 
