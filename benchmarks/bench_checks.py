@@ -20,7 +20,9 @@ nested stencil points are distinct; at 2.1,-1.3,0.4,-2.9 the steps
 scale with the coordinates beyond 1 and 46 are), the disk's ``dissipation``
 at K = 2.5, J = 0.7 and its ``lift-verify`` at K = 2.5, kappa = 0.3, both
 from q0 = (0.3, -0.2, 0.5, 0.4), where its force rows are not ~0 as they
-are at the default start phi = pi/2, every gallery system's
+are at the default start phi = pi/2, the ball's ``hj-check`` (4 points per
+axis) and cocycle check under ``--omega linear``, whose stacked kernel
+builds contract a C_E that varies with q, every gallery system's
 adapted-frame cocycle and the ball's kernel section at 16 samples, the
 four morphism checks at 8, and four handler paths that no command above takes (a JSON
 ``simulate``, the ball's ``mu-projection`` morphism, a ``--x0``
@@ -130,6 +132,8 @@ FORCED_DISK = (
     ["lift-verify", "vertical_disk", "--param", "K=2.5", "--param", "kappa=0.3", "--q0=0.3,-0.2,0.5,0.4",
      "--t1", "1", "--dt", "1e-2"],
 )
+# the stacked kernel build of the one gallery kernel whose ambient C_E varies with q: its per-stack contraction
+LINEAR_BALL_GRID = ("hj-check", "rolling_ball", "--omega", "linear", "--resolution", "4")
 # CLI handler paths that none of the commands above take; the last is an error path, whose exit code 3 and
 # stderr are compared like any output
 HANDLER_PATHS = (
@@ -165,9 +169,10 @@ print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
 
 def commands(seed: int) -> list:
     s = str(seed)
-    cmds = [list(argv) for argv in
-            README + ACCURACY + TRAJECTORIES + CONSTRAINED_FLOWS + POINT_CHECK_GRIDS + OFF_AXIS_FLAGS + FORCED_DISK]
+    cmds = [list(argv) for argv in README + ACCURACY + TRAJECTORIES + CONSTRAINED_FLOWS + POINT_CHECK_GRIDS
+            + OFF_AXIS_FLAGS + FORCED_DISK + (LINEAR_BALL_GRID,)]
     cmds += [["cocycle-check", g, "--samples", CHECK_SAMPLES, "--seed", s] for g in GALLERY]
+    cmds.append(["cocycle-check", "rolling_ball", "--omega", "linear", "--samples", CHECK_SAMPLES, "--seed", s])
     cmds.append(["cocycle-check", "rolling_ball", "--on", "v", "--section", "reference",
                  "--samples", CHECK_SAMPLES, "--seed", s])
     for g in ("cylinder_friction", "rolling_ball", "vertical_disk"):

@@ -12,6 +12,9 @@ cocycle: the frame covector (1, 0, ..., 0) annihilates brackets, i.e.
 C_{ab}^0 = 0.  That is the builder's promise, as antisymmetry is, and is
 tested, not checked per call; ``check_cocycle`` of ``adapted_cocycle``
 measures it at run time.
+
+The data model only reads: ``sweep`` builds each chunk of its points
+through a construction kernel's private hook ``_prefetch``.
 """
 
 from __future__ import annotations
@@ -158,12 +161,15 @@ class SkewAlgebroid:
         A ``_Constant`` (as None is) is shape-checked here and read without a call.
     adapted : bool
         Frame index 0 is dual to the cocycle (C_{ab}^0 = 0).
-    prefetch : callable Q -> None, or None
-        Builds the values of a stack of points Q (K, m) for a construction
-        kernel's later reads at those points; see ``prefetch``.
+
+    A construction kernel sets its private hook ``_prefetch`` (Q -> None) on
+    the algebroids it builds; ``sweep`` calls it to build a chunk Q (K, m)
+    in one pass.  Every other algebroid reads the class default None.
     """
 
-    def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False, prefetch=None):
+    _prefetch = None
+
+    def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         if structure is not None and not callable(structure):
@@ -175,17 +181,7 @@ class SkewAlgebroid:
         for fn, shape, what in ((anchor, (chart.dim, n), "anchor"), (self._structure, (n, n, n), "structure")):
             if _constant(fn):
                 _shaped(fn.value, shape, what)
-        self._prefetch = prefetch
         self.adapted = bool(adapted)
-
-    def prefetch(self, Q) -> None:
-        """Build the values of a stack of points Q (K, m) in one pass, bit
-        for bit those pointwise reads would build, and keep them in place of
-        the construction kernel's last build; a no-op on an algebroid without
-        a kernel.  Reads return the same values, prefetched or not.  A pass
-        that fails raises its error and keeps the last build (see ``sweep``)."""
-        if self._prefetch is not None:
-            self._prefetch(np.asarray(Q, dtype=float).reshape(-1, self.chart.dim))
 
     def anchor_at(self, q) -> np.ndarray:
         if type(self._anchor) is _Constant:
@@ -264,8 +260,8 @@ def _read_at(A: SkewAlgebroid, q):
     """The anchor and C at q, or their stacks at a stack of points q (K, m): the one joint read, and the one
     place that knows its order, C first, so that a kernel's anchor read finds the point its C read built."""
     if np.ndim(q) == 2:
-        rho, C = zip(*[_read_at(A, x) for x in q])
-        return np.array(rho), np.array(C)
+        rho, C = zip(*[_read_at(A, x) for x in q]) if len(q) else ([], [])  # an empty stack reads nothing
+        return np.array(rho).reshape(len(q), A.chart.dim, A.rank), np.array(C).reshape((len(q),) + (A.rank,) * 3)
     C = A.structure_at(q)
     return A.anchor_at(q), C
 
@@ -335,14 +331,16 @@ def sample_box(box, samples: int, seed: int) -> np.ndarray:
 
 
 def sweep(A: SkewAlgebroid, points, stacked, pointwise) -> list:
-    """The rows of the points (N, d), in chunks of at most PREFETCH_CHUNK: ``A.prefetch`` of a chunk's first
-    A.chart.dim coordinates, then its rows ``stacked(chunk)``.  A chunk where either raises, or a row is not
-    finite, is rerun as ``pointwise(x)`` per point, so the first failing point raises, as in a pointwise sweep."""
-    rows = []
+    """The rows of the points (N, d), in chunks of at most PREFETCH_CHUNK: a construction kernel's private
+    hook ``A._prefetch`` builds a chunk's first A.chart.dim coordinates (an algebroid without a kernel has
+    none), then ``stacked(chunk)`` gives its rows.  A chunk where either raises, or a row is not finite, is
+    rerun as ``pointwise(x)`` per point, so the first failing point raises, as in a pointwise sweep."""
+    rows, prefetch = [], A._prefetch
     for start in range(0, len(points), PREFETCH_CHUNK):
         chunk = points[start:start + PREFETCH_CHUNK]
         try:
-            A.prefetch(chunk[:, :A.chart.dim])
+            if prefetch is not None:
+                prefetch(chunk[:, :A.chart.dim])
             vals = stacked(chunk)
         except Exception:  # the rerun raises it at its point, or an earlier point's error
             vals = [np.nan]
@@ -461,11 +459,7 @@ def v_restriction(A: SkewAlgebroid) -> SkewAlgebroid:
     """
     if not A.adapted:
         raise ValueError("v_restriction requires an adapted algebroid")
-    return SkewAlgebroid(
-        chart=A.chart,
-        rank=A.rank - 1,
-        anchor=lambda q: A.anchor_at(q)[:, 1:],
-        structure=lambda q: A.structure_at(q)[1:, 1:, 1:],
-        adapted=False,
-        prefetch=A.prefetch,
-    )
+    V = SkewAlgebroid(chart=A.chart, rank=A.rank - 1, anchor=lambda q: A.anchor_at(q)[:, 1:],
+                      structure=lambda q: A.structure_at(q)[1:, 1:, 1:], adapted=False)
+    V._prefetch = A._prefetch  # its reads are A's, so a sweep builds A's kernel
+    return V

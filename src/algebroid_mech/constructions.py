@@ -24,12 +24,13 @@ derivative: analytic when every basis section of a projector restriction
 carries a jacobian, else from one stacked finite-difference stencil (so
 always for the affine constraints).  The kernel keeps only its last build:
 the point whose C a read just built, for the anchor read that follows, or
-the points (a grid or sample chunk, a trajectory's rows) that ``prefetch``
-just built in one stacked pass, bit for bit as their reads would build
-them.  Constant inputs are evaluated once, at construction: the force
-extension of a constant base by a constant force is constant, and affine
-constraints with a constant metric, U basis and drift (the rolling ball)
-orthonormalize their frame once, and bracket it once over a constant C_E.
+the points (a grid or sample chunk, a trajectory's rows) that a ``sweep``
+just built through its private hook ``_prefetch`` in one stacked pass, bit
+for bit as their reads would build them.  Constant inputs are evaluated
+once, at construction: the force extension of a constant base by a
+constant force is constant, and affine constraints with a constant metric,
+U basis and drift (the rolling ball) orthonormalize their frame once, and
+bracket it once over a constant C_E.
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
 
     if _constant(base._anchor, base._structure) and (F is None or _constant(F.coeff)):
         anchor, structure = _Constant(anchor(np.zeros(m))), _Constant(structure(np.zeros(m)))
-    return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True,
-                         prefetch=base.prefetch)
+    return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True)
 
 
 def _force_rows(C, F, q) -> None:
@@ -212,13 +212,14 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
 
     A read builds one point's values; each algebroid of the kernel keeps only
     those of its last build.  That is the one point whose C a read just built,
-    which serves the anchor read that follows it, or the stack Q that
-    ``prefetch(Q)`` just built in one pass of the same arithmetic, so its
-    bits are the pointwise ones: one ``frames`` call for the points, one for
-    all their stencils, the pair brackets as one einsum and stacked
-    mat-vecs; only the projection runs per point and pair (or once, for a
-    fixed ``frame``).  An anchor read of any other point builds the frame
-    and keeps nothing.  A stacked pass that raises keeps the last build and
+    which serves the anchor read that follows it, or the chunk Q that a
+    ``sweep`` just built through the private hook ``_prefetch(Q)``, set here
+    on each algebroid the kernel builds, in one pass of the same arithmetic
+    (``build``), so its bits are the pointwise ones: one ``frames`` call for
+    the points, one for all their stencils, the pair brackets as one einsum
+    and stacked mat-vecs; only the projection runs per point and pair (or
+    once, for a fixed ``frame``).  An anchor read of any other point builds
+    the frame and keeps nothing.  A stacked pass that raises keeps the last build and
     raises its error; the ``sweep`` then reads its chunk point by point, so
     the pointwise read of the failing point raises as it would have alone.
 
@@ -312,13 +313,14 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             C.flags.writeable = anchor.flags.writeable = False
             return anchor, C
 
-        def prefetch(Q):
+        def prefetch(Q):  # the private hook through which a ``sweep`` builds its chunk Q (K, m)
             built = build(Q)
             last.clear()
             last.update(zip((q.tobytes() for q in Q), zip(*built)))
 
-        return SkewAlgebroid(chart=E.chart, rank=n, anchor=anchor, structure=structure,
-                             adapted=adapted or pad, prefetch=prefetch)
+        B = SkewAlgebroid(chart=E.chart, rank=n, anchor=anchor, structure=structure, adapted=adapted or pad)
+        B._prefetch = prefetch
+        return B
 
     A = kernel(0)
     A._forced = lambda F: kernel(1, F)  # force_extension's one build per read
@@ -487,9 +489,9 @@ def morphism_check(
     evaluated 2(m + n) + 1 times per sample, one point at a time; the rest
     is stacked over the samples (``stacked_sweep``).  A non-finite value
     raises NumericFailure naming its sample point and probe pair or
-    component.  The source algebroid is prefetched at the samples, which
-    also serves the target when it shares the source's kernel (the
-    gallery's morphisms over the identity base map).
+    component.  The sweep builds each chunk through the source's kernel
+    hook, which also serves the target when it shares the source's kernel
+    (the gallery's morphisms over the identity base map).
     """
     src = _coerce_endpoint(src)
     dst = _coerce_endpoint(dst)

@@ -209,7 +209,7 @@ def dissipation_rate(sys: HamiltonianSystem, x):
     """
     Xs = np.atleast_2d(sys.reduced_state(x, stack=np.ndim(x) == 2))
     m = sys._layout[0]
-    g = np.array([fd_gradient(sys.H, xk) for xk in Xs])
+    g = np.array([fd_gradient(sys.H, xk) for xk in Xs]).reshape(Xs.shape)
     rho0, _, _, CV = _operands(sys, Xs[:, :m])
     val = (rho0[..., None, :] @ g[:, :m, None])[:, 0, 0]
     Cp = (CV[..., 0, :, None, :] @ Xs[:, None, m:, None])[..., 0, 0]  # column b is C_{0, b+1}^c p_c, c >= 1

@@ -112,6 +112,15 @@ def test_disk_commands_read_non_zero_force_rows(bench_and_workloads):
     assert all("K=2.5" in argv for argv in forced)
 
 
+def test_the_linear_law_ball_runs_its_stacked_kernel_build(bench_and_workloads):
+    # no README command, workload op or other command sweeps the kernel over a C_E that varies with q
+    bench, _ = bench_and_workloads
+    linear = [argv for argv in bench.commands(11) if argv[:2] != ["lift-verify", "rolling_ball"]
+              and "--omega" in argv and argv[argv.index("--omega") + 1] == "linear"]
+    assert linear == [["hj-check", "rolling_ball", "--omega", "linear", "--resolution", "4"],
+                      ["cocycle-check", "rolling_ball", "--omega", "linear", "--samples", "16", "--seed", "11"]]
+
+
 def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch):
     # run_s by tree and round; the rounds alternate which tree runs first
     times = {"parent": [1.0, 3.0, 2.0], "change": [2.0, 3.0, 1.0]}

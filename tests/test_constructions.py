@@ -780,7 +780,7 @@ class TestPrefetch:
         frames_calls = counted_frames(monkeypatch)
         for name, stack in orders.items():
             A = build()
-            A.prefetch(stack)
+            A._prefetch(stack)
             frames_calls.clear()
             assert kernel_reads(A, Q) == [expect[bytes(q)] for q in Q], name
             assert frames_calls == [], name  # every read was served by the prefetched stack
@@ -788,7 +788,7 @@ class TestPrefetch:
         A = build()
         for q in Q[::3]:
             A.anchor_at(q)
-        A.prefetch(Q)
+        A._prefetch(Q)
         frames_calls.clear()
         assert kernel_reads(A, Q) == [expect[bytes(q)] for q in Q]
         assert frames_calls == []
@@ -801,19 +801,44 @@ class TestPrefetch:
         A.structure_at(Q[0])
         assert frames_calls == [1, 6]  # the point, then its stencil
         frames_calls.clear()
-        A.prefetch(Q[1:])
+        A._prefetch(Q[1:])
         assert frames_calls == [64, 64 * 6]  # the chunk's points, then all their stencils
         frames_calls.clear()
-        A.prefetch(Q)  # a chunk is built whole, whatever the kernel held
+        A._prefetch(Q)  # a chunk is built whole, whatever the kernel held
         assert frames_calls == [65, 65 * 6]
         frames_calls.clear()
         kernel_reads(A, Q)
         assert frames_calls == []
 
-    def test_no_memo_no_op(self):
-        A = tangent_algebroid(Chart(dim=2, coord_names=("a", "b")))
-        A.prefetch(np.zeros((3, 2)))
-        assert np.array_equal(A.structure_at(np.zeros(2)), np.zeros((2, 2, 2)))
+    @pytest.mark.parametrize("build", ["tangent", "force_extension"])
+    def test_a_sweep_without_a_kernel_calls_no_hook(self, build, monkeypatch):
+        # the class default None: no hook runs, and no chunk falls back to the pointwise rerun
+        monkeypatch.setattr(algebroid, "PREFETCH_CHUNK", 4)
+        A = lie_tangent(2)
+        if build == "force_extension":  # the per-read wrapper forwards no hook
+            A = force_extension(A, Homomorphism(coeff=lambda q: np.array([[q[0], 0.3], [-0.2, q[1]]])))
+        assert A._prefetch is None and "_prefetch" not in vars(A)
+        X = sample_box([(0.0, 1.0)] * 2, 10, 4)
+
+        def row(x):
+            return A.structure_at(x).sum() + A.anchor_at(x).sum()
+
+        stacks = []
+        rows = algebroid.sweep(A, X, lambda Y: stacks.append(len(Y)) or np.array([row(y) for y in Y]),
+                               lambda x: pytest.fail("a chunk was rerun point by point"))
+        assert stacks == [4, 4, 2]
+        assert np.array(rows).tobytes() == np.array([row(x) for x in X]).tobytes()
+
+    def test_a_sweep_over_the_v_restriction_builds_its_base(self, monkeypatch):
+        # cocycle-check --on v: the restriction's reads are its base's, so it passes the base's hook on
+        frames_calls = counted_frames(monkeypatch)
+        gs = instantiate("rolling_ball")
+        V = algebroid.v_restriction(gs.system.algebroid)
+        phi = DualSection(components=lambda q: np.array([q[0], 0.5, -q[1]]))
+        frames_calls.clear()
+        report = check_cocycle(V, phi, gs.default_box, 16, 7)
+        assert frames_calls == [16, 16 * 6]  # one stacked build of the chunk, which serves every read
+        assert report.samples == 16 and np.isfinite(report.max_violation)
 
     @staticmethod
     def _failing_system(bad, nan_near):
@@ -841,7 +866,7 @@ class TestPrefetch:
 
     @pytest.mark.parametrize("nan_near", [True, False])
     @pytest.mark.parametrize("check", ["hj-check", "cocycle-check", "morphism-check"])
-    def test_errors_are_those_of_the_pointwise_sweep(self, check, nan_near, monkeypatch):
+    def test_errors_are_those_of_the_pointwise_sweep(self, check, nan_near):
         box = [(0.0, 1.0), (0.0, 1.0)]
         if check == "hj-check":
             points = grid_points(box, 4)[2]
@@ -849,8 +874,10 @@ class TestPrefetch:
             points = sample_box(box, 16, 7)
         bad = points[3]  # E's structure raises here; the stencil of point 7 meets NaN frames
 
-        def run():
+        def run(hook=True):
             sys_ = self._failing_system(bad, points[7] if nan_near else None)
+            if not hook:  # the sweep without the kernel's hook
+                sys_.algebroid._prefetch = None
             if check == "hj-check":
                 alpha = DualSection(components=lambda q: np.array([0.5, q[0]]), space="V*")
                 hj_grid_check(sys_, alpha, box, 4)
@@ -862,21 +889,19 @@ class TestPrefetch:
 
         with pytest.raises(DomainError) as prefetched:
             run()
-        with monkeypatch.context() as patch:  # the sweep without prefetch
-            patch.setattr(SkewAlgebroid, "prefetch", lambda self, Q: None)
-            with pytest.raises(DomainError) as pointwise:
-                run()
+        with pytest.raises(DomainError) as pointwise:
+            run(hook=False)
         assert str(prefetched.value) == str(pointwise.value) == f"no structure at q={bad.tolist()}"
 
     def test_a_failed_prefetch_raises_and_keeps_the_previous_build(self, monkeypatch):
         frames_calls = counted_frames(monkeypatch)
         Q = sample_box([(0.0, 1.0), (0.0, 1.0)], 8, 5)
         A = self._failing_system(Q[3], Q[6]).algebroid
-        A.prefetch(Q[:3])
+        A._prefetch(Q[:3])
         kept = kernel_reads(A, Q[:3])
         frames_calls.clear()
         with pytest.raises(NumericFailure, match=re.escape(f"function evaluation non-finite near q={Q[6].tolist()}")):
-            A.prefetch(Q)
+            A._prefetch(Q)
         assert frames_calls == [8, 8 * 4]  # built up to the NaN stencil values, then dropped
         frames_calls.clear()
         assert kernel_reads(A, Q[:3]) == kept
@@ -955,7 +980,7 @@ class TestBallKernelArithmetic:
         Q[1] = [0.0, -0.0, 0.0]
         A = gs.system.algebroid
         if read == "prefetched":
-            A.prefetch(Q)
+            A._prefetch(Q)
         ambient = lambda q: ball_ambient_loop(Om0 if omega == "constant" else Om0 * q[0])
         assert kernel_reads(A, Q) == affine_reference_reads(gs.extras["ambient"], ambient, U_data, Q)
 
@@ -968,7 +993,7 @@ class TestBallKernelArithmetic:
         Q = sample_box(((-2.0, 2.0),) * 2, 500, 43)
         Q[0] = [-0.0, 0.5]
         if read == "prefetched":
-            A.prefetch(Q)
+            A._prefetch(Q)
         assert kernel_reads(A, Q) == affine_reference_reads(E, E.structure_at, (G, U, X0), Q)
 
     def test_the_constant_ambient_is_the_loop_bytes(self):
@@ -1001,7 +1026,7 @@ class TestBallKernelArithmetic:
 
 def wrapped_force_extension(base, F):
     """The force extension as a wrapper layer over its base reads it: per read, the base's anchor and C copied
-    into zero padded arrays, then the force rows; its prefetch is the base's."""
+    into zero padded arrays, then the force rows; its kernel hook is the base's."""
     n, m = base.rank + 1, base.chart.dim
 
     def anchor(q):
@@ -1017,8 +1042,9 @@ def wrapped_force_extension(base, F):
             C[1:, 0] = -C[0, 1:]
         return C
 
-    return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True,
-                         prefetch=base.prefetch)
+    A = SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True)
+    A._prefetch = base._prefetch
+    return A
 
 
 def _twist(q):  # a q-dependent force on a rank-3 kernel
@@ -1072,8 +1098,8 @@ class TestForcedKernel:
         Q = forced_points(box)
         (A, _), (ref, _) = build(False), build(True)
         if read == "prefetched":
-            A.prefetch(Q)
-            ref.prefetch(Q)
+            A._prefetch(Q)
+            ref._prefetch(Q)
         assert kernel_reads(A, Q) == kernel_reads(ref, Q)  # C, then the anchor
         V, Vref = algebroid.v_restriction(A), algebroid.v_restriction(ref)
         assert kernel_reads(V, Q) == kernel_reads(Vref, Q)
@@ -1149,7 +1175,7 @@ class TestLastBuild:
         assert [len(Q) for Q in stacks] == [1]  # a point read before the last build is built again
         Q = sample_box(gs.default_box, 64, 3)
         stacks.clear()
-        A.prefetch(Q)
+        A._prefetch(Q)
         assert [len(Q) for Q in stacks] == [64]
         stacks.clear()
         kernel_reads(A, Q)
@@ -1204,8 +1230,8 @@ class TestAdaptedness:
         A, box = ADAPTED_BUILDS[name]()
         assert A.adapted
         Q = sample_box(box, 64, 23)
-        if read == "prefetched":
-            A.prefetch(Q)
+        if read == "prefetched" and A._prefetch is not None:  # builders without a kernel have no hook
+            A._prefetch(Q)
         for q in Q:
             assert np.all(A.structure_at(q)[:, :, 0] == 0.0)
 
@@ -1228,7 +1254,7 @@ class TestReadOnlyAnchor:
         A = ANCHOR_SYSTEMS[system]()
         q = np.linspace(0.1, 0.4, A.chart.dim)
         if read == "prefetched":
-            A.prefetch(q[None])
+            A._prefetch(q[None])
         B = algebroid.v_restriction(A) if view else A
         before = B.anchor_at(q).copy()
         with pytest.raises(ValueError, match="read-only"):

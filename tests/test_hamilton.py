@@ -25,7 +25,7 @@ from algebroid_mech import (
     projected_field,
 )
 
-from algebroid_mech.algebroid import _Constant, sample_box
+from algebroid_mech.algebroid import _Constant, _read_at, d_oneform_matrix, sample_box
 from algebroid_mech.gallery import GALLERY_IDS
 from algebroid_mech.hamilton_jacobi import hj_forced_residual, hj_residual, hj_residual_dual
 
@@ -529,6 +529,39 @@ class TestRatesInPlace:
                 dissipation_rate(S, bad)
         with pytest.raises(ValueError, match="state length does not match the system"):
             hamilton_rhs(S, 0.0, np.zeros((2, 4)))
+
+
+class TestEmptyStacks:
+    """The stack readers take a stack of zero points and give empty results of its shape."""
+
+    @pytest.mark.parametrize("system", ["vertical_disk", "rolling_ball", "cylinder_friction"])
+    def test_a_stack_of_no_points_reads_empty_results(self, system):
+        # a kernel system under a force extension, a kernel system, a constant system
+        S = instantiate(system).system
+        A = S.algebroid
+        m, n = A.chart.dim, A.rank
+        rho, C = _read_at(A, np.zeros((0, m)))
+        assert rho.shape == (0, m, n) and C.shape == (0, n, n, n)
+        assert rho.dtype == C.dtype == float
+        assert dissipation_rate(S, np.zeros((0, m + n - 1))).shape == (0,)
+        assert d_oneform_matrix(A, np.zeros((0, n)), np.zeros((0, n, m)), np.zeros((0, m))).shape == (0, n, n)
+        assert hamilton._bivector_at(A, np.zeros((0, m + n))).shape == (0, m + n, m + n)
+
+
+class TestResidualIsOneFieldEvaluation:
+    """At p = alpha(q) the projected field is the q-rates of ``hamilton_rhs``, and the HJ residual is
+    alpha's transport along them less the p-rates, bit for bit: so the residual can become this one
+    field evaluation once nothing pins its second read of alpha, dH and the anchor (ROADMAP item 1)."""
+
+    @pytest.mark.parametrize("system,omega", GALLERY_CASES)
+    def test_field_and_residual_are_the_rates_bits(self, system, omega):
+        gs = instantiate(system, omega=omega)
+        S, m = gs.system, gs.system.chart.dim
+        alpha = gs.section("dS" if system == "three_body_drag" else "reference")
+        for q in sample_box(gs.default_box, 300, 29):
+            rates = hamilton_rhs(S, 0.0, np.concatenate([q, alpha(q)]))
+            assert projected_field(S, alpha, q).tobytes() == rates[:m].tobytes()
+            assert hj_residual(S, alpha, q).tobytes() == (alpha.jac(q) @ rates[:m] - rates[m:]).tobytes()
 
 
 class TestHamiltonRhs:
