@@ -27,14 +27,22 @@ adapted-frame cocycle and the ball's kernel section at 16 samples, the
 four morphism checks at 8, and four handler paths that no command above takes (a JSON
 ``simulate``, the ball's ``mu-projection`` morphism, a ``--x0``
 start, and a ``dissipation`` whose first row's H is non-finite, which
-exits 3).  Each run is a fresh interpreter, so the
+exits 3), then three checks at 1,100 samples, more than one sweep chunk
+(``PREFETCH_CHUNK``, 1,024), so that the stack forms of the disk's and the
+morphism's declared callables run on a full chunk and on a short one: the
+disk's cocycle and identity morphism checks and the ball's
+``mu-projection`` morphism.  Each run is a fresh interpreter, so the
 constructed algebroids start with nothing built.  A tree's time for a
 command is the best of k runs, and the trees alternate run by run so that
 drift in the machine's speed falls on all of them alike.  Every tree is
 byte-compiled (``compileall``) before the first timed run, so that no
 tree's ``wall_s`` includes compiling the package on every command (a tree
-without ``__pycache__`` read 20-30 ms higher per command); each entry's
-``bytecode_compiled`` records that it was.
+without bytecode read 20-30 ms higher per command); each entry's
+``bytecode_compiled`` records that it was.  The bytecode goes to a
+temporary cache prefix (``sys.pycache_prefix`` here, PYTHONPYCACHEPREFIX in
+the children, which an untimed import per tree fills with the bytecode of
+the standard library and numpy), so the measured trees are left as they
+were: a tree holding ``__pycache__`` reads a lower perfbench ``setup_s``.
 
     python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_13.json
 
@@ -67,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import hashlib
 import json
 import os
@@ -83,6 +92,8 @@ GALLERY = ("cylinder_friction", "riemannian_flat", "rolling_ball", "three_body_d
            "time_dependent_free", "vertical_disk")
 CHECK_SAMPLES = "16"
 MORPHISM_SAMPLES = "8"
+# more samples than one sweep chunk (algebroid_mech.algebroid.PREFETCH_CHUNK, 1,024) holds
+CHUNK_BOUNDARY_SAMPLES = "1100"
 README = (
     ["gallery", "list"],
     ["simulate", "vertical_disk", "--section", "reference", "--t1", "5", "--dt", "1e-3"],
@@ -182,15 +193,44 @@ def commands(seed: int) -> list:
     cmds += [list(argv) for argv in HANDLER_PATHS]
     cmds.append(["morphism-check", "rolling_ball", "--morphism", "mu-projection",
                  "--samples", MORPHISM_SAMPLES, "--seed", s])
+    cmds += [["cocycle-check", "vertical_disk", "--samples", CHUNK_BOUNDARY_SAMPLES, "--seed", s],
+             ["morphism-check", "vertical_disk", "--samples", CHUNK_BOUNDARY_SAMPLES, "--seed", s],
+             ["morphism-check", "rolling_ball", "--morphism", "mu-projection",
+              "--samples", CHUNK_BOUNDARY_SAMPLES, "--seed", s]]
     return cmds
 
 
+@contextlib.contextmanager
+def bytecode_outside_the_trees():
+    """Point ``sys.pycache_prefix``, where ``compileall`` writes and ``child_env`` sends every child, at a
+    temporary directory for the duration, so that no measured tree gets a ``__pycache__``."""
+    saved = sys.pycache_prefix
+    with tempfile.TemporaryDirectory() as prefix:
+        sys.pycache_prefix = prefix
+        try:
+            yield
+        finally:
+            sys.pycache_prefix = saved
+
+
+def child_env(src: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=sys.pycache_prefix)
+
+
+def compile_tree(src: Path) -> bool:
+    """Byte-compile ``src`` into the cache prefix, then import the CLI once, untimed, so that the prefix also
+    holds the bytecode of the standard library and numpy modules every child imports."""
+    compiled = bool(compileall.compile_dir(str(src), quiet=1))
+    subprocess.run([sys.executable, "-c", "import json, time, warnings, algebroid_mech.cli"], env=child_env(src),
+                   capture_output=True, check=False)  # a tree that cannot import fails in its first run
+    return compiled
+
+
 def run_once(src: Path, argv: list, out: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
     out.unlink(missing_ok=True)  # a command that writes nothing must not read the last one's output
     t = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv, "--out", str(out)],
-                          env=env, capture_output=True, text=True, check=False)
+                          env=child_env(src), capture_output=True, text=True, check=False)
     wall = time.perf_counter() - t
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} crashed in {src}: {proc.stderr.strip()}")
@@ -208,7 +248,7 @@ def run_once(src: Path, argv: list, out: Path) -> dict:
 
 def build_once(src: Path, system: str, omega: str) -> dict:
     proc = subprocess.run([sys.executable, "-c", BUILD_CHILD, system, omega, str(BUILD_REPS)],
-                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=False)
+                          env=child_env(src), capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"instantiate({system!r}, omega={omega!r}) crashed in {src}: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -259,11 +299,11 @@ def main(argv=None) -> int:
             ap.error(f"--tree needs LABEL=SRC, got {spec!r}")
         trees[label] = Path(src).resolve()
 
-    compiled = {label: bool(compileall.compile_dir(str(src), quiet=1)) for label, src in trees.items()}
     cmds = commands(args.seed)
     runs = {label: [[] for _ in cmds] for label in trees}
     builds = {label: [[] for _ in CONSTRUCTIONS] for label in trees}
-    with tempfile.TemporaryDirectory() as tmp:
+    with bytecode_outside_the_trees(), tempfile.TemporaryDirectory() as tmp:
+        compiled = {label: compile_tree(src) for label, src in trees.items()}
         out = Path(tmp) / "output"
         for rnd in range(args.k):
             order = list(trees) if rnd % 2 == 0 else list(reversed(trees))

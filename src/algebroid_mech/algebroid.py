@@ -20,6 +20,7 @@ through a construction kernel's private hook ``_prefetch``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -86,18 +87,44 @@ class DualSection:
 
 
 class _Constant:
-    """q -> one read-only float array, built once; readers that recognize it skip the call."""
+    """q -> one read-only float array, built once; readers that recognize it skip the call, stacks broadcast it."""
 
     def __init__(self, value):
         self.value = np.array(value, dtype=float)
         self.value.flags.writeable = False
+        self._rows = None
 
     def __call__(self, q) -> np.ndarray:
         return self.value
 
+    def stack(self, Q, *stacks) -> np.ndarray:
+        if self._rows is None:  # one view, built at first use, longer than any stack
+            longest = np.iinfo(np.intp).max // max(self.value.nbytes, 1)
+            self._rows = np.broadcast_to(self.value, (longest,) + self.value.shape)
+        return self._rows[:len(Q)]
+
+
+class _Stacked(partial):
+    """A callable declared to take stacks: its call is the point form ``func`` (a partial's, so the call adds
+    no Python frame to the pointwise reads), and ``stack`` (the point form, by default) maps stacks of its
+    arguments (K, ...) to a C-ordered float stack whose row k is the point form's bits at row k."""
+
+    def __new__(cls, point, stack=None):
+        self = super().__new__(cls, point)
+        self.stack = point if stack is None else stack
+        return self
+
 
 def _constant(*fns) -> bool:
     return all(type(fn) is _Constant for fn in fns)
+
+
+def on_stack(fn, Q, *stacks) -> np.ndarray:
+    """fn at each row of Q (K, m) and of its further arguments' stacks: a ``_Constant`` broadcasts, a ``_Stacked``
+    callable runs its stack form once (its faster point form at K = 1), any other runs per point (K = 0: (0,))."""
+    if type(fn) is _Constant or (type(fn) is _Stacked and len(Q) != 1):
+        return np.asarray(fn.stack(Q, *stacks), dtype=float)
+    return np.array([fn(*row) for row in zip(Q, *stacks)], dtype=float)
 
 
 def constant_section(values) -> ESection:
@@ -379,14 +406,13 @@ def check_cocycle(
     The pairs a < b are the upper triangle of ``d_oneform_matrix``, taken from phi(q) and a
     central-difference Jacobian of phi even when phi carries an analytic one, so the reports
     keep their bits.  The samples are a ``stacked_sweep``: phi is evaluated 2m + 1 times per
-    sample, but a finite constant phi (``adapted_cocycle``) is read with no call, its Jacobian
-    being the exact zero its stencil would give."""
+    sample, through ``on_stack`` on the chunk and on all its stencil points, so a constant phi
+    (``adapted_cocycle``) is broadcast with no call, and its stencil gives exact zeros."""
     pts = sample_box(box, samples, seed)
-    const = type(phi.components) is _Constant and np.isfinite(phi.components.value).all()
 
     def terms(Q):
-        beta = np.broadcast_to(phi.components.value, (len(Q), A.rank)) if const else np.array([phi(q) for q in Q])
-        jac = np.zeros(beta.shape + Q.shape[1:]) if const else _central_differences(phi, Q, None, False, "function")
+        beta = on_stack(phi.components, Q)
+        jac = _central_differences(lambda Y: on_stack(phi.components, Y), Q, None, True, "function")
         yield np.triu(d_oneform_matrix(A, beta, jac, Q), 1)
 
     worst = [(q, v[0]) for q, v in zip(pts, stacked_sweep(A, pts, terms, ["d phi(e_{}, e_{})"]))]

@@ -9,6 +9,7 @@ plain float64 numpy arrays and are never mutated after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -96,7 +97,7 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
     differences of ``fn`` at q, step ``h`` or FD_SCALE * max(1, |q_i|).
 
     A stack of points q (K, m) gives (K, k, m), each point's bits as if alone (an error
-    names the first failing point); with ``stacked`` fn gets all K * 2m rows in one call."""
+    names the first failing point, and K = 0 takes k from fn); with ``stacked`` fn gets all K * 2m rows in one call."""
     finite = np.isfinite(q)
     if np.count_nonzero(finite) < finite.size:  # counted, as in ``require_finite``
         _fail_at_first(q, finite.all(axis=-1), "finite-difference base point non-finite at")
@@ -107,7 +108,8 @@ def _central_differences(fn, q, h, stacked, what) -> np.ndarray:
     stencil[..., idx, idx] += steps
     stencil[..., m + idx, idx] -= steps
     rows = stencil.reshape(-1, m)
-    vals = np.asarray(fn(rows) if stacked else [fn(x) for x in rows], dtype=float).reshape(q.shape[:-1] + (2 * m, -1))
+    vals = np.asarray(fn(rows) if stacked else [fn(x) for x in rows], dtype=float)
+    vals = vals.reshape(q.shape[:-1] + (2 * m, -1 if len(rows) else math.prod(vals.shape[1:])))
     finite = np.isfinite(vals)
     if np.count_nonzero(finite) < finite.size:
         _fail_at_first(q, finite.all(axis=(-2, -1)), f"{what} evaluation non-finite near")

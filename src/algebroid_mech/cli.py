@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebroid import FLAG_FIELD_CAP, adapted_cocycle, check_cocycle, flag_rank, sweep, v_restriction
+from .algebroid import FLAG_FIELD_CAP, _Stacked, adapted_cocycle, check_cocycle, flag_rank, sweep, v_restriction
 from .calculus import require_finite
 from .constructions import MorphismEndpoint, MorphismPair, morphism_check
 from .errors import AlgebroidError, DomainError, NumericFailure
@@ -227,7 +227,7 @@ def _cmd_flag_rank(args):
 # every base map is the identity, and only mu-projection lands on the kernel side V
 _FIBER_MAPS = {
     "identity": lambda factor: lambda q, p: p,
-    "mu-projection": lambda factor: lambda q, p: p[1:],
+    "mu-projection": lambda factor: lambda q, p: p[..., 1:],
     "momentum-scale": lambda factor: lambda q, p: factor * p,
 }
 
@@ -240,7 +240,8 @@ def _cmd_morphism_check(args):
     sys_ = gs.system
     src = MorphismEndpoint.from_system(sys_)
     dst = MorphismEndpoint.v_side(sys_) if args.morphism == "mu-projection" else MorphismEndpoint.from_system(sys_)
-    pair = MorphismPair(base_map=lambda q: q, fiber_map=_FIBER_MAPS[args.morphism](factor))
+    # each map is one formula over a leading axis, and so is its own stack form
+    pair = MorphismPair(base_map=_Stacked(lambda q: q), fiber_map=_Stacked(_FIBER_MAPS[args.morphism](factor)))
     reports = morphism_check(src, dst, pair, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
     return _emit(args, gs, "reports", {r.name: r.to_json_dict() for r in reports}, all(r.passed for r in reports),
                  factor=factor)

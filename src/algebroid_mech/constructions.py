@@ -18,11 +18,12 @@ their force extension into its one padded build per read; the force
 extension of any other base pads that base's tensor.  The two adapted
 builders write C_{ab}^0 as an exact 0.0 (the force extension's padding, the
 affine projection's leading entry), so no construction checks adaptedness;
-``check_cocycle`` of ``adapted_cocycle`` measures it on demand.  Per
-point, the kernel's anchor needs only the frame; its C adds the frame's
-derivative: analytic when every basis section of a projector restriction
-carries a jacobian, else from one stacked finite-difference stencil (so
-always for the affine constraints).  The kernel keeps only its last build:
+``check_cocycle`` of ``adapted_cocycle`` measures it on demand.  At a
+point or a stack (each user callable read by ``algebroid.on_stack``), the
+kernel's anchor needs only the frame; its C adds the frame's derivative:
+analytic when every basis section of a projector restriction carries a
+jacobian, else from one stacked finite-difference stencil (so always for
+the affine constraints).  The kernel keeps only its last build:
 the point whose C a read just built, for the anchor read that follows, or
 the points (a grid or sample chunk, a trajectory's rows) that a ``sweep``
 just built through its private hook ``_prefetch`` in one stacked pass, bit
@@ -36,12 +37,13 @@ bracket it once over a constant C_E.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _constant, adapted_cocycle, sample_box,
-                        stacked_sweep, v_restriction)
+from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _constant, adapted_cocycle, on_stack,
+                        sample_box, stacked_sweep, v_restriction)
 from .calculus import ScalarField, _central_differences, fd_jacobian, max_abs, require_finite
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bivector_at, f_h_eval
@@ -88,12 +90,12 @@ class MorphismPair:
     fiber_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def full(self, A_src: SkewAlgebroid, x_full: np.ndarray) -> np.ndarray:
-        m = A_src.chart.dim
-        q = x_full[:m]
-        p = x_full[m:]
-        qbar = np.atleast_1d(np.asarray(self.base_map(q), dtype=float))
-        pbar = np.asarray(self.fiber_map(q, p), dtype=float)
-        return np.concatenate([qbar, pbar])
+        """psi at a full dual point (q, p), or at each row of a stack of them (K, m + n), by ``on_stack``."""
+        X = np.atleast_2d(np.asarray(x_full, dtype=float))
+        Q, P = X[:, :A_src.chart.dim], X[:, A_src.chart.dim:]
+        images = np.concatenate([on_stack(self.base_map, Q).reshape(len(X), -1),
+                                 on_stack(self.fiber_map, Q, P).reshape(len(X), -1)], axis=1)
+        return images if np.ndim(x_full) == 2 else images[0]
 
 
 def _validation_points(points, m: int) -> np.ndarray:
@@ -101,7 +103,7 @@ def _validation_points(points, m: int) -> np.ndarray:
     and diagonals: sines of a golden-angle sequence, so building imports no numpy.random."""
     if points is None:
         return np.sin(1.0 + 2.399963229728653 * np.arange(8 * m)).reshape(8, m)
-    return np.asarray(points, dtype=float)
+    return np.asarray(points, dtype=float).reshape(len(points), m)  # an empty list, too, is a (0, m) stack
 
 
 def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgebroid:
@@ -142,7 +144,7 @@ def force_extension(base: SkewAlgebroid, F: Optional[Homomorphism]) -> SkewAlgeb
 def _force_rows(C, F, q) -> None:
     """Write C_{0b}^c = -F_b^c(q) and C_{b0} = -C_{0b} into C (n, n, n), or per row of a stack q into a stack C."""
     if F is not None:
-        C[..., 0, 1:, 1:] = -(F.at(q) if q.ndim == 1 else np.array([F.at(x) for x in q]))
+        C[..., 0, 1:, 1:] = -(F.at(q) if q.ndim == 1 else on_stack(F.coeff, q))
         C[..., 1:, 0, :] = -C[..., 0, 1:, :]
 
 
@@ -160,15 +162,15 @@ def projector_restriction(
     The restricted bracket is project-after-bracket, the anchor is the
     anchored inclusion.  When every basis section carries a ``jacobian``,
     the kernel differentiates the frame with them; they must agree with
-    central differences of the sections within 1e-6 at the same points.
+    central differences of the sections, one stencil over all the points,
+    within 1e-6.  P runs per point and vector, the sections by ``_rows_of``.
     """
     r = len(D_basis)
     if r < 1:
         raise ValueError("D_basis must be non-empty")
     m = E.chart.dim
 
-    def frames(Q):
-        return np.array([[s(q) for s in D_basis] for q in Q])  # (K, r, n_E)
+    frames = partial(_rows_of, [s.components for s in D_basis])  # (K, r, n_E) at a stack Q (K, m)
 
     points = _validation_points(validation_points, m)
     worst = max((max_abs(np.array([P(q, v, M) for v in M], dtype=float) - np.eye(r), "P(q, D_{}(q))[{}]", q)
@@ -178,12 +180,11 @@ def projector_restriction(
 
     frame_jacobian = None
     if all(s.jacobian is not None for s in D_basis):
-        def frame_jacobian(q):  # (r, n_E, m)
-            return np.array([s.jacobian(q) for s in D_basis], dtype=float)
-
+        frame_jacobian = partial(_rows_of, [s.jacobian for s in D_basis])  # (r, n_E, m) at q, (K, r, n_E, m) at Q
         worst = 0.0
-        for q in points:
-            exact, stencil = frame_jacobian(q), fd_jacobian(frames, q, stacked=True).reshape(r, -1, m)
+        for q, exact, stencil in zip(points, frame_jacobian(points),
+                                     _central_differences(frames, points, None, True, "function")):
+            stencil = stencil.reshape(r, -1, m)
             if exact.shape != stencil.shape:
                 raise ValueError(f"section jacobians must have shape {stencil.shape[1:]}, got {exact.shape[1:]}")
             worst = max(worst, max_abs(exact - stencil, "jacobian of D_{}(q)[{}, {}]", q))
@@ -192,6 +193,14 @@ def projector_restriction(
 
     return _bracket_then_project(E, frames, lambda q, M: lambda val: P(q, val, M), rank=r, adapted=False,
                                  frame_jacobian=frame_jacobian)
+
+
+def _rows_of(fns, q) -> np.ndarray:
+    """The callables ``fns`` at a point q, (len(fns), ...), or at each row of a stack q (K, m), (K, len(fns), ...),
+    by ``on_stack``, but point by point at a stack of one point (or of none: shape (0,))."""
+    if q.ndim == 2 and len(q) > 1:
+        return np.ascontiguousarray(np.stack([on_stack(fn, q) for fn in fns], axis=1))  # C order, as at a point
+    return np.array([fn(q) for fn in fns] if q.ndim == 1 else [[fn(x) for fn in fns] for x in q], dtype=float)
 
 
 def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapted: bool,
@@ -203,9 +212,10 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     naming the point.  The anchor is rho_E(e_a).  The structure
     functions are projection(q, M)([[e_a, e_b]]_E) for the frame M at q, a
     length-``rank`` vector.  The bracket's derivative terms take the frame
-    derivative (rank, n_E, m) from ``frame_jacobian(q)`` when given (a
-    non-finite value raises NumericFailure), else from central differences
-    of the frame, all stencil points in one ``frames`` call.  A ``frame``
+    derivative from ``frame_jacobian`` when given, (rank, n_E, m) at a point
+    and (K, rank, n_E, m) at a stack (a non-finite value raises
+    NumericFailure), else from central differences of the frame, all
+    stencil points in one ``frames`` call.  A ``frame``
     fixed with its projection at every q projects all pairs (..., n_E) at once.
     Its ``force_extension`` (``_forced``) is read by the kernel too: one build
     writes these values at indices >= 1 of a padded anchor and C, and the force rows.
@@ -216,9 +226,10 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     ``sweep`` just built through the private hook ``_prefetch(Q)``, set here
     on each algebroid the kernel builds, in one pass of the same arithmetic
     (``build``), so its bits are the pointwise ones: one ``frames`` call for
-    the points, one for all their stencils, the pair brackets as one einsum
-    and stacked mat-vecs; only the projection runs per point and pair (or
-    once, for a fixed ``frame``).  An anchor read of any other point builds
+    the points, one for all their stencils, E's anchor and C and the force
+    read by ``on_stack``, the pair brackets as one einsum and stacked
+    mat-vecs; only the projection runs per point and pair (or once, for a
+    fixed ``frame``).  An anchor read of any other point builds
     the frame and keeps nothing.  A stacked pass that raises keeps the last build and
     raises its error; the ``sweep`` then reads its chunk point by point, so
     the pointwise read of the failing point raises as it would have alone.
@@ -243,7 +254,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             return fixed
         if Q.ndim == 1:
             return np.einsum("abg,pa,pb->pg", E.structure_at(Q), M[I], M[J])
-        return np.einsum("kabg,kpa,kpb->kpg", np.array([E.structure_at(q) for q in Q]), M[:, I], M[:, J])
+        return np.einsum("kabg,kpa,kpb->kpg", on_stack(E._structure, Q), M[:, I], M[:, J])
 
     def pair_values(brackets, dM, anchored):  # the pair brackets plus their derivative terms, one stacked product each
         return (brackets + (dM[..., J, :, :] @ anchored[..., I, :, None])[..., 0]
@@ -293,11 +304,11 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
         def build(Q):  # the pointwise anchors and C of every row of Q, stacked
             M = require_finite(frames(Q), "frame", Q)  # (K, rank, n_E)
             anchor = np.zeros(Q.shape + (n,))
-            np.matmul(np.array([E.anchor_at(q) for q in Q]), np.swapaxes(M, -1, -2), out=anchor[..., pad:])
+            np.matmul(on_stack(E._anchor, Q), np.swapaxes(M, -1, -2), out=anchor[..., pad:])
             if frame_jacobian is None:
                 dM = _central_differences(frames, Q, None, True, "function").reshape(M.shape + Q.shape[-1:])
             else:
-                dM = require_finite(np.array([frame_jacobian(q) for q in Q], dtype=float), "frame jacobian", Q)
+                dM = require_finite(frame_jacobian(Q), "frame jacobian", Q)
             val = pair_values(pair_brackets(Q, M), dM, np.swapaxes(anchor[..., pad:], -1, -2))
             C = np.zeros((len(Q), n, n, n))
             V = C[:, pad:, pad:, pad:]
@@ -391,10 +402,8 @@ def affine_constraints(
         """Rows: X0 then the orthonormalized U frame, in E components."""
         if len(Q) == 0:
             return np.zeros((0, r + 1, E.rank))
-        Gq = np.array([G.at(q) for q in Q])
-        B = np.array([[s(q) for s in U_basis] for q in Q])
-        X = np.array([X0(q) for q in Q])
-        return np.concatenate([X[:, None, :], _gram_schmidt(Gq, B) @ B], axis=1)  # (K, r+1, nE)
+        Gq, B = _rows_of([G.matrix], Q)[:, 0], _rows_of([s.components for s in U_basis], Q)
+        return np.concatenate([_rows_of([X0.components], Q), _gram_schmidt(Gq, B) @ B], axis=1)  # (K, r+1, nE)
 
     def projection(q, M):
         # G(ebar_a, .) for the orthonormal rows; the drift row has none
@@ -409,9 +418,8 @@ def affine_constraints(
 
     frame = None
     if _constant(G.matrix, X0.components, *(s.components for s in U_basis)):
-        frame = frames(np.zeros((1, m)))[0]
-        stack = np.broadcast_to(frame, (np.iinfo(np.intp).max // frame.nbytes,) + frame.shape)  # longer than any Q
-        frames = lambda Q: stack[:len(Q)]
+        fixed = _Constant(frames(np.zeros((1, m)))[0])
+        frame, frames = fixed.value, fixed.stack  # every stack reads the one frame
 
     # precondition: X0 is G-orthogonal to U
     points = _validation_points(validation_points, m)
@@ -450,8 +458,7 @@ class MorphismEndpoint:
         """The reduced dual of a system: kernel algebroid, H as hamiltonian,
         zero cocycle (the projection kills the distinguished direction)."""
         A = v_restriction(sys.algebroid)
-        zero = np.zeros(A.rank)
-        return MorphismEndpoint(algebroid=A, f_h=sys.H, cocycle=lambda q: zero)
+        return MorphismEndpoint(algebroid=A, f_h=sys.H, cocycle=_Constant(np.zeros(A.rank)))
 
 
 def _coerce_endpoint(obj) -> MorphismEndpoint:
@@ -486,8 +493,9 @@ def morphism_check(
     bit for bit, and Jbar holds the probes' own gradients at the image,
     taken by the same central differences so that the identity morphism
     compares equal bits.  Its strict upper triangle is folded.  psi is
-    evaluated 2(m + n) + 1 times per sample, one point at a time; the rest
-    is stacked over the samples (``stacked_sweep``).  A non-finite value
+    evaluated 2(m + n) + 1 times per sample, as two stacks per chunk (its
+    images, then all their stencil points); the hamiltonian pullback runs
+    per sample, the rest is stacked over the samples (``stacked_sweep``).  A non-finite value
     raises NumericFailure naming its sample point and probe pair or
     component.  The sweep builds each chunk through the source's kernel
     hook, which also serves the target when it shares the source's kernel
@@ -503,17 +511,14 @@ def morphism_check(
     rng = np.random.default_rng(seed + 1)
     ps = -1.0 + 2.0 * rng.random((samples, n))
 
-    def psi_full(xf):
-        return pair.full(A, xf)
-
     def terms(X):  # the three conditions' gaps at a stack of samples X = (q, p)
-        images = np.array([psi_full(xf) for xf in X])
-        J = _central_differences(psi_full, X, None, False, "function")
+        images = pair.full(A, X)
+        J = _central_differences(lambda Y: pair.full(A, Y), X, None, True, "function")
         Jbar = _central_differences(lambda Y: Y, images, None, True, "function")
         yield np.triu(J @ _bivector_at(A, X) @ np.swapaxes(J, -1, -2)
                       - Jbar @ _bivector_at(Abar, images) @ np.swapaxes(Jbar, -1, -2), 1)
-        yield np.array([np.asarray(pair.fiber_map(xf[:m], src.cocycle(xf[:m])), dtype=float)
-                        - dst.cocycle(image[:mbar]) for xf, image in zip(X, images)])
+        Q = X[:, :m]
+        yield on_stack(pair.fiber_map, Q, on_stack(src.cocycle, Q)) - on_stack(dst.cocycle, images[:, :mbar])
         yield np.array([dst.f_h(image) - src.f_h(xf) for xf, image in zip(X, images)])
 
     values = stacked_sweep(A, np.concatenate([qs, ps], axis=1), terms,

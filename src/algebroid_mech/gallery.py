@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebroid import DualSection, ESection, SkewAlgebroid, _Constant, constant_section, tangent_algebroid
+from .algebroid import DualSection, ESection, SkewAlgebroid, _Constant, _Stacked, constant_section, tangent_algebroid
 from .calculus import Chart, ScalarField
 from .constructions import (
     Homomorphism,
@@ -101,8 +101,10 @@ def _build_vertical_disk(params):
     def X1(q):
         return np.array([R * math.cos(q[3]) / s, R * math.sin(q[3]) / s, 1.0 / s, 0.0])
 
-    def X2(q):
-        return np.array([0.0, 0.0, 0.0, 1.0 / sJ])
+    def X1_rows(Q):  # X1 at a stack Q (K, 4) in X1's arithmetic, as dX1_rows and F_rows are for dX1 and F
+        out = np.zeros((len(Q), 4))
+        out[:, 0], out[:, 1], out[:, 2] = R * np.cos(Q[:, 3]) / s, R * np.sin(Q[:, 3]) / s, 1.0 / s
+        return out
 
     def dX1(q):
         out = np.zeros((4, 4))
@@ -110,8 +112,13 @@ def _build_vertical_disk(params):
         out[1, 3] = R * math.cos(q[3]) / s
         return out
 
-    dX2 = np.zeros((4, 4))
-    D_basis = [ESection(components=X1, jacobian=dX1), ESection(components=X2, jacobian=lambda q: dX2)]
+    def dX1_rows(Q):
+        out = np.zeros((len(Q), 4, 4))
+        out[:, 0, 3], out[:, 1, 3] = -R * np.sin(Q[:, 3]) / s, R * np.cos(Q[:, 3]) / s
+        return out
+
+    D_basis = [ESection(components=_Stacked(X1, X1_rows), jacobian=_Stacked(dX1, dX1_rows)),
+               ESection(components=_Constant([0.0, 0.0, 0.0, 1.0 / sJ]), jacobian=_Constant(np.zeros((4, 4))))]
     G = np.diag([m, m, I, J])
 
     def P(q, v, M):  # M: the frame X1(q), X2(q) at q
@@ -119,7 +126,12 @@ def _build_vertical_disk(params):
         return np.array([float(M[0] @ Gv), float(M[1] @ Gv)])
 
     D = projector_restriction(TQ, D_basis, P)
-    F = Homomorphism(coeff=lambda q: np.array([[0.0, 0.0], [0.0, K * math.cos(q[3]) / J]]))
+    def F_rows(Q):
+        out = np.zeros((len(Q), 2, 2))
+        out[:, 1, 1] = K * np.cos(Q[:, 3]) / J
+        return out
+
+    F = Homomorphism(coeff=_Stacked(lambda q: np.array([[0.0, 0.0], [0.0, K * math.cos(q[3]) / J]]), F_rows))
     A = force_extension(D, F)
     H = ScalarField(
         eval=lambda x: 0.5 * (x[4] ** 2 + x[5] ** 2),
@@ -211,8 +223,13 @@ def _build_rolling_ball(params, omega_mode="constant"):
     def anchor(q):
         out = np.zeros((3, 6))
         out[:, 0] = (1.0, -omega(q[0]) * q[2], omega(q[0]) * q[1])
-        out[1, 1] = 1.0
-        out[2, 2] = 1.0
+        out[1, 1] = out[2, 2] = 1.0
+        return out
+
+    def anchor_rows(Q):  # the anchor at a stack Q (K, 3) in its arithmetic, as structure_rows is for C_E
+        out = np.zeros((len(Q), 3, 6))
+        out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = 1.0
+        out[:, 1, 0], out[:, 2, 0] = -omega(Q[:, 0]) * Q[:, 2], omega(Q[:, 0]) * Q[:, 1]
         return out
 
     template = np.zeros((6, 6, 6))  # all but the four omega entries, with the -0.0 of the skew rows
@@ -227,8 +244,15 @@ def _build_rolling_ball(params, omega_mode="constant"):
         C[0, 2, 1] = C[1, 0, 2] = omega(q[0])
         return C
 
-    E = SkewAlgebroid(chart=chart, rank=6, anchor=anchor, adapted=False,  # a constant law's C_E is built once
-                      structure=_Constant(structure(np.zeros(3))) if omega_mode == "constant" else structure)
+    def structure_rows(Q):
+        C = np.repeat(template[None], len(Q), axis=0)
+        C[:, 0, 1, 2] = C[:, 2, 0, 1] = -omega(Q[:, 0])
+        C[:, 0, 2, 1] = C[:, 1, 0, 2] = omega(Q[:, 0])
+        return C
+
+    # a constant law's C_E is built once; the anchor and a linear law's C_E also take stacks
+    C_E = _Constant(structure(np.zeros(3))) if omega_mode == "constant" else _Stacked(structure, structure_rows)
+    E = SkewAlgebroid(chart=chart, rank=6, anchor=_Stacked(anchor, anchor_rows), structure=C_E, adapted=False)
     G = MetricField.constant(np.diag([1.0, m, m, m * k * k, m * k * k, m * k * k]))
     U_basis = [
         constant_section([0.0, 0.0, -r, 1.0, 0.0, 0.0]),

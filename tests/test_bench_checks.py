@@ -42,15 +42,21 @@ def test_exit_code_says_whether_the_outputs_are_equal(bench, differ, tmp_path, m
 
 
 def test_each_tree_is_compiled_before_its_first_timed_run(bench, tmp_path, monkeypatch):
-    # a tree without __pycache__ used to read wall_s 20-30 ms high on every command
+    # a tree without bytecode used to read wall_s 20-30 ms high on every command; the bytecode goes to a
+    # temporary cache prefix that every child reads, so no measured tree gets a __pycache__
     trees = {label: tmp_path / label for label in ("parent", "change")}
     for src in trees.values():
         (src / "algebroid_mech").mkdir(parents=True)
         (src / "algebroid_mech" / "__init__.py").write_text("X = 1\n")
-    compiled_at_run = []
+    compiled_at_run, prefixes = [], set()
+    saved = sys.pycache_prefix
 
     def run_once(src, argv, out):
-        compiled_at_run.append(any((src / "algebroid_mech" / "__pycache__").glob("__init__.*.pyc")))
+        prefix = bench.child_env(src)["PYTHONPYCACHEPREFIX"]
+        prefixes.add(prefix)
+        pyc = Path(importlib.util.cache_from_source(str(src / "algebroid_mech" / "__init__.py")))
+        compiled_at_run.append(prefix == sys.pycache_prefix and pyc.is_relative_to(prefix) and pyc.exists()
+                               and not (src / "algebroid_mech" / "__pycache__").exists())
         return {"exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None,
                 "max_deviation": None, "output_sha256": "same", "stderr_sha256": "same"}
 
@@ -61,6 +67,8 @@ def test_each_tree_is_compiled_before_its_first_timed_run(bench, tmp_path, monke
     assert compiled_at_run == [True] * 4  # two commands in each of two trees
     entries = json.loads(out.read_text())["entries"]
     assert {label: e["bytecode_compiled"] for label, e in entries.items()} == {"parent": True, "change": True}
+    assert sys.pycache_prefix == saved and len(prefixes) == 1 and not Path(prefixes.pop()).exists()
+    assert [p for src in trees.values() for p in src.rglob("__pycache__")] == []
 
 
 @pytest.fixture
@@ -119,6 +127,20 @@ def test_the_linear_law_ball_runs_its_stacked_kernel_build(bench_and_workloads):
               and "--omega" in argv and argv[argv.index("--omega") + 1] == "linear"]
     assert linear == [["hj-check", "rolling_ball", "--omega", "linear", "--resolution", "4"],
                       ["cocycle-check", "rolling_ball", "--omega", "linear", "--samples", "16", "--seed", "11"]]
+
+
+def test_three_checks_sweep_more_than_one_chunk(bench_and_workloads):
+    # the stack forms of the disk's and the morphisms' declared callables, over a full chunk and a short one
+    bench, _ = bench_and_workloads
+    from algebroid_mech.algebroid import PREFETCH_CHUNK
+
+    long = [argv for argv in bench.commands(11) if "--samples" in argv
+            and int(argv[argv.index("--samples") + 1]) > PREFETCH_CHUNK]
+    assert long == [["cocycle-check", "vertical_disk", "--samples", "1100", "--seed", "11"],
+                    ["morphism-check", "vertical_disk", "--samples", "1100", "--seed", "11"],
+                    ["morphism-check", "rolling_ball", "--morphism", "mu-projection", "--samples", "1100",
+                     "--seed", "11"]]
+    assert int(bench.CHUNK_BOUNDARY_SAMPLES) < 2 * PREFETCH_CHUNK
 
 
 def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch):

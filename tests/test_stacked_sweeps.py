@@ -226,19 +226,21 @@ class TestConstantCocycle:
             check_cocycle(gs.system.algebroid, plain, gs.default_box, samples=16, seed=2))
 
     @pytest.mark.parametrize("system", ["cylinder_friction", "rolling_ball", "vertical_disk"])
-    def test_on_e_makes_no_phi_call_and_no_stencil(self, system, monkeypatch, tmp_path):
-        stencils, constant_calls = [], []
-        real = algebroid._central_differences
-        monkeypatch.setattr(algebroid, "_central_differences", lambda fn, *a: stencils.append(fn) or real(fn, *a))
-        monkeypatch.setattr(algebroid, "fd_jacobian", lambda fn, *a, **kw: stencils.append(fn) or fd_jacobian(fn, *a))
+    def test_on_e_makes_no_phi_call_and_broadcasts_e0(self, system, monkeypatch, tmp_path):
+        # e^0 is read as its stack form, one broadcast at the samples and one at all their stencil points
+        stacks, constant_calls = [], []
+        real = algebroid._Constant.stack
+        monkeypatch.setattr(algebroid._Constant, "stack",
+                            lambda self, Q, *rest: stacks.append((self, len(Q))) or real(self, Q, *rest))
         monkeypatch.setattr(algebroid._Constant, "__call__", lambda self, q: constant_calls.append(self) or self.value)
         checked = []
         check = cli.check_cocycle
         monkeypatch.setattr(cli, "check_cocycle",
-                            lambda A, phi, *a, **kw: checked.append(phi) or check(A, phi, *a, **kw))
+                            lambda A, phi, *a, **kw: checked.append((A, phi)) or check(A, phi, *a, **kw))
         assert cli.main(["cocycle-check", system, "--samples", "9", "--out", str(tmp_path / "out.json")]) == 0
-        assert stencils == []
-        assert checked[0].components not in constant_calls
+        A, phi = checked[0]
+        assert phi.components not in constant_calls
+        assert [k for c, k in stacks if c is phi.components] == [9, 9 * 2 * A.chart.dim]
 
     def test_a_non_finite_constant_keeps_the_stencil_error(self):
         gs = instantiate("cylinder_friction")
