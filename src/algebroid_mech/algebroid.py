@@ -107,7 +107,8 @@ class _Constant:
 class _Stacked(partial):
     """A callable declared to take stacks: its call is the point form ``func`` (a partial's, so the call adds
     no Python frame to the pointwise reads), and ``stack`` (the point form, by default) maps stacks of its
-    arguments (K, ...) to a C-ordered float stack whose row k is the point form's bits at row k."""
+    arguments (K, ...) to a C-ordered float stack whose row k is the point form's bits at row k.  A stack form
+    whose ufuncs are not the point form's (numpy's np.cos for math.cos) assumes they give the same bits."""
 
     def __new__(cls, point, stack=None):
         self = super().__new__(cls, point)
@@ -120,9 +121,9 @@ def _constant(*fns) -> bool:
 
 
 def on_stack(fn, Q, *stacks) -> np.ndarray:
-    """fn at each row of Q (K, m) and of its further arguments' stacks: a ``_Constant`` broadcasts, a ``_Stacked``
-    callable runs its stack form once (its faster point form at K = 1), any other runs per point (K = 0: (0,))."""
-    if type(fn) is _Constant or (type(fn) is _Stacked and len(Q) != 1):
+    """fn at each row of Q (K, m) and of its further arguments' stacks: at K >= 2 a ``_Constant`` broadcasts and a
+    ``_Stacked`` callable runs its stack form once; any other callable, or K < 2, runs per point (K = 0: (0,))."""
+    if len(Q) > 1 and type(fn) in (_Constant, _Stacked):
         return np.asarray(fn.stack(Q, *stacks), dtype=float)
     return np.array([fn(*row) for row in zip(Q, *stacks)], dtype=float)
 

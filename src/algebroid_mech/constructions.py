@@ -42,8 +42,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _constant, adapted_cocycle, on_stack,
-                        sample_box, stacked_sweep, v_restriction)
+from .algebroid import (CheckReport, ESection, SkewAlgebroid, _Constant, _Stacked, _constant, adapted_cocycle,
+                        on_stack, sample_box, stacked_sweep, v_restriction)
 from .calculus import ScalarField, _central_differences, fd_jacobian, max_abs, require_finite
 from .errors import ConstructionError
 from .hamilton import HamiltonianSystem, _bivector_at, f_h_eval
@@ -163,14 +163,14 @@ def projector_restriction(
     anchored inclusion.  When every basis section carries a ``jacobian``,
     the kernel differentiates the frame with them; they must agree with
     central differences of the sections, one stencil over all the points,
-    within 1e-6.  P runs per point and vector, the sections by ``_rows_of``.
+    within 1e-6.  P runs per point and vector, the sections by ``on_stack``.
     """
     r = len(D_basis)
     if r < 1:
         raise ValueError("D_basis must be non-empty")
     m = E.chart.dim
 
-    frames = partial(_rows_of, [s.components for s in D_basis])  # (K, r, n_E) at a stack Q (K, m)
+    frames = partial(on_stack, _rows_of([s.components for s in D_basis]))  # (K, r, n_E) at a stack Q (K, m)
 
     points = _validation_points(validation_points, m)
     worst = max((max_abs(np.array([P(q, v, M) for v in M], dtype=float) - np.eye(r), "P(q, D_{}(q))[{}]", q)
@@ -180,9 +180,9 @@ def projector_restriction(
 
     frame_jacobian = None
     if all(s.jacobian is not None for s in D_basis):
-        frame_jacobian = partial(_rows_of, [s.jacobian for s in D_basis])  # (r, n_E, m) at q, (K, r, n_E, m) at Q
+        frame_jacobian = _rows_of([s.jacobian for s in D_basis])  # (r, n_E, m) at q
         worst = 0.0
-        for q, exact, stencil in zip(points, frame_jacobian(points),
+        for q, exact, stencil in zip(points, on_stack(frame_jacobian, points),
                                      _central_differences(frames, points, None, True, "function")):
             stencil = stencil.reshape(r, -1, m)
             if exact.shape != stencil.shape:
@@ -195,12 +195,10 @@ def projector_restriction(
                                  frame_jacobian=frame_jacobian)
 
 
-def _rows_of(fns, q) -> np.ndarray:
-    """The callables ``fns`` at a point q, (len(fns), ...), or at each row of a stack q (K, m), (K, len(fns), ...),
-    by ``on_stack``, but point by point at a stack of one point (or of none: shape (0,))."""
-    if q.ndim == 2 and len(q) > 1:
-        return np.ascontiguousarray(np.stack([on_stack(fn, q) for fn in fns], axis=1))  # C order, as at a point
-    return np.array([fn(q) for fn in fns] if q.ndim == 1 else [[fn(x) for fn in fns] for x in q], dtype=float)
+def _rows_of(fns) -> _Stacked:
+    """The callables ``fns`` side by side: (len(fns), ...) at a point, and (K, len(fns), ...) at a stack (K, m)."""
+    return _Stacked(lambda q: np.array([fn(q) for fn in fns], dtype=float),
+                    lambda Q: np.stack([on_stack(fn, Q) for fn in fns], axis=1))
 
 
 def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapted: bool,
@@ -213,7 +211,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     functions are projection(q, M)([[e_a, e_b]]_E) for the frame M at q, a
     length-``rank`` vector.  The bracket's derivative terms take the frame
     derivative from ``frame_jacobian`` when given, (rank, n_E, m) at a point
-    and (K, rank, n_E, m) at a stack (a non-finite value raises
+    and by ``on_stack`` at a stack (a non-finite value raises
     NumericFailure), else from central differences of the frame, all
     stencil points in one ``frames`` call.  A ``frame``
     fixed with its projection at every q projects all pairs (..., n_E) at once.
@@ -308,7 +306,7 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             if frame_jacobian is None:
                 dM = _central_differences(frames, Q, None, True, "function").reshape(M.shape + Q.shape[-1:])
             else:
-                dM = require_finite(frame_jacobian(Q), "frame jacobian", Q)
+                dM = require_finite(on_stack(frame_jacobian, Q), "frame jacobian", Q)
             val = pair_values(pair_brackets(Q, M), dM, np.swapaxes(anchor[..., pad:], -1, -2))
             C = np.zeros((len(Q), n, n, n))
             V = C[:, pad:, pad:, pad:]
@@ -397,13 +395,14 @@ def affine_constraints(
     if r < 1:
         raise ValueError("U_basis must be non-empty")
     m = E.chart.dim
+    U = _rows_of([s.components for s in U_basis])
 
     def frames(Q):
         """Rows: X0 then the orthonormalized U frame, in E components."""
         if len(Q) == 0:
             return np.zeros((0, r + 1, E.rank))
-        Gq, B = _rows_of([G.matrix], Q)[:, 0], _rows_of([s.components for s in U_basis], Q)
-        return np.concatenate([_rows_of([X0.components], Q), _gram_schmidt(Gq, B) @ B], axis=1)  # (K, r+1, nE)
+        Gq, B = np.ascontiguousarray(on_stack(G.matrix, Q)), on_stack(U, Q)
+        return np.concatenate([on_stack(X0.components, Q)[:, None], _gram_schmidt(Gq, B) @ B], axis=1)  # (K, r+1, nE)
 
     def projection(q, M):
         # G(ebar_a, .) for the orthonormal rows; the drift row has none

@@ -1,8 +1,8 @@
 """Stacked user callables: a ``_Stacked`` callable declares a stack form whose
 row k is the bits of its point form at row k, and ``on_stack`` is how every
 stacked pass calls a callable on a stack (K, m): a ``_Constant`` broadcasts,
-a declared callable runs its stack form once (its point form at K = 1), and
-any other callable runs per point.  The pointwise reads (RK4 stages, one
+a declared callable runs its stack form once, and any other callable, or a
+stack of fewer than two points, runs per point.  The pointwise reads (RK4 stages, one
 point at a time) never call a stack form."""
 
 import math
@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from algebroid_mech import calculus, cli, instantiate
+from algebroid_mech import calculus, cli, constructions, instantiate
 from algebroid_mech.algebroid import PREFETCH_CHUNK, _Constant, _Stacked, on_stack, sample_box
 
 
@@ -74,10 +74,12 @@ class TestOnStack:
     def test_a_constant_broadcasts(self):
         value = np.arange(6.0).reshape(2, 3)
         fn = _Constant(value)
-        for K in (0, 1, 5, 3):
+        for K in (5, 2, 3):
             got = on_stack(fn, np.zeros((K, 4)))
             assert got.shape == (K, 2, 3) and not got.flags.writeable
             assert got.strides[0] == 0 and np.array_equal(got, np.broadcast_to(value, got.shape))
+        assert on_stack(fn, np.zeros((1, 4))).tobytes() == value.tobytes()  # one point: the point form
+        assert on_stack(fn, np.zeros((0, 4))).shape == (0,)
 
     def test_a_declared_callable_runs_its_stack_form_once_and_its_point_form_at_one_point(self):
         points, stacks = [], []
@@ -88,8 +90,8 @@ class TestOnStack:
         assert len(stacks) == 1 and stacks[0] is Q and points == []
         assert on_stack(fn, Q[:1]).tobytes() == np.array([[Q[0, 0], -Q[0, 1]]]).tobytes()
         assert len(stacks) == 1 and len(points) == 1  # one point: the point form
-        assert on_stack(fn, Q[:0]).shape == (0, 2)  # no point: the stack form's empty stack
-        assert len(stacks) == 2 and len(points) == 1
+        assert on_stack(fn, Q[:0]).shape == (0,)  # no point: neither form
+        assert len(stacks) == 1 and len(points) == 1
 
     def test_any_other_callable_runs_per_point_in_order(self):
         calls = []
@@ -100,6 +102,18 @@ class TestOnStack:
         assert got.tobytes() == np.array([[q[0] * p[2], 1.0] for q, p in zip(Q, P)]).tobytes()
         empty = on_stack(lambda q: pytest.fail("called at no point"), np.zeros((0, 2)))
         assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+class TestSideBySide:
+    def test_rows_of_mixed_callables_at_any_stack(self):
+        plain = lambda q: np.array([q[0], -q[1]])
+        rows = constructions._rows_of([plain, _Constant([1.0, -0.0]), _Stacked(plain, lambda Q: Q * [1.0, -1.0])])
+        Q = hard_points(2, n=7)
+        assert rows(Q[0]).shape == (3, 2)
+        for K in (7, 2, 1):
+            got = on_stack(rows, Q[:K])
+            assert got.flags.c_contiguous and got.tobytes() == np.array([rows(q) for q in Q[:K]]).tobytes()
+        assert on_stack(rows, Q[:0]).shape == (0,) and rows.stack(Q[:0]).shape == (0, 3)
 
 
 class TestEmptyStencil:
@@ -176,6 +190,7 @@ class TestPointwiseReadsCallNoStackForm:
 
         monkeypatch.setattr(cli, "_load_system", load_then_raise)
         assert run("pointwise") == expect
-        assert len(declared_fns) == (3 if argv[1] == "vertical_disk" else 2)  # X1, dX1, F; the anchor, C_E
+        # X1, dX1, F and the kernel's frame and jacobian rows; the anchor, C_E and the affine U rows
+        assert len(declared_fns) == (5 if argv[1] == "vertical_disk" else 3)
         with pytest.raises(pytest.fail.Exception):
             on_stack(declared_fns[0], np.zeros((2, 4)))
