@@ -250,7 +250,7 @@ def _build_rolling_ball(params, omega_mode="constant"):
         C[:, 0, 2, 1] = C[:, 1, 0, 2] = omega(Q[:, 0])
         return C
 
-    # a constant law's C_E is built once; the anchor and a linear law's C_E also take stacks
+    # a constant law's C_E is built once; the anchor and a linear law's C_E take stacks in second forms (README)
     C_E = _Constant(structure(np.zeros(3))) if omega_mode == "constant" else _Stacked(structure, structure_rows)
     E = SkewAlgebroid(chart=chart, rank=6, anchor=_Stacked(anchor, anchor_rows), structure=C_E, adapted=False)
     G = MetricField.constant(np.diag([1.0, m, m, m * k * k, m * k * k, m * k * k]))
