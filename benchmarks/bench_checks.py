@@ -40,9 +40,13 @@ tree's ``wall_s`` includes compiling the package on every command (a tree
 without bytecode read 20-30 ms higher per command); each entry's
 ``bytecode_compiled`` records that it was.  The bytecode goes to a
 temporary cache prefix (``sys.pycache_prefix`` here, PYTHONPYCACHEPREFIX in
-the children, which an untimed import per tree fills with the bytecode of
-the standard library and numpy), so the measured trees are left as they
-were: a tree holding ``__pycache__`` reads a lower perfbench ``setup_s``.
+the children, which one untimed run per tree of the CLI's import and of a
+sampled check fills with the bytecode of the standard library and numpy
+modules the commands import, ``locale`` and ``numpy.random`` among them; it
+runs without PYTHONDONTWRITEBYTECODE so that it writes it whatever the
+environment sets, and the timed children keep the environment's setting),
+so the measured trees are left as they were: a tree holding ``__pycache__``
+reads a lower perfbench ``setup_s``.
 
     python benchmarks/bench_checks.py --tree parent=OLD/src --tree change=src --out BENCH_13.json
 
@@ -64,6 +68,10 @@ output bytes and stderr bytes in every tree, and ``outputs_differ``
 lists the commands that did not.  The script exits 1 when any did, after
 writing the JSON and printing them, and 0 otherwise.
 
+``src_lines`` counts the lines of a tree's ``algebroid_mech/*.py`` and
+``src_code_lines`` those that hold code: no blank line, no comment-only line
+and no docstring line.
+
 ``constructions`` holds the in-process ``gallery.instantiate`` time of
 every gallery system, and of the ball under ``--omega linear``, from
 fresh children that alternate trees as the commands do: ``cold_s`` is
@@ -74,9 +82,11 @@ BUILD_REPS builds, each the best of k.
 from __future__ import annotations
 
 import argparse
+import ast
 import compileall
 import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -84,6 +94,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +175,13 @@ print(json.dumps({"exit": code, "run_s": time.perf_counter() - t}))
 # every gallery system's construction, and the ball's under the linear omega law
 CONSTRUCTIONS = tuple((g, "constant") for g in GALLERY) + (("rolling_ball", "linear"),)
 BUILD_REPS = 50
+# the CLI's import, then a sampled check, which imports numpy.random, and a file write, which imports locale, at
+# run time: every module a command imports
+WARM_UP = """
+import json, os, time, warnings
+from algebroid_mech.cli import main
+main(["cocycle-check", "rolling_ball", "--samples", "1", "--out", os.devnull])
+"""
 BUILD_CHILD = """
 import json, sys, time
 from algebroid_mech.gallery import instantiate
@@ -218,11 +236,14 @@ def child_env(src: Path) -> dict:
 
 
 def compile_tree(src: Path) -> bool:
-    """Byte-compile ``src`` into the cache prefix, then import the CLI once, untimed, so that the prefix also
-    holds the bytecode of the standard library and numpy modules every child imports."""
+    """Byte-compile ``src`` into the cache prefix, then run WARM_UP once, untimed, so that the prefix also
+    holds the bytecode of the standard library and numpy modules the children import; it writes it even
+    where the environment sets PYTHONDONTWRITEBYTECODE."""
     compiled = bool(compileall.compile_dir(str(src), quiet=1))
-    subprocess.run([sys.executable, "-c", "import json, time, warnings, algebroid_mech.cli"], env=child_env(src),
-                   capture_output=True, check=False)  # a tree that cannot import fails in its first run
+    env = child_env(src)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", WARM_UP], env=env, capture_output=True,
+                   check=False)  # a tree that cannot run fails in its first timed run
     return compiled
 
 
@@ -282,6 +303,26 @@ def src_lines(src: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((src / "algebroid_mech").glob("*.py")))
 
 
+def code_lines(path: Path) -> int:
+    """The lines of a Python file that hold code: not blank, not a comment alone, not part of a docstring."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and ast.get_docstring(
+                node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                            tokenize.ENDMARKER):
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def src_code_lines(src: Path) -> int:
+    return sum(code_lines(p) for p in sorted((src / "algebroid_mech").glob("*.py")))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
@@ -333,6 +374,7 @@ def main(argv=None) -> int:
         entries[label] = {
             "bytecode_compiled": compiled[label],
             "src_lines": src_lines(src),
+            "src_code_lines": src_code_lines(src),
             "total_run_s": sum(r["run_s"] for r in rows),
             "total_wall_s": sum(r["wall_s"] for r in rows),
             "commands": rows,
@@ -368,7 +410,8 @@ def main(argv=None) -> int:
         }
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for label, e in entries.items():
-        print(f"{label}: run {e['total_run_s']:.3f} s, wall {e['total_wall_s']:.3f} s, src {e['src_lines']} lines")
+        print(f"{label}: run {e['total_run_s']:.3f} s, wall {e['total_wall_s']:.3f} s, src {e['src_lines']} lines, "
+              f"{e['src_code_lines']} code lines")
         for c in e["constructions"]:
             print(f"  instantiate {c['system']} ({c['omega']}): cold {c['cold_s'] * 1e3:.2f} ms, "
                   f"warm {c['warm_s'] * 1e3:.2f} ms")

@@ -13,8 +13,8 @@ C_{ab}^0 = 0.  That is the builder's promise, as antisymmetry is, and is
 tested, not checked per call; ``check_cocycle`` of ``adapted_cocycle``
 measures it at run time.
 
-The data model only reads: ``sweep`` builds each chunk of its points
-through a construction kernel's private hook ``_prefetch``.
+The data model only reads, at a point or, by ``_read_at``, on a stack of
+points, where a construction kernel's C builds the whole stack in one pass.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import NumericFailure
 RANK_RTOL = 1e-8
 # The most points of a grid or of a sample set that one check may visit.
 GRID_POINT_CAP = 100_000
-# The most points one chunk of a ``sweep`` prefetches and evaluates as a stack.
+# The most points one chunk of a ``sweep`` reads and evaluates as a stack.
 PREFETCH_CHUNK = 1024
 # Nested finite differencing in flag_rank amplifies roundoff by 1/h per
 # bracket level; 1e-3 keeps the noise floor under RANK_RTOL at depth 4.
@@ -120,10 +120,13 @@ def _constant(*fns) -> bool:
     return all(type(fn) is _Constant for fn in fns)
 
 
+_DECLARED = (_Constant, _Stacked)  # the callables that ``on_stack`` reads on a stack with no per-point call
+
+
 def on_stack(fn, Q, *stacks) -> np.ndarray:
     """fn at each row of Q (K, m) and of its further arguments' stacks: at K >= 2 a ``_Constant`` broadcasts and a
     ``_Stacked`` callable runs its stack form once; any other callable, or K < 2, runs per point (K = 0: (0,))."""
-    if len(Q) > 1 and type(fn) in (_Constant, _Stacked):
+    if len(Q) > 1 and type(fn) in _DECLARED:
         return np.asarray(fn.stack(Q, *stacks), dtype=float)
     return np.array([fn(*row) for row in zip(Q, *stacks)], dtype=float)
 
@@ -190,12 +193,9 @@ class SkewAlgebroid:
     adapted : bool
         Frame index 0 is dual to the cocycle (C_{ab}^0 = 0).
 
-    A construction kernel sets its private hook ``_prefetch`` (Q -> None) on
-    the algebroids it builds; ``sweep`` calls it to build a chunk Q (K, m)
-    in one pass.  Every other algebroid reads the class default None.
+    An anchor or C declared on stacks (``_Stacked``, as a construction
+    kernel's C is) gives the stacked read ``_read_at`` its stack form.
     """
-
-    _prefetch = None
 
     def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False):
         if rank < 1:
@@ -286,12 +286,26 @@ def d_function(A: SkewAlgebroid, f) -> DualSection:
 
 def _read_at(A: SkewAlgebroid, q):
     """The anchor and C at q, or their stacks at a stack of points q (K, m): the one joint read, and the one
-    place that knows its order, C first, so that a kernel's anchor read finds the point its C read built."""
+    place that knows its order, C first, so that a kernel's anchor reads find the point or the stack its C
+    read built."""
     if np.ndim(q) == 2:
-        rho, C = zip(*[_read_at(A, x) for x in q]) if len(q) else ([], [])  # an empty stack reads nothing
-        return np.array(rho).reshape(len(q), A.chart.dim, A.rank), np.array(C).reshape((len(q),) + (A.rank,) * 3)
+        C = _structures(A, q)
+        return _anchors(A, q), C
     C = A.structure_at(q)
     return A.anchor_at(q), C
+
+
+def _anchors(A: SkewAlgebroid, Q) -> np.ndarray:
+    """The anchor at each row of Q (K, m) by ``on_stack``: broadcast or by its stack form when it declares one,
+    else by ``anchor_at`` per point, with its shape error."""
+    fn = A._anchor if type(A._anchor) in _DECLARED else A.anchor_at
+    return on_stack(fn, Q).reshape(len(Q), A.chart.dim, A.rank)
+
+
+def _structures(A: SkewAlgebroid, Q) -> np.ndarray:
+    """C at each row of Q (K, m), read as ``_anchors`` reads the anchor."""
+    fn = A._structure if type(A._structure) in _DECLARED else A.structure_at
+    return on_stack(fn, Q).reshape((len(Q),) + (A.rank,) * 3)
 
 
 def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:
@@ -358,31 +372,37 @@ def sample_box(box, samples: int, seed: int) -> np.ndarray:
     return lo + (hi - lo) * rng.random((samples, len(box)))
 
 
-def sweep(A: SkewAlgebroid, points, stacked, pointwise) -> list:
-    """The rows of the points (N, d), in chunks of at most PREFETCH_CHUNK: a construction kernel's private
-    hook ``A._prefetch`` builds a chunk's first A.chart.dim coordinates (an algebroid without a kernel has
-    none), then ``stacked(chunk)`` gives its rows.  A chunk where either raises, or a row is not finite, is
-    rerun as ``pointwise(x)`` per point, so the first failing point raises, as in a pointwise sweep."""
-    rows, prefetch = [], A._prefetch
+def sweep(points, stacked, pointwise) -> list:
+    """The rows of the points (N, d), in chunks of at most PREFETCH_CHUNK: ``stacked(chunk)`` gives a chunk's
+    rows, reading the algebroid by stacked reads (``_read_at``).  A chunk where it raises, or a row is not
+    finite, is rerun as ``pointwise(x)`` per point, so the first failing point raises, as in a pointwise sweep;
+    a ValueError or ArithmeticError there (a user callable's, such as math's domain error) is a NumericFailure
+    naming x."""
+    rows = []
     for start in range(0, len(points), PREFETCH_CHUNK):
         chunk = points[start:start + PREFETCH_CHUNK]
         try:
-            if prefetch is not None:
-                prefetch(chunk[:, :A.chart.dim])
             vals = stacked(chunk)
         except Exception:  # the rerun raises it at its point, or an earlier point's error
             vals = [np.nan]
-        rows += list(vals) if np.isfinite(vals).all() else [pointwise(x) for x in chunk]
+        rows += list(vals) if np.isfinite(vals).all() else [_at_point(pointwise, x) for x in chunk]
     return rows
 
 
-def stacked_sweep(A: SkewAlgebroid, points, terms, whats) -> list:
+def _at_point(pointwise, x):
+    try:
+        return pointwise(x)
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericFailure(f"{exc} at q={x.tolist()}") from exc
+
+
+def stacked_sweep(points, m: int, terms, whats) -> list:
     """Per point, the max |entry| of each term ``terms(chunk)`` yields (a row per point), one stack per
-    chunk of a ``sweep``, whose pointwise rerun folds each term by ``max_abs`` with its ``whats`` format
-    before the next is evaluated."""
-    return sweep(A, points,
+    chunk of a ``sweep``, whose pointwise rerun folds each term by ``max_abs`` with its ``whats`` format,
+    naming the point's first m coordinates, before the next is evaluated."""
+    return sweep(points,
                  lambda X: np.column_stack([np.abs(V.reshape(len(X), -1)).max(axis=1, initial=0.0) for V in terms(X)]),
-                 lambda x: [max_abs(V[0], what, x[:A.chart.dim]) for V, what in zip(terms(x[None]), whats)])
+                 lambda x: [max_abs(V[0], what, x[:m]) for V, what in zip(terms(x[None]), whats)])
 
 
 def adapted_cocycle(A: SkewAlgebroid) -> DualSection:
@@ -416,7 +436,7 @@ def check_cocycle(
         jac = _central_differences(lambda Y: on_stack(phi.components, Y), Q, None, True, "function")
         yield np.triu(d_oneform_matrix(A, beta, jac, Q), 1)
 
-    worst = [(q, v[0]) for q, v in zip(pts, stacked_sweep(A, pts, terms, ["d phi(e_{}, e_{})"]))]
+    worst = [(q, v[0]) for q, v in zip(pts, stacked_sweep(pts, A.chart.dim, terms, ["d phi(e_{}, e_{})"]))]
     return CheckReport.from_samples("cocycle", worst, tol, seed)
 
 
@@ -482,11 +502,13 @@ def v_restriction(A: SkewAlgebroid) -> SkewAlgebroid:
     """The rank n-1 algebroid on the cocycle kernel (frame indices 1..n-1).
 
     Requires an adapted frame, which guarantees the kernel is closed under
-    the bracket.
+    the bracket.  Its anchor and C are A's, sliced, at a point and on a stack,
+    so a stacked read of the restriction is one of A (its kernel's build).
     """
     if not A.adapted:
         raise ValueError("v_restriction requires an adapted algebroid")
-    V = SkewAlgebroid(chart=A.chart, rank=A.rank - 1, anchor=lambda q: A.anchor_at(q)[:, 1:],
-                      structure=lambda q: A.structure_at(q)[1:, 1:, 1:], adapted=False)
-    V._prefetch = A._prefetch  # its reads are A's, so a sweep builds A's kernel
-    return V
+    return SkewAlgebroid(
+        chart=A.chart, rank=A.rank - 1, adapted=False,
+        anchor=_Stacked(lambda q: A.anchor_at(q)[:, 1:], lambda Q: np.ascontiguousarray(_anchors(A, Q)[..., 1:])),
+        structure=_Stacked(lambda q: A.structure_at(q)[1:, 1:, 1:],
+                           lambda Q: np.ascontiguousarray(_structures(A, Q)[:, 1:, 1:, 1:])))

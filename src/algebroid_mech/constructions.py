@@ -23,11 +23,13 @@ point or a stack (each user callable read by ``algebroid.on_stack``), the
 kernel's anchor needs only the frame; its C adds the frame's derivative:
 analytic when every basis section of a projector restriction carries a
 jacobian, else from one stacked finite-difference stencil (so always for
-the affine constraints).  The kernel keeps only its last build:
+the affine constraints).  The kernel's C declares its stack form: a
+stacked read (``algebroid._read_at``) of a chunk of points (a grid or sample
+chunk, a trajectory's rows) builds them all in one pass, bit for bit as
+their point reads would build them.  The kernel keeps only its last build:
 the point whose C a read just built, for the anchor read that follows, or
-the points (a grid or sample chunk, a trajectory's rows) that a ``sweep``
-just built through its private hook ``_prefetch`` in one stacked pass, bit
-for bit as their reads would build them.  Constant inputs are evaluated
+the points a stacked read just built, for the reads of those points that
+follow.  Constant inputs are evaluated
 once, at construction: the force extension of a constant base by a
 constant force is constant, and affine constraints with a constant metric,
 U basis and drift (the rolling ball) orthonormalize their frame once, and
@@ -218,21 +220,23 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     Its ``force_extension`` (``_forced``) is read by the kernel too: one build
     writes these values at indices >= 1 of a padded anchor and C, and the force rows.
 
-    A read builds one point's values; each algebroid of the kernel keeps only
-    those of its last build.  That is the one point whose C a read just built,
-    which serves the anchor read that follows it, or the chunk Q that a
-    ``sweep`` just built through the private hook ``_prefetch(Q)``, set here
-    on each algebroid the kernel builds, in one pass of the same arithmetic
-    (``build``), so its bits are the pointwise ones: one ``frames`` call for
+    A point read of C builds one point's values; each algebroid of the kernel
+    keeps only those of its last build.  That is the one point whose C a read
+    just built, which serves the anchor read that follows it, or the stack Q
+    that C's stack form (``chunk``, a ``_Stacked`` C that ``on_stack`` runs on
+    a stack of two or more points) just built in one pass of the same
+    arithmetic, so its bits are the pointwise ones: one ``frames`` call for
     the points, one for all their stencils, E's anchor and C and the force
     read by ``on_stack``, the pair brackets as one einsum and stacked
     mat-vecs; only the projection runs per point and pair (or once, for a
-    fixed ``frame``).  An anchor read of any other point builds
-    the frame and keeps nothing.  A stacked pass that raises keeps the last build and
-    raises its error; the ``sweep`` then reads its chunk point by point, so
-    the pointwise read of the failing point raises as it would have alone.
+    fixed ``frame``).  A stack whose points the last build holds, as a
+    morphism target's read at its source's points, is read from that build.
+    An anchor read of any other point builds the frame and keeps nothing.  A
+    stack build that raises keeps the last build and raises its error; a
+    ``sweep`` then reads its chunk point by point, so the pointwise read of
+    the failing point raises as it would have alone.
 
-    Both bodies take the E-brackets of all frame pairs from one place, fixed
+    Both bodies (the point read and ``chunk``) take the E-brackets of all frame pairs from one place, fixed
     at construction over a zero ``_Constant`` C_E (zeros) or a ``_Constant``
     C_E and a fixed ``frame`` (one einsum), else one contraction with C_E
     per point or stack; the derivative terms are one stacked product
@@ -299,7 +303,10 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
                 last[key] = (anchor, C)
             return last[key][1]
 
-        def build(Q):  # the pointwise anchors and C of every row of Q, stacked
+        def chunk(Q):  # C's stack form: the pointwise anchors and C of every row of Q, built in one pass and kept
+            keys = [q.tobytes() for q in Q]
+            if all(key in last for key in keys):  # read from the last build, as a target read at the source's points
+                return np.array([last[key][1] for key in keys])
             M = require_finite(frames(Q), "frame", Q)  # (K, rank, n_E)
             anchor = np.zeros(Q.shape + (n,))
             np.matmul(on_stack(E._anchor, Q), np.swapaxes(M, -1, -2), out=anchor[..., pad:])
@@ -320,16 +327,12 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
             V[:, J, I] = -V[:, I, J]
             _force_rows(C, F, Q)
             C.flags.writeable = anchor.flags.writeable = False
-            return anchor, C
-
-        def prefetch(Q):  # the private hook through which a ``sweep`` builds its chunk Q (K, m)
-            built = build(Q)
             last.clear()
-            last.update(zip((q.tobytes() for q in Q), zip(*built)))
+            last.update(zip(keys, zip(anchor, C)))
+            return C
 
-        B = SkewAlgebroid(chart=E.chart, rank=n, anchor=anchor, structure=structure, adapted=adapted or pad)
-        B._prefetch = prefetch
-        return B
+        return SkewAlgebroid(chart=E.chart, rank=n, anchor=anchor, structure=_Stacked(structure, chunk),
+                             adapted=adapted or pad)
 
     A = kernel(0)
     A._forced = lambda F: kernel(1, F)  # force_extension's one build per read
@@ -496,9 +499,10 @@ def morphism_check(
     images, then all their stencil points); the hamiltonian pullback runs
     per sample, the rest is stacked over the samples (``stacked_sweep``).  A non-finite value
     raises NumericFailure naming its sample point and probe pair or
-    component.  The sweep builds each chunk through the source's kernel
-    hook, which also serves the target when it shares the source's kernel
-    (the gallery's morphisms over the identity base map).
+    component.  The source's stacked read builds each chunk's kernel; the
+    target's read at the images reads that build when the target is the
+    source's kernel algebroid or its restriction and the base map is the
+    identity (the gallery's morphisms).
     """
     src = _coerce_endpoint(src)
     dst = _coerce_endpoint(dst)
@@ -520,7 +524,7 @@ def morphism_check(
         yield on_stack(pair.fiber_map, Q, on_stack(src.cocycle, Q)) - on_stack(dst.cocycle, images[:, :mbar])
         yield np.array([dst.f_h(image) - src.f_h(xf) for xf, image in zip(X, images)])
 
-    values = stacked_sweep(A, np.concatenate([qs, ps], axis=1), terms,
+    values = stacked_sweep(np.concatenate([qs, ps], axis=1), m, terms,
                            ("bracket of probes {}, {}", "cocycle correspondence[{}]", "hamiltonian pullback"))
     return tuple(CheckReport.from_samples(name, [(q, v[i]) for q, v in zip(qs, values)], tol, seed)
                  for i, name in enumerate(("poisson_morphism", "cocycle_related", "hamiltonian_pullback")))

@@ -57,13 +57,15 @@ class GallerySystem:
     horizon: tuple = (0.0, 1.0)
     extras: dict = field(default_factory=dict)
 
-    def section(self, name: str) -> DualSection:
-        if name in self.reference_sections:
-            return self.reference_sections[name]
-        if name in self.probe_sections:
-            return self.probe_sections[name]
-        known = sorted({*self.reference_sections, *self.probe_sections})
-        raise ValueError(f"unknown section {name!r}; known: {known}")
+    def section(self, name: str, space: Optional[str] = None) -> DualSection:
+        """The named section; a ValueError unless it exists and, with ``space``, lies on that space."""
+        found = {**self.probe_sections, **self.reference_sections}.get(name)
+        if found is None:
+            known = sorted({*self.reference_sections, *self.probe_sections})
+            raise ValueError(f"unknown section {name!r}; known: {known}")
+        if space not in (None, found.space):
+            raise ValueError(f"section {name!r} of {self.id} is on {found.space}; a {space} section is needed")
+        return found
 
 
 def _require_positive(params, names):

@@ -4,6 +4,7 @@ commands are the benchmark workload's ops."""
 
 import importlib.util
 import json
+import locale
 import sys
 from pathlib import Path
 
@@ -43,11 +44,15 @@ def test_exit_code_says_whether_the_outputs_are_equal(bench, differ, tmp_path, m
 
 def test_each_tree_is_compiled_before_its_first_timed_run(bench, tmp_path, monkeypatch):
     # a tree without bytecode used to read wall_s 20-30 ms high on every command; the bytecode goes to a
-    # temporary cache prefix that every child reads, so no measured tree gets a __pycache__
+    # temporary cache prefix that every child reads, so no measured tree gets a __pycache__.  The untimed
+    # warm-up also writes there the bytecode of numpy, which the CLI imports, and of locale, which a command's
+    # run imports, where PYTHONDONTWRITEBYTECODE left the prefix with the tree's alone
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     trees = {label: tmp_path / label for label in ("parent", "change")}
     for src in trees.values():
         (src / "algebroid_mech").mkdir(parents=True)
         (src / "algebroid_mech" / "__init__.py").write_text("X = 1\n")
+        (src / "algebroid_mech" / "cli.py").write_text("import numpy\n\n\ndef main(argv):\n    import locale\n")
     compiled_at_run, prefixes = [], set()
     saved = sys.pycache_prefix
 
@@ -55,7 +60,10 @@ def test_each_tree_is_compiled_before_its_first_timed_run(bench, tmp_path, monke
         prefix = bench.child_env(src)["PYTHONPYCACHEPREFIX"]
         prefixes.add(prefix)
         pyc = Path(importlib.util.cache_from_source(str(src / "algebroid_mech" / "__init__.py")))
+        warm = [Path(importlib.util.cache_from_source(module.__file__)) for module in (np, locale)]
         compiled_at_run.append(prefix == sys.pycache_prefix and pyc.is_relative_to(prefix) and pyc.exists()
+                               and all(p.is_relative_to(prefix) and p.exists() for p in warm)
+                               and bench.child_env(src)["PYTHONDONTWRITEBYTECODE"] == "1"
                                and not (src / "algebroid_mech" / "__pycache__").exists())
         return {"exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None,
                 "max_deviation": None, "output_sha256": "same", "stderr_sha256": "same"}
@@ -67,6 +75,7 @@ def test_each_tree_is_compiled_before_its_first_timed_run(bench, tmp_path, monke
     assert compiled_at_run == [True] * 4  # two commands in each of two trees
     entries = json.loads(out.read_text())["entries"]
     assert {label: e["bytecode_compiled"] for label, e in entries.items()} == {"parent": True, "change": True}
+    assert {label: e["src_code_lines"] for label, e in entries.items()} == {"parent": 4, "change": 4}
     assert sys.pycache_prefix == saved and len(prefixes) == 1 and not Path(prefixes.pop()).exists()
     assert [p for src in trees.values() for p in src.rglob("__pycache__")] == []
 
@@ -175,3 +184,36 @@ def test_one_tree_records_no_ratio(bench, tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     assert bench.main(["--tree", f"only={tmp_path / 'only'}", "--k", "2", "--out", str(out)]) == 0
     assert "run_s_ratio" not in json.loads(out.read_text())
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring,
+over two lines."""
+
+# a comment alone
+import math  # a comment after code
+
+
+class A:
+    """A class docstring."""
+
+    x = """a string over two lines,
+not a docstring"""
+
+    def f(self):
+        """A function docstring."""
+        # another comment alone
+        return (math.pi +
+                2)
+'''
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines(bench, tmp_path):
+    path = tmp_path / "fixture.py"
+    path.write_text(CODE_LINES_FIXTURE)
+    # import, class, the two lines of x, def and the two lines of return
+    assert bench.code_lines(path) == 7
+    (tmp_path / "algebroid_mech").mkdir()
+    for name in ("a.py", "b.py"):
+        (tmp_path / "algebroid_mech" / name).write_text(CODE_LINES_FIXTURE)
+    assert bench.src_code_lines(tmp_path) == 14 and bench.src_lines(tmp_path) == 2 * 18
+

@@ -786,3 +786,54 @@ class TestEmptyAndUnreadValues:
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+
+class TestSectionSpace:
+    """A named section off the space a command reads it on is a usage error naming the section and the space,
+    raised before any point is read; it writes no report."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cocycle-check", "three_body_drag", "--on", "v", "--section", "beta_probe"],
+        ["hj-check", "three_body_drag", "--section", "beta_probe"],
+        ["lift-verify", "three_body_drag", "--section", "beta_probe"],
+    ], ids=lambda argv: argv[0])
+    def test_an_e_star_section_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: section 'beta_probe' of three_body_drag is on E*; a V* section is needed\n"
+        assert not out.exists()
+
+    def test_the_same_section_on_its_own_space_passes(self, tmp_path):
+        assert run_cli(["cocycle-check", "three_body_drag", "--on", "v", "--section", "dS",
+                        "--out", str(tmp_path / "report.json")]) == 0
+
+
+class TestNumericFailureInAUserCallable:
+    def test_a_math_domain_error_names_its_grid_point(self, tmp_path, capsys):
+        # the reference section's sin(phase(t)) at t = -1e200, where the linear law's phase overflows to inf
+        out = tmp_path / "report.json"
+        argv = ["hj-check", "rolling_ball", "--omega", "linear", "--box=-1e200:1e200,-1:1,-1:1", "--resolution", "3"]
+        assert run_cli(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: math domain error at q=[-1e+200, -1.0, -1.0]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [ValueError("bad value"), OverflowError("math range error")], ids=str)
+    def test_a_sampled_check_names_the_first_failing_sample(self, exc, monkeypatch, tmp_path, capsys):
+        # a user callable's ValueError or ArithmeticError at the fourth sample, in the sweep's pointwise rerun
+        gs = instantiate("cylinder_friction")
+        bad = algebroid.sample_box(gs.default_box, 16, 7)[3]
+        inner = gs.section("reference")
+
+        def components(q):
+            if np.array_equal(q, bad):
+                raise exc
+            return inner(q)
+
+        section = DualSection(components=components, space="V*", jacobian=inner.jacobian)
+        monkeypatch.setattr(cli, "_load_system", lambda args: dataclasses.replace(
+            gs, reference_sections={"reference": section}))
+        assert run_cli(["cocycle-check", "cylinder_friction", "--on", "v", "--section", "reference", "--samples", "16",
+                        "--seed", "7", "--out", str(tmp_path / "report.json")]) == 3
+        assert capsys.readouterr().err == f"error: {exc} at q={bad.tolist()}\n"
+

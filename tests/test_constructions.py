@@ -326,7 +326,7 @@ class TestNanFrame:
     @pytest.mark.parametrize("ambient", ["flat", "non-flat"])
     def test_nan_frame_at_one_point_is_named(self, ambient, check):
         # the kernel names the frame, not the check's own term, over a flat E
-        # (zero pair brackets) as over a non-flat one; the stacked prefetch
+        # (zero pair brackets) as over a non-flat one; the failed stacked read
         # keeps nothing, so the pointwise read names the point
         box = ((-1.0, 1.0),) * 2
         bad = sample_box(box, 16, 7)[5] if check == "cocycle-check" else grid_points(box, 4)[2][5]
@@ -748,8 +748,14 @@ def kernel_reads(A, Q):
     return [b"".join(value.tobytes() for value in algebroid._read_at(A, q)) for q in Q]
 
 
+def stacked_reads(A, Q):
+    """The bytes of the anchor and C of each row of Q from one stacked ``_read_at`` of Q, as ``kernel_reads``."""
+    rho, C = algebroid._read_at(A, np.asarray(Q))
+    return [r.tobytes() + c.tobytes() for r, c in zip(rho, C)]
+
+
 KERNEL_SYSTEMS = {  # name -> (a fresh kernel algebroid, a box of points)
-    # the disk's force extension is read and prefetched by its kernel
+    # the disk's force extension is read, pointwise and on stacks, by its kernel
     "rolling_ball-constant": (lambda: instantiate("rolling_ball").system.algebroid,
                               ((0.0, 2.0 * math.pi), (-2.0, 2.0), (-2.0, 2.0))),
     "rolling_ball-linear": (lambda: instantiate("rolling_ball", omega="linear").system.algebroid,
@@ -763,10 +769,13 @@ KERNEL_SYSTEMS = {  # name -> (a fresh kernel algebroid, a box of points)
 }
 
 
-class TestPrefetch:
+class TestStackedRead:
+    """A stacked read of a kernel algebroid builds the stack in one pass (its C's stack form), with the
+    pointwise bits, and keeps it, so that the point reads that follow find it."""
+
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("system", KERNEL_SYSTEMS)
-    def test_prefetched_values_are_the_pointwise_bits(self, system, seed, monkeypatch):
+    def test_stacked_values_are_the_pointwise_bits(self, system, seed, monkeypatch):
         build, box = KERNEL_SYSTEMS[system]
         Q = sample_box(box, 256, seed)
         expect = dict(zip(map(bytes, Q), kernel_reads(build(), Q)))
@@ -780,15 +789,15 @@ class TestPrefetch:
         frames_calls = counted_frames(monkeypatch)
         for name, stack in orders.items():
             A = build()
-            A._prefetch(stack)
+            assert stacked_reads(A, stack) == [expect[bytes(q)] for q in stack], name
             frames_calls.clear()
             assert kernel_reads(A, Q) == [expect[bytes(q)] for q in Q], name
-            assert frames_calls == [], name  # every read was served by the prefetched stack
+            assert frames_calls == [], name  # every read was served by the stacked read's build
         # after anchor reads, which keep nothing
         A = build()
         for q in Q[::3]:
             A.anchor_at(q)
-        A._prefetch(Q)
+        assert stacked_reads(A, Q) == [expect[bytes(q)] for q in Q]
         frames_calls.clear()
         assert kernel_reads(A, Q) == [expect[bytes(q)] for q in Q]
         assert frames_calls == []
@@ -801,36 +810,41 @@ class TestPrefetch:
         A.structure_at(Q[0])
         assert frames_calls == [1, 6]  # the point, then its stencil
         frames_calls.clear()
-        A._prefetch(Q[1:])
+        algebroid._read_at(A, Q[1:])
         assert frames_calls == [64, 64 * 6]  # the chunk's points, then all their stencils
         frames_calls.clear()
-        A._prefetch(Q)  # a chunk is built whole, whatever the kernel held
+        algebroid._read_at(A, Q)  # a chunk holding a point that the last build does not is built whole
         assert frames_calls == [65, 65 * 6]
         frames_calls.clear()
         kernel_reads(A, Q)
         assert frames_calls == []
+        stacked = stacked_reads(A, Q[7:30])  # a chunk whose points the last build holds is read from it
+        assert frames_calls == [] and stacked == kernel_reads(A, Q[7:30])
 
     @pytest.mark.parametrize("build", ["tangent", "force_extension"])
-    def test_a_sweep_without_a_kernel_calls_no_hook(self, build, monkeypatch):
-        # the class default None: no hook runs, and no chunk falls back to the pointwise rerun
+    def test_a_sweep_without_a_kernel_reads_its_stacks(self, build, monkeypatch):
+        # a constant tangent algebroid broadcasts, the per-read wrapper reads per point; no chunk is rerun
         monkeypatch.setattr(algebroid, "PREFETCH_CHUNK", 4)
         A = lie_tangent(2)
-        if build == "force_extension":  # the per-read wrapper forwards no hook
+        if build == "force_extension":  # the per-read wrapper declares no stack form
             A = force_extension(A, Homomorphism(coeff=lambda q: np.array([[q[0], 0.3], [-0.2, q[1]]])))
-        assert A._prefetch is None and "_prefetch" not in vars(A)
         X = sample_box([(0.0, 1.0)] * 2, 10, 4)
 
         def row(x):
             return A.structure_at(x).sum() + A.anchor_at(x).sum()
 
         stacks = []
-        rows = algebroid.sweep(A, X, lambda Y: stacks.append(len(Y)) or np.array([row(y) for y in Y]),
-                               lambda x: pytest.fail("a chunk was rerun point by point"))
+
+        def stacked(Y):
+            stacks.append(len(Y))
+            return np.array([rho.sum() + C.sum() for rho, C in zip(*algebroid._read_at(A, Y))])
+
+        rows = algebroid.sweep(X, stacked, lambda x: pytest.fail("a chunk was rerun point by point"))
         assert stacks == [4, 4, 2]
         assert np.array(rows).tobytes() == np.array([row(x) for x in X]).tobytes()
 
     def test_a_sweep_over_the_v_restriction_builds_its_base(self, monkeypatch):
-        # cocycle-check --on v: the restriction's reads are its base's, so it passes the base's hook on
+        # cocycle-check --on v: the restriction's stack forms slice its base's stacks
         frames_calls = counted_frames(monkeypatch)
         gs = instantiate("rolling_ball")
         V = algebroid.v_restriction(gs.system.algebroid)
@@ -866,7 +880,7 @@ class TestPrefetch:
 
     @pytest.mark.parametrize("nan_near", [True, False])
     @pytest.mark.parametrize("check", ["hj-check", "cocycle-check", "morphism-check"])
-    def test_errors_are_those_of_the_pointwise_sweep(self, check, nan_near):
+    def test_errors_are_those_of_the_pointwise_sweep(self, check, nan_near, monkeypatch):
         box = [(0.0, 1.0), (0.0, 1.0)]
         if check == "hj-check":
             points = grid_points(box, 4)[2]
@@ -874,10 +888,10 @@ class TestPrefetch:
             points = sample_box(box, 16, 7)
         bad = points[3]  # E's structure raises here; the stencil of point 7 meets NaN frames
 
-        def run(hook=True):
+        def run(stacked=True):
             sys_ = self._failing_system(bad, points[7] if nan_near else None)
-            if not hook:  # the sweep without the kernel's hook
-                sys_.algebroid._prefetch = None
+            if not stacked:  # a pointwise sweep: every chunk one point, which on_stack reads by the point forms
+                monkeypatch.setattr(algebroid, "PREFETCH_CHUNK", 1)
             if check == "hj-check":
                 alpha = DualSection(components=lambda q: np.array([0.5, q[0]]), space="V*")
                 hj_grid_check(sys_, alpha, box, 4)
@@ -887,21 +901,21 @@ class TestPrefetch:
                 pair = MorphismPair(base_map=lambda q: q, fiber_map=lambda q, p: p)
                 morphism_check(sys_, sys_, pair, box, samples=16, seed=7)
 
-        with pytest.raises(DomainError) as prefetched:
+        with pytest.raises(DomainError) as stacked:
             run()
         with pytest.raises(DomainError) as pointwise:
-            run(hook=False)
-        assert str(prefetched.value) == str(pointwise.value) == f"no structure at q={bad.tolist()}"
+            run(stacked=False)
+        assert str(stacked.value) == str(pointwise.value) == f"no structure at q={bad.tolist()}"
 
-    def test_a_failed_prefetch_raises_and_keeps_the_previous_build(self, monkeypatch):
+    def test_a_failed_stacked_read_raises_and_keeps_the_previous_build(self, monkeypatch):
         frames_calls = counted_frames(monkeypatch)
         Q = sample_box([(0.0, 1.0), (0.0, 1.0)], 8, 5)
         A = self._failing_system(Q[3], Q[6]).algebroid
-        A._prefetch(Q[:3])
+        algebroid._read_at(A, Q[:3])
         kept = kernel_reads(A, Q[:3])
         frames_calls.clear()
         with pytest.raises(NumericFailure, match=re.escape(f"function evaluation non-finite near q={Q[6].tolist()}")):
-            A._prefetch(Q)
+            algebroid._read_at(A, Q)
         assert frames_calls == [8, 8 * 4]  # built up to the NaN stencil values, then dropped
         frames_calls.clear()
         assert kernel_reads(A, Q[:3]) == kept
@@ -970,7 +984,7 @@ class TestBallKernelArithmetic:
     """The ball's kernel reads its constant bracket data once and projects
     all frame pairs in one product, with the bits of the per-pair arithmetic."""
 
-    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("read", ["pointwise", "stacked"])
     @pytest.mark.parametrize("omega", ["constant", "linear"])
     def test_reads_are_the_per_pair_reference_bits(self, omega, read, monkeypatch):
         gs, U_data, _ = affine_kernel(monkeypatch, lambda: instantiate("rolling_ball", omega=omega))
@@ -979,12 +993,13 @@ class TestBallKernelArithmetic:
         Q[0, 0] = -0.0  # t = -0.0: omega(t) is -0.0 under the linear law
         Q[1] = [0.0, -0.0, 0.0]
         A = gs.system.algebroid
-        if read == "prefetched":
-            A._prefetch(Q)
         ambient = lambda q: ball_ambient_loop(Om0 if omega == "constant" else Om0 * q[0])
-        assert kernel_reads(A, Q) == affine_reference_reads(gs.extras["ambient"], ambient, U_data, Q)
+        expect = affine_reference_reads(gs.extras["ambient"], ambient, U_data, Q)
+        if read == "stacked":
+            assert stacked_reads(A, Q) == expect
+        assert kernel_reads(A, Q) == expect
 
-    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("read", ["pointwise", "stacked"])
     def test_dense_rows_project_with_the_per_pair_bits(self, read):
         # the ball's rows hold two non-zero entries each, so any summation order gives its bits; these
         # do not, and a gemm ``vals @ rows.T`` in place of the stacked mat-vec changes them
@@ -992,9 +1007,10 @@ class TestBallKernelArithmetic:
         A = affine_constraints(E, G, U, X0).algebroid
         Q = sample_box(((-2.0, 2.0),) * 2, 500, 43)
         Q[0] = [-0.0, 0.5]
-        if read == "prefetched":
-            A._prefetch(Q)
-        assert kernel_reads(A, Q) == affine_reference_reads(E, E.structure_at, (G, U, X0), Q)
+        expect = affine_reference_reads(E, E.structure_at, (G, U, X0), Q)
+        if read == "stacked":
+            assert stacked_reads(A, Q) == expect
+        assert kernel_reads(A, Q) == expect
 
     def test_the_constant_ambient_is_the_loop_bytes(self):
         E = instantiate("rolling_ball").extras["ambient"]
@@ -1026,7 +1042,7 @@ class TestBallKernelArithmetic:
 
 def wrapped_force_extension(base, F):
     """The force extension as a wrapper layer over its base reads it: per read, the base's anchor and C copied
-    into zero padded arrays, then the force rows; its kernel hook is the base's."""
+    into zero padded arrays, then the force rows; a stacked read of it reads per point."""
     n, m = base.rank + 1, base.chart.dim
 
     def anchor(q):
@@ -1042,9 +1058,7 @@ def wrapped_force_extension(base, F):
             C[1:, 0] = -C[0, 1:]
         return C
 
-    A = SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True)
-    A._prefetch = base._prefetch
-    return A
+    return SkewAlgebroid(chart=base.chart, rank=n, anchor=anchor, structure=structure, adapted=True)
 
 
 def _twist(q):  # a q-dependent force on a rank-3 kernel
@@ -1091,17 +1105,17 @@ class TestForcedKernel:
     """A force extension of a construction kernel is built by the kernel: one padded anchor and C per read, with
     the bits of the wrapper layer that copied the kernel's own values into padded arrays."""
 
-    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("read", ["pointwise", "stacked"])
     @pytest.mark.parametrize("system", FORCED_KERNELS)
     def test_reads_are_the_wrapper_bits(self, system, read):
         build, box = FORCED_KERNELS[system]
         Q = forced_points(box)
         (A, _), (ref, _) = build(False), build(True)
-        if read == "prefetched":
-            A._prefetch(Q)
-            ref._prefetch(Q)
-        assert kernel_reads(A, Q) == kernel_reads(ref, Q)  # C, then the anchor
         V, Vref = algebroid.v_restriction(A), algebroid.v_restriction(ref)
+        if read == "stacked":  # the wrapper's stacked read is per point, the kernel's one build
+            assert stacked_reads(A, Q) == stacked_reads(ref, Q)
+            assert stacked_reads(V, Q) == stacked_reads(Vref, Q)
+        assert kernel_reads(A, Q) == kernel_reads(ref, Q)  # C, then the anchor
         assert kernel_reads(V, Q) == kernel_reads(Vref, Q)
         assert not A.structure_at(Q[0]).flags.writeable and not A.anchor_at(Q[0]).flags.writeable
 
@@ -1123,7 +1137,7 @@ class TestForcedKernel:
             A, H = build(wrapped)
             sys_ = HamiltonianSystem(algebroid=A, H=H)
             return np.array(algebroid.sweep(
-                A, X, lambda Y: np.column_stack([[sys_.H(x) for x in Y], hamilton.dissipation_rate(sys_, Y)]),
+                X, lambda Y: np.column_stack([[sys_.H(x) for x in Y], hamilton.dissipation_rate(sys_, Y)]),
                 lambda x: (sys_.H(x), hamilton.dissipation_rate(sys_, x))))
 
         got = rows(False)
@@ -1154,7 +1168,7 @@ class TestForcedKernel:
 
 class TestLastBuild:
     """The kernel keeps only the values of its last build: those of the one
-    point whose C a read built, or those of the last prefetched stack.  So
+    point whose C a read built, or those of the last stack a stacked read built.  So
     what it holds is bounded by construction."""
 
     def test_a_long_integration_and_a_chunk_keep_only_the_last_build(self, monkeypatch):
@@ -1175,7 +1189,7 @@ class TestLastBuild:
         assert [len(Q) for Q in stacks] == [1]  # a point read before the last build is built again
         Q = sample_box(gs.default_box, 64, 3)
         stacks.clear()
-        A._prefetch(Q)
+        algebroid._read_at(A, Q)
         assert [len(Q) for Q in stacks] == [64]
         stacks.clear()
         kernel_reads(A, Q)
@@ -1223,15 +1237,15 @@ ADAPTED_BUILDS = {  # name -> a fresh adapted algebroid of a builder and a box o
 
 
 class TestAdaptedness:
-    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("read", ["pointwise", "stacked"])
     @pytest.mark.parametrize("name", ADAPTED_BUILDS)
     def test_builders_write_exact_zero_cocycle_components(self, name, read):
         # the builders' promise C_ab^0 = 0, which no construction checks at run time
         A, box = ADAPTED_BUILDS[name]()
         assert A.adapted
         Q = sample_box(box, 64, 23)
-        if read == "prefetched" and A._prefetch is not None:  # builders without a kernel have no hook
-            A._prefetch(Q)
+        if read == "stacked":  # a kernel's build, a broadcast constant or per-point reads
+            assert np.all(algebroid._read_at(A, Q)[1][..., 0] == 0.0)
         for q in Q:
             assert np.all(A.structure_at(q)[:, :, 0] == 0.0)
 
@@ -1246,15 +1260,15 @@ ANCHOR_SYSTEMS = {  # name -> a fresh algebroid whose anchor the kernel builds
 
 
 class TestReadOnlyAnchor:
-    @pytest.mark.parametrize("read", ["pointwise", "prefetched"])
+    @pytest.mark.parametrize("read", ["pointwise", "stacked"])
     @pytest.mark.parametrize("system,view", [(name, False) for name in ANCHOR_SYSTEMS]
                              + [(name, True) for name in ANCHOR_SYSTEMS if name != "disk_constraint"])
     def test_a_write_to_the_memoized_anchor_raises(self, system, view, read):
         # the anchor used to be writable, so a write changed every later read of q
         A = ANCHOR_SYSTEMS[system]()
         q = np.linspace(0.1, 0.4, A.chart.dim)
-        if read == "prefetched":
-            A._prefetch(q[None])
+        if read == "stacked":  # two points, so the kernel builds them as a stack
+            algebroid._read_at(A, np.stack([q, -q]))
         B = algebroid.v_restriction(A) if view else A
         before = B.anchor_at(q).copy()
         with pytest.raises(ValueError, match="read-only"):

@@ -459,23 +459,23 @@ class TestGrid:
         visited = [q for i, (_, q) in enumerate(calls) if i == 0 or q != calls[i - 1][1]]
         assert visited == [tuple(q) for q in pts]
 
-    def test_sweep_prefetches_each_chunk_before_its_points(self, disk, monkeypatch):
+    def test_sweep_reads_each_chunks_c_before_its_points(self, disk, monkeypatch):
         monkeypatch.setattr(algebroid, "PREFETCH_CHUNK", 5)
         inner = disk.reference_sections["reference"]
-        events = []  # ("prefetch", points) or ("alpha", point), in call order
+        events = []  # ("C", points) or ("alpha", point), in call order
         alpha = DualSection(components=lambda q: events.append(("alpha", tuple(q))) or inner(q), space="V*",
                             jacobian=inner.jacobian)
-        real = disk.system.algebroid._prefetch  # the kernel's hook
-        monkeypatch.setattr(disk.system.algebroid, "_prefetch",
-                            lambda Q: events.append(("prefetch", [tuple(q) for q in Q])) or real(Q))
+        C = disk.system.algebroid._structure  # the kernel's C, whose stack form builds a chunk
+        monkeypatch.setattr(C, "stack", lambda Q, real=C.stack: events.append(("C", [tuple(q) for q in Q])) or real(Q))
         box, _, pts = grid_points(disk.default_box, 2)  # 16 points
         report = hj_grid_check(disk.system, alpha, box, 2)
         pts = [tuple(q) for q in pts]
         chunks = [pts[i:i + 5] for i in range(0, 16, 5)]
-        assert [v for kind, v in events if kind == "prefetch"] == chunks
-        # alpha runs twice per point; each chunk is prefetched before its first point
+        # the last chunk holds one point, which on_stack reads by the point form
+        assert [v for kind, v in events if kind == "C"] == chunks[:-1]
+        # alpha runs twice per point; each chunk's C is read before its first point
         assert [v for kind, v in events if kind == "alpha"] == [q for q in pts for _ in range(2)]
-        assert all(events.index(("prefetch", c)) < events.index(("alpha", c[0])) for c in chunks)
+        assert all(events.index(("C", c)) < events.index(("alpha", c[0])) for c in chunks[:-1])
         monkeypatch.undo()
         assert report.to_json_dict() == hj_grid_check(disk.system, inner, box, 2).to_json_dict()
 

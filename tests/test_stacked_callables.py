@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from algebroid_mech import calculus, cli, constructions, instantiate
-from algebroid_mech.algebroid import PREFETCH_CHUNK, _Constant, _Stacked, on_stack, sample_box
+from algebroid_mech.algebroid import PREFETCH_CHUNK, _Constant, _read_at, _Stacked, on_stack, sample_box
 
 
 def hard_points(m, n=300, seed=0):
@@ -131,7 +131,7 @@ class TestStackedKernelReads:
         calls = {}
         for name, fn in {"X1": X1.components, "dX1": X1.jacobian, "F": gs.extras["force"].coeff}.items():
             fn.stack = lambda Q, name=name, real=fn.stack: calls.setdefault(name, []).append(len(Q)) or real(Q)
-        A._prefetch(sample_box(gs.default_box, 64, 3))
+        _read_at(A, sample_box(gs.default_box, 64, 3))
         assert calls == {"X1": [64], "dX1": [64], "F": [64]}
 
     def test_a_linear_ball_build_calls_each_stack_form_once(self):
@@ -140,7 +140,7 @@ class TestStackedKernelReads:
         E = gs.extras["ambient"]
         for name, fn in {"anchor": E._anchor, "C_E": E._structure}.items():
             fn.stack = lambda Q, name=name, real=fn.stack: calls.setdefault(name, []).append(len(Q)) or real(Q)
-        gs.system.algebroid._prefetch(sample_box(gs.default_box, 40, 3))
+        _read_at(gs.system.algebroid, sample_box(gs.default_box, 40, 3))
         assert calls == {"anchor": [40], "C_E": [40]}
 
     @pytest.mark.parametrize("samples", [PREFETCH_CHUNK + 76, 5])
@@ -158,11 +158,13 @@ class TestStackedKernelReads:
         out = tmp_path / "out.json"
         assert cli.main(["morphism-check", "rolling_ball", "--morphism", "mu-projection", "--samples", str(samples),
                          "--out", str(out)]) == 1  # the affine function does not project
-        # per chunk: the kernel build's ambient anchor, the base and fiber maps at the images, then at all their
-        # 2 (m + n) = 14 stencil points each (m = 3, rank n = 4), then the fiber map at the source cocycle
+        # per chunk: the base and fiber maps at the images, then at all their 2 (m + n) = 14 stencil points each
+        # (m = 3, rank n = 4); the source's stacked read, the kernel's C, whose one build reads the ambient anchor;
+        # the target's, the restriction's C, which reads the kernel's C from that build, and its anchor; then the
+        # fiber map at the source cocycle
         expect = []
         for k in ([PREFETCH_CHUNK, 76] if samples > PREFETCH_CHUNK else [samples]):
-            expect += [k, k, k, 14 * k, 14 * k, k]
+            expect += [k, k, 14 * k, 14 * k, k, k, k, k, k, k]
         assert sizes == expect
 
 
@@ -190,7 +192,8 @@ class TestPointwiseReadsCallNoStackForm:
 
         monkeypatch.setattr(cli, "_load_system", load_then_raise)
         assert run("pointwise") == expect
-        # X1, dX1, F and the kernel's frame and jacobian rows; the anchor, C_E and the affine U rows
-        assert len(declared_fns) == (5 if argv[1] == "vertical_disk" else 3)
+        # X1, dX1, F, the kernel's frame and jacobian rows and the C of its algebroid and of its force extension;
+        # the anchor, C_E, the affine U rows and the kernel's C
+        assert len(declared_fns) == (7 if argv[1] == "vertical_disk" else 4)
         with pytest.raises(pytest.fail.Exception):
             on_stack(declared_fns[0], np.zeros((2, 4)))

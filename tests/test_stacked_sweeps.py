@@ -1,8 +1,8 @@
 """The sampled checks and the HJ grid walk their points as a ``sweep``: in
-prefetched chunks, each evaluated as one stacked pass.  Their reports and
-errors must be those of a pointwise sweep, which is kept here as the
-reference, written as the sweeps were before they were stacked: one point
-at a time, without prefetch."""
+chunks, each evaluated as one stacked pass over stacked reads.  Their
+reports and errors must be those of a pointwise sweep, which is kept here as
+the reference, written as the sweeps were before they were stacked: one
+point at a time."""
 
 import json
 import math
@@ -15,6 +15,7 @@ from algebroid_mech import (
     CheckReport,
     DomainError,
     DualSection,
+    HamiltonianSystem,
     MorphismEndpoint,
     MorphismPair,
     NumericFailure,
@@ -33,7 +34,7 @@ from algebroid_mech.gallery import GALLERY_IDS
 from algebroid_mech.hamilton_jacobi import HJReport, grid_points, hj_residual
 
 from conftest import nan_structure_at, smooth_section
-from test_constructions import twisted_affine
+from test_constructions import counted_frames, twisted_affine
 
 
 def _d_oneform(A, beta, jac, q):
@@ -393,3 +394,107 @@ def test_stacked_reads_are_the_pointwise_reads(build):
     rho, C = algebroid._read_at(A, Q)
     assert rho.tobytes() == np.array([A.anchor_at(q) for q in Q]).tobytes()
     assert C.tobytes() == np.array([A.structure_at(q) for q in Q]).tobytes()
+
+
+class TestStackedReadKeepsThePointReadsErrors:
+    """A plain callable's stacked read runs per point through ``structure_at`` / ``anchor_at``."""
+
+    @pytest.mark.parametrize("wrong", ["structure", "anchor"])
+    def test_a_wrong_shape_raises_the_point_reads_message(self, wrong):
+        chart = calculus.Chart(dim=2, coord_names=("a", "b"))
+        shapes = {"anchor": (2, 2), "structure": (2, 2, 2)}
+        expect = f"{wrong} must return shape {shapes[wrong]}, got (2, 3)"
+        shapes[wrong] = (2, 3)
+        A = algebroid.SkewAlgebroid(chart, 2, anchor=lambda q: np.zeros(shapes["anchor"]),
+                                    structure=lambda q: np.zeros(shapes["structure"]))
+        Q = sample_box([(-1.0, 1.0)] * 2, 6, 3)
+        with pytest.raises(ValueError) as point:
+            algebroid._read_at(A, Q[0])
+        with pytest.raises(ValueError) as stacked:
+            algebroid._read_at(A, Q)
+        assert str(stacked.value) == str(point.value) == expect
+
+    def test_a_non_finite_c_at_one_grid_point_is_named_as_the_pointwise_sweep_names_it(self, monkeypatch):
+        # the grid's stacked pass reads the chunk's C first; the sampled checks' case is TestErrorsAre...'s
+        # "structure nan"
+        monkeypatch.setattr(algebroid, "PREFETCH_CHUNK", 5)
+        gs = instantiate("vertical_disk")
+        box, _, pts = grid_points(gs.default_box, 3)
+        sys_ = HamiltonianSystem(algebroid=nan_structure_at(gs.system.algebroid, pts[33]), H=gs.system.H)
+        alpha = gs.section("reference")
+        got = _error(lambda: hj_grid_check(sys_, alpha, box, 3))
+        assert got == _error(lambda: reference_hj(sys_, alpha, box, 3))
+        assert got == (NumericFailure, f"HJ residual non-finite at q={pts[33].tolist()}")
+
+
+class TestConstantStackedRead:
+    @pytest.mark.parametrize("K", [0, 2, 5])
+    def test_a_constant_algebroid_broadcasts_with_no_call(self, K, monkeypatch):
+        gs = instantiate("cylinder_friction")
+        A = gs.system.algebroid
+        assert type(A._anchor) is type(A._structure) is algebroid._Constant
+        Q = sample_box(gs.default_box, max(K, 1), 4)[:K]
+        expect = [np.array([B.anchor_at(q) for q in Q]).reshape(K, B.chart.dim, B.rank).tobytes()
+                  + np.array([B.structure_at(q) for q in Q]).reshape((K,) + (B.rank,) * 3).tobytes()
+                  for B in (A, v_restriction(A))]
+        monkeypatch.setattr(algebroid._Constant, "__call__", lambda self, q: pytest.fail("a constant was called"))
+        for B, bytes_ in zip((A, v_restriction(A)), expect):  # the restriction slices the broadcast stacks
+            rho, C = algebroid._read_at(B, Q)
+            assert rho.tobytes() + C.tobytes() == bytes_
+
+
+class TestOneBuildPerChunk:
+    """Every chunk of a sweep over a kernel system builds the kernel once: the first stacked read of the
+    chunk builds it, and every later read of its points (the anchors, a restriction's C, a morphism target
+    at the source's points, the per-point reads of the HJ residuals) reads that build.  A build is one
+    ``frames`` call at the chunk's points (the disk's frame jacobian is exact), and on the ball one more at
+    their 6 stencil points each."""
+
+    @pytest.fixture(autouse=True)
+    def _chunks_of_17(self, monkeypatch):
+        monkeypatch.setattr(algebroid, "PREFETCH_CHUNK", 17)
+
+    @staticmethod
+    def builds(system, points):
+        chunks = [min(17, points - start) for start in range(0, points, 17)]
+        assert min(chunks) > 1  # a chunk of one point is read by the point forms
+        return [size for k in chunks for size in ([k, 6 * k] if system == "rolling_ball" else [k])]
+
+    @pytest.mark.parametrize("check", ["hj-check", "cocycle-check --on e", "cocycle-check --on v",
+                                       "morphism-check identity", "morphism-check mu-projection"])
+    @pytest.mark.parametrize("system", ["vertical_disk", "rolling_ball"])
+    def test_a_check(self, system, check, monkeypatch):
+        frames_calls = counted_frames(monkeypatch)
+        gs = instantiate(system)
+        sys_, A, box = gs.system, gs.system.algebroid, gs.default_box
+        frames_calls.clear()
+        if check == "hj-check":
+            resolution = 3 if system == "vertical_disk" else 4
+            hj_grid_check(sys_, gs.section("reference"), box, resolution)
+            points = resolution ** A.chart.dim
+        elif check.startswith("cocycle-check"):
+            if check.endswith("e"):
+                check_cocycle(A, adapted_cocycle(A), box, 40, 7)
+            else:
+                check_cocycle(v_restriction(A), gs.section("reference"), box, 40, 7)
+            points = 40
+        else:
+            morphism = check.split()[1]
+            dst = MorphismEndpoint.v_side(sys_) if morphism == "mu-projection" else sys_
+            pair = MorphismPair(base_map=lambda q: q, fiber_map=(lambda q, p: p[1:]) if morphism == "mu-projection"
+                                else (lambda q, p: p))
+            morphism_check(sys_, dst, pair, box, samples=40, seed=7)
+            points = 40
+        assert frames_calls == self.builds(system, points)
+
+    @pytest.mark.parametrize("system", ["vertical_disk", "rolling_ball"])
+    def test_dissipation(self, system, monkeypatch, tmp_path):
+        frames_calls = counted_frames(monkeypatch)
+        sweep = cli.sweep
+        # the RK4 stages before the sweep read, and build, one point at a time
+        monkeypatch.setattr(cli, "sweep", lambda *args: frames_calls.clear() or sweep(*args))
+        out = tmp_path / "rows.csv"
+        assert cli.main(["dissipation", system, "--t1", "0.4", "--dt", "1e-2", "--out", str(out)]) == 0
+        rows = len(out.read_text().splitlines()) - 1
+        assert rows == 41 and frames_calls == self.builds(system, rows)
+
