@@ -289,6 +289,7 @@ def _read_at(A: SkewAlgebroid, q):
     place that knows its order, C first, so that a kernel's anchor reads find the point or the stack its C
     read built."""
     if np.ndim(q) == 2:
+        q = np.asarray(q, dtype=float)  # as the point reads take q, so a kernel keeps the bytes they look up
         C = _structures(A, q)
         return _anchors(A, q), C
     C = A.structure_at(q)

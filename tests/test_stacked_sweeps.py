@@ -394,6 +394,8 @@ def test_stacked_reads_are_the_pointwise_reads(build):
     rho, C = algebroid._read_at(A, Q)
     assert rho.tobytes() == np.array([A.anchor_at(q) for q in Q]).tobytes()
     assert C.tobytes() == np.array([A.structure_at(q) for q in Q]).tobytes()
+    # a nested list is read as its float stack, as the point reads take a list
+    assert [a.tobytes() for a in algebroid._read_at(A, Q.tolist())] == [rho.tobytes(), C.tobytes()]
 
 
 class TestStackedReadKeepsThePointReadsErrors:
