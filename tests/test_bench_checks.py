@@ -216,4 +216,3 @@ def test_code_lines_skip_blank_comment_and_docstring_lines(bench, tmp_path):
     for name in ("a.py", "b.py"):
         (tmp_path / "algebroid_mech" / name).write_text(CODE_LINES_FIXTURE)
     assert bench.src_code_lines(tmp_path) == 14 and bench.src_lines(tmp_path) == 2 * 18
-

@@ -836,4 +836,3 @@ class TestNumericFailureInAUserCallable:
         assert run_cli(["cocycle-check", "cylinder_friction", "--on", "v", "--section", "reference", "--samples", "16",
                         "--seed", "7", "--out", str(tmp_path / "report.json")]) == 3
         assert capsys.readouterr().err == f"error: {exc} at q={bad.tolist()}\n"
-

@@ -499,4 +499,3 @@ class TestOneBuildPerChunk:
         assert cli.main(["dissipation", system, "--t1", "0.4", "--dt", "1e-2", "--out", str(out)]) == 0
         rows = len(out.read_text().splitlines()) - 1
         assert rows == 41 and frames_calls == self.builds(system, rows)
-
