@@ -120,13 +120,10 @@ def _constant(*fns) -> bool:
     return all(type(fn) is _Constant for fn in fns)
 
 
-_DECLARED = (_Constant, _Stacked)  # the callables that ``on_stack`` reads on a stack with no per-point call
-
-
 def on_stack(fn, Q, *stacks) -> np.ndarray:
     """fn at each row of Q (K, m) and of its further arguments' stacks: at K >= 2 a ``_Constant`` broadcasts and a
     ``_Stacked`` callable runs its stack form once; any other callable, or K < 2, runs per point (K = 0: (0,))."""
-    if len(Q) > 1 and type(fn) in _DECLARED:
+    if len(Q) > 1 and type(fn) in (_Constant, _Stacked):
         return np.asarray(fn.stack(Q, *stacks), dtype=float)
     return np.array([fn(*row) for row in zip(Q, *stacks)], dtype=float)
 
@@ -193,8 +190,7 @@ class SkewAlgebroid:
     adapted : bool
         Frame index 0 is dual to the cocycle (C_{ab}^0 = 0).
 
-    An anchor or C declared on stacks (``_Stacked``, as a construction
-    kernel's C is) gives the stacked read ``_read_at`` its stack form.
+    An anchor or C declared ``_Stacked`` (as a kernel's C is) gives ``_read_at`` its stack form.
     """
 
     def __init__(self, chart: Chart, rank: int, anchor, structure=None, adapted=False):
@@ -285,28 +281,20 @@ def d_function(A: SkewAlgebroid, f) -> DualSection:
 
 
 def _read_at(A: SkewAlgebroid, q):
-    """The anchor and C at q, or their stacks at a stack of points q (K, m): the one joint read, and the one
-    place that knows its order, C first, so that a kernel's anchor reads find the point or the stack its C
-    read built."""
+    """The anchor and C at q, or their stacks at a stack of points q (K, m): the one joint read, C first, so
+    that a kernel's anchor reads find the point or the stack its C read built."""
     if np.ndim(q) == 2:
         q = np.asarray(q, dtype=float)  # as the point reads take q, so a kernel keeps the bytes they look up
-        C = _structures(A, q)
-        return _anchors(A, q), C
+        C = _stack_read(A, q, "structure")
+        return _stack_read(A, q, "anchor"), C
     C = A.structure_at(q)
     return A.anchor_at(q), C
 
 
-def _anchors(A: SkewAlgebroid, Q) -> np.ndarray:
-    """The anchor at each row of Q (K, m) by ``on_stack``: broadcast or by its stack form when it declares one,
-    else by ``anchor_at`` per point, with its shape error."""
-    fn = A._anchor if type(A._anchor) in _DECLARED else A.anchor_at
-    return on_stack(fn, Q).reshape(len(Q), A.chart.dim, A.rank)
-
-
-def _structures(A: SkewAlgebroid, Q) -> np.ndarray:
-    """C at each row of Q (K, m), read as ``_anchors`` reads the anchor."""
-    fn = A._structure if type(A._structure) in _DECLARED else A.structure_at
-    return on_stack(fn, Q).reshape((len(Q),) + (A.rank,) * 3)
+def _stack_read(A: SkewAlgebroid, Q, part: str) -> np.ndarray:
+    """A's anchor or C (``part``) at each row of Q (K, m) by ``on_stack``, an undeclared one by its checked read."""
+    fn, shape = getattr(A, "_" + part), (A.chart.dim, A.rank) if part == "anchor" else (A.rank,) * 3
+    return on_stack(fn if type(fn) in (_Constant, _Stacked) else getattr(A, part + "_at"), Q).reshape((len(Q),) + shape)
 
 
 def d_oneform_matrix(A: SkewAlgebroid, beta_q, jac, q) -> np.ndarray:
@@ -373,12 +361,11 @@ def sample_box(box, samples: int, seed: int) -> np.ndarray:
     return lo + (hi - lo) * rng.random((samples, len(box)))
 
 
-def sweep(points, stacked, pointwise) -> list:
+def sweep(points, stacked, pointwise, m=None) -> list:
     """The rows of the points (N, d), in chunks of at most PREFETCH_CHUNK: ``stacked(chunk)`` gives a chunk's
-    rows, reading the algebroid by stacked reads (``_read_at``).  A chunk where it raises, or a row is not
-    finite, is rerun as ``pointwise(x)`` per point, so the first failing point raises, as in a pointwise sweep;
-    a ValueError or ArithmeticError there (a user callable's, such as math's domain error) is a NumericFailure
-    naming x."""
+    rows.  A chunk where it raises, or a row is not finite, is rerun as ``pointwise(x)`` per point, so the first
+    failing point raises, as in a pointwise sweep; a user callable's ValueError or ArithmeticError there (math's
+    domain error) is a NumericFailure naming the point, x[:m] (the whole row by default)."""
     rows = []
     for start in range(0, len(points), PREFETCH_CHUNK):
         chunk = points[start:start + PREFETCH_CHUNK]
@@ -386,24 +373,24 @@ def sweep(points, stacked, pointwise) -> list:
             vals = stacked(chunk)
         except Exception:  # the rerun raises it at its point, or an earlier point's error
             vals = [np.nan]
-        rows += list(vals) if np.isfinite(vals).all() else [_at_point(pointwise, x) for x in chunk]
+        rows += list(vals) if np.isfinite(vals).all() else [_at_point(pointwise, x, x[:m]) for x in chunk]
     return rows
 
 
-def _at_point(pointwise, x):
+def _at_point(pointwise, x, q):
     try:
         return pointwise(x)
     except (ValueError, ArithmeticError) as exc:
-        raise NumericFailure(f"{exc} at q={x.tolist()}") from exc
+        raise NumericFailure(f"{exc} at q={q.tolist()}") from exc
 
 
 def stacked_sweep(points, m: int, terms, whats) -> list:
     """Per point, the max |entry| of each term ``terms(chunk)`` yields (a row per point), one stack per
     chunk of a ``sweep``, whose pointwise rerun folds each term by ``max_abs`` with its ``whats`` format,
-    naming the point's first m coordinates, before the next is evaluated."""
+    naming the point x[:m], before the next is evaluated."""
     return sweep(points,
                  lambda X: np.column_stack([np.abs(V.reshape(len(X), -1)).max(axis=1, initial=0.0) for V in terms(X)]),
-                 lambda x: [max_abs(V[0], what, x[:m]) for V, what in zip(terms(x[None]), whats)])
+                 lambda x: [max_abs(V[0], what, x[:m]) for V, what in zip(terms(x[None]), whats)], m)
 
 
 def adapted_cocycle(A: SkewAlgebroid) -> DualSection:
@@ -503,13 +490,13 @@ def v_restriction(A: SkewAlgebroid) -> SkewAlgebroid:
     """The rank n-1 algebroid on the cocycle kernel (frame indices 1..n-1).
 
     Requires an adapted frame, which guarantees the kernel is closed under
-    the bracket.  Its anchor and C are A's, sliced, at a point and on a stack,
-    so a stacked read of the restriction is one of A (its kernel's build).
+    the bracket.  Its anchor and C slice A's, at a point and on a stack.
     """
     if not A.adapted:
         raise ValueError("v_restriction requires an adapted algebroid")
     return SkewAlgebroid(
         chart=A.chart, rank=A.rank - 1, adapted=False,
-        anchor=_Stacked(lambda q: A.anchor_at(q)[:, 1:], lambda Q: np.ascontiguousarray(_anchors(A, Q)[..., 1:])),
+        anchor=_Stacked(lambda q: A.anchor_at(q)[:, 1:],
+                        lambda Q: np.ascontiguousarray(_stack_read(A, Q, "anchor")[..., 1:])),
         structure=_Stacked(lambda q: A.structure_at(q)[1:, 1:, 1:],
-                           lambda Q: np.ascontiguousarray(_structures(A, Q)[:, 1:, 1:, 1:])))
+                           lambda Q: np.ascontiguousarray(_stack_read(A, Q, "structure")[:, 1:, 1:, 1:])))

@@ -181,7 +181,7 @@ def _cmd_dissipation(args):
 
 def _cmd_hj_check(args):
     gs = _load_system(args)
-    section = gs.section(args.section, "V*")
+    section = gs.section(args.section)
     resolution = _resolution(args.resolution)
     report = hj_grid_check(gs.system, section, _box(gs, args), resolution=resolution, tol=args.tol)
     return _emit(args, gs, "report", report.to_json_dict(), report.passed)
@@ -189,7 +189,7 @@ def _cmd_hj_check(args):
 
 def _cmd_lift_verify(args):
     gs = _load_system(args)
-    section = gs.section(args.section, "V*")
+    section = gs.section(args.section)
     report = verify_lift(gs.system, section, _q0(gs, args), *_horizon(gs, args), args.dt, tol=args.tol)
     return _emit(args, gs, "report", report.to_json_dict(), report.passed)
 
@@ -207,7 +207,7 @@ def _cmd_cocycle_check(args):
         A = v_restriction(sys_.algebroid)
         if not args.section:
             raise ValueError("--on v requires --section")
-        section = gs.section(args.section, "V*")
+        section = gs.section(args.section)
         name = f"section {args.section} on the kernel algebroid"
     report = check_cocycle(A, section, _box(gs, args), samples=args.samples, seed=args.seed, tol=args.tol)
     return _emit(args, gs, "report", report.to_json_dict(), report.passed, checked=name)

@@ -23,17 +23,14 @@ point or a stack (each user callable read by ``algebroid.on_stack``), the
 kernel's anchor needs only the frame; its C adds the frame's derivative:
 analytic when every basis section of a projector restriction carries a
 jacobian, else from one stacked finite-difference stencil (so always for
-the affine constraints).  The kernel's C declares its stack form: a
-stacked read (``algebroid._read_at``) of a chunk of points (a grid or sample
-chunk, a trajectory's rows) builds them all in one pass, bit for bit as
-their point reads would build them.  The kernel keeps only its last build:
-the point whose C a read just built, for the anchor read that follows, or
-the points a stacked read just built, for the reads of those points that
-follow.  Constant inputs are evaluated
-once, at construction: the force extension of a constant base by a
-constant force is constant, and affine constraints with a constant metric,
-U basis and drift (the rolling ball) orthonormalize their frame once, and
-bracket it once over a constant C_E.
+the affine constraints).  The kernel's C declares its stack form, so a
+stacked read (``algebroid._read_at``) of a chunk of points builds them all in
+one pass, bit for bit as their point reads would.  The kernel keeps only its
+last build, a point or a stack, for the reads of those points that follow.
+Constant inputs are evaluated once, at construction: the force extension of
+a constant base by a constant force is constant, and affine constraints with
+a constant metric, U basis and drift (the rolling ball) orthonormalize their
+frame once, and bracket it once over a constant C_E.
 """
 
 from __future__ import annotations
@@ -221,22 +218,18 @@ def _bracket_then_project(E: SkewAlgebroid, frames, projection, rank: int, adapt
     writes these values at indices >= 1 of a padded anchor and C, and the force rows.
 
     A point read of C builds one point's values; each algebroid of the kernel
-    keeps only those of its last build.  That is the one point whose C a read
-    just built, which serves the anchor read that follows it, or the stack Q
-    that C's stack form (``chunk``, a ``_Stacked`` C that ``on_stack`` runs on
-    a stack of two or more points) just built in one pass of the same
-    arithmetic, so its bits are the pointwise ones: one ``frames`` call for
-    the points, one for all their stencils, E's anchor and C and the force
-    read by ``on_stack``, the pair brackets as one einsum and stacked
-    mat-vecs; only the projection runs per point and pair (or once, for a
-    fixed ``frame``).  A stack whose points the last build holds, as a
-    morphism target's read at its source's points, is read from that build.
-    An anchor read of any other point builds the frame and keeps nothing.  A
-    stack build that raises keeps the last build and raises its error; a
-    ``sweep`` then reads its chunk point by point, so the pointwise read of
-    the failing point raises as it would have alone.
+    keeps only those of its last build: the point whose C a read just built,
+    for the anchor read that follows, or the stack Q that C's stack form
+    (``chunk``) just built in one pass of the same arithmetic, so its bits
+    are the pointwise ones: one ``frames`` call for the points, one for all
+    their stencils, E's anchor and C and the force read by ``on_stack``, the
+    pair brackets as one einsum and stacked mat-vecs; only the projection
+    runs per point and pair (or once, for a fixed ``frame``).  A stack the
+    last build holds is read from it; an anchor read of any other point builds
+    the frame and keeps nothing.  A stack build that raises keeps the last
+    build; a ``sweep`` then reruns its chunk point by point.
 
-    Both bodies (the point read and ``chunk``) take the E-brackets of all frame pairs from one place, fixed
+    Both C bodies take the E-brackets of all frame pairs from one place, fixed
     at construction over a zero ``_Constant`` C_E (zeros) or a ``_Constant``
     C_E and a fixed ``frame`` (one einsum), else one contraction with C_E
     per point or stack; the derivative terms are one stacked product
@@ -499,10 +492,9 @@ def morphism_check(
     images, then all their stencil points); the hamiltonian pullback runs
     per sample, the rest is stacked over the samples (``stacked_sweep``).  A non-finite value
     raises NumericFailure naming its sample point and probe pair or
-    component.  The source's stacked read builds each chunk's kernel; the
-    target's read at the images reads that build when the target is the
-    source's kernel algebroid or its restriction and the base map is the
-    identity (the gallery's morphisms).
+    component.  The source's stacked read builds each chunk's kernel, and
+    the target's read at the images reads that build when it shares the
+    kernel (the gallery's morphisms over the identity base map).
     """
     src = _coerce_endpoint(src)
     dst = _coerce_endpoint(dst)

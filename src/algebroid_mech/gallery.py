@@ -57,14 +57,14 @@ class GallerySystem:
     horizon: tuple = (0.0, 1.0)
     extras: dict = field(default_factory=dict)
 
-    def section(self, name: str, space: Optional[str] = None) -> DualSection:
-        """The named section; a ValueError unless it exists and, with ``space``, lies on that space."""
-        found = {**self.probe_sections, **self.reference_sections}.get(name)
+    def section(self, name: str) -> DualSection:
+        """The named section, on V* as every command reads one: ValueError if unknown or on E* (``probe_sections``)."""
+        found = self.reference_sections.get(name, self.probe_sections.get(name))
         if found is None:
             known = sorted({*self.reference_sections, *self.probe_sections})
             raise ValueError(f"unknown section {name!r}; known: {known}")
-        if space not in (None, found.space):
-            raise ValueError(f"section {name!r} of {self.id} is on {found.space}; a {space} section is needed")
+        if found.space != "V*":
+            raise ValueError(f"section {name!r} of {self.id} is on {found.space}; a V* section is needed")
         return found
 
 
@@ -228,12 +228,6 @@ def _build_rolling_ball(params, omega_mode="constant"):
         out[1, 1] = out[2, 2] = 1.0
         return out
 
-    def anchor_rows(Q):  # the anchor at a stack Q (K, 3) in its arithmetic, as structure_rows is for C_E
-        out = np.zeros((len(Q), 3, 6))
-        out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = 1.0
-        out[:, 1, 0], out[:, 2, 0] = -omega(Q[:, 0]) * Q[:, 2], omega(Q[:, 0]) * Q[:, 1]
-        return out
-
     template = np.zeros((6, 6, 6))  # all but the four omega entries, with the -0.0 of the skew rows
     template[3, 4, 5] = template[4, 5, 3] = 1.0
     template[3, 5, 4] = -1.0  # [[e3, e5]] = -[[e5, e3]] = -e4
@@ -246,15 +240,9 @@ def _build_rolling_ball(params, omega_mode="constant"):
         C[0, 2, 1] = C[1, 0, 2] = omega(q[0])
         return C
 
-    def structure_rows(Q):
-        C = np.repeat(template[None], len(Q), axis=0)
-        C[:, 0, 1, 2] = C[:, 2, 0, 1] = -omega(Q[:, 0])
-        C[:, 0, 2, 1] = C[:, 1, 0, 2] = omega(Q[:, 0])
-        return C
-
-    # a constant law's C_E is built once; the anchor and a linear law's C_E take stacks in second forms (README)
-    C_E = _Constant(structure(np.zeros(3))) if omega_mode == "constant" else _Stacked(structure, structure_rows)
-    E = SkewAlgebroid(chart=chart, rank=6, anchor=_Stacked(anchor, anchor_rows), structure=C_E, adapted=False)
+    # a constant law's C_E is built once; the anchor and a linear law's C_E are read per point, stacks too (README)
+    C_E = _Constant(structure(np.zeros(3))) if omega_mode == "constant" else structure
+    E = SkewAlgebroid(chart=chart, rank=6, anchor=anchor, structure=C_E, adapted=False)
     G = MetricField.constant(np.diag([1.0, m, m, m * k * k, m * k * k, m * k * k]))
     U_basis = [
         constant_section([0.0, 0.0, -r, 1.0, 0.0, 0.0]),
@@ -289,11 +277,8 @@ def _build_rolling_ball(params, omega_mode="constant"):
     alpha = DualSection(components=alpha_comps, space="V*", jacobian=alpha_jac)
     alpha_on_u = DualSection(components=alpha_comps, space="E*", jacobian=alpha_jac)
 
-    def alpha34(t):
-        return np.array([-(r / N) * phi2(t), (r / N) * phi1(t)])
-
     solutions = {
-        "alpha34": RefSolution(fn=alpha34, description="momenta along the lifted reference"),
+        "alpha34": RefSolution(fn=lambda t: alpha_comps((t,))[:2], description="momenta along the lifted reference"),
         "phi12": RefSolution(fn=lambda t: np.array([phi1(t), phi2(t)]), description="cocycle factors"),
     }
     if omega_mode == "constant" and Om0 != 0.0:  # a still table has no orbit period
@@ -408,7 +393,6 @@ def _build_cylinder(params):
                 raise DomainError(f"x={x:g} at the Lambert branch point x_max: S1'' is unbounded there")
             return -m * K1 * W / (1.0 + W)
 
-        s1_domain = (-math.inf, x_max)
     else:
         x_max = C2 / (g * m * m)
 
@@ -427,7 +411,7 @@ def _build_cylinder(params):
         def s1pp(x):
             return -sign * g * m * m / (math.sqrt(2.0) * _root(x))
 
-        s1_domain = (-math.inf, x_max)
+    s1_domain = (-math.inf, x_max)
 
     def s2(th):
         return -K2 * m * r * r * th * th / 2.0 + C1
@@ -556,16 +540,16 @@ def _build_time_dependent(params):
     H = ScalarField(eval=lambda s: 0.5 * s[2] ** 2, grad=lambda s: np.array([0.0, 0.0, s[2]]))
     system = HamiltonianSystem(algebroid=A, H=H)
 
-    def alpha_comps(q):
-        t = q[0]
-        if t <= 0.0:
+    def time(q):
+        if q[0] <= 0.0:
             raise DomainError("the generating function is defined for t > 0 only")
-        return np.array([q[1] / t])
+        return q[0]
+
+    def alpha_comps(q):
+        return np.array([q[1] / time(q)])
 
     def alpha_jac(q):
-        t = q[0]
-        if t <= 0.0:
-            raise DomainError("the generating function is defined for t > 0 only")
+        t = time(q)
         return np.array([[-q[1] / (t * t), 1.0 / t]])
 
     alpha = DualSection(components=alpha_comps, space="V*", jacobian=alpha_jac)

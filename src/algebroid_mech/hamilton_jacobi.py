@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _d_oneform, _five_largest, _read_at, _structures,
-                        box_bounds, sweep, v_restriction)
+from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _d_oneform, _five_largest, _read_at, _Stacked,
+                        box_bounds, on_stack, sweep, v_restriction)
 from .calculus import Curve, fd_jacobian, integrate_rk4, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, _zeta, integrate_hamilton, projected_field
@@ -181,16 +181,15 @@ def hj_grid_check(
     tol: float = 1e-9,
 ) -> HJReport:
     """The HJ residual over a grid and its max norm, as a ``sweep`` in grid
-    order whose stacked pass reads the chunk's C first (so a construction
-    kernel builds the chunk once, for every residual's reads) and then maps
-    ``hj_residual`` over the chunk; a non-finite residual raises
-    NumericFailure naming its grid point, a section off V* ValueError."""
-    if alpha.space != "V*":
+    order whose stacked pass runs a declared C's stack form on a chunk, then
+    ``hj_residual`` per point; a non-finite one raises NumericFailure naming it."""
+    if alpha.space != "V*":  # before the sweep, whose rerun would make it a NumericFailure
         raise ValueError("hj_residual expects a reduced-dual section (space 'V*')")
     box, resolution, pts = grid_points(box, resolution)
 
     def stacked(Q):
-        _structures(sys.algebroid, Q)
+        if type(sys.algebroid._structure) is _Stacked:  # an undeclared C would be read twice per point
+            on_stack(sys.algebroid._structure, Q)
         return parallel_map(lambda q: hj_residual(sys, alpha, q), Q)
 
     residuals = sweep(pts, stacked, lambda q: require_finite(hj_residual(sys, alpha, q), "HJ residual", q))

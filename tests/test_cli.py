@@ -789,13 +789,15 @@ class TestEmptyAndUnreadValues:
 
 
 class TestSectionSpace:
-    """A named section off the space a command reads it on is a usage error naming the section and the space,
-    raised before any point is read; it writes no report."""
+    """Every command that reads a named section reads it on V*: a section on E* is a usage error naming the
+    section and the space, raised before any point is read; it writes no report."""
 
     @pytest.mark.parametrize("argv", [
         ["cocycle-check", "three_body_drag", "--on", "v", "--section", "beta_probe"],
         ["hj-check", "three_body_drag", "--section", "beta_probe"],
         ["lift-verify", "three_body_drag", "--section", "beta_probe"],
+        ["simulate", "three_body_drag", "--section", "beta_probe"],  # it failed on the state's length
+        ["dissipation", "three_body_drag", "--section", "beta_probe"],
     ], ids=lambda argv: argv[0])
     def test_an_e_star_section_is_a_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -836,3 +838,19 @@ class TestNumericFailureInAUserCallable:
         assert run_cli(["cocycle-check", "cylinder_friction", "--on", "v", "--section", "reference", "--samples", "16",
                         "--seed", "7", "--out", str(tmp_path / "report.json")]) == 3
         assert capsys.readouterr().err == f"error: {exc} at q={bad.tolist()}\n"
+
+    def test_a_morphism_check_names_the_sample_point_without_its_momenta(self, monkeypatch, tmp_path, capsys):
+        # the sweep's rows are (q, p) and the fiber map raises at the fourth sample's q (at its p-stencil points
+        # too): the error names that q, as the check's non-finite values do
+        gs = instantiate("cylinder_friction")
+        bad = algebroid.sample_box(gs.default_box, 16, 7)[3]
+
+        def fiber_map(q, p):
+            if (np.atleast_2d(q) == bad).all(axis=1).any():
+                raise ValueError("bad value")
+            return p
+
+        monkeypatch.setitem(cli._FIBER_MAPS, "identity", lambda factor: fiber_map)
+        assert run_cli(["morphism-check", "cylinder_friction", "--samples", "16", "--seed", "7",
+                        "--out", str(tmp_path / "report.json")]) == 3
+        assert capsys.readouterr().err == f"error: bad value at q={bad.tolist()}\n"

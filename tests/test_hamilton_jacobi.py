@@ -88,6 +88,12 @@ class TestResidual:
         with pytest.raises(ValueError):
             hj_residual(three_body.system, beta, np.array([1.0, 1.0]))
 
+    def test_the_grid_rejects_a_full_dual_section_before_its_sweep(self, three_body):
+        # in the sweep, the pointwise rerun would turn the residual's ValueError into a NumericFailure
+        beta = three_body.probe_sections["beta_probe"]
+        with pytest.raises(ValueError, match=r"^hj_residual expects a reduced-dual section \(space 'V\*'\)$"):
+            hj_grid_check(three_body.system, beta, three_body.default_box, resolution=3)
+
 
 def _ball_hamiltonian_section(ball, with_jacobian):
     """beta = (-H o alpha, alpha) for the ball's reference alpha; its
