@@ -228,6 +228,12 @@ def _build_rolling_ball(params, omega_mode="constant"):
         out[1, 1] = out[2, 2] = 1.0
         return out
 
+    def anchor_rows(Q):  # the anchor at a stack Q (K, 3) in its arithmetic, a second form (README)
+        out = np.zeros((len(Q), 3, 6))
+        out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = 1.0
+        out[:, 1, 0], out[:, 2, 0] = -omega(Q[:, 0]) * Q[:, 2], omega(Q[:, 0]) * Q[:, 1]
+        return out
+
     template = np.zeros((6, 6, 6))  # all but the four omega entries, with the -0.0 of the skew rows
     template[3, 4, 5] = template[4, 5, 3] = 1.0
     template[3, 5, 4] = -1.0  # [[e3, e5]] = -[[e5, e3]] = -e4
@@ -240,9 +246,9 @@ def _build_rolling_ball(params, omega_mode="constant"):
         C[0, 2, 1] = C[1, 0, 2] = omega(q[0])
         return C
 
-    # a constant law's C_E is built once; the anchor and a linear law's C_E are read per point, stacks too (README)
+    # a constant law's C_E is built once, a linear law's is read per point, stacks too (README)
     C_E = _Constant(structure(np.zeros(3))) if omega_mode == "constant" else structure
-    E = SkewAlgebroid(chart=chart, rank=6, anchor=anchor, structure=C_E, adapted=False)
+    E = SkewAlgebroid(chart=chart, rank=6, anchor=_Stacked(anchor, anchor_rows), structure=C_E, adapted=False)
     G = MetricField.constant(np.diag([1.0, m, m, m * k * k, m * k * k, m * k * k]))
     U_basis = [
         constant_section([0.0, 0.0, -r, 1.0, 0.0, 0.0]),
@@ -324,11 +330,9 @@ def _build_rolling_ball(params, omega_mode="constant"):
         pi3 = k * math.sqrt(m) * pbar[2]
         return np.array([tt, q1, q2, p1, p2, pi1, pi2, pi3])
 
-    params_out = dict(p)
-    params_out["omega_mode"] = omega_mode
     return GallerySystem(
         id="rolling_ball",
-        params=params_out,
+        params={**p, "omega_mode": omega_mode},
         system=system,
         reference_sections={"reference": alpha},
         reference_solutions=solutions,
@@ -465,18 +469,12 @@ def _build_three_body(params):
     F = Homomorphism.scalar(k, 2)
     A = force_extension(base, F)
 
-    def r13(x, y):
-        return ((x + mu2) ** 2 + y * y) ** 1.5
-
-    def r23(x, y):
-        return ((x - mu1) ** 2 + y * y) ** 1.5
-
     def U(x, y):
         return mu1 / math.sqrt((x + mu2) ** 2 + y * y) + mu2 / math.sqrt((x - mu1) ** 2 + y * y)
 
     def grad(s):  # each distance power once, shared by dU/dx and dU/dy
         x, y = s[0], s[1]
-        a, b = r13(x, y), r23(x, y)
+        a, b = ((x + mu2) ** 2 + y * y) ** 1.5, ((x - mu1) ** 2 + y * y) ** 1.5  # r13^3, r23^3
         Ux = -mu1 * (x + mu2) / a - mu2 * (x - mu1) / b
         Uy = -mu1 * y / a - mu2 * y / b
         return np.array([-s[3] + Ux, s[2] + Uy, s[2] + s[1], s[3] - s[0]])
@@ -540,16 +538,16 @@ def _build_time_dependent(params):
     H = ScalarField(eval=lambda s: 0.5 * s[2] ** 2, grad=lambda s: np.array([0.0, 0.0, s[2]]))
     system = HamiltonianSystem(algebroid=A, H=H)
 
-    def time(q):
-        if q[0] <= 0.0:
-            raise DomainError("the generating function is defined for t > 0 only")
-        return q[0]
-
     def alpha_comps(q):
-        return np.array([q[1] / time(q)])
+        t = q[0]
+        if t <= 0.0:
+            raise DomainError("the generating function is defined for t > 0 only")
+        return np.array([q[1] / t])
 
     def alpha_jac(q):
-        t = time(q)
+        t = q[0]
+        if t <= 0.0:
+            raise DomainError("the generating function is defined for t > 0 only")
         return np.array([[-q[1] / (t * t), 1.0 / t]])
 
     alpha = DualSection(components=alpha_comps, space="V*", jacobian=alpha_jac)

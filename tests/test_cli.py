@@ -539,7 +539,7 @@ class TestDissipation:
 
     @pytest.mark.parametrize("system", ["vertical_disk", "cylinder_friction"])
     def test_rows_across_a_chunk_boundary_are_the_per_row_bytes(self, system, tmp_path):
-        # 1,101 rows: a full prefetched chunk of 1,024, then a short one
+        # 1,101 rows: a full sweep chunk of 1,024, then a short one
         out = tmp_path / "diss.csv"
         argv = ["dissipation", system, "--t0", "0", "--t1", "1.1", "--dt", "1e-3"]
         assert run_cli(argv + ["--out", str(out)]) == 0

@@ -24,17 +24,15 @@ def hard_points(m, n=300, seed=0):
 
 
 def declared(system, params=None, omega="constant"):
-    """name -> the ``_Stacked`` callables of a gallery kernel system: the disk's declared inputs, and the ball's
-    kernel C, since the ball declares none of its own (its ambient anchor and C_E are read per point)."""
+    """name -> every ``_Stacked`` callable of a gallery kernel system."""
     gs = instantiate(system, params, omega=omega)
     if system == "vertical_disk":
         (X1, X2) = gs.extras["constraint_basis"]
         assert type(X2.components) is _Constant and type(X2.jacobian) is _Constant
         return {"X1": X1.components, "dX1": X1.jacobian, "F": gs.extras["force"].coeff}
-    E = gs.extras["ambient"]
-    assert type(E._anchor) not in (_Constant, _Stacked)
+    E = gs.extras["ambient"]  # a linear law's C_E is a plain callable, read per point on stacks too
     assert type(E._structure) is (_Constant if omega == "constant" else type(lambda: 0))
-    return {"C": gs.system.algebroid._structure}
+    return {"anchor": E._anchor}
 
 
 GALLERY_CASES = [("vertical_disk", None, "constant"), ("vertical_disk", {"K": 2.5, "J": 0.7, "R": 1.7}, "constant"),
@@ -46,13 +44,12 @@ class TestDeclaredForms:
     @pytest.mark.parametrize("system,params,omega", GALLERY_CASES)
     @pytest.mark.parametrize("K", [2, 7, 300])
     def test_gallery_stack_forms_are_the_point_bits(self, system, params, omega, K):
-        fresh = declared(system, params, omega)  # point reads of another build, so the kernel's C is built per point
         for name, fn in declared(system, params, omega).items():
             assert type(fn) is _Stacked, name
             Q = hard_points(3 if system == "rolling_ball" else 4, seed=K)[:K]
             got = fn.stack(Q)
             assert got.dtype == np.float64 and got.flags.c_contiguous, name
-            assert got.tobytes() == np.array([fresh[name](q) for q in Q]).tobytes(), name
+            assert got.tobytes() == np.array([fn(q) for q in Q]).tobytes(), name
 
     @pytest.mark.parametrize("morphism", sorted(cli._FIBER_MAPS))
     def test_cli_maps_are_the_point_bits(self, morphism):
@@ -133,15 +130,14 @@ class TestStackedKernelReads:
         _read_at(A, sample_box(gs.default_box, 64, 3))
         assert calls == {"X1": [64], "dX1": [64], "F": [64]}
 
-    def test_a_linear_ball_build_reads_its_ambient_once_per_point(self):
+    def test_a_linear_ball_build_calls_each_stack_form_once(self):
         gs = instantiate("rolling_ball", omega="linear")
         calls = {}
         E = gs.extras["ambient"]
-        for name in ("_anchor", "_structure"):
-            real = getattr(E, name)
-            setattr(E, name, lambda q, name=name, real=real: calls.setdefault(name, []).append(q.shape) or real(q))
+        E._anchor.stack = lambda Q, real=E._anchor.stack: calls.setdefault("anchor", []).append(len(Q)) or real(Q)
+        E._structure = lambda q, real=E._structure: calls.setdefault("C_E", []).append(q.shape) or real(q)
         _read_at(gs.system.algebroid, sample_box(gs.default_box, 40, 3))
-        assert calls == {"_anchor": [(3,)] * 40, "_structure": [(3,)] * 40}
+        assert calls == {"anchor": [40], "C_E": [(3,)] * 40}  # the plain C_E once per point
 
     @pytest.mark.parametrize("samples", [PREFETCH_CHUNK + 76, 5])
     def test_a_morphism_check_reads_its_declared_maps_twice_per_chunk(self, samples, monkeypatch, tmp_path):
@@ -159,12 +155,12 @@ class TestStackedKernelReads:
         assert cli.main(["morphism-check", "rolling_ball", "--morphism", "mu-projection", "--samples", str(samples),
                          "--out", str(out)]) == 1  # the affine function does not project
         # per chunk: the base and fiber maps at the images, then at all their 2 (m + n) = 14 stencil points each
-        # (m = 3, rank n = 4); the source's stacked read, the kernel's C, whose one build reads the ambient anchor
-        # per point; the target's, the restriction's C, which reads the kernel's C from that build, and its anchor;
-        # then the fiber map at the source cocycle
+        # (m = 3, rank n = 4); the source's stacked read, the kernel's C, whose one build reads the ambient anchor;
+        # the target's, the restriction's C, which reads the kernel's C from that build, and its anchor; then the
+        # fiber map at the source cocycle
         expect = []
         for k in ([PREFETCH_CHUNK, 76] if samples > PREFETCH_CHUNK else [samples]):
-            expect += [k, k, 14 * k, 14 * k, k, k, k, k, k]
+            expect += [k, k, 14 * k, 14 * k, k, k, k, k, k, k]
         assert sizes == expect
 
 
@@ -193,7 +189,7 @@ class TestPointwiseReadsCallNoStackForm:
         monkeypatch.setattr(cli, "_load_system", load_then_raise)
         assert run("pointwise") == expect
         # X1, dX1, F, the kernel's frame and jacobian rows and the C of its algebroid and of its force extension;
-        # the affine U rows and the kernel's C (the ball's anchor and C_E are plain callables)
-        assert len(declared_fns) == (7 if argv[1] == "vertical_disk" else 2)
+        # the anchor, the affine U rows and the kernel's C (a linear law's C_E is a plain callable)
+        assert len(declared_fns) == (7 if argv[1] == "vertical_disk" else 3)
         with pytest.raises(pytest.fail.Exception):
             on_stack(declared_fns[0], np.zeros((2, 4)))
