@@ -24,10 +24,12 @@ are at the default start phi = pi/2, the ball's ``hj-check`` (4 points per
 axis) and cocycle check under ``--omega linear``, whose stacked kernel
 builds contract a C_E that varies with q, every gallery system's
 adapted-frame cocycle and the ball's kernel section at 16 samples, the
-four morphism checks at 8, and four handler paths that no command above takes (a JSON
+four morphism checks at 8, and six handler paths that no command above takes (a JSON
 ``simulate``, the ball's ``mu-projection`` morphism, a ``--x0``
-start, and a ``dissipation`` whose first row's H is non-finite, which
-exits 3), then three checks at 1,100 samples, more than one sweep chunk
+start, a ``dissipation`` whose first row's H is non-finite, and, under
+the ball's linear law from q0 = (-1e200, 0, 0), a ``simulate`` whose
+start section and a ``lift-verify`` whose first RK4 stage raise math's
+domain error; the last three exit 3), then three checks at 1,100 samples, more than one sweep chunk
 (``PREFETCH_CHUNK``, 1,024), so that the stack forms of the disk's and the
 morphism's declared callables run on a full chunk and on a short one: the
 disk's cocycle and identity morphism checks and the ball's
@@ -77,6 +79,13 @@ every gallery system, and of the ball under ``--omega linear``, from
 fresh children that alternate trees as the commands do: ``cold_s`` is
 the first build after the import, ``warm_s`` the mean of the next
 BUILD_REPS builds, each the best of k.
+
+``stages`` holds the in-process time of one ``hamilton_rhs`` call, the RK4
+stage, on every gallery system and on the ball under ``--omega linear``:
+``us_per_call`` is the mean over STAGE_STATES seeded states within 0.2 of
+the default start state (q0 and its section's momenta), after one untimed
+pass over them, the best of k fresh children that alternate trees as the
+commands do.
 """
 
 from __future__ import annotations
@@ -156,12 +165,14 @@ FORCED_DISK = (
 )
 # the stacked kernel build of the one gallery kernel whose ambient C_E varies with q: its per-stack contraction
 LINEAR_BALL_GRID = ("hj-check", "rolling_ball", "--omega", "linear", "--resolution", "4")
-# CLI handler paths that none of the commands above take; the last is an error path, whose exit code 3 and
+# CLI handler paths that none of the commands above take; the last three are error paths, whose exit code 3 and
 # stderr are compared like any output
 HANDLER_PATHS = (
     ["simulate", "rolling_ball", "--t1", "1", "--dt", "1e-2", "--format", "json"],
     ["simulate", "riemannian_flat", "--x0", "1,0.3,0.1,0.2"],
     ["dissipation", "cylinder_friction", "--x0", "0,0,1e200,0", "--t1", "2e-3", "--dt", "1e-3"],
+    ["simulate", "rolling_ball", "--omega", "linear", "--q0=-1e200,0,0", "--t1", "0.01", "--dt", "1e-3"],
+    ["lift-verify", "rolling_ball", "--omega", "linear", "--q0=-1e200,0,0"],
 )
 
 CHILD = """
@@ -193,6 +204,26 @@ t = time.perf_counter()
 for _ in range(reps):
     instantiate(system, omega=omega)
 print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
+"""
+# every gallery system's RK4 stage from its default start, and the ball's under the linear omega law
+STAGES = tuple((g, "constant") for g in GALLERY) + (("rolling_ball", "linear"),)
+STAGE_STATES = 2000
+STAGE_CHILD = """
+import json, sys, time
+import numpy as np
+from algebroid_mech.gallery import instantiate
+from algebroid_mech.hamilton import hamilton_rhs
+system, omega, section, n = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+gs = instantiate(system, omega=omega)
+q0 = np.array(gs.default_q0, dtype=float)
+x0 = np.concatenate([q0, gs.section(section)(q0)])
+states = x0 + np.random.default_rng(0).uniform(-0.2, 0.2, (n, len(x0)))
+for x in states:
+    hamilton_rhs(gs.system, 0.0, x)
+t = time.perf_counter()
+for x in states:
+    hamilton_rhs(gs.system, 0.0, x)
+print(json.dumps({"us_per_call": (time.perf_counter() - t) / n * 1e6}))
 """
 
 
@@ -275,6 +306,15 @@ def build_once(src: Path, system: str, omega: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def stage_once(src: Path, system: str, omega: str) -> dict:
+    section = TRAJECTORY_SECTIONS.get(system, "reference")
+    proc = subprocess.run([sys.executable, "-c", STAGE_CHILD, system, omega, section, str(STAGE_STATES)],
+                          env=child_env(src), capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"hamilton_rhs on {system} ({omega}) crashed in {src}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def accuracy(data: bytes) -> dict:
     """``max_violation`` (report name -> value), ``max_norm`` and
     ``max_deviation`` of the JSON reports in an output; empty or None for
@@ -343,6 +383,7 @@ def main(argv=None) -> int:
     cmds = commands(args.seed)
     runs = {label: [[] for _ in cmds] for label in trees}
     builds = {label: [[] for _ in CONSTRUCTIONS] for label in trees}
+    stages = {label: [[] for _ in STAGES] for label in trees}
     with bytecode_outside_the_trees(), tempfile.TemporaryDirectory() as tmp:
         compiled = {label: compile_tree(src) for label, src in trees.items()}
         out = Path(tmp) / "output"
@@ -354,6 +395,9 @@ def main(argv=None) -> int:
             for b, (system, omega) in enumerate(CONSTRUCTIONS):
                 for label in order:
                     builds[label][b].append(build_once(trees[label], system, omega))
+            for b, (system, omega) in enumerate(STAGES):
+                for label in order:
+                    stages[label][b].append(stage_once(trees[label], system, omega))
 
     entries = {}
     for label, src in trees.items():
@@ -382,6 +426,10 @@ def main(argv=None) -> int:
                 {"system": system, "omega": omega, "cold_s": min(r["cold_s"] for r in rs),
                  "warm_s": min(r["warm_s"] for r in rs)}
                 for (system, omega), rs in zip(CONSTRUCTIONS, builds[label])
+            ],
+            "stages": [
+                {"system": system, "omega": omega, "us_per_call": min(r["us_per_call"] for r in rs)}
+                for (system, omega), rs in zip(STAGES, stages[label])
             ],
         }
 
@@ -415,6 +463,8 @@ def main(argv=None) -> int:
         for c in e["constructions"]:
             print(f"  instantiate {c['system']} ({c['omega']}): cold {c['cold_s'] * 1e3:.2f} ms, "
                   f"warm {c['warm_s'] * 1e3:.2f} ms")
+        for c in e["stages"]:
+            print(f"  hamilton_rhs {c['system']} ({c['omega']}): {c['us_per_call']:.2f} us per call")
     if "run_s_ratio" in result:
         total = result["run_s_ratio"]["total"]
         print(f"run_s ratio {result['run_s_ratio']['of']} per round: median {total['median']:.3f} "

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import Chart, _central_differences, fd_gradient, fd_jacobian, max_abs
+from .calculus import Chart, _central_differences, fd_gradient, fd_jacobian, max_abs, name_state
 from .errors import NumericFailure
 
 # Relative singular-value threshold for numeric rank decisions.
@@ -361,11 +361,12 @@ def sample_box(box, samples: int, seed: int) -> np.ndarray:
     return lo + (hi - lo) * rng.random((samples, len(box)))
 
 
-def sweep(points, stacked, pointwise, m=None) -> list:
+def sweep(points, stacked, pointwise, m=None, state=False) -> list:
     """The rows of the points (N, d), in chunks of at most PREFETCH_CHUNK: ``stacked(chunk)`` gives a chunk's
     rows.  A chunk where it raises, or a row is not finite, is rerun as ``pointwise(x)`` per point, so the first
     failing point raises, as in a pointwise sweep; a user callable's ValueError or ArithmeticError there (math's
-    domain error) is a NumericFailure naming the point, x[:m] (the whole row by default)."""
+    domain error) is a NumericFailure naming the point, x[:m] (the whole row by default), and with ``state``
+    the momenta x[m:] of a state (q, p) apart."""
     rows = []
     for start in range(0, len(points), PREFETCH_CHUNK):
         chunk = points[start:start + PREFETCH_CHUNK]
@@ -373,15 +374,17 @@ def sweep(points, stacked, pointwise, m=None) -> list:
             vals = stacked(chunk)
         except Exception:  # the rerun raises it at its point, or an earlier point's error
             vals = [np.nan]
-        rows += list(vals) if np.isfinite(vals).all() else [_at_point(pointwise, x, x[:m]) for x in chunk]
+        rows += list(vals) if np.isfinite(vals).all() else [
+            _at_point(pointwise, x, x[:m], x[m:] if state else None) for x in chunk]
     return rows
 
 
-def _at_point(pointwise, x, q):
+def _at_point(fn, x, q, p=None):
+    """``fn(x)``, whose ValueError or ArithmeticError (a user callable's) is a NumericFailure naming q or (q, p)."""
     try:
-        return pointwise(x)
+        return fn(x)
     except (ValueError, ArithmeticError) as exc:
-        raise NumericFailure(f"{exc} at q={q.tolist()}") from exc
+        raise NumericFailure(f"{exc} at {name_state(q, p)}") from exc
 
 
 def stacked_sweep(points, m: int, terms, whats) -> list:

@@ -121,12 +121,18 @@ def _fail_at_first(q, ok, message):
     raise NumericFailure(f"{message} q={q[tuple(np.argwhere(~ok)[0])].tolist()}")
 
 
-def require_finite(value, what: str, q):
-    """``value`` if all of it is finite, else NumericFailure naming ``what`` and q."""
+def name_state(q, p=None) -> str:
+    """How an error names a point q, or a state (q, p) with its momenta p apart."""
+    text = f"q={np.asarray(q, dtype=float).tolist()}"
+    return text if p is None else f"{text}, p={np.asarray(p, dtype=float).tolist()}"
+
+
+def require_finite(value, what: str, q, p=None):
+    """``value`` if all of it is finite, else NumericFailure naming ``what`` and q, or the state (q, p)."""
     # counted, not ``.all()``: on the small arrays of a per-point read the reduction costs twice the test
     finite = np.isfinite(value)
     if np.count_nonzero(finite) < finite.size:
-        raise NumericFailure(f"{what} non-finite at q={np.asarray(q, dtype=float).tolist()}")
+        raise NumericFailure(f"{what} non-finite at {name_state(q, p)}")
     return value
 
 
@@ -183,7 +189,9 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
     Samples at t0, t0+dt, ...; the final step is shortened to land exactly
     on t1.  Raises ValueError for a non-finite t0, t1, dt or step count or
     for more than RK4_STEP_CAP steps, and NumericFailure (with the last
-    good time) naming the end of the step in which the state goes non-finite.
+    good time) naming the end of the step in which the state goes non-finite,
+    or the start of the step in which a user callable raises ValueError or
+    ArithmeticError (math's domain error) at a finite stage state.
     """
     if not np.all(np.isfinite([t0, t1, dt])):
         raise ValueError("t0, t1 and dt must be finite")
@@ -212,15 +220,17 @@ def integrate_rk4(rhs, x0, t0: float, t1: float, dt: float) -> Curve:
     for k in range(n_steps):
         step = dt if k < n_full else last_partial
         half = 0.5 * step
-        k1 = np.asarray(rhs(t, x), dtype=float)
         try:
+            k1 = np.asarray(rhs(t, stage := x), dtype=float)
             k2 = np.asarray(rhs(t + half, stage := x + half * k1), dtype=float)
             k3 = np.asarray(rhs(t + half, stage := x + half * k2), dtype=float)
             k4 = np.asarray(rhs(t + step, stage := x + step * k3), dtype=float)
-        except NumericFailure:  # a non-finite stage state: name the step, not the next stage's stencil
-            if np.isfinite(stage).all():
+        except (NumericFailure, ValueError, ArithmeticError) as exc:
+            if not np.isfinite(stage).all():  # a non-finite stage state: name the step, not the next stage's error
+                raise NumericFailure(f"state went non-finite at t={t + step:g}", last_good_time=times[-1]) from None
+            if isinstance(exc, NumericFailure):
                 raise
-            raise NumericFailure(f"state went non-finite at t={t + step:g}", last_good_time=times[-1]) from None
+            raise NumericFailure(f"{exc} in the step from t={t:g}", last_good_time=times[-1]) from exc
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t1 if k + 1 == n_steps else t0 + (k + 1) * dt
         if np.count_nonzero(np.isfinite(x)) < x.size:  # counted, as in ``require_finite``

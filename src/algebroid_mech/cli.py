@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebroid import FLAG_FIELD_CAP, _Stacked, adapted_cocycle, check_cocycle, flag_rank, sweep, v_restriction
+from .algebroid import (FLAG_FIELD_CAP, _at_point, _Stacked, adapted_cocycle, check_cocycle, flag_rank, sweep,
+                        v_restriction)
 from .calculus import require_finite
 from .constructions import MorphismEndpoint, MorphismPair, morphism_check
 from .errors import AlgebroidError, DomainError, NumericFailure
@@ -150,7 +151,7 @@ def _integrate(args):
             raise ValueError(f"--x0 needs {sys_.chart.dim + sys_.n_momenta} components for {gs.id}")
     else:
         q0 = _q0(gs, args)
-        x0 = np.concatenate([q0, gs.section("reference" if args.section is None else args.section)(q0)])
+        x0 = np.concatenate([q0, _at_point(gs.section("reference" if args.section is None else args.section), q0, q0)])
     return gs, integrate_hamilton(sys_, x0, *_horizon(gs, args), args.dt)
 
 
@@ -170,11 +171,11 @@ def _cmd_simulate(args):
 
 def _cmd_dissipation(args):
     gs, curve = _integrate(args)
-    sys_ = gs.system
+    sys_, m = gs.system, gs.system.chart.dim
     rows = sweep(curve.points,  # a chunk's H column beside its rate column from one stacked call
                  lambda X: np.column_stack([[sys_.H(x) for x in X], dissipation_rate(sys_, X)]),
-                 lambda x: (require_finite(sys_.H(x), "H", x),  # H before the rate
-                            require_finite(dissipation_rate(sys_, x), "dissipation rate", x)))
+                 lambda x: (require_finite(sys_.H(x), "H", x[:m], x[m:]),  # H before the rate
+                            require_finite(dissipation_rate(sys_, x), "dissipation rate", x[:m], x[m:])), m, state=True)
     _write(args.out, table_csv(["t", "H", "rate"], np.column_stack([curve.times, rows])))
     return EXIT_OK
 

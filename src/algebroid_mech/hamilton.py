@@ -29,9 +29,11 @@ class HamiltonianSystem:
     Hamilton field, rho_0, rho_V, rho_V^T and C_V, as views of the stored
     read-only arrays, so its RK4 stages, HJ residuals and dissipation rows
     read neither the anchor nor C.  When moreover C_V[1:] is exactly zero, as
-    in a force extension of a tangent algebroid, the momentum coefficient
-    K = 0.0 + C_V[0] is bound too (``_coeff``, read-only; else None), and the
-    momentum rates take no einsum (``_pdot_rhs``).
+    in a force extension of a tangent algebroid, the field is one affine map
+    of (dH, x) = (dH/dq, dH/dp, q, p), bound read-only as ``_field`` = (F, d)
+    (else None): F (dim, 2 dim) has the blocks F[:m, m:dim] = rho_V,
+    F[m:, :m] = -rho_V^T and F[m:, dim + m:] = K = 0.0 + C_V[0], the
+    momentum coefficient with einsum's bits, and d = (rho_0, 0).
     """
 
     algebroid: SkewAlgebroid
@@ -44,11 +46,15 @@ class HamiltonianSystem:
         object.__setattr__(self, "H", as_scalar_field(self.H))
         bound = _split(A._anchor.value, A._structure.value) if _constant(A._anchor, A._structure) else None
         object.__setattr__(self, "_bound", bound)
-        coeff = None if bound is None or bound[3][1:].any() else 0.0 + bound[3][0]
-        if coeff is not None:
-            coeff.flags.writeable = False
-        object.__setattr__(self, "_coeff", coeff)
-        object.__setattr__(self, "_layout", (A.chart.dim, A.chart.dim + A.rank - 1))
+        m, dim = A.chart.dim, A.chart.dim + A.rank - 1
+        object.__setattr__(self, "_layout", (m, dim))
+        field = None
+        if bound is not None and not bound[3][1:].any():
+            F, d = np.zeros((dim, 2 * dim)), np.zeros(dim)
+            F[:m, m:dim], F[m:, :m], F[m:, dim + m:], d[:m] = bound[1], -bound[2], 0.0 + bound[3][0], bound[0]
+            F.flags.writeable = d.flags.writeable = False
+            field = F, d
+        object.__setattr__(self, "_field", field)
 
     @property
     def chart(self):
@@ -154,20 +160,18 @@ def _zeta(dHp) -> np.ndarray:
     return w
 
 
-def _pdot_rhs(p, dHq, dHp, rhoVT, CV, coeff=None, out=None) -> np.ndarray:
+def _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=None) -> np.ndarray:
     """Right-hand side of the momentum equations at (q, p):
 
         dp_b/dt = -rho_b^i dH/dq^i + (C_{0b}^c + C_{ab}^c dH/dp_a) p_c
 
-    from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``), into ``out`` if given.
-    The coefficient in brackets is C_V contracted with zeta_H by einsum, or the system's bound
-    ``_coeff`` when given.  That is einsum's bits: einsum sums 0.0 + C_V[0] * 1 + C_V[a] zeta_a
-    in order of a, and with every C_V[a >= 1] zero and dH/dp finite each later term is +-0.0,
-    which leaves a sum that is never -0.0 unchanged.  A non-finite dH/dp still fails the same
-    RK4 step or grid point through rho_V . dH/dp, or ``require_finite`` raises it for an analytic gradient.
+    from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``), into ``out`` if given;
+    the coefficient in brackets is C_V contracted with zeta_H by einsum.  A system's bound ``_field``
+    holds that coefficient when C_V[1:] is zero: einsum sums 0.0 + C_V[0] * 1 + C_V[a] zeta_a in
+    order of a, and with dH/dp finite each later term is +-0.0, which leaves a sum that is never
+    -0.0 unchanged.
     """
-    if coeff is None:  # (C_{alpha b}^c) contracted with zeta_alpha, for b, c >= 1
-        coeff = np.einsum("abc,a->bc", CV, _zeta(dHp))
+    coeff = np.einsum("abc,a->bc", CV, _zeta(dHp))  # (C_{alpha b}^c) contracted with zeta_alpha, for b, c >= 1
     return np.subtract(coeff @ p, rhoVT @ dHq, out=out)  # b - a is -a + b, bit for bit
 
 
@@ -176,18 +180,22 @@ def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
 
     x is the reduced state (q, p).  One call takes one gradient of H and
     reads the anchor once and C once, or neither over constant data, whose
-    operands the system binds once; both rates are written into one row.
-    Explicit time enters only through chart coordinates, so t is unused
-    here; it is kept for integrator compatibility.
+    operands the system binds once; both rates are written into one row, or
+    are the one product F @ (dH, x) + d of a bound ``_field``, where a
+    non-finite dH/dp spreads to every rate (0 * inf is NaN).  Explicit time
+    enters only through chart coordinates, so t is unused here; it is kept
+    for integrator compatibility.
     """
     x = sys.reduced_state(x)
-    m, dim = sys._layout
     g = fd_gradient(sys.H, x)
+    if sys._field is not None:
+        return sys._field[0] @ np.concatenate((g, x)) + sys._field[1]
+    m, dim = sys._layout
     q, p, dHq, dHp = x[:m], x[m:], g[:m], g[m:]
     rho0, rhoV, rhoVT, CV = _operands(sys, q)
     row = np.empty(dim)
     np.add(rhoV @ dHp, rho0, out=row[:m])
-    _pdot_rhs(p, dHq, dHp, rhoVT, CV, sys._coeff, out=row[m:])
+    _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=row[m:])
     return row
 
 

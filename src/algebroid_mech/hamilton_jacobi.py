@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _d_oneform, _five_largest, _read_at, _Stacked,
-                        box_bounds, on_stack, sweep, v_restriction)
+                        box_bounds, on_stack, sweep)
 from .calculus import Curve, fd_jacobian, integrate_rk4, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, _zeta, integrate_hamilton, projected_field
@@ -103,6 +103,7 @@ def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
 
     Zero for all q in a neighborhood exactly when alpha lifts integral
     curves of the projected field to solutions of the Hamilton equations.
+    Over a bound ``_field`` the momentum rates are F's lower rows on (dH, q, p).
     """
     if alpha.space != "V*":
         raise ValueError("hj_residual expects a reduced-dual section (space 'V*')")
@@ -112,7 +113,9 @@ def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
     R = projected_field(sys, alpha, q)
     J = alpha.jac(q)  # (n-1, m)
     dHq, dHp = sys.h_partials(q, p)
-    return J @ R - _pdot_rhs(p, dHq, dHp, rhoVT, CV, sys._coeff)
+    if sys._field is not None:
+        return J @ R - sys._field[0][len(q):] @ np.concatenate((dHq, dHp, q, p))
+    return J @ R - _pdot_rhs(p, dHq, dHp, rhoVT, CV)
 
 
 def hj_residual_dual(sys: HamiltonianSystem, beta: DualSection, q) -> np.ndarray:
@@ -144,13 +147,15 @@ def hj_forced_residual(sys: HamiltonianSystem, F, alpha: DualSection, q) -> np.n
 
     with zeta_H = dH/dp, d alpha the matrix ``d_oneform_matrix`` from
     ``alpha.jac`` and d(H o alpha) = dH/dq + (d alpha)^T dH/dp, from one
-    partial of H and one ``_read_at``.  Algebraically identical to
+    partial of H and one ``_read_at`` of the extension, sliced to its kernel
+    as ``v_restriction``'s point forms slice it.  Algebraically identical to
     ``hj_residual`` on the extended system; kept as an independent path.
     """
     q = np.asarray(q, dtype=float)
     av, J = alpha(q), alpha.jac(q)
     dHq, dHp = sys.h_partials(q, av)
-    rho, C = _read_at(v_restriction(sys.algebroid), q)
+    rho, C = _read_at(sys.algebroid, q)
+    rho, C = rho[:, 1:], C[1:, 1:, 1:]
     return dHp @ _d_oneform(rho, C, av, J) + rho.T @ (dHq + J.T @ dHp) + F.at(q) @ av
 
 

@@ -21,6 +21,7 @@ def bench(monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "commands", lambda seed: [["gallery", "list"], ["cocycle-check", "rolling_ball"]])
     monkeypatch.setattr(module, "CONSTRUCTIONS", ())
+    monkeypatch.setattr(module, "STAGES", ())
     return module
 
 
@@ -133,7 +134,7 @@ def test_the_linear_law_ball_runs_its_stacked_kernel_build(bench_and_workloads):
     # no README command, workload op or other command sweeps the kernel over a C_E that varies with q
     bench, _ = bench_and_workloads
     linear = [argv for argv in bench.commands(11) if argv[:2] != ["lift-verify", "rolling_ball"]
-              and "--omega" in argv and argv[argv.index("--omega") + 1] == "linear"]
+              and argv not in bench.HANDLER_PATHS and "--omega" in argv and argv[argv.index("--omega") + 1] == "linear"]
     assert linear == [["hj-check", "rolling_ball", "--omega", "linear", "--resolution", "4"],
                       ["cocycle-check", "rolling_ball", "--omega", "linear", "--samples", "16", "--seed", "11"]]
 
@@ -150,6 +151,31 @@ def test_three_checks_sweep_more_than_one_chunk(bench_and_workloads):
                     ["morphism-check", "rolling_ball", "--morphism", "mu-projection", "--samples", "1100",
                      "--seed", "11"]]
     assert int(bench.CHUNK_BOUNDARY_SAMPLES) < 2 * PREFETCH_CHUNK
+
+
+def test_stages_are_every_gallery_system_and_the_linear_law_ball(bench_and_workloads):
+    bench, _ = bench_and_workloads
+    assert bench.STAGES == tuple((g, "constant") for g in bench.GALLERY) + (("rolling_ball", "linear"),)
+    assert bench.STAGE_STATES == 2000
+
+
+def test_stages_are_timed_in_fresh_children(bench, tmp_path, monkeypatch):
+    # the real stage child on this tree, at k = 2 over a few states, for a constant system and the linear-law ball
+    monkeypatch.setattr(bench, "STAGES", (("three_body_drag", "constant"), ("rolling_ball", "linear")))
+    monkeypatch.setattr(bench, "STAGE_STATES", 20)
+    monkeypatch.setattr(bench, "run_once", lambda src, argv, out: {
+        "exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
+        "output_sha256": "same", "stderr_sha256": "same"})
+    calls = []
+    stage_once = bench.stage_once
+    monkeypatch.setattr(bench, "stage_once", lambda src, system, omega: calls.append(system) or stage_once(
+        src, system, omega))
+    out = tmp_path / "bench.json"
+    assert bench.main(["--tree", f"only={ROOT / 'src'}", "--k", "2", "--out", str(out)]) == 0
+    stages = json.loads(out.read_text())["entries"]["only"]["stages"]
+    assert [(s["system"], s["omega"]) for s in stages] == [("three_body_drag", "constant"), ("rolling_ball", "linear")]
+    assert all(0.0 < s["us_per_call"] < 1e5 for s in stages)
+    assert calls == ["three_body_drag", "rolling_ball"] * 2
 
 
 def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch):

@@ -208,6 +208,34 @@ class TestRK4:
         with pytest.raises(NumericFailure, match=r"^frame non-finite at q=\[0\.5\]$"):
             integrate_rk4(rhs, np.array([1.0]), 0.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    @pytest.mark.parametrize("exc", [ValueError("math domain error"), OverflowError("math range error"),
+                                     ZeroDivisionError("float division by zero")], ids=type)
+    def test_a_user_callable_error_names_its_step(self, stage, exc):
+        # stage k of the step from t = 0.2 raises a user callable's numeric error at a finite state
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            if len(calls) == 8 + stage:
+                raise exc
+            return -x
+
+        with pytest.raises(NumericFailure, match=rf"^{re.escape(str(exc))} in the step from t=0\.2$") as err:
+            integrate_rk4(rhs, np.array([1.0]), 0.0, 1.0, 0.1)
+        assert err.value.last_good_time == pytest.approx(0.2) and err.value.__cause__ is exc
+
+    def test_a_user_callable_error_at_a_non_finite_stage_names_the_step_end(self):
+        # k1 is inf, and the next stage's callable raises math's domain error at its non-finite state
+        def rhs(t, x):
+            if not np.isfinite(x).all():
+                raise ValueError("math domain error")
+            return np.array([np.inf]) if t == 0.0 else -x
+
+        with pytest.raises(NumericFailure, match=r"^state went non-finite at t=0\.1$") as err:
+            integrate_rk4(rhs, np.array([1.0]), 0.0, 1.0, 0.1)
+        assert err.value.last_good_time == 0.0
+
     def test_usage_errors(self):
         with pytest.raises(ValueError):
             integrate_rk4(lambda t, x: x, np.array([1.0]), 0.0, 1.0, -0.1)

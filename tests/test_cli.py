@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -594,8 +595,8 @@ class TestDissipation:
         assert not out.exists()
 
     @pytest.mark.parametrize("x0,scaled,error", [
-        ("0,0,1e200,0", False, "H non-finite at q=[0.0, 0.0, 1e+200, 0.0]"),  # the rate is -inf too: H comes first
-        ("0,0,1e5,0", True, "dissipation rate non-finite at q=[0.0, 0.0, 100000.0, 0.0]"),  # H is 5e9
+        ("0,0,1e200,0", False, "H non-finite at q=[0.0, 0.0], p=[1e+200, 0.0]"),  # the rate is -inf too: H comes first
+        ("0,0,1e5,0", True, "dissipation rate non-finite at q=[0.0, 0.0], p=[100000.0, 0.0]"),  # H is 5e9
     ])
     def test_a_non_finite_row_fails_naming_its_state(self, x0, scaled, error, monkeypatch, tmp_path, capsys):
         if scaled:  # every rate, stacked or not, 1e300 times the cylinder's -p_x^2: -inf from the first row on
@@ -613,7 +614,17 @@ class TestDissipation:
                 "--out", str(tmp_path / "diss.csv")]
         proc = subprocess.run([sys.executable, "-m", "algebroid_mech", *argv], capture_output=True, text=True)
         assert proc.returncode == 3
-        assert proc.stderr == "error: H non-finite at q=[0.0, 0.0, 1e+200, 0.0]\n"
+        assert proc.stderr == "error: H non-finite at q=[0.0, 0.0], p=[1e+200, 0.0]\n"
+
+    def test_a_user_callable_error_names_the_state(self, monkeypatch, tmp_path, capsys):
+        # math's domain error in every rate, stacked or not: the sweep's rerun names the first row's q and p apart
+        monkeypatch.setattr(cli, "dissipation_rate", lambda sys_, x: math.sqrt(-1.0))
+        out = tmp_path / "diss.csv"
+        argv = ["dissipation", "cylinder_friction", "--x0", "0.5,0,1.5,-0.25", "--t1", "2e-3", "--dt", "1e-3",
+                "--out", str(out)]
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == "error: math domain error at q=[0.5, 0.0], p=[1.5, -0.25]\n"
+        assert not out.exists()
 
 
 class TestCsvWriters:
@@ -854,3 +865,25 @@ class TestNumericFailureInAUserCallable:
         assert run_cli(["morphism-check", "cylinder_friction", "--samples", "16", "--seed", "7",
                         "--out", str(tmp_path / "report.json")]) == 3
         assert capsys.readouterr().err == f"error: bad value at q={bad.tolist()}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "dissipation"])
+    def test_a_math_domain_error_at_the_start_names_its_base_point(self, command, tmp_path, capsys):
+        # the reference section's sin(phase(t)) at the start q0, where the linear law's phase overflows to inf
+        out = tmp_path / "rows.csv"
+        argv = [command, "rolling_ball", "--omega", "linear", "--q0=-1e200,0,0", "--t1", "0.01", "--dt", "1e-3"]
+        assert run_cli(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: math domain error at q=[-1e+200, 0.0, 0.0]\n"
+        assert not out.exists()
+
+    def test_a_math_domain_error_inside_rk4_names_its_step(self, tmp_path, capsys):
+        # the base flow's first stage reads the section at q0, where the linear law's phase overflows to inf
+        out = tmp_path / "report.json"
+        assert run_cli(["lift-verify", "rolling_ball", "--omega", "linear", "--q0=-1e200,0,0",
+                        "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: math domain error in the step from t=0\n"
+        assert not out.exists()
+
+    def test_an_argument_check_keeps_the_usage_code(self, tmp_path, capsys):
+        assert run_cli(["simulate", "rolling_ball", "--omega", "linear", "--q0=-1e200,0", "--out",
+                        str(tmp_path / "rows.csv")]) == 2
+        assert capsys.readouterr().err == "error: --q0 needs 3 components for rolling_ball\n"

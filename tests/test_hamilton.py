@@ -299,6 +299,13 @@ def constant_system(C0, bracket=None):
     return HamiltonianSystem(algebroid=A, H=smooth_field(4, 34))
 
 
+# the constant systems, a force extension whose C_{0b}^c has signed zeros, and non-default parameters
+BOUND_FIELD_CASES = [pytest.param(g, None, id=g) for g in CONSTANT_SYSTEMS + ("signed_zero_extension",)] + [
+    pytest.param("cylinder_friction", {"K1": 0.3, "K2": 1.7, "m": 2.3, "r": 0.7}, id="cylinder_friction-params"),
+    pytest.param("three_body_drag", {"k": 0.7}, id="three_body_drag-k"),
+    pytest.param("three_body_drag", {"k": -0.37, "mu1": 0.6, "mu2": 0.45}, id="three_body_drag-params")]
+
+
 class TestBoundOperands:
     """A system over constant data binds rho_0, rho_V, rho_V^T and C_V once;
     every consumer gives the bits of the same system read point by point."""
@@ -332,29 +339,35 @@ class TestBoundOperands:
             assert np.shares_memory(view, base)
             assert not view.flags.writeable
 
-    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS + ("signed_zero_extension",))
-    def test_bound_coefficient_is_the_einsum_bits(self, system):
-        S = constant_system(SIGNED_ZERO_C0) if system == "signed_zero_extension" else instantiate(system).system
-        _, _, rhoVT, CV = S._bound
-        K = S._coeff
-        assert K is not None and not K.flags.writeable
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # magnitudes near 1e+-300 overflow H's gradient on purpose
+    @pytest.mark.parametrize("system,params", BOUND_FIELD_CASES)
+    def test_bound_field_is_the_einsum_bits(self, system, params):
+        # F's momentum coefficient is einsum's contraction, and the rates and HJ residuals through F are the einsum
+        # path's bits, or its error, at seeded states with +-0.0 entries and magnitudes up to 1e+-300
+        S = constant_system(SIGNED_ZERO_C0) if system == "signed_zero_extension" else instantiate(system, params).system
+        plain = einsum_path(S)
+        F, d = S._field
+        m, dim = S._layout
+        assert not F.flags.writeable and not d.flags.writeable and F.shape == (dim, 2 * dim)
+        _, _, _, CV = S._bound
         if system == "signed_zero_extension":
             assert ((CV[0] == 0.0) & np.signbit(CV[0])).any()
         rng = np.random.default_rng(31)
-        n, m = S.n_momenta, S.chart.dim
-        for _ in range(500):
-            dHp, p = rng.normal(size=n) * 10.0 ** rng.uniform(-300.0, 300.0, n), rng.normal(size=n)
-            for v in (dHp, p):
-                zero = rng.random(n) < 0.25
-                v[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
-            dHq = rng.normal(size=m)
-            assert K.tobytes() == np.einsum("abc,a->bc", CV, hamilton._zeta(dHp)).tobytes()
-            assert (hamilton._pdot_rhs(p, dHq, dHp, rhoVT, CV, K).tobytes()
-                    == hamilton._pdot_rhs(p, dHq, dHp, rhoVT, CV).tobytes())
+        A = rng.normal(size=(dim - m, m))
+        alpha = DualSection(components=lambda q: A @ q + 0.5, space="V*", jacobian=lambda q: A)
+        x0 = np.concatenate([np.full(m, 0.5), np.zeros(dim - m)])
+        for k in range(300):
+            x = x0 + rng.normal(size=dim) * (10.0 ** rng.uniform(-300.0, 300.0, dim) if k % 3 == 0 else 1.0)
+            zero = rng.random(dim) < 0.25
+            x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+            dHp = np.where(zero[m:], x[m:], rng.normal(size=dim - m) * 10.0 ** rng.uniform(-300.0, 300.0, dim - m))
+            assert F[m:, dim + m:].tobytes() == np.einsum("abc,a->bc", CV, hamilton._zeta(dHp)).tobytes()
+            assert outcome(hamilton_rhs, S, 0.0, x) == outcome(hamilton_rhs, plain, 0.0, x)
+            assert outcome(hj_residual, S, alpha, x[:m]) == outcome(hj_residual, plain, alpha, x[:m])
 
     def test_a_bracketing_C_V_binds_no_coefficient(self):
         S = constant_system(SIGNED_ZERO_C0, bracket=[0.0, 0.3, -0.7])
-        assert S._bound is not None and S._coeff is None
+        assert S._bound is not None and S._field is None
         X = seeded_points(4, n=300, lo=-2.0, hi=2.0, seed=32)
         assert [hamilton_rhs(S, 0.0, x).tobytes() for x in X] == [parent_rhs(S, x).tobytes() for x in X]
 
@@ -385,14 +398,22 @@ def overflowing_cylinder(k=300):
 
 
 def einsum_path(S):
-    """A copy of S that binds no coefficient, so its momentum rates take the einsum."""
+    """A copy of S that binds no field, so its momentum rates take the einsum."""
     plain = HamiltonianSystem(algebroid=S.algebroid, H=S.H)
-    object.__setattr__(plain, "_coeff", None)
+    object.__setattr__(plain, "_field", None)
     return plain
 
 
+def outcome(fn, *args):
+    """The bytes of ``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestBoundCoefficientErrors:
-    """With a bound coefficient every failure is raised by the same check, at the same step or grid point,
+    """With a bound field every failure is raised by the same check, at the same step or grid point,
     as on the einsum path."""
 
     def test_a_non_finite_analytic_gradient_still_raises(self):
@@ -400,7 +421,7 @@ class TestBoundCoefficientErrors:
         H = ScalarField(eval=lambda s: 0.5 * float(s @ s),
                         grad=lambda s: np.where(s > 0.5, np.inf, s))
         S = HamiltonianSystem(algebroid=A, H=H)
-        assert S._coeff is not None
+        assert S._field is not None
         alpha = DualSection(components=lambda q: np.array([1.0, q[0]]), space="V*",
                             jacobian=lambda q: np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(NumericFailure, match=r"analytic gradient non-finite at q=\[0.0, 0.0, 0.75, 0.0\]"):
@@ -413,7 +434,7 @@ class TestBoundCoefficientErrors:
         # the slope overflows in the last stage of the step from t = 1.17
         S = HamiltonianSystem(*overflowing_cylinder())
         plain = einsum_path(S)
-        assert S._coeff is not None
+        assert S._field is not None
         rows = {id(S): [], id(plain): []}
         rhs = hamilton.hamilton_rhs
 
@@ -428,15 +449,16 @@ class TestBoundCoefficientErrors:
             assert err.value.last_good_time == pytest.approx(1.17)
         bound, einsum = rows[id(S)], rows[id(plain)]
         assert len(bound) == len(einsum) and [r.tobytes() for r in bound[:-1]] == [r.tobytes() for r in einsum[:-1]]
-        # the overflow reaches the bound path's last row through rho_V . dH/dp alone: its momentum rates stay finite
+        # the infinite dH/dp reaches every rate of the bound field's one product (0 * inf is NaN), as it reaches
+        # the einsum path's momentum rates through its contraction
         assert bound[-1][:2].tobytes() == einsum[-1][:2].tobytes() and not np.isfinite(bound[-1][:2]).all()
-        assert np.isfinite(bound[-1][2:]).all() and not np.isfinite(einsum[-1][2:]).any()
+        assert np.isnan(bound[-1][2:]).all() and not np.isfinite(einsum[-1][2:]).any()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
     def test_a_mid_step_overflow_fails_the_next_stage(self):
         # the slope overflows in an inner stage of the step from t = 0.88, so the next stage's state is non-finite
-        # on both paths (the bound path keeps its momenta finite where the einsum path made them NaN); that stage's
-        # stencil raises, and the integrator names the step in place of the stencil's message
+        # on both paths; that stage's stencil raises, and the integrator names the step in place of the stencil's
+        # message
         S = HamiltonianSystem(*overflowing_cylinder(400))
         for sys_ in (S, einsum_path(S)):
             with pytest.raises(NumericFailure, match=r"^state went non-finite at t=0\.89$") as err:

@@ -494,7 +494,7 @@ class TestOneBuildPerChunk:
         frames_calls = counted_frames(monkeypatch)
         sweep = cli.sweep
         # the RK4 stages before the sweep read, and build, one point at a time
-        monkeypatch.setattr(cli, "sweep", lambda *args: frames_calls.clear() or sweep(*args))
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: frames_calls.clear() or sweep(*args, **kwargs))
         out = tmp_path / "rows.csv"
         assert cli.main(["dissipation", system, "--t1", "0.4", "--dt", "1e-2", "--out", str(out)]) == 0
         rows = len(out.read_text().splitlines()) - 1
