@@ -59,7 +59,8 @@ records the median ``run_s`` of its k runs, and with two trees
 tree's ``run_s`` over the first's, per command and for the round's total:
 the trees run back to back in each round, so the per-round ratio cancels
 most of the machine's drift, which a best of k does not (it did not
-resolve changes below about 1.5x at k = 3).  The SHA-256 of every
+resolve changes below about 1.5x at k = 3); its ``stages`` hold the same
+quartiles of ``us_per_call`` and ``us_per_step`` per stage entry.  The SHA-256 of every
 output (JSON or CSV) and of every command's stderr (run with numpy's
 RuntimeWarnings ignored, as they name the tree's files) is recorded, and so
 are the accuracy numbers of each JSON report (``max_violation`` per
@@ -81,11 +82,13 @@ the first build after the import, ``warm_s`` the mean of the next
 BUILD_REPS builds, each the best of k.
 
 ``stages`` holds the in-process time of one ``hamilton_rhs`` call, the RK4
-stage, on every gallery system and on the ball under ``--omega linear``:
-``us_per_call`` is the mean over STAGE_STATES seeded states within 0.2 of
+stage, and of one RK4 step, on every gallery system and on the ball under
+``--omega linear``: ``us_per_call`` is the mean over STAGE_STATES seeded states within 0.2 of
 the default start state (q0 and its section's momenta), after one untimed
-pass over them, the best of k fresh children that alternate trees as the
-commands do.
+pass over them; ``us_per_step`` is the cost of one ``integrate_hamilton``
+step, the mean over a run of STAGE_STEPS steps of 1e-3 from the start state,
+the best of STAGE_STEP_RUNS runs after one untimed run.  Each is the best
+of k fresh children that alternate trees as the commands do.
 """
 
 from __future__ import annotations
@@ -205,15 +208,19 @@ for _ in range(reps):
     instantiate(system, omega=omega)
 print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
 """
-# every gallery system's RK4 stage from its default start, and the ball's under the linear omega law
+# every gallery system's RK4 stage and step from its default start, and the ball's under the linear omega law
 STAGES = tuple((g, "constant") for g in GALLERY) + (("rolling_ball", "linear"),)
 STAGE_STATES = 2000
+STAGE_STEPS = 200
+# timed runs of STAGE_STEPS steps per child, the best kept: a child's 7-70 ms run is short enough that one
+# interruption would set it
+STAGE_STEP_RUNS = 5
 STAGE_CHILD = """
 import json, sys, time
 import numpy as np
 from algebroid_mech.gallery import instantiate
-from algebroid_mech.hamilton import hamilton_rhs
-system, omega, section, n = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+from algebroid_mech.hamilton import hamilton_rhs, integrate_hamilton
+system, omega, section, n, steps, runs = sys.argv[1], sys.argv[2], sys.argv[3], *map(int, sys.argv[4:7])
 gs = instantiate(system, omega=omega)
 q0 = np.array(gs.default_q0, dtype=float)
 x0 = np.concatenate([q0, gs.section(section)(q0)])
@@ -223,7 +230,14 @@ for x in states:
 t = time.perf_counter()
 for x in states:
     hamilton_rhs(gs.system, 0.0, x)
-print(json.dumps({"us_per_call": (time.perf_counter() - t) / n * 1e6}))
+us_per_call = (time.perf_counter() - t) / n * 1e6
+integrate_hamilton(gs.system, x0, 0.0, steps * 1e-3, 1e-3)
+best = float("inf")
+for _ in range(runs):
+    t = time.perf_counter()
+    integrate_hamilton(gs.system, x0, 0.0, steps * 1e-3, 1e-3)
+    best = min(best, time.perf_counter() - t)
+print(json.dumps({"us_per_call": us_per_call, "us_per_step": best / steps * 1e6}))
 """
 
 
@@ -308,7 +322,8 @@ def build_once(src: Path, system: str, omega: str) -> dict:
 
 def stage_once(src: Path, system: str, omega: str) -> dict:
     section = TRAJECTORY_SECTIONS.get(system, "reference")
-    proc = subprocess.run([sys.executable, "-c", STAGE_CHILD, system, omega, section, str(STAGE_STATES)],
+    proc = subprocess.run([sys.executable, "-c", STAGE_CHILD, system, omega, section, str(STAGE_STATES),
+                           str(STAGE_STEPS), str(STAGE_STEP_RUNS)],
                           env=child_env(src), capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"hamilton_rhs on {system} ({omega}) crashed in {src}: {proc.stderr.strip()}")
@@ -428,7 +443,8 @@ def main(argv=None) -> int:
                 for (system, omega), rs in zip(CONSTRUCTIONS, builds[label])
             ],
             "stages": [
-                {"system": system, "omega": omega, "us_per_call": min(r["us_per_call"] for r in rs)}
+                {"system": system, "omega": omega, "us_per_call": min(r["us_per_call"] for r in rs),
+                 "us_per_step": min(r["us_per_step"] for r in rs)}
                 for (system, omega), rs in zip(STAGES, stages[label])
             ],
         }
@@ -455,6 +471,12 @@ def main(argv=None) -> int:
             "of": "{1}/{0}".format(*trees),
             "total": quartiles(second.sum(axis=0) / first.sum(axis=0)),
             "commands": [{"argv": argv, **quartiles(r)} for argv, r in zip(cmds, second / first)],
+            # a child's stage and step times move by up to 10% with the machine's load, which one best of k
+            # does not cancel either
+            "stages": [{"system": system, "omega": omega,
+                        **{key: quartiles([b[key] / a[key] for a, b in zip(*(stages[label][s] for label in trees))])
+                           for key in ("us_per_call", "us_per_step")}}
+                       for s, (system, omega) in enumerate(STAGES)],
         }
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for label, e in entries.items():
@@ -464,11 +486,15 @@ def main(argv=None) -> int:
             print(f"  instantiate {c['system']} ({c['omega']}): cold {c['cold_s'] * 1e3:.2f} ms, "
                   f"warm {c['warm_s'] * 1e3:.2f} ms")
         for c in e["stages"]:
-            print(f"  hamilton_rhs {c['system']} ({c['omega']}): {c['us_per_call']:.2f} us per call")
+            print(f"  hamilton_rhs {c['system']} ({c['omega']}): {c['us_per_call']:.2f} us per call, "
+                  f"integrate_hamilton {c['us_per_step']:.2f} us per step")
     if "run_s_ratio" in result:
         total = result["run_s_ratio"]["total"]
         print(f"run_s ratio {result['run_s_ratio']['of']} per round: median {total['median']:.3f} "
               f"(quartiles {total['q1']:.3f}-{total['q3']:.3f})")
+        for c in result["run_s_ratio"]["stages"]:
+            print(f"  {c['system']} ({c['omega']}) per round: hamilton_rhs {c['us_per_call']['median']:.3f}, "
+                  f"integrate_hamilton {c['us_per_step']['median']:.3f}")
     print(f"outputs equal across trees: {result['outputs_equal']}")
     for argv in differ:
         print(f"  differs: {argv}")

@@ -173,7 +173,7 @@ def _cmd_dissipation(args):
     gs, curve = _integrate(args)
     sys_, m = gs.system, gs.system.chart.dim
     rows = sweep(curve.points,  # a chunk's H column beside its rate column from one stacked call
-                 lambda X: np.column_stack([[sys_.H(x) for x in X], dissipation_rate(sys_, X)]),
+                 lambda X: np.column_stack([[float(sys_.H.eval(x)) for x in X], dissipation_rate(sys_, X)]),
                  lambda x: (require_finite(sys_.H(x), "H", x[:m], x[m:]),  # H before the rate
                             require_finite(dissipation_rate(sys_, x), "dissipation rate", x[:m], x[m:])), m, state=True)
     _write(args.out, table_csv(["t", "H", "rate"], np.column_stack([curve.times, rows])))

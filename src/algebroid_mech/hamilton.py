@@ -214,10 +214,17 @@ def dissipation_rate(sys: HamiltonianSystem, x):
     (K, m + n - 1) gives the K rates, each the bits of its state alone: one
     gradient of H per state, one ``_read_at`` of the stack (or the bound
     operands) and stacked vector-vector products, each with a dot's bits.
+    An analytic gradient is read per state and the stack's are tested for
+    finiteness at once; a stack that fails is reread through
+    ``fd_gradient``, which names the first state whose gradient is not finite.
     """
     Xs = np.atleast_2d(sys.reduced_state(x, stack=np.ndim(x) == 2))
     m = sys._layout[0]
-    g = np.array([fd_gradient(sys.H, xk) for xk in Xs]).reshape(Xs.shape)
+    grad = sys.H.grad
+    g = None if grad is None else np.array([grad(xk) for xk in Xs], dtype=float)
+    if g is None or np.count_nonzero(np.isfinite(g)) < g.size:
+        g = np.array([fd_gradient(sys.H, xk) for xk in Xs])
+    g = g.reshape(Xs.shape)
     rho0, _, _, CV = _operands(sys, Xs[:, :m])
     val = (rho0[..., None, :] @ g[:, :m, None])[:, 0, 0]
     Cp = (CV[..., 0, :, None, :] @ Xs[:, None, m:, None])[..., 0, 0]  # column b is C_{0, b+1}^c p_c, c >= 1

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _d_oneform, _five_largest, _read_at, _Stacked,
-                        box_bounds, on_stack, sweep)
+from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _at_point, _d_oneform, _five_largest, _read_at,
+                        _Stacked, box_bounds, on_stack, sweep)
 from .calculus import Curve, fd_jacobian, integrate_rk4, require_finite
 from .errors import DomainError
 from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, _zeta, integrate_hamilton, projected_field
@@ -214,10 +214,11 @@ def verify_lift(
 ) -> LiftReport:
     """Integrate the base curve under the projected field, lift it through
     alpha, and compare with the hamiltonian flow started at alpha(q0).  A
-    non-finite section value raises NumericFailure naming its base point."""
+    non-finite section value, or a ValueError or ArithmeticError of the
+    section (math's domain error), raises NumericFailure naming its base point."""
     q0 = np.asarray(q0, dtype=float)
     base = integrate_rk4(lambda t, q: projected_field(sys, alpha, q), q0, t0, t1, dt)
-    sections = [require_finite(alpha(qq), "lifted section", qq) for qq in base.points]
+    sections = [require_finite(_at_point(alpha, qq, qq), "lifted section", qq) for qq in base.points]
     lifted_pts = np.array([np.concatenate([qq, a]) for qq, a in zip(base.points, sections)])
     lifted = Curve(times=base.times, points=lifted_pts)
     ham = integrate_hamilton(sys, lifted_pts[0], t0, t1, dt)

@@ -156,13 +156,20 @@ def test_three_checks_sweep_more_than_one_chunk(bench_and_workloads):
 def test_stages_are_every_gallery_system_and_the_linear_law_ball(bench_and_workloads):
     bench, _ = bench_and_workloads
     assert bench.STAGES == tuple((g, "constant") for g in bench.GALLERY) + (("rolling_ball", "linear"),)
-    assert bench.STAGE_STATES == 2000
+    assert bench.STAGE_STATES == 2000 and bench.STAGE_STEPS == 200 and bench.STAGE_STEP_RUNS == 5
+    # the timed run of STAGE_STEPS steps of 1e-3 takes exactly that many full steps
+    from algebroid_mech.calculus import integrate_rk4
+
+    assert len(integrate_rk4(lambda t, x: -x, [1.0], 0.0, bench.STAGE_STEPS * 1e-3, 1e-3)) == bench.STAGE_STEPS + 1
 
 
 def test_stages_are_timed_in_fresh_children(bench, tmp_path, monkeypatch):
-    # the real stage child on this tree, at k = 2 over a few states, for a constant system and the linear-law ball
+    # the real stage child on this tree, at k = 2 over a few states and steps, for a constant system and the
+    # linear-law ball
     monkeypatch.setattr(bench, "STAGES", (("three_body_drag", "constant"), ("rolling_ball", "linear")))
     monkeypatch.setattr(bench, "STAGE_STATES", 20)
+    monkeypatch.setattr(bench, "STAGE_STEPS", 5)
+    monkeypatch.setattr(bench, "STAGE_STEP_RUNS", 2)
     monkeypatch.setattr(bench, "run_once", lambda src, argv, out: {
         "exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
         "output_sha256": "same", "stderr_sha256": "same"})
@@ -174,7 +181,7 @@ def test_stages_are_timed_in_fresh_children(bench, tmp_path, monkeypatch):
     assert bench.main(["--tree", f"only={ROOT / 'src'}", "--k", "2", "--out", str(out)]) == 0
     stages = json.loads(out.read_text())["entries"]["only"]["stages"]
     assert [(s["system"], s["omega"]) for s in stages] == [("three_body_drag", "constant"), ("rolling_ball", "linear")]
-    assert all(0.0 < s["us_per_call"] < 1e5 for s in stages)
+    assert all(0.0 < s["us_per_call"] < 1e5 and 0.0 < s["us_per_step"] < 1e6 for s in stages)
     assert calls == ["three_body_drag", "rolling_ball"] * 2
 
 
@@ -201,6 +208,30 @@ def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch)
     expect = {"q1": 0.75, "median": 1.0, "q3": 1.5}
     assert ratio["total"] == expect
     assert ratio["commands"] == [{"argv": argv, **expect} for argv in (["gallery", "list"], ["cocycle-check", "rolling_ball"])]
+
+
+def test_stage_ratios_are_per_round(bench, tmp_path, monkeypatch):
+    # us_per_step by tree and round, us_per_call constant; the best of k alone would read 1.0
+    steps = {"parent": [10.0, 30.0, 20.0], "change": [20.0, 30.0, 10.0]}
+    calls = {}
+
+    def stage_once(src, system, omega):
+        rnd = calls[src.name] = calls.get(src.name, -1) + 1
+        return {"us_per_call": 5.0, "us_per_step": steps[src.name][rnd]}
+
+    monkeypatch.setattr(bench, "STAGES", (("three_body_drag", "constant"),))
+    monkeypatch.setattr(bench, "stage_once", stage_once)
+    monkeypatch.setattr(bench, "run_once", lambda src, argv, out: {
+        "exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
+        "output_sha256": "same", "stderr_sha256": "same"})
+    out = tmp_path / "bench.json"
+    assert bench.main(["--tree", f"parent={tmp_path / 'parent'}", "--tree", f"change={tmp_path / 'change'}",
+                       "--k", "3", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert [e["stages"][0]["us_per_step"] for e in data["entries"].values()] == [10.0, 10.0]
+    assert data["run_s_ratio"]["stages"] == [{
+        "system": "three_body_drag", "omega": "constant", "us_per_call": {"q1": 1.0, "median": 1.0, "q3": 1.0},
+        "us_per_step": {"q1": 0.75, "median": 1.0, "q3": 1.5}}]
 
 
 def test_one_tree_records_no_ratio(bench, tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from algebroid_mech import (Curve, DualSection, HamiltonianSystem, MorphismEndpoint, ScalarField, algebroid, cli, hamilton,
-                            hamilton_jacobi, io)
+                            hamilton_jacobi, integrate_rk4, io)
 from algebroid_mech.errors import NumericFailure
 from algebroid_mech.cli import main
 from algebroid_mech.gallery import GALLERY_IDS, instantiate
@@ -881,6 +881,27 @@ class TestNumericFailureInAUserCallable:
         assert run_cli(["lift-verify", "rolling_ball", "--omega", "linear", "--q0=-1e200,0,0",
                         "--out", str(out)]) == 3
         assert capsys.readouterr().err == "error: math domain error in the step from t=0\n"
+        assert not out.exists()
+
+    def test_a_lifted_section_error_names_its_base_point(self, monkeypatch, tmp_path, capsys):
+        # the section raises only at the base curve's final point, which RK4 never reads; before, the lift's
+        # read of it exited 2, the usage code, naming no point
+        gs = instantiate("cylinder_friction")
+        inner = gs.section("reference")
+        q0 = np.array(gs.default_q0)
+        final = integrate_rk4(lambda t, q: hamilton.projected_field(gs.system, inner, q), q0, 0.0, 0.1, 1e-2).points[-1]
+
+        def components(q):
+            if q.tobytes() == final.tobytes():
+                raise ValueError("math domain error")
+            return inner(q)
+
+        section = DualSection(components=components, space="V*")
+        monkeypatch.setattr(cli, "_load_system", lambda args: dataclasses.replace(
+            gs, reference_sections={"reference": section}))
+        out = tmp_path / "report.json"
+        assert run_cli(["lift-verify", "cylinder_friction", "--t1", "0.1", "--dt", "1e-2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: math domain error at q={final.tolist()}\n"
         assert not out.exists()
 
     def test_an_argument_check_keeps_the_usage_code(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,7 +148,9 @@ class TestFh:
 
 def count_reads(monkeypatch, sys_, run):
     """The outermost anchor_at and structure_at reads, and the gradients of
-    sys_.H, that run() makes, with its result."""
+    sys_.H, that run() makes, with its result.  An analytic gradient is
+    counted where it is called, as ``dissipation_rate`` reads it without
+    ``fd_gradient``."""
     counts = {"anchor_at": 0, "structure_at": 0, "grad H": 0}
     depth = [0]
     for name in ("anchor_at", "structure_at"):
@@ -163,13 +167,19 @@ def count_reads(monkeypatch, sys_, run):
                 depth[0] -= 1
 
         monkeypatch.setattr(SkewAlgebroid, name, counting)
-    gradient = hamilton.fd_gradient
+    gradient, grad = hamilton.fd_gradient, sys_.H.grad
 
     def counting_gradient(f, *args, **kwargs):
-        counts["grad H"] += f is sys_.H
+        counts["grad H"] += f is sys_.H and grad is None
         return gradient(f, *args, **kwargs)
 
+    def counting_grad(x):
+        counts["grad H"] += 1
+        return grad(x)
+
     monkeypatch.setattr(hamilton, "fd_gradient", counting_gradient)
+    if grad is not None:  # the field is frozen, so its gradient is swapped in its __dict__
+        monkeypatch.setitem(vars(sys_.H), "grad", counting_grad)
     try:
         result = run()
     finally:
@@ -543,6 +553,24 @@ class TestRatesInPlace:
         X = seeded_points(4, n=400, lo=-2.0, hi=2.0, seed=27)
         assert dissipation_rate(S, X).tobytes() == np.array([parent_rate(S, x) for x in X]).tobytes()
         assert [hamilton_rhs(S, 0.0, x).tobytes() for x in X] == [parent_rhs(S, x).tobytes() for x in X]
+
+    def test_a_non_finite_analytic_gradient_in_a_stack_names_its_first_state(self, cylinder):
+        # the stack's analytic gradients are read once per state and tested together; a stack that fails is reread
+        # state by state, which names the first state whose gradient is not finite, as a pointwise read does
+        S = cylinder.system
+        X = seeded_states(cylinder, 6, 28)
+        calls = []
+
+        def grad(x):
+            calls.append(x)
+            return np.full(len(x), np.nan) if any(np.array_equal(x, X[i]) for i in (2, 4)) else S.H.grad(x)
+
+        bad = dataclasses.replace(S, H=ScalarField(eval=S.H.eval, grad=grad))
+        with pytest.raises(NumericFailure, match=rf"^analytic gradient non-finite at q={re.escape(str(X[2].tolist()))}$"):
+            dissipation_rate(bad, X)
+        assert len(calls) == 6 + 3
+        calls.clear()
+        assert dissipation_rate(bad, X[:2]).tobytes() == dissipation_rate(S, X[:2]).tobytes() and len(calls) == 2
 
     def test_a_stack_of_the_wrong_width_raises(self, cylinder):
         S = cylinder.system

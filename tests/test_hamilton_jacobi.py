@@ -28,7 +28,7 @@ from algebroid_mech import (
 )
 from algebroid_mech import algebroid
 from algebroid_mech.algebroid import sample_box
-from algebroid_mech.hamilton import HamiltonianSystem
+from algebroid_mech.hamilton import HamiltonianSystem, projected_field
 from algebroid_mech.hamilton_jacobi import LiftReport, grid_points
 
 from conftest import lie_tangent, offset_section, seeded_points
@@ -262,6 +262,21 @@ class TestVerifyLift:
         )
         with pytest.raises(NumericFailure, match=r"lifted section non-finite at q=\[1\.5"):
             verify_lift(sys_, alpha, np.array([1.0, 0.0]), 0.0, 1.0, 0.1)
+
+    def test_a_section_error_at_the_final_base_point_names_it(self, cylinder):
+        # RK4 reads the section at every base point but the last, so only the lift's own read reaches it there
+        alpha = cylinder.reference_sections["reference"]
+        q0 = np.array(cylinder.default_q0)
+        final = integrate_rk4(lambda t, q: projected_field(cylinder.system, alpha, q), q0, 0.0, 0.1, 1e-2).points[-1]
+
+        def components(q):
+            if q.tobytes() == final.tobytes():
+                raise ValueError("math domain error")
+            return alpha(q)
+
+        section = DualSection(components=components, space="V*")
+        with pytest.raises(NumericFailure, match=rf"^math domain error at q={re.escape(str(final.tolist()))}$"):
+            verify_lift(cylinder.system, section, q0, 0.0, 0.1, 1e-2)
 
     def test_report_grids_align(self, disk):
         rep = verify_lift(
