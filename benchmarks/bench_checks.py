@@ -12,8 +12,8 @@ both ``--omega`` laws, the disk's 0.6 s lift and its 0.15 s ``simulate``
 and ``dissipation``), then the checks at the benchmark's
 ``point_checks`` sizes: the ``hj-check`` grids of its five systems
 (4 points per axis on the ball, 3 on the disk and 8 on the three 2-D
-systems, whose residuals read the operands their systems bind once over
-constant data), the disk's ``flag-rank`` at two off-axis points
+systems, whose residuals take their momentum rates from the field their
+systems bind once over constant data), the disk's ``flag-rank`` at two off-axis points
 (the workload draws its points from [-pi, pi]^4): at 0.3,-0.2,0.5,0.1,
 as at the README's 0,0,0,0, every flag step is 1e-3 and 41 of the 100
 nested stencil points are distinct; at 2.1,-1.3,0.4,-2.9 the steps
@@ -59,8 +59,8 @@ records the median ``run_s`` of its k runs, and with two trees
 tree's ``run_s`` over the first's, per command and for the round's total:
 the trees run back to back in each round, so the per-round ratio cancels
 most of the machine's drift, which a best of k does not (it did not
-resolve changes below about 1.5x at k = 3); its ``stages`` hold the same
-quartiles of ``us_per_call`` and ``us_per_step`` per stage entry.  The SHA-256 of every
+resolve changes below about 1.5x at k = 3); its ``stages`` hold the
+quartiles and win counts of the stage timings' per-round ratios.  The SHA-256 of every
 output (JSON or CSV) and of every command's stderr (run with numpy's
 RuntimeWarnings ignored, as they name the tree's files) is recorded, and so
 are the accuracy numbers of each JSON report (``max_violation`` per
@@ -81,14 +81,26 @@ fresh children that alternate trees as the commands do: ``cold_s`` is
 the first build after the import, ``warm_s`` the mean of the next
 BUILD_REPS builds, each the best of k.
 
-``stages`` holds the in-process time of one ``hamilton_rhs`` call, the RK4
-stage, and of one RK4 step, on every gallery system and on the ball under
-``--omega linear``: ``us_per_call`` is the mean over STAGE_STATES seeded states within 0.2 of
-the default start state (q0 and its section's momenta), after one untimed
-pass over them; ``us_per_step`` is the cost of one ``integrate_hamilton``
-step, the mean over a run of STAGE_STEPS steps of 1e-3 from the start state,
-the best of STAGE_STEP_RUNS runs after one untimed run.  Each is the best
-of k fresh children that alternate trees as the commands do.
+``stages`` holds the in-process cost per layer, on every gallery system and
+on the ball under ``--omega linear``, in microseconds: ``hamilton_rhs`` per
+call (the RK4 stage) at STAGE_POINTS seeded states within 0.2 of the default
+start state (q0 and its section's momenta); ``projected_field`` and
+``hj_residual`` per call, of the system's section (``dS`` on
+three_body_drag, else ``reference``) at STAGE_POINTS seeded points of the
+default box; and ``rk4_step``, one ``integrate_hamilton`` step, the mean over
+a run of STAGE_STEPS steps of 1e-3 from the start state.  Each of the k
+rounds is one fresh child that imports every tree's ``algebroid_mech`` side
+by side (purging ``sys.modules`` between the imports, and raising if a
+timed function is not read from its tree's src), runs every layer once
+untimed, then times STAGE_ROUNDS inner rounds that alternate the trees'
+order, as do the import order and the first tree of each child.  A tree's
+entry holds the median over all inner rounds, and with two trees
+``run_s_ratio``'s ``stages`` hold the median, quartiles and wins (rounds in
+which the second tree was faster) of the per-round ratio of the second
+tree's time over the first's.  Timing the trees in one process, round by
+round, resolves a few percent, where the best of k separate children did
+not resolve 10%: a child's whole run can fall into a slow phase of the
+machine.
 """
 
 from __future__ import annotations
@@ -208,36 +220,76 @@ for _ in range(reps):
     instantiate(system, omega=omega)
 print(json.dumps({"cold_s": cold, "warm_s": (time.perf_counter() - t) / reps}))
 """
-# every gallery system's RK4 stage and step from its default start, and the ball's under the linear omega law
+# every gallery system's layers, and the ball's under the linear omega law
 STAGES = tuple((g, "constant") for g in GALLERY) + (("rolling_ball", "linear"),)
-STAGE_STATES = 2000
+STAGE_OPS = ("hamilton_rhs", "projected_field", "hj_residual", "rk4_step")
+STAGE_POINTS = 200
 STAGE_STEPS = 200
-# timed runs of STAGE_STEPS steps per child, the best kept: a child's 7-70 ms run is short enough that one
-# interruption would set it
-STAGE_STEP_RUNS = 5
+STAGE_ROUNDS = 20
 STAGE_CHILD = """
-import json, sys, time
+import importlib, json, sys, time
+from pathlib import Path
 import numpy as np
-from algebroid_mech.gallery import instantiate
-from algebroid_mech.hamilton import hamilton_rhs, integrate_hamilton
-system, omega, section, n, steps, runs = sys.argv[1], sys.argv[2], sys.argv[3], *map(int, sys.argv[4:7])
-gs = instantiate(system, omega=omega)
-q0 = np.array(gs.default_q0, dtype=float)
-x0 = np.concatenate([q0, gs.section(section)(q0)])
-states = x0 + np.random.default_rng(0).uniform(-0.2, 0.2, (n, len(x0)))
-for x in states:
-    hamilton_rhs(gs.system, 0.0, x)
-t = time.perf_counter()
-for x in states:
-    hamilton_rhs(gs.system, 0.0, x)
-us_per_call = (time.perf_counter() - t) / n * 1e6
-integrate_hamilton(gs.system, x0, 0.0, steps * 1e-3, 1e-3)
-best = float("inf")
-for _ in range(runs):
-    t = time.perf_counter()
-    integrate_hamilton(gs.system, x0, 0.0, steps * 1e-3, 1e-3)
-    best = min(best, time.perf_counter() - t)
-print(json.dumps({"us_per_call": us_per_call, "us_per_step": best / steps * 1e6}))
+trees, stages, points, steps, rounds, first = json.loads(sys.argv[1])
+trees = trees[first:] + trees[:first]  # the first tree, and the import order, alternate by child
+layers = {}
+for label, src in trees:
+    for name in [n for n in sys.modules if n == "algebroid_mech" or n.startswith("algebroid_mech.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        mods = [importlib.import_module("algebroid_mech." + m) for m in ("gallery", "hamilton", "hamilton_jacobi")]
+    finally:
+        sys.path.remove(src)
+    layers[label] = mods
+    for fn in (mods[0].instantiate, mods[1].hamilton_rhs, mods[1].projected_field, mods[1].integrate_hamilton,
+               mods[2].hj_residual):
+        if not Path(fn.__code__.co_filename).resolve().is_relative_to(Path(src).resolve()):
+            raise RuntimeError(f"{label}: {fn.__name__} read from {fn.__code__.co_filename}, not from {src}")
+
+
+def timers(label, system, omega, section):
+    gallery, hamilton, hamilton_jacobi = layers[label]
+    gs = gallery.instantiate(system, omega=omega)
+    S, alpha = gs.system, gs.section(section)
+    q0 = np.array(gs.default_q0, dtype=float)
+    x0 = np.concatenate([q0, alpha(q0)])
+    rng = np.random.default_rng(0)
+    X = x0 + rng.uniform(-0.2, 0.2, (points, len(x0)))
+    lo, hi = np.array(gs.default_box, dtype=float).T
+    Q = lo + (hi - lo) * rng.random((points, len(lo)))
+    rhs, field, residual = hamilton.hamilton_rhs, hamilton.projected_field, hamilton_jacobi.hj_residual
+
+    def per_call(fn, rows):
+        def run():
+            t = time.perf_counter()
+            for r in rows:
+                fn(r)
+            return (time.perf_counter() - t) / len(rows) * 1e6
+        return run
+
+    def per_step():
+        t = time.perf_counter()
+        hamilton.integrate_hamilton(S, x0, 0.0, steps * 1e-3, 1e-3)
+        return (time.perf_counter() - t) / steps * 1e6
+
+    return (per_call(lambda x: rhs(S, 0.0, x), X), per_call(lambda q: field(S, alpha, q), Q),
+            per_call(lambda q: residual(S, alpha, q), Q), per_step)
+
+
+out = []
+for system, omega, section in stages:
+    runs = {label: timers(label, system, omega, section) for label, _ in trees}
+    for fns in runs.values():  # one untimed pass
+        for fn in fns:
+            fn()
+    times = {label: [[] for _ in fns] for label, fns in runs.items()}
+    for rnd in range(rounds):
+        for label in (list(runs) if rnd % 2 == 0 else list(reversed(runs))):
+            for fn, t in zip(runs[label], times[label]):
+                t.append(fn())
+    out.append(times)
+print(json.dumps(out))
 """
 
 
@@ -320,14 +372,24 @@ def build_once(src: Path, system: str, omega: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def stage_once(src: Path, system: str, omega: str) -> dict:
-    section = TRAJECTORY_SECTIONS.get(system, "reference")
-    proc = subprocess.run([sys.executable, "-c", STAGE_CHILD, system, omega, section, str(STAGE_STATES),
-                           str(STAGE_STEPS), str(STAGE_STEP_RUNS)],
-                          env=child_env(src), capture_output=True, text=True, check=False)
+def stage_round(trees: dict, rnd: int) -> list:
+    """One child's inner rounds of every stage: per stage, tree label -> per op (STAGE_OPS) the list of per-round
+    times in microseconds."""
+    stages = [(system, omega, TRAJECTORY_SECTIONS.get(system, "reference")) for system, omega in STAGES]
+    spec = [[[label, str(src)] for label, src in trees.items()], stages, STAGE_POINTS, STAGE_STEPS, STAGE_ROUNDS,
+            rnd % len(trees)]
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=sys.pycache_prefix)
+    proc = subprocess.run([sys.executable, "-c", STAGE_CHILD, json.dumps(spec)], env=env, capture_output=True,
+                          text=True, check=False)
     if proc.returncode != 0:
-        raise RuntimeError(f"hamilton_rhs on {system} ({omega}) crashed in {src}: {proc.stderr.strip()}")
+        raise RuntimeError(f"the stage child of round {rnd} crashed: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def ratio_stats(first, second) -> dict:
+    """The quartiles of the per-round ratios second / first, the rounds in which second was faster, and their count."""
+    ratios = [b / a for a, b in zip(first, second)]
+    return {**quartiles(ratios), "wins": sum(r < 1.0 for r in ratios), "rounds": len(ratios)}
 
 
 def accuracy(data: bytes) -> dict:
@@ -398,7 +460,7 @@ def main(argv=None) -> int:
     cmds = commands(args.seed)
     runs = {label: [[] for _ in cmds] for label in trees}
     builds = {label: [[] for _ in CONSTRUCTIONS] for label in trees}
-    stages = {label: [[] for _ in STAGES] for label in trees}
+    stages = {label: [[[] for _ in STAGE_OPS] for _ in STAGES] for label in trees}
     with bytecode_outside_the_trees(), tempfile.TemporaryDirectory() as tmp:
         compiled = {label: compile_tree(src) for label, src in trees.items()}
         out = Path(tmp) / "output"
@@ -410,9 +472,11 @@ def main(argv=None) -> int:
             for b, (system, omega) in enumerate(CONSTRUCTIONS):
                 for label in order:
                     builds[label][b].append(build_once(trees[label], system, omega))
-            for b, (system, omega) in enumerate(STAGES):
-                for label in order:
-                    stages[label][b].append(stage_once(trees[label], system, omega))
+            if STAGES:
+                for s, times in enumerate(stage_round(trees, rnd)):
+                    for label in trees:
+                        for t, rounds in zip(stages[label][s], times[label]):
+                            t.extend(rounds)
 
     entries = {}
     for label, src in trees.items():
@@ -443,9 +507,8 @@ def main(argv=None) -> int:
                 for (system, omega), rs in zip(CONSTRUCTIONS, builds[label])
             ],
             "stages": [
-                {"system": system, "omega": omega, "us_per_call": min(r["us_per_call"] for r in rs),
-                 "us_per_step": min(r["us_per_step"] for r in rs)}
-                for (system, omega), rs in zip(STAGES, stages[label])
+                {"system": system, "omega": omega, **{op: float(np.median(t)) for op, t in zip(STAGE_OPS, times)}}
+                for (system, omega), times in zip(STAGES, stages[label])
             ],
         }
 
@@ -471,11 +534,8 @@ def main(argv=None) -> int:
             "of": "{1}/{0}".format(*trees),
             "total": quartiles(second.sum(axis=0) / first.sum(axis=0)),
             "commands": [{"argv": argv, **quartiles(r)} for argv, r in zip(cmds, second / first)],
-            # a child's stage and step times move by up to 10% with the machine's load, which one best of k
-            # does not cancel either
             "stages": [{"system": system, "omega": omega,
-                        **{key: quartiles([b[key] / a[key] for a, b in zip(*(stages[label][s] for label in trees))])
-                           for key in ("us_per_call", "us_per_step")}}
+                        **{op: ratio_stats(*(stages[label][s][o] for label in trees)) for o, op in enumerate(STAGE_OPS)}}
                        for s, (system, omega) in enumerate(STAGES)],
         }
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -486,15 +546,14 @@ def main(argv=None) -> int:
             print(f"  instantiate {c['system']} ({c['omega']}): cold {c['cold_s'] * 1e3:.2f} ms, "
                   f"warm {c['warm_s'] * 1e3:.2f} ms")
         for c in e["stages"]:
-            print(f"  hamilton_rhs {c['system']} ({c['omega']}): {c['us_per_call']:.2f} us per call, "
-                  f"integrate_hamilton {c['us_per_step']:.2f} us per step")
+            print(f"  {c['system']} ({c['omega']}), us: " + ", ".join(f"{op} {c[op]:.2f}" for op in STAGE_OPS))
     if "run_s_ratio" in result:
         total = result["run_s_ratio"]["total"]
         print(f"run_s ratio {result['run_s_ratio']['of']} per round: median {total['median']:.3f} "
               f"(quartiles {total['q1']:.3f}-{total['q3']:.3f})")
         for c in result["run_s_ratio"]["stages"]:
-            print(f"  {c['system']} ({c['omega']}) per round: hamilton_rhs {c['us_per_call']['median']:.3f}, "
-                  f"integrate_hamilton {c['us_per_step']['median']:.3f}")
+            print(f"  {c['system']} ({c['omega']}) per round: " + ", ".join(
+                f"{op} {c[op]['median']:.3f} ({c[op]['wins']}/{c[op]['rounds']})" for op in STAGE_OPS))
     print(f"outputs equal across trees: {result['outputs_equal']}")
     for argv in differ:
         print(f"  differs: {argv}")

@@ -111,11 +111,15 @@ def _horizon(gs, args):
 
 
 def _write(out_path, text):
+    """Write the report to ``out_path``, or stdout; a path that cannot be written raises ValueError naming it."""
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
 
 
 def _emit(args, gs, key, body, passed=True, **extra):

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: bad user input (ValueError,
-argparse errors) -> 2, NumericFailure and DomainError -> 3.  A check that
-runs fine but fails its tolerance is not an exception; it exits 1.
+argparse errors, an ``--out`` path that cannot be written) -> 2,
+NumericFailure and DomainError -> 3.  A check that runs fine but fails its
+tolerance is not an exception; it exits 1, after writing its report.
 """
 
 

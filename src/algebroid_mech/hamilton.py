@@ -25,15 +25,15 @@ class HamiltonianSystem:
 
     ``H`` is a ScalarField over the concatenated (q, p) coordinates of the
     reduced phase space, whose layout (m, m + n - 1) is bound once, here.
-    Over a constant anchor and C (``_Constant``), so are the operands of the
-    Hamilton field, rho_0, rho_V, rho_V^T and C_V, as views of the stored
-    read-only arrays, so its RK4 stages, HJ residuals and dissipation rows
-    read neither the anchor nor C.  When moreover C_V[1:] is exactly zero, as
-    in a force extension of a tangent algebroid, the field is one affine map
-    of (dH, x) = (dH/dq, dH/dp, q, p), bound read-only as ``_field`` = (F, d)
-    (else None): F (dim, 2 dim) has the blocks F[:m, m:dim] = rho_V,
-    F[m:, :m] = -rho_V^T and F[m:, dim + m:] = K = 0.0 + C_V[0], the
-    momentum coefficient with einsum's bits, and d = (rho_0, 0).
+    Over a constant anchor and C (``_Constant``) whose C_V[1:] = C[1:, 1:, 1:]
+    is exactly zero, as in a force extension of a tangent algebroid, the
+    Hamilton field is one affine map of (dH, x) = (dH/dq, dH/dp, q, p), bound
+    read-only as ``_field`` = (F, d) (else None): F (dim, 2 dim) has the blocks
+    F[:m, m:dim] = rho_V, F[m:, :m] = -rho_V^T and F[m:, dim + m:] = K =
+    0.0 + C_V[0], the momentum coefficient with einsum's bits, and d = (rho_0, 0),
+    where rho_0 = rho[:, 0], rho_V = rho[:, 1:] and C_V = C[:, 1:, 1:].  Every
+    other read of the anchor and C goes through ``_read_at`` or ``anchor_at``,
+    which return a ``_Constant``'s array without a call.
     """
 
     algebroid: SkewAlgebroid
@@ -44,14 +44,13 @@ class HamiltonianSystem:
         if not A.adapted:
             raise ValueError("HamiltonianSystem requires an adapted algebroid")
         object.__setattr__(self, "H", as_scalar_field(self.H))
-        bound = _split(A._anchor.value, A._structure.value) if _constant(A._anchor, A._structure) else None
-        object.__setattr__(self, "_bound", bound)
         m, dim = A.chart.dim, A.chart.dim + A.rank - 1
         object.__setattr__(self, "_layout", (m, dim))
         field = None
-        if bound is not None and not bound[3][1:].any():
+        if _constant(A._anchor, A._structure) and not A._structure.value[1:, 1:, 1:].any():
+            rho, C = A._anchor.value, A._structure.value
             F, d = np.zeros((dim, 2 * dim)), np.zeros(dim)
-            F[:m, m:dim], F[m:, :m], F[m:, dim + m:], d[:m] = bound[1], -bound[2], 0.0 + bound[3][0], bound[0]
+            F[:m, m:dim], F[m:, :m], F[m:, dim + m:], d[:m] = rho[:, 1:], -rho[:, 1:].T, 0.0 + C[0, 1:, 1:], rho[:, 0]
             F.flags.writeable = d.flags.writeable = False
             field = F, d
         object.__setattr__(self, "_field", field)
@@ -136,23 +135,6 @@ def _bivector_at(A: SkewAlgebroid, xf: np.ndarray) -> np.ndarray:
     return L
 
 
-def _split(rho, C=None):
-    """The operands of the Hamilton field as views of the anchor rho and of
-    C: rho_0 = rho[:, 0], rho_V = rho[:, 1:], rho_V^T and C_V = C[:, 1:, 1:]
-    (None without C), or their stacks from stacks of rho and C."""
-    rhoV = rho[..., 1:]
-    return rho[..., 0], rhoV, np.swapaxes(rhoV, -1, -2), None if C is None else C[..., 1:, 1:]
-
-
-def _operands(sys: HamiltonianSystem, q, structure: bool = True):
-    """rho_0, rho_V, rho_V^T and C_V at q: those bound over constant data,
-    else from one joint ``_read_at`` of the anchor and C, or from one anchor
-    read alone when not ``structure`` (C_V is then None)."""
-    if sys._bound is not None:
-        return sys._bound
-    return _split(*_read_at(sys.algebroid, q)) if structure else _split(sys.algebroid.anchor_at(q))
-
-
 def _zeta(dHp) -> np.ndarray:
     """The characteristic section zeta_H = (1, dH/dp) in the full frame."""
     w = np.empty(len(dHp) + 1)
@@ -160,31 +142,30 @@ def _zeta(dHp) -> np.ndarray:
     return w
 
 
-def _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=None) -> np.ndarray:
+def _pdot_rhs(p, dHq, dHp, rho, C, out=None) -> np.ndarray:
     """Right-hand side of the momentum equations at (q, p):
 
         dp_b/dt = -rho_b^i dH/dq^i + (C_{0b}^c + C_{ab}^c dH/dp_a) p_c
 
-    from dH/dq, dH/dp and the operands rho_V^T and C_V at q (``_operands``), into ``out`` if given;
-    the coefficient in brackets is C_V contracted with zeta_H by einsum.  A system's bound ``_field``
-    holds that coefficient when C_V[1:] is zero: einsum sums 0.0 + C_V[0] * 1 + C_V[a] zeta_a in
-    order of a, and with dH/dp finite each later term is +-0.0, which leaves a sum that is never
-    -0.0 unchanged.
+    from dH/dq, dH/dp and the anchor rho and C at q as ``_read_at`` returns them, into ``out`` if
+    given; it slices rho_V^T = rho[:, 1:]^T and C_V = C[:, 1:, 1:] itself, and the coefficient in
+    brackets is C_V contracted with zeta_H by einsum.  A system's bound ``_field`` holds that
+    coefficient when C_V[1:] is zero: einsum sums 0.0 + C_V[0] * 1 + C_V[a] zeta_a in order of a,
+    and with dH/dp finite each later term is +-0.0, which leaves a sum that is never -0.0 unchanged.
     """
-    coeff = np.einsum("abc,a->bc", CV, _zeta(dHp))  # (C_{alpha b}^c) contracted with zeta_alpha, for b, c >= 1
-    return np.subtract(coeff @ p, rhoVT @ dHq, out=out)  # b - a is -a + b, bit for bit
+    coeff = np.einsum("abc,a->bc", C[:, 1:, 1:], _zeta(dHp))  # C_{alpha b}^c contracted with zeta_alpha, b, c >= 1
+    return np.subtract(coeff @ p, rho[:, 1:].T @ dHq, out=out)  # b - a is -a + b, bit for bit
 
 
 def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
     """Rates (dq/dt, dp/dt) of the Hamilton equations at the state x.
 
     x is the reduced state (q, p).  One call takes one gradient of H and
-    reads the anchor once and C once, or neither over constant data, whose
-    operands the system binds once; both rates are written into one row, or
-    are the one product F @ (dH, x) + d of a bound ``_field``, where a
-    non-finite dH/dp spreads to every rate (0 * inf is NaN).  Explicit time
-    enters only through chart coordinates, so t is unused here; it is kept
-    for integrator compatibility.
+    one ``_read_at`` of the anchor and C, and writes both rates into one
+    row; over a bound ``_field`` it reads neither, and the rates are the one
+    product F @ (dH, x) + d, where a non-finite dH/dp spreads to every rate
+    (0 * inf is NaN).  Explicit time enters only through chart coordinates,
+    so t is unused here; it is kept for integrator compatibility.
     """
     x = sys.reduced_state(x)
     g = fd_gradient(sys.H, x)
@@ -192,10 +173,10 @@ def hamilton_rhs(sys: HamiltonianSystem, t: float, x) -> np.ndarray:
         return sys._field[0] @ np.concatenate((g, x)) + sys._field[1]
     m, dim = sys._layout
     q, p, dHq, dHp = x[:m], x[m:], g[:m], g[m:]
-    rho0, rhoV, rhoVT, CV = _operands(sys, q)
+    rho, C = _read_at(sys.algebroid, q)
     row = np.empty(dim)
-    np.add(rhoV @ dHp, rho0, out=row[:m])
-    _pdot_rhs(p, dHq, dHp, rhoVT, CV, out=row[m:])
+    np.add(rho[:, 1:] @ dHp, rho[:, 0], out=row[:m])
+    _pdot_rhs(p, dHq, dHp, rho, C, out=row[m:])
     return row
 
 
@@ -212,8 +193,8 @@ def dissipation_rate(sys: HamiltonianSystem, x):
     Vanishes when the cocycle direction is anchored to zero and does not
     bracket into the kernel (conservative case).  A stack of states x
     (K, m + n - 1) gives the K rates, each the bits of its state alone: one
-    gradient of H per state, one ``_read_at`` of the stack (or the bound
-    operands) and stacked vector-vector products, each with a dot's bits.
+    gradient of H per state, one ``_read_at`` of the stack (a ``_Constant``
+    broadcasts) and stacked vector-vector products, each with a dot's bits.
     An analytic gradient is read per state and the stack's are tested for
     finiteness at once; a stack that fails is reread through
     ``fd_gradient``, which names the first state whose gradient is not finite.
@@ -225,9 +206,9 @@ def dissipation_rate(sys: HamiltonianSystem, x):
     if g is None or np.count_nonzero(np.isfinite(g)) < g.size:
         g = np.array([fd_gradient(sys.H, xk) for xk in Xs])
     g = g.reshape(Xs.shape)
-    rho0, _, _, CV = _operands(sys, Xs[:, :m])
-    val = (rho0[..., None, :] @ g[:, :m, None])[:, 0, 0]
-    Cp = (CV[..., 0, :, None, :] @ Xs[:, None, m:, None])[..., 0, 0]  # column b is C_{0, b+1}^c p_c, c >= 1
+    rho, C = _read_at(sys.algebroid, Xs[:, :m])
+    val = (rho[..., None, :, 0] @ g[:, :m, None])[:, 0, 0]
+    Cp = (C[..., 0, 1:, None, 1:] @ Xs[:, None, m:, None])[..., 0, 0]  # column b is C_{0, b+1}^c p_c, c >= 1
     for b in range(Cp.shape[-1]):
         val += Cp[:, b] * g[:, m + b]
     return val if np.ndim(x) == 2 else float(val[0])
@@ -237,10 +218,12 @@ def projected_field(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray
     """The vector field on the base obtained by composing the hamiltonian
     flow direction with the section alpha:
 
-        (R^alpha)^i = rho_0^i + rho_a^i (dH/dp_a)(q, alpha(q)).
+        (R^alpha)^i = rho_0^i + rho_a^i (dH/dp_a)(q, alpha(q)),
+
+    from one ``anchor_at`` read.
     """
     q = np.asarray(q, dtype=float)
     p = alpha(q)
     _, dHp = sys.h_partials(q, p)
-    rho0, rhoV, _, _ = _operands(sys, q, structure=False)
-    return rho0 + rhoV @ dHp
+    rho = sys.algebroid.anchor_at(q)
+    return rho[:, 0] + rho[:, 1:] @ dHp

@@ -24,7 +24,7 @@ from .algebroid import (GRID_POINT_CAP, DualSection, ESection, _at_point, _d_one
                         _Stacked, box_bounds, on_stack, sweep)
 from .calculus import Curve, fd_jacobian, integrate_rk4, require_finite
 from .errors import DomainError
-from .hamilton import HamiltonianSystem, _operands, _pdot_rhs, _zeta, integrate_hamilton, projected_field
+from .hamilton import HamiltonianSystem, _pdot_rhs, _zeta, integrate_hamilton, projected_field
 from .util import parallel_map
 
 
@@ -103,19 +103,22 @@ def hj_residual(sys: HamiltonianSystem, alpha: DualSection, q) -> np.ndarray:
 
     Zero for all q in a neighborhood exactly when alpha lifts integral
     curves of the projected field to solutions of the Hamilton equations.
-    Over a bound ``_field`` the momentum rates are F's lower rows on (dH, q, p).
+    One ``_read_at`` of the anchor and C comes first, so that the projected
+    field's anchor read finds a kernel's build; the momentum rates are
+    ``_pdot_rhs`` of that read, or over a bound ``_field`` F's lower rows on
+    (dH, q, p).
     """
     if alpha.space != "V*":
         raise ValueError("hj_residual expects a reduced-dual section (space 'V*')")
     q = np.asarray(q, dtype=float)
-    _, _, rhoVT, CV = _operands(sys, q)  # first, so that the projected field's anchor read finds its build
+    rho, C = _read_at(sys.algebroid, q)  # first, so that the projected field's anchor read finds its build
     p = alpha(q)
     R = projected_field(sys, alpha, q)
     J = alpha.jac(q)  # (n-1, m)
     dHq, dHp = sys.h_partials(q, p)
     if sys._field is not None:
         return J @ R - sys._field[0][len(q):] @ np.concatenate((dHq, dHp, q, p))
-    return J @ R - _pdot_rhs(p, dHq, dHp, rhoVT, CV)
+    return J @ R - _pdot_rhs(p, dHq, dHp, rho, C)
 
 
 def hj_residual_dual(sys: HamiltonianSystem, beta: DualSection, q) -> np.ndarray:

@@ -5,6 +5,7 @@ commands are the benchmark workload's ops."""
 import importlib.util
 import json
 import locale
+import shutil
 import sys
 from pathlib import Path
 
@@ -156,33 +157,57 @@ def test_three_checks_sweep_more_than_one_chunk(bench_and_workloads):
 def test_stages_are_every_gallery_system_and_the_linear_law_ball(bench_and_workloads):
     bench, _ = bench_and_workloads
     assert bench.STAGES == tuple((g, "constant") for g in bench.GALLERY) + (("rolling_ball", "linear"),)
-    assert bench.STAGE_STATES == 2000 and bench.STAGE_STEPS == 200 and bench.STAGE_STEP_RUNS == 5
+    assert bench.STAGE_OPS == ("hamilton_rhs", "projected_field", "hj_residual", "rk4_step")
+    assert bench.STAGE_POINTS == 200 and bench.STAGE_STEPS == 200 and bench.STAGE_ROUNDS == 20
     # the timed run of STAGE_STEPS steps of 1e-3 takes exactly that many full steps
     from algebroid_mech.calculus import integrate_rk4
 
     assert len(integrate_rk4(lambda t, x: -x, [1.0], 0.0, bench.STAGE_STEPS * 1e-3, 1e-3)) == bench.STAGE_STEPS + 1
 
 
-def test_stages_are_timed_in_fresh_children(bench, tmp_path, monkeypatch):
-    # the real stage child on this tree, at k = 2 over a few states and steps, for a constant system and the
-    # linear-law ball
+def fake_run_once(src, argv, out):
+    return {"exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
+            "output_sha256": "same", "stderr_sha256": "same"}
+
+
+def test_stages_are_timed_side_by_side_in_one_child_per_round(bench, tmp_path, monkeypatch):
+    # the real stage child on two copies of this tree, at k = 2 over a few points and steps, for a constant system
+    # and the linear-law ball; the child raises unless every timed function is read from its own tree's src, so
+    # the second import must not find the first tree's modules
+    trees = {}
+    for label in ("parent", "change"):
+        trees[label] = tmp_path / label
+        shutil.copytree(ROOT / "src" / "algebroid_mech", trees[label] / "algebroid_mech",
+                        ignore=shutil.ignore_patterns("__pycache__"))
     monkeypatch.setattr(bench, "STAGES", (("three_body_drag", "constant"), ("rolling_ball", "linear")))
-    monkeypatch.setattr(bench, "STAGE_STATES", 20)
-    monkeypatch.setattr(bench, "STAGE_STEPS", 5)
-    monkeypatch.setattr(bench, "STAGE_STEP_RUNS", 2)
-    monkeypatch.setattr(bench, "run_once", lambda src, argv, out: {
-        "exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
-        "output_sha256": "same", "stderr_sha256": "same"})
+    monkeypatch.setattr(bench, "STAGE_POINTS", 5)
+    monkeypatch.setattr(bench, "STAGE_STEPS", 3)
+    monkeypatch.setattr(bench, "STAGE_ROUNDS", 2)
+    monkeypatch.setattr(bench, "run_once", fake_run_once)
     calls = []
-    stage_once = bench.stage_once
-    monkeypatch.setattr(bench, "stage_once", lambda src, system, omega: calls.append(system) or stage_once(
-        src, system, omega))
+    stage_round = bench.stage_round
+    monkeypatch.setattr(bench, "stage_round", lambda trees_, rnd: calls.append(rnd) or stage_round(trees_, rnd))
     out = tmp_path / "bench.json"
-    assert bench.main(["--tree", f"only={ROOT / 'src'}", "--k", "2", "--out", str(out)]) == 0
-    stages = json.loads(out.read_text())["entries"]["only"]["stages"]
-    assert [(s["system"], s["omega"]) for s in stages] == [("three_body_drag", "constant"), ("rolling_ball", "linear")]
-    assert all(0.0 < s["us_per_call"] < 1e5 and 0.0 < s["us_per_step"] < 1e6 for s in stages)
-    assert calls == ["three_body_drag", "rolling_ball"] * 2
+    assert bench.main([arg for label, src in trees.items() for arg in ("--tree", f"{label}={src}")]
+                      + ["--k", "2", "--out", str(out)]) == 0
+    assert calls == [0, 1]  # one child per round, for every stage
+    data = json.loads(out.read_text())
+    for e in data["entries"].values():
+        assert [(s["system"], s["omega"]) for s in e["stages"]] == [("three_body_drag", "constant"),
+                                                                  ("rolling_ball", "linear")]
+        assert all(0.0 < s[op] < 1e6 for s in e["stages"] for op in bench.STAGE_OPS)
+    for s in data["run_s_ratio"]["stages"]:
+        assert all(s[op]["rounds"] == 4 and 0 <= s[op]["wins"] <= 4 and s[op]["q1"] <= s[op]["median"] <= s[op]["q3"]
+                   for op in bench.STAGE_OPS)
+
+
+def test_a_tree_without_its_own_package_fails_the_stage_child(bench, tmp_path, monkeypatch):
+    # an empty src would import the package from elsewhere on the path, here this repository's src
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    monkeypatch.setattr(bench, "STAGES", (("three_body_drag", "constant"),))
+    (tmp_path / "empty").mkdir()
+    with bench.bytecode_outside_the_trees(), pytest.raises(RuntimeError, match=r"instantiate read from .*, not from "):
+        bench.stage_round({"only": tmp_path / "empty"}, 0)
 
 
 def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch):
@@ -211,33 +236,25 @@ def test_medians_and_per_round_ratios_are_recorded(bench, tmp_path, monkeypatch)
 
 
 def test_stage_ratios_are_per_round(bench, tmp_path, monkeypatch):
-    # us_per_step by tree and round, us_per_call constant; the best of k alone would read 1.0
+    # rk4_step by tree and child, one inner round each, the other layers constant; the medians alone would read 1.0
     steps = {"parent": [10.0, 30.0, 20.0], "change": [20.0, 30.0, 10.0]}
-    calls = {}
-
-    def stage_once(src, system, omega):
-        rnd = calls[src.name] = calls.get(src.name, -1) + 1
-        return {"us_per_call": 5.0, "us_per_step": steps[src.name][rnd]}
-
     monkeypatch.setattr(bench, "STAGES", (("three_body_drag", "constant"),))
-    monkeypatch.setattr(bench, "stage_once", stage_once)
-    monkeypatch.setattr(bench, "run_once", lambda src, argv, out: {
-        "exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
-        "output_sha256": "same", "stderr_sha256": "same"})
+    monkeypatch.setattr(bench, "stage_round", lambda trees, rnd: [
+        {label: [[5.0], [5.0], [5.0], [steps[label][rnd]]] for label in trees}])
+    monkeypatch.setattr(bench, "run_once", fake_run_once)
     out = tmp_path / "bench.json"
     assert bench.main(["--tree", f"parent={tmp_path / 'parent'}", "--tree", f"change={tmp_path / 'change'}",
                        "--k", "3", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert [e["stages"][0]["us_per_step"] for e in data["entries"].values()] == [10.0, 10.0]
+    assert [e["stages"][0]["rk4_step"] for e in data["entries"].values()] == [20.0, 20.0]
+    same = {"q1": 1.0, "median": 1.0, "q3": 1.0, "wins": 0, "rounds": 3}
     assert data["run_s_ratio"]["stages"] == [{
-        "system": "three_body_drag", "omega": "constant", "us_per_call": {"q1": 1.0, "median": 1.0, "q3": 1.0},
-        "us_per_step": {"q1": 0.75, "median": 1.0, "q3": 1.5}}]
+        "system": "three_body_drag", "omega": "constant", "hamilton_rhs": same, "projected_field": same,
+        "hj_residual": same, "rk4_step": {"q1": 0.75, "median": 1.0, "q3": 1.5, "wins": 1, "rounds": 3}}]
 
 
 def test_one_tree_records_no_ratio(bench, tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "run_once", lambda src, argv, out: {
-        "exit": 0, "run_s": 0.1, "wall_s": 0.2, "max_violation": {}, "max_norm": None, "max_deviation": None,
-        "output_sha256": "same", "stderr_sha256": "same"})
+    monkeypatch.setattr(bench, "run_once", fake_run_once)
     out = tmp_path / "bench.json"
     assert bench.main(["--tree", f"only={tmp_path / 'only'}", "--k", "2", "--out", str(out)]) == 0
     assert "run_s_ratio" not in json.loads(out.read_text())

@@ -822,6 +822,30 @@ class TestSectionSpace:
                         "--out", str(tmp_path / "report.json")]) == 0
 
 
+class TestUnwritableOut:
+    """An ``--out`` path that cannot be opened is a usage error naming it, with one ``error:`` line and no
+    traceback; exit 1 would claim a failed check whose report was written."""
+
+    @pytest.mark.parametrize("argv", [["gallery", "list"], ["hj-check", "cylinder_friction", "--resolution", "3"],
+                                      ["simulate", "cylinder_friction", "--t1", "0.01", "--dt", "1e-3"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing-dir", "empty", "directory"])
+    def test_exits_2_naming_the_path(self, argv, where, tmp_path, capsys):
+        path = {"missing-dir": str(tmp_path / "missing" / "x.out"), "empty": "", "directory": str(tmp_path)}[where]
+        assert run_cli(argv + ["--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write --out {path!r}: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_entry_point_prints_no_traceback(self, tmp_path):
+        path = str(tmp_path / "missing" / "x.json")
+        proc = subprocess.run([sys.executable, "-m", "algebroid_mech", "gallery", "list", "--out", path],
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: cannot write --out {path!r}: No such file or directory\n"
+
+
 class TestNumericFailureInAUserCallable:
     def test_a_math_domain_error_names_its_grid_point(self, tmp_path, capsys):
         # the reference section's sin(phase(t)) at t = -1e200, where the linear law's phase overflows to inf

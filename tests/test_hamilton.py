@@ -207,8 +207,7 @@ KERNEL_CASES = [
 
 class TestRhsReads:
     """One hamilton_rhs call takes dH once and reads the anchor and C once
-    per state, or neither over constant data, whose operands the system
-    binds once."""
+    per state, or neither over the field a constant system binds once."""
 
     @pytest.mark.parametrize("system,omega,reads", [
         pytest.param("cylinder_friction", "constant", 0, id="cylinder_friction"),
@@ -317,7 +316,7 @@ BOUND_FIELD_CASES = [pytest.param(g, None, id=g) for g in CONSTANT_SYSTEMS + ("s
 
 
 class TestBoundOperands:
-    """A system over constant data binds rho_0, rho_V, rho_V^T and C_V once;
+    """A system over constant data with a zero C_V[1:] binds its field once;
     every consumer gives the bits of the same system read point by point."""
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -327,7 +326,7 @@ class TestBoundOperands:
         with monkeypatch.context() as patch:
             callable_path(patch)
             plain = instantiate(system)
-        assert gs.system._bound is not None and plain.system._bound is None
+        assert gs.system._field is not None and plain.system._field is None
         Q = sample_box(gs.default_box, 64, seed)
         P = np.random.default_rng(seed).uniform(-1.0, 1.0, (64, gs.system.n_momenta))
 
@@ -340,15 +339,6 @@ class TestBoundOperands:
 
         assert values(gs) == values(plain)
 
-    @pytest.mark.parametrize("system", CONSTANT_SYSTEMS)
-    def test_bound_operands_are_read_only_views(self, system):
-        S = instantiate(system).system
-        q = np.zeros(S.chart.dim)
-        rho, C = S.algebroid.anchor_at(q), S.algebroid.structure_at(q)
-        for view, base in zip(S._bound, (rho, rho, rho, C)):
-            assert np.shares_memory(view, base)
-            assert not view.flags.writeable
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # magnitudes near 1e+-300 overflow H's gradient on purpose
     @pytest.mark.parametrize("system,params", BOUND_FIELD_CASES)
     def test_bound_field_is_the_einsum_bits(self, system, params):
@@ -359,7 +349,7 @@ class TestBoundOperands:
         F, d = S._field
         m, dim = S._layout
         assert not F.flags.writeable and not d.flags.writeable and F.shape == (dim, 2 * dim)
-        _, _, _, CV = S._bound
+        CV = S.algebroid.structure_at(np.zeros(m))[:, 1:, 1:]
         if system == "signed_zero_extension":
             assert ((CV[0] == 0.0) & np.signbit(CV[0])).any()
         rng = np.random.default_rng(31)
@@ -376,10 +366,28 @@ class TestBoundOperands:
             assert outcome(hj_residual, S, alpha, x[:m]) == outcome(hj_residual, plain, alpha, x[:m])
 
     def test_a_bracketing_C_V_binds_no_coefficient(self):
+        # its consumers read the constant anchor and C through ``_read_at`` / ``anchor_at``: the bits of a
+        # plain-callable copy of the same arrays, at seeded states whose momenta are +-0.0 in part
         S = constant_system(SIGNED_ZERO_C0, bracket=[0.0, 0.3, -0.7])
-        assert S._bound is not None and S._field is None
+        assert S._field is None
+        A, q0 = S.algebroid, np.zeros(2)
+        rho, C = A.anchor_at(q0), A.structure_at(q0)
+        plain = HamiltonianSystem(algebroid=SkewAlgebroid(chart=A.chart, rank=3, anchor=lambda q: rho,
+                                                          structure=lambda q: C, adapted=True), H=S.H)
         X = seeded_points(4, n=300, lo=-2.0, hi=2.0, seed=32)
+        zero = np.random.default_rng(32).random((300, 2)) < 0.25
+        X[:, 2:][zero] = np.where(np.arange(zero.sum()) % 2 == 0, 0.0, -0.0)
         assert [hamilton_rhs(S, 0.0, x).tobytes() for x in X] == [parent_rhs(S, x).tobytes() for x in X]
+        for sys_ in (S, plain):
+            assert dissipation_rate(sys_, X).tobytes() == np.array([parent_rate(S, x) for x in X]).tobytes()
+        assert dissipation_rate(S, X).tobytes() == dissipation_rate(plain, X).tobytes()
+        assert [dissipation_rate(S, x) for x in X] == [dissipation_rate(plain, x) for x in X]
+        # -0.0 * q0 is +0.0 or -0.0 with the sign of q0
+        alpha = DualSection(components=lambda q: np.array([0.7 * q[0] - q[1], -0.0 * q[0]]), space="V*",
+                            jacobian=lambda q: np.array([[0.7, -1.0], [-0.0, 0.0]]))
+        for q in X[:, :2]:
+            assert projected_field(S, alpha, q).tobytes() == projected_field(plain, alpha, q).tobytes()
+            assert hj_residual(S, alpha, q).tobytes() == hj_residual(plain, alpha, q).tobytes()
 
     @pytest.mark.parametrize("system", CONSTANT_SYSTEMS)
     def test_constant_systems_take_no_einsum(self, system, monkeypatch):
@@ -507,18 +515,18 @@ def parent_rhs(S, x):
     m = S.chart.dim
     g = hamilton.fd_gradient(S.H, x)
     q, p, dHq, dHp = x[:m], x[m:], g[:m], g[m:]
-    rho0, rhoV, rhoVT, CV = hamilton._operands(S, q)
-    coeff = np.einsum("abc,a->bc", CV, hamilton._zeta(dHp))
-    return np.concatenate([rho0 + rhoV @ dHp, -(rhoVT @ dHq) + coeff @ p])
+    rho, C = _read_at(S.algebroid, q)
+    coeff = np.einsum("abc,a->bc", C[:, 1:, 1:], hamilton._zeta(dHp))
+    return np.concatenate([rho[:, 0] + rho[:, 1:] @ dHp, -(rho[:, 1:].T @ dHq) + coeff @ p])
 
 
 def parent_rate(S, x):
     """The dissipation rate as the per-state loop over C_{0b} it was before the stacked pass."""
     m = S.chart.dim
     g = hamilton.fd_gradient(S.H, x)
-    rho0, _, _, CV = hamilton._operands(S, x[:m])
-    val = float(rho0 @ g[:m])
-    for b, row in enumerate(CV[0]):
+    rho, C = _read_at(S.algebroid, x[:m])
+    val = float(rho[:, 0] @ g[:m])
+    for b, row in enumerate(C[0, 1:, 1:]):
         val += float(row @ x[m:]) * g[m + b]
     return val
 
